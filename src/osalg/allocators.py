@@ -16,8 +16,8 @@ an address is unmapped.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinators import (
     BuddyTree,

@@ -14,9 +14,10 @@ table that binds pages to frames is built and used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import bisect
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
 
 from .errors import ClockError, CycleError
 
@@ -55,22 +56,58 @@ class BindingGraph:
 
     A dependency pair (a, b) reads: a must be bound before b is bound.
     Rebinding is allowed; the latest binding at or before a use governs.
+
+    The constructor validates its whole input: instants must never
+    decrease and the dependencies must be acyclic. `record` and
+    `with_dependency` check only what they add, the new event's instant
+    or whether the new edge closes a cycle, so a log grown one step at a
+    time costs no re-validation of what was already checked.
     """
 
     events: tuple[BindingEvent, ...] = ()
     dependencies: frozenset[tuple[str, str]] = frozenset()
+    # each symbol mapped to the symbols it must be bound before, as
+    # _successor_index builds it; shared between graphs, never mutated
+    _successors: Mapping[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         instants = [e.instant for e in self.events]
         if any(b < a for a, b in zip(instants, instants[1:])):
             raise ClockError("event instants must be non-decreasing")
-        symbols = {s for pair in self.dependencies for s in pair}
-        _topological_orders(tuple(sorted(symbols)), self.dependencies, check_only=True)
+        successors = _successor_index(self.dependencies)
+        _find_cycle(successors, successors)
+        object.__setattr__(self, "_successors", successors)
+
+    @classmethod
+    def _extend(
+        cls,
+        events: tuple[BindingEvent, ...],
+        dependencies: frozenset[tuple[str, str]],
+        successors: Mapping[str, tuple[str, ...]],
+    ) -> "BindingGraph":
+        """A graph whose parts the caller has already checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "events", events)
+        object.__setattr__(g, "dependencies", dependencies)
+        object.__setattr__(g, "_successors", successors)
+        return g
 
     def with_dependency(self, first: str, then: str) -> "BindingGraph":
         """Declare that `first` must be bound before `then`."""
-        deps = frozenset(self.dependencies | {(first, then)})
-        return replace(self, dependencies=deps)
+        if (first, then) in self.dependencies:
+            return self
+        successors = dict(self._successors)
+        old = successors.get(first, ())
+        at = bisect.bisect(old, then)
+        successors[first] = old[:at] + (then,) + old[at:]
+        # the graph was acyclic, so a cycle now runs through the new edge:
+        # it exists exactly when `first` is reachable from `then`
+        _find_cycle((then,), successors)
+        return BindingGraph._extend(
+            self.events, self.dependencies | {(first, then)}, successors
+        )
 
 
 def record(
@@ -82,7 +119,11 @@ def record(
         raise ClockError(
             f"instant {instant} precedes last recorded {g.events[-1].instant}"
         )
-    return replace(g, events=g.events + (BindingEvent(symbol, kind, instant),))
+    return BindingGraph._extend(
+        g.events + (BindingEvent(symbol, kind, instant),),
+        g.dependencies,
+        g._successors,
+    )
 
 
 def validate(g: BindingGraph) -> list[Violation]:
@@ -126,14 +167,11 @@ def legal_orderings(
 
 
 def _topological_orders(
-    symbols: tuple[str, ...],
-    dependencies: frozenset[tuple[str, str]],
-    check_only: bool = False,
+    symbols: tuple[str, ...], dependencies: frozenset[tuple[str, str]]
 ) -> list[tuple[str, ...]]:
     nodes = sorted(set(symbols) | {s for pair in dependencies for s in pair})
-    _find_cycle(nodes, dependencies)
-    if check_only:
-        return []
+    successors = _successor_index(dependencies)
+    _find_cycle(successors, successors)
     blockers: dict[str, set[str]] = {n: set() for n in nodes}
     for first, then in dependencies:
         blockers[then].add(first)
@@ -155,28 +193,48 @@ def _topological_orders(
     return orders
 
 
-def _find_cycle(nodes: Sequence[str], dependencies: frozenset[tuple[str, str]]) -> None:
-    successors: dict[str, list[str]] = {n: [] for n in nodes}
+def _successor_index(
+    dependencies: frozenset[tuple[str, str]],
+) -> dict[str, tuple[str, ...]]:
+    """Each symbol with a successor, in sorted order, mapped to its
+    successors, in sorted order."""
+    successors: dict[str, list[str]] = {}
     for first, then in sorted(dependencies):
-        successors[first].append(then)
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-    stack: list[str] = []
+        successors.setdefault(first, []).append(then)
+    return {first: tuple(thens) for first, thens in successors.items()}
 
-    def visit(node: str) -> None:
-        state[node] = 1
-        stack.append(node)
-        for nxt in successors[node]:
-            if state.get(nxt) == 1:
-                cycle = tuple(stack[stack.index(nxt):])
-                raise CycleError(cycle)
-            if nxt not in state:
-                visit(nxt)
-        stack.pop()
-        state[node] = 2
 
-    for n in nodes:
-        if n not in state:
-            visit(n)
+def _find_cycle(
+    roots: Iterable[str], successors: Mapping[str, tuple[str, ...]]
+) -> None:
+    """Depth-first search from each root in turn; raises CycleError naming
+    the first cycle met, from the node it re-enters to the last node on
+    the current path.
+
+    Iterative, so chains of any length fit in a constant Python stack.
+    Nodes without successors cannot start a cycle, so searching from every
+    node of the index, in index order, covers the whole graph.
+    """
+    state: dict[str, int] = {}  # 1 = on the current path, 2 = done
+    for root in roots:
+        if root in state:
+            continue
+        state[root] = 1
+        path = [root]
+        pending = [iter(successors.get(root, ()))]
+        while pending:
+            for nxt in pending[-1]:
+                seen = state.get(nxt)
+                if seen == 1:
+                    raise CycleError(tuple(path[path.index(nxt):]))
+                if seen is None:
+                    state[nxt] = 1
+                    path.append(nxt)
+                    pending.append(iter(successors.get(nxt, ())))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
 
 
 def export_edges(g: BindingGraph) -> str:

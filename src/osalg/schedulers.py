@@ -16,8 +16,8 @@ preempted procedure.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinators import Organize, Select, SortKey, compose
 from .core import Procedure, ProcedureSet, WorkClass

@@ -399,14 +399,23 @@ class _Simulation:
             "buddy": "buddy-tree",
         }.get(cfg.allocator, "free-list")
         self.graph = bindingmod.record(self.graph, symbol, bindingmod.EventKind.BIND, 0)
+        self.checked_graph: bindingmod.BindingGraph | None = None
 
     def emit(self, instant: int, kind: EventKind, pid: int, detail: Detail = ()) -> None:
         self.trace.emit(instant, kind, pid, detail)
         if self.strict:
             self.memory.check()
-            violations = bindingmod.validate(self.graph)
-            if violations:
-                raise OsAlgError(f"binding violations: {violations}")
+            self.check_bindings()
+
+    def check_bindings(self) -> None:
+        # validate is a pure function of an immutable graph, so the graph
+        # last found clean needs no second look
+        if self.graph is self.checked_graph:
+            return
+        violations = bindingmod.validate(self.graph)
+        if violations:
+            raise OsAlgError(f"binding violations: {violations}")
+        self.checked_graph = self.graph
 
     # -- admission ---------------------------------------------------
 
@@ -582,9 +591,7 @@ class _Simulation:
             break
         events = self.trace.finish()
         if self.strict:
-            violations = bindingmod.validate(self.graph)
-            if violations:
-                raise OsAlgError(f"binding violations: {violations}")
+            self.check_bindings()
         return Trace(events=events, binding=self.graph)
 
 

@@ -1,10 +1,12 @@
 """Bind-before-use validation and legal binding orders."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
 from osalg import BindingGraph, export_edges, legal_orderings, record, validate
-from osalg.binding import EventKind
+from osalg.binding import BindingEvent, EventKind, _successor_index
 from osalg.errors import ClockError, CycleError
 
 PAGE_DEPS = {("frames", "page-table"), ("pages", "page-table")}
@@ -129,6 +131,114 @@ class TestLegalOrderings:
     def test_chain_dependencies(self):
         orders = legal_orderings(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert orders == [("a", "b", "c")]
+
+
+def reference_find_cycle(nodes, dependencies):
+    """The recursive search the iterative one replaced: the cycle named by
+    a depth-first search over sorted nodes and sorted edges, or None."""
+    successors = {n: [] for n in nodes}
+    for first, then in sorted(dependencies):
+        successors[first].append(then)
+    state = {}  # 1 = on stack, 2 = done
+    stack = []
+
+    def visit(node):
+        state[node] = 1
+        stack.append(node)
+        for nxt in successors[node]:
+            if state.get(nxt) == 1:
+                return tuple(stack[stack.index(nxt):])
+            if nxt not in state:
+                found = visit(nxt)
+                if found:
+                    return found
+        stack.pop()
+        state[node] = 2
+        return None
+
+    for n in nodes:
+        if n not in state:
+            found = visit(n)
+            if found:
+                return found
+    return None
+
+
+def chain(length):
+    return frozenset((f"s{i}", f"s{i + 1}") for i in range(length))
+
+
+SYMBOLS = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+class TestCycleSearch:
+    def test_long_chain_constructs(self):
+        g = BindingGraph(dependencies=chain(5000))
+        assert len(g.dependencies) == 5000
+
+    def test_long_chain_closed_into_cycle(self):
+        closed = chain(5000) | {("s5000", "s0")}
+        with pytest.raises(CycleError) as exc:
+            BindingGraph(dependencies=closed)
+        assert len(exc.value.cycle) == 5001
+        with pytest.raises(CycleError):
+            BindingGraph(dependencies=chain(5000)).with_dependency("s5000", "s0")
+
+    @given(st.frozensets(st.tuples(SYMBOLS, SYMBOLS), max_size=12))
+    def test_names_the_cycle_the_recursive_search_named(self, deps):
+        nodes = sorted({s for pair in deps for s in pair})
+        expected = reference_find_cycle(nodes, deps)
+        try:
+            BindingGraph(dependencies=deps)
+        except CycleError as exc:
+            assert exc.cycle == expected
+        else:
+            assert expected is None
+
+
+# one step of growing a log: ("record", symbol, is_bind, instant step) or
+# ("depend", first, then); a negative instant step moves the clock back
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), SYMBOLS, st.booleans(), st.integers(-1, 2)),
+        st.tuples(st.just("depend"), SYMBOLS, SYMBOLS),
+    ),
+    max_size=30,
+)
+
+
+class TestIncrementalAppend:
+    @given(STEPS)
+    def test_matches_the_validating_constructor(self, steps):
+        """After every record or with_dependency, the graph equals one the
+        constructor builds from the same parts, and both refuse the same
+        steps with the same error."""
+        g = BindingGraph()
+        for step in steps:
+            events, deps = g.events, g.dependencies
+            if step[0] == "record":
+                _, symbol, is_bind, delta = step
+                instant = (events[-1].instant if events else 0) + delta
+                kind = EventKind.BIND if is_bind else EventKind.USE
+                events += (BindingEvent(symbol, kind, instant),)
+                append = partial(record, g, symbol, kind, instant)
+            else:
+                _, first, then = step
+                deps = deps | {(first, then)}
+                append = partial(g.with_dependency, first, then)
+            try:
+                expected = BindingGraph(events=events, dependencies=deps)
+            except (ClockError, CycleError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    append()
+                if step[0] == "depend":
+                    cycle = raised.value.cycle
+                    edges = set(zip(cycle, cycle[1:] + cycle[:1]))
+                    assert (first, then) in edges and edges <= deps
+                continue
+            g = append()
+            assert g == expected
+            assert g._successors == _successor_index(deps)
 
 
 def test_export_edges_plain_text():

@@ -1,5 +1,10 @@
 """Core type behavior: addresses, extents, projection, lifecycle."""
 
+import gc
+import importlib
+import sys
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,3 +183,28 @@ def test_first_classness_thread_through_positions():
     returned = discipline.apply(members)
     assert returned is p
     assert returned in list(members)
+
+
+def test_reimport_frees_the_previous_copy():
+    """Nothing in the package keeps an earlier import of it alive, so a
+    process that imports osalg afresh, as the benchmark does between
+    passes, does not grow by one copy per import."""
+
+    def osalg_modules():
+        return [k for k in sys.modules if k == "osalg" or k.startswith("osalg.")]
+
+    saved = {k: sys.modules[k] for k in osalg_modules()}
+    try:
+        for name in osalg_modules():
+            del sys.modules[name]
+        importlib.import_module("osalg")
+        old = weakref.ref(sys.modules["osalg.core"].Procedure)
+        for name in osalg_modules():
+            del sys.modules[name]
+        importlib.import_module("osalg")
+        gc.collect()
+        assert old() is None
+    finally:
+        for name in osalg_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)

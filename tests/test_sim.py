@@ -17,14 +17,16 @@ from osalg import (
     variable_quantum,
     class_quantum,
 )
+from osalg import binding
 from osalg.binding import validate
 from osalg.errors import (
     IncompleteRunError,
+    OsAlgError,
     ParameterError,
     UnrunnableProcedureError,
 )
 from osalg.oracle import brute_schedule
-from osalg.sim import EventKind, TraceEvent
+from osalg.sim import EventKind, TraceEvent, _Simulation
 
 from conftest import proc, random_batch, random_arrivals, regression_runs
 
@@ -321,6 +323,29 @@ class TestDeterminismAndInvariants:
         symbols = {e.symbol for e in trace.binding.events}
         assert {"frames", "pages:1", "page-table:1"} <= symbols
         assert validate(trace.binding) == []
+
+    def test_strict_mode_reports_binding_violation(self, monkeypatch):
+        """With the page-table bind left out, the dispatch's Use precedes
+        any binding: a strict run stops on it, a lax one completes."""
+
+        def bind_all_but_table(sim, p, at):
+            if sim.cfg.allocator == "paging":
+                table = f"page-table:{p.id}"
+                sim.graph = binding.record(sim.graph, f"pages:{p.id}", "Bind", at)
+                sim.graph = sim.graph.with_dependency("frames", table)
+                sim.graph = sim.graph.with_dependency(f"pages:{p.id}", table)
+
+        monkeypatch.setattr(
+            _Simulation, "record_allocation_bindings", bind_all_but_table
+        )
+        cfg = SimConfig(memory_capacity=32, allocator="paging", page_size=4)
+        ps = [proc(1, size=10, time=2)]
+        trace, _ = run(ps, cfg, strict=False)
+        violations = validate(trace.binding)
+        assert [v.kind for v in violations] == ["use-before-bind"]
+        with pytest.raises(OsAlgError) as exc:
+            run(ps, cfg, strict=True)
+        assert str(exc.value) == f"binding violations: {violations}"
 
     def test_internal_fragmentation_reported(self):
         cfg = SimConfig(memory_capacity=32, allocator="paging", page_size=4)
