@@ -16,7 +16,8 @@ an address is unmapped.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from bisect import bisect_left, insort
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from .combinators import (
@@ -25,6 +26,8 @@ from .combinators import (
     Organize,
     OrganizeTag,
     SelectTag,
+    _buddy_leaves,
+    _start,
     organize_buddy,
     organize_fixed_partition,
     select_first_fit,
@@ -41,17 +44,19 @@ from .errors import (
 VictimPolicy = Callable[[Sequence[Procedure]], Procedure]
 
 
-def _coalesce(extents: Iterable[Extent]) -> tuple[Extent, ...]:
-    """Merge adjacent extents into maximal runs, address ordered."""
-    merged: list[Extent] = []
-    for e in sorted(extents, key=lambda x: x.start):
-        if e.size == 0:
-            continue
-        if merged and merged[-1].end == e.start:
-            merged[-1] = Extent(merged[-1].start, e.end)
-        else:
-            merged.append(e)
-    return tuple(merged)
+def _merge_free(free: tuple[Extent, ...], e: Extent) -> tuple[Extent, ...]:
+    """Insert a released extent into an address-ordered list of maximal
+    free runs, merging it with the neighbours it touches."""
+    i = bisect_left(free, e.start, key=_start)
+    lo, hi = i, i
+    start, end = e.start, e.end
+    if i > 0 and free[i - 1].end == start:
+        lo -= 1
+        start = free[lo].start
+    if i < len(free) and free[i].start == end:
+        hi += 1
+        end = free[i].end
+    return free[:lo] + (Extent(start, end),) + free[hi:]
 
 
 @dataclass(frozen=True)
@@ -61,14 +66,23 @@ class MemoryState:
     `organizer` fixes the structure of the free space: identity keeps a
     coalesced free-extent list, fixed partitioning keeps whole allocation
     units, the buddy organizer keeps the block tree (mirrored into `free`
-    for uniform accounting). `allocated` maps procedure ids to the
-    extents they hold.
+    for uniform accounting, as the tree's own free leaves). `allocated`
+    maps procedure ids to the extents they hold, `free_total` is the
+    size of `free`.
+
+    Each grant and release updates `free` and `free_total` by what it
+    changes, never by a rescan: a first-fit grant splits one free run
+    and a release merges with its two neighbours, fixed units come off
+    the front and go back in address order, and the buddy tree hands
+    over its free leaves after its own path-local update. A buddy grant
+    takes the leftmost free block that fits (leftmost fit).
     """
 
     resource: ResourceSet
     organizer: Organize
     allocated: Mapping[int, tuple[Extent, ...]]
     free: tuple[Extent, ...]
+    free_total: int
     buddy: BuddyTree | None = None
     residue: Extent | None = None
 
@@ -79,16 +93,19 @@ class MemoryState:
         resource = ResourceSet.memory(capacity)
         if organizer.tag is OrganizeTag.IDENTITY:
             free = (Extent(0, capacity),) if capacity else ()
-            return MemoryState(resource, organizer, {}, free)
+            return MemoryState(resource, organizer, {}, free, capacity)
         if organizer.tag is OrganizeTag.FIXED_PARTITION:
             assert organizer.unit_size is not None
             partition = organize_fixed_partition(resource, organizer.unit_size)
             return MemoryState(
-                resource, organizer, {}, partition.units, residue=partition.residue
+                resource, organizer, {}, partition.units,
+                len(partition.units) * organizer.unit_size, residue=partition.residue,
             )
         if organizer.tag is OrganizeTag.BUDDY_TREE:
             tree = organize_buddy(resource)
-            return MemoryState(resource, organizer, {}, tree.free_extents(), buddy=tree)
+            return MemoryState(
+                resource, organizer, {}, tree.free_extents(), capacity, buddy=tree
+            )
         raise ParameterError(f"memory cannot be organized by {organizer.tag.value}")
 
     @property
@@ -109,17 +126,22 @@ class MemoryState:
 
     @property
     def free_size(self) -> int:
-        return sum(e.size for e in self.free)
+        return self.free_total
 
     @property
     def allocated_size(self) -> int:
         return sum(e.size for exts in self.allocated.values() for e in exts)
 
     def largest_free(self) -> int:
+        if self.organizer.tag is OrganizeTag.FIXED_PARTITION:
+            # every free extent is one whole unit
+            return (self.unit_size or 0) if self.free else 0
         return max((e.size for e in self.free), default=0)
 
     def check_invariants(self) -> None:
-        """Conservation and disjointness; raises ParameterError on breach."""
+        """Conservation and disjointness, the carried free total and the
+        buddy mirror, each recomputed from scratch; raises ParameterError
+        on breach."""
         pieces = list(self.free)
         pieces.extend(e for exts in self.allocated.values() for e in exts)
         if self.residue is not None:
@@ -139,8 +161,15 @@ class MemoryState:
             raise ParameterError(
                 f"covered {covered} of {self.capacity} units: conservation broken"
             )
-        if self.buddy is not None and set(self.buddy.free_extents()) != set(self.free):
-            raise ParameterError("buddy tree and free list disagree")
+        scanned = sum(e.size for e in self.free)
+        if scanned != self.free_total:
+            raise ParameterError(
+                f"carried free total {self.free_total}, free list holds {scanned}"
+            )
+        if self.buddy is not None:
+            walked = tuple(e for e, used in _buddy_leaves(self.buddy.root) if not used)
+            if walked != self.buddy.free_extents() or walked != self.free:
+                raise ParameterError("buddy tree and free list disagree")
 
 
 def _register(m: MemoryState, pid: int, extents: tuple[Extent, ...]) -> MemoryState:
@@ -152,14 +181,11 @@ def _register(m: MemoryState, pid: int, extents: tuple[Extent, ...]) -> MemorySt
 def _carve(m: MemoryState, q: int) -> tuple[Extent, MemoryState]:
     """First-fit carve of a q-unit extent from an identity-organized state."""
     grant = select_first_fit(m.free, q)
-    free: list[Extent] = []
-    for e in m.free:
-        if e.start == grant.start:
-            if grant.end < e.end:
-                free.append(Extent(grant.end, e.end))
-        else:
-            free.append(e)
-    return grant, replace(m, free=tuple(free))
+    i = bisect_left(m.free, grant.start, key=_start)
+    hole = m.free[i]
+    rest = (Extent(grant.end, hole.end),) if grant.end < hole.end else ()
+    free = m.free[:i] + rest + m.free[i + 1:]
+    return grant, replace(m, free=free, free_total=m.free_total - q)
 
 
 def _take_units(m: MemoryState, count: int) -> tuple[tuple[Extent, ...], MemoryState]:
@@ -167,7 +193,8 @@ def _take_units(m: MemoryState, count: int) -> tuple[tuple[Extent, ...], MemoryS
     if count > len(m.free):
         raise AllocationFailure(f"{count} units needed, {len(m.free)} free")
     taken = m.free[:count]
-    return taken, replace(m, free=m.free[count:])
+    free_total = m.free_total - sum(e.size for e in taken)
+    return taken, replace(m, free=m.free[count:], free_total=free_total)
 
 
 def _grant(
@@ -182,7 +209,10 @@ def _grant(
     if m.organizer.tag is OrganizeTag.BUDDY_TREE:
         assert m.buddy is not None
         extent, tree = m.buddy.allocate(q)
-        m2 = replace(m, buddy=tree, free=tree.free_extents())
+        m2 = replace(
+            m, buddy=tree, free=tree.free_extents(),
+            free_total=m.free_total - extent.size,
+        )
         return _register(m2, pid, (extent,)), (extent,)
     if m.organizer.tag is OrganizeTag.FIXED_PARTITION:
         unit = m.unit_size or 0
@@ -236,16 +266,26 @@ def deallocate(m: MemoryState, pid: int) -> MemoryState:
     extents = m.extents_of(pid)
     allocated = dict(m.allocated)
     del allocated[pid]
+    free_total = m.free_total + sum(e.size for e in extents)
     if m.organizer.tag is OrganizeTag.BUDDY_TREE:
         assert m.buddy is not None
         tree = m.buddy
         for e in extents:
             tree = tree.release(e)
-        return replace(m, allocated=allocated, buddy=tree, free=tree.free_extents())
+        return replace(
+            m, allocated=allocated, buddy=tree, free=tree.free_extents(),
+            free_total=free_total,
+        )
     if m.organizer.tag is OrganizeTag.FIXED_PARTITION:
-        free = tuple(sorted(m.free + extents, key=lambda e: e.start))
-        return replace(m, allocated=allocated, free=free)
-    return replace(m, allocated=allocated, free=_coalesce(m.free + extents))
+        units = list(m.free)
+        for e in extents:
+            insort(units, e, key=_start)
+        free = tuple(units)
+    else:
+        free = m.free
+        for e in extents:
+            free = _merge_free(free, e)
+    return replace(m, allocated=allocated, free=free, free_total=free_total)
 
 
 @dataclass(frozen=True)

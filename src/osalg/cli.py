@@ -161,7 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--backing", type=int, help="backing capacity (default: memory)")
     runp.add_argument("--trace", help="trace CSV path (default: stdout)")
     runp.add_argument("--metrics", help="metrics path (default: stdout)")
-    runp.add_argument("--seed", type=int, default=0, help="workload generation seed")
 
     orderp = sub.add_parser("orderings", help="legal binding orders")
     orderp.add_argument("--symbols", required=True, help="comma-separated symbols")
@@ -194,7 +193,6 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
             allocator=args.allocator,
             unit_size=args.unit,
             page_size=args.page_size,
-            seed=args.seed,
         )
     except ParameterError as exc:
         print(f"usage error: {exc}", file=err)

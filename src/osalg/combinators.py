@@ -17,8 +17,10 @@ first: disciplines are plain values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Any, Iterable, Sequence
 
 from .core import Extent, Procedure, ProcedureSet, ResourceKind, ResourceSet
@@ -94,11 +96,16 @@ class BuddyTree:
     """A persistent binary buddy tree over ``[0, capacity)``.
 
     Mutating operations return a new tree; eager sibling merging keeps
-    the invariant that no two free sibling blocks coexist.
+    the invariant that no two free sibling blocks coexist. The tree
+    carries its free leaves in address order, and each grant and release
+    updates them by what it changes: both walk only the path to their
+    block. A grant takes the leftmost free block that holds the demand
+    (leftmost fit), not the smallest one.
     """
 
     capacity: int
     root: BuddyNode
+    free_leaves: tuple[Extent, ...]
 
     @property
     def depth(self) -> int:
@@ -119,63 +126,88 @@ class BuddyTree:
         block = self.block_size_for(q)
         if block > self.capacity:
             raise AllocationFailure(f"demand {q} exceeds capacity {self.capacity}")
-        result = _buddy_alloc(self.root, block)
-        if result is None:
+        for i, leaf in enumerate(self.free_leaves):
+            if leaf.size >= block:
+                break
+        else:
             raise AllocationFailure(f"no free block of {block} units")
-        node, extent = result
-        return extent, BuddyTree(self.capacity, node)
+        # split the leaf down to the block at its left end; the right
+        # halves split off stay free, in address order
+        start = leaf.start
+        extent = Extent(start, start + block)
+        node = BuddyNode(extent, used=True)
+        halves: list[Extent] = []
+        size = block
+        while size < leaf.size:
+            half = Extent(start + size, start + 2 * size)
+            halves.append(half)
+            node = BuddyNode(Extent(start, half.end), left=node, right=BuddyNode(half))
+            size *= 2
+        free = self.free_leaves[:i] + tuple(halves) + self.free_leaves[i + 1:]
+        path, _ = _buddy_path(self.root, leaf)
+        return extent, BuddyTree(self.capacity, _buddy_rebuild(path, node), free)
 
     def release(self, extent: Extent) -> "BuddyTree":
         """Free an allocated block, merging free siblings all the way up."""
-        node = _buddy_free(self.root, extent)
-        if node is None:
+        path, node = _buddy_path(self.root, extent)
+        if not node.used or node.extent != extent:
             raise NotFoundError(f"no allocated block {extent}")
-        return BuddyTree(self.capacity, node)
+        node = BuddyNode(extent)
+        while path:
+            parent, went_left = path[-1]
+            sibling = parent.right if went_left else parent.left
+            assert sibling is not None
+            if not sibling.is_leaf or sibling.used:
+                break
+            path.pop()
+            node = BuddyNode(parent.extent)  # merge free siblings
+        # the merged block replaces the free leaves it swallowed
+        merged = node.extent
+        lo = bisect_left(self.free_leaves, merged.start, key=_start)
+        hi = bisect_left(self.free_leaves, merged.end, key=_start)
+        free = self.free_leaves[:lo] + (merged,) + self.free_leaves[hi:]
+        return BuddyTree(self.capacity, _buddy_rebuild(path, node), free)
 
     def free_extents(self) -> tuple[Extent, ...]:
-        return tuple(e for e, used in _buddy_leaves(self.root) if not used)
+        return self.free_leaves
 
     def used_extents(self) -> tuple[Extent, ...]:
         return tuple(e for e, used in _buddy_leaves(self.root) if used)
 
 
-def _buddy_alloc(node: BuddyNode, block: int) -> tuple[BuddyNode, Extent] | None:
-    if node.used or node.extent.size < block:
-        return None
-    if node.is_leaf:
-        if node.extent.size == block:
-            return replace(node, used=True), node.extent
-        left_ext, right_ext = node.split_extents()
-        sub = _buddy_alloc(BuddyNode(left_ext), block)
-        assert sub is not None  # fresh free half always fits a smaller block
-        child, extent = sub
-        return BuddyNode(node.extent, left=child, right=BuddyNode(right_ext)), extent
-    for side in ("left", "right"):
-        child = getattr(node, side)
-        sub = _buddy_alloc(child, block)
-        if sub is not None:
-            return replace(node, **{side: sub[0]}), sub[1]
-    return None
+_start = attrgetter("start")
 
 
-def _buddy_free(node: BuddyNode, extent: Extent) -> BuddyNode | None:
-    if node.is_leaf:
-        if node.used and node.extent == extent:
-            return BuddyNode(node.extent)
-        return None
-    assert node.left is not None and node.right is not None
-    for side in ("left", "right"):
-        child = getattr(node, side)
-        if child.extent.encloses(extent):
-            freed = _buddy_free(child, extent)
-            if freed is None:
-                return None
-            merged = replace(node, **{side: freed})
-            left, right = merged.left, merged.right
-            if left.is_leaf and right.is_leaf and not left.used and not right.used:
-                return BuddyNode(node.extent)  # merge free siblings
-            return merged
-    return None
+def _buddy_path(
+    root: BuddyNode, extent: Extent
+) -> tuple[list[tuple[BuddyNode, bool]], BuddyNode]:
+    """The leaf whose block encloses `extent`, and the path down to it as
+    (ancestor, whether the path goes left) pairs; NotFoundError when no
+    single block on the way encloses it."""
+    path: list[tuple[BuddyNode, bool]] = []
+    node = root
+    while not node.is_leaf:
+        assert node.left is not None and node.right is not None
+        if node.left.extent.encloses(extent):
+            path.append((node, True))
+            node = node.left
+        elif node.right.extent.encloses(extent):
+            path.append((node, False))
+            node = node.right
+        else:
+            raise NotFoundError(f"no allocated block {extent}")
+    return path, node
+
+
+def _buddy_rebuild(path: list[tuple[BuddyNode, bool]], node: BuddyNode) -> BuddyNode:
+    """The root over `node` once each ancestor on `path` takes it in place
+    of the child the path went through; siblings are shared."""
+    for parent, went_left in reversed(path):
+        if went_left:
+            node = BuddyNode(parent.extent, left=node, right=parent.right)
+        else:
+            node = BuddyNode(parent.extent, left=parent.left, right=node)
+    return node
 
 
 def _buddy_leaves(node: BuddyNode) -> Iterable[tuple[Extent, bool]]:
@@ -238,7 +270,8 @@ def organize_buddy(resource: ResourceSet) -> BuddyTree:
     capacity = resource.capacity or 0
     if capacity < 1 or capacity & (capacity - 1):
         raise ParameterError(f"buddy capacity must be a power of two, got {capacity}")
-    return BuddyTree(capacity, BuddyNode(Extent(0, capacity)))
+    whole = Extent(0, capacity)
+    return BuddyTree(capacity, BuddyNode(whole), (whole,))
 
 
 def select_identity(organized: Any, i: int) -> Any:

@@ -18,6 +18,7 @@ operations are pure functions.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterator, Mapping, Sequence
@@ -53,29 +54,71 @@ class ResourceUnit:
             raise MalformedExtentError(f"address must be natural, got {self.address}")
 
 
+class _Addresses(abc.Sequence):
+    """The units of addresses 0..count-1, each made when it is read.
+
+    Compares equal to the tuple of the same units, so a memory set built
+    by :meth:`ResourceSet.memory` equals one given its units eagerly.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index):
+        addresses = range(self.count)[index]
+        if isinstance(addresses, range):
+            return tuple(map(ResourceUnit, addresses))
+        return ResourceUnit(addresses)
+
+    def __iter__(self) -> Iterator[ResourceUnit]:
+        return map(ResourceUnit, range(self.count))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Addresses):
+            return self.count == other.count
+        if isinstance(other, tuple):
+            return len(other) == self.count and tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<units 0..{self.count - 1}>" if self.count else "()"
+
+
 @dataclass(frozen=True)
 class ResourceSet:
     """An address-ordered countable set of resource units.
 
-    Finite reusable sets (memory) materialize their units eagerly and
-    carry a capacity equal to the unit count. Infinite non-reusable sets
-    (CPU time) have ``capacity is None`` and generate units on demand via
+    Finite reusable sets (memory) carry a capacity equal to the unit
+    count; :meth:`memory` builds one in O(1), its units made on demand
+    like those of an infinite set. Infinite non-reusable sets (CPU time)
+    have ``capacity is None`` and generate units on demand via
     :meth:`unit_at`.
     """
 
     kind: ResourceKind
-    units: tuple[ResourceUnit, ...] = ()
+    units: Sequence[ResourceUnit] = ()
     capacity: int | None = None
 
     def __post_init__(self) -> None:
-        addresses = [u.address for u in self.units]
-        if any(b <= a for a, b in zip(addresses, addresses[1:])):
-            raise MalformedExtentError("unit addresses must strictly increase")
+        if not isinstance(self.units, _Addresses):  # consecutive by construction
+            addresses = [u.address for u in self.units]
+            if any(b <= a for a, b in zip(addresses, addresses[1:])):
+                raise MalformedExtentError("unit addresses must strictly increase")
         if self.kind is ResourceKind.FINITE_REUSABLE:
             if self.capacity is None or self.capacity != len(self.units):
                 raise ParameterError("finite set capacity must equal its unit count")
         elif self.capacity is not None:
             raise ParameterError("infinite set cannot carry a capacity")
+
+    def __hash__(self) -> int:
+        # equal sets agree on kind and capacity; hashing the units would
+        # cost O(capacity) and fail on the on-demand ones
+        return hash((self.kind, self.capacity))
 
     @staticmethod
     def memory(capacity: int) -> "ResourceSet":
@@ -84,7 +127,7 @@ class ResourceSet:
             raise ParameterError(f"capacity must be natural, got {capacity}")
         return ResourceSet(
             kind=ResourceKind.FINITE_REUSABLE,
-            units=tuple(ResourceUnit(a) for a in range(capacity)),
+            units=_Addresses(capacity),
             capacity=capacity,
         )
 

@@ -24,6 +24,7 @@ from . import binding as bindingmod
 from .allocators import (
     MemoryState,
     PageMap,
+    Pagination,
     SegmentMap,
     SwapRecord,
     allocate as allocate_op,
@@ -133,11 +134,7 @@ class Metrics:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a run needs besides the workload.
-
-    The seed only matters to workload generators; the simulator itself is
-    deterministic.
-    """
+    """Everything a run needs besides the workload."""
 
     memory_capacity: int = 64
     backing_capacity: int | None = None  # defaults to the primary capacity
@@ -148,7 +145,6 @@ class SimConfig:
     allocator: str = "first-fit"
     unit_size: int | None = None
     page_size: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.memory_capacity < 1:
@@ -209,6 +205,12 @@ class _Memory:
         self.backing = MemoryState.initial(cfg.effective_backing, Organize.identity())
         self.page_maps: dict[int, PageMap] = {}
         self.segment_maps: dict[int, SegmentMap] = {}
+        # a pagination depends only on the size and the page size, so each
+        # procedure is paginated once, at its first admit attempt
+        self.paginations: dict[int, Pagination] = {}
+        # the states last found clean: check_invariants is a pure function
+        # of an immutable state, so they need no second look
+        self.checked: tuple[MemoryState | None, MemoryState | None] = (None, None)
 
     def feasible(self, p: Procedure) -> bool:
         """Could p ever be made resident, given an empty primary memory?"""
@@ -236,7 +238,7 @@ class _Memory:
         int_frag = 0
         extra: list[tuple[str, str]] = []
         if self.cfg.allocator == "paging":
-            pagination = paginate(p, self.cfg.page_size or 1)
+            pagination = self.pagination(p)
             page_map, self.primary = build_page_table(pagination, self.primary)
             self.page_maps[p.id] = page_map
             int_frag = pagination.internal_fragmentation
@@ -269,29 +271,37 @@ class _Memory:
         detail.append(("int_frag", str(int_frag)))
         return extents, tuple(detail)
 
+    def pagination(self, p: Procedure) -> Pagination:
+        pagination = self.paginations.get(p.id)
+        if pagination is None:
+            pagination = paginate(p, self.cfg.page_size or 1)
+            self.paginations[p.id] = pagination
+        return pagination
+
     def release(self, pid: int) -> tuple[Extent, ...]:
         extents = self.primary.extents_of(pid)
         self.primary = deallocate(self.primary, pid)
         self.page_maps.pop(pid, None)
         self.segment_maps.pop(pid, None)
+        self.paginations.pop(pid, None)
         return extents
 
     def swap_out_victim(
         self, candidates: list[Procedure]
     ) -> tuple[SwapRecord, tuple[Extent, ...]]:
-        held = {p.id: self.primary.extents_of(p.id) for p in candidates}
+        before = self.primary
         self.primary, self.backing, record = swap_out(
             self.primary, self.backing, candidates, default_victim
         )
         self.page_maps.pop(record.pid, None)
         self.segment_maps.pop(record.pid, None)
-        return record, held[record.pid]
+        return record, before.extents_of(record.pid)
 
     def swap_in_record(self, record: SwapRecord, p: Procedure) -> tuple[Extent, ...]:
         if self.cfg.allocator == "paging":
             # residency may land in different frames: rebuild the table
             backing2 = deallocate(self.backing, record.pid)
-            pagination = paginate(p, self.cfg.page_size or 1)
+            pagination = self.pagination(p)
             page_map, self.primary = build_page_table(pagination, self.primary)
             self.backing = backing2
             self.page_maps[p.id] = page_map
@@ -308,8 +318,12 @@ class _Memory:
         return str(Fraction(self.primary.largest_free(), total))
 
     def check(self) -> None:
-        self.primary.check_invariants()
-        self.backing.check_invariants()
+        checked_primary, checked_backing = self.checked
+        if self.primary is not checked_primary:
+            self.primary.check_invariants()
+        if self.backing is not checked_backing:
+            self.backing.check_invariants()
+        self.checked = (self.primary, self.backing)
 
 
 class _Picker:

@@ -1,5 +1,7 @@
 """Workload parsing, trace rendering, and the command-line surface."""
 
+import tracemalloc
+
 import pytest
 
 from osalg import WorkClass
@@ -168,6 +170,26 @@ class TestMainRun:
             "--allocator", "first-fit",
         ])
         assert code == EXIT_WORKLOAD
+
+
+@pytest.mark.parametrize("allocator", ["first-fit", "buddy", "segmentation"])
+def test_huge_memory_costs_no_more_than_its_workload(tmp_path, allocator):
+    """A 2**30-unit memory is built and run without touching every unit."""
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(TWO_RECORDS)
+    tracemalloc.start()
+    try:
+        code = main([
+            "run", "--workload", str(wpath), "--scheduler", "fcfs",
+            "--allocator", allocator, "--memory", str(1 << 30),
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.txt"),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert "makespan=5" in (tmp_path / "m.txt").read_text()
+    assert peak < 20 * 2**20
 
 
 class TestMainOrderings:

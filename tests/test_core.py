@@ -15,6 +15,7 @@ from osalg import (
     ProcedureSet,
     ResourceKind,
     ResourceSet,
+    ResourceUnit,
     activate,
     addr,
     extent_size,
@@ -62,6 +63,38 @@ class TestAddresses:
     def test_capacity_must_match_units(self):
         with pytest.raises(ParameterError):
             ResourceSet(kind=ResourceKind.FINITE_REUSABLE, units=(), capacity=3)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_memory_matches_eager_construction(self, n):
+        """Units made on demand look like units given up front."""
+        lazy = ResourceSet.memory(n)
+        eager = ResourceSet(
+            kind=ResourceKind.FINITE_REUSABLE,
+            units=tuple(ResourceUnit(a) for a in range(n)),
+            capacity=n,
+        )
+        assert len(lazy.units) == len(eager.units) == n
+        assert list(lazy.units) == list(eager.units)
+        assert [lazy.units[i] for i in range(-n, n)] == \
+            [eager.units[i] for i in range(-n, n)]
+        assert lazy.units[1:-1] == eager.units[1:-1]
+        assert [lazy.unit_at(a) for a in range(n)] == [eager.unit_at(a) for a in range(n)]
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert lazy == ResourceSet.memory(n)
+        assert lazy != ResourceSet.memory(n + 1)
+        shifted = tuple(ResourceUnit(a + 1) for a in range(n))
+        assert n == 0 or lazy.units != shifted
+        assert n == 0 or lazy != ResourceSet(ResourceKind.FINITE_REUSABLE, shifted, n)
+        with pytest.raises(IndexError):
+            lazy.units[n]
+        with pytest.raises(BoundsError):
+            lazy.unit_at(n)
+
+    def test_memory_set_does_not_scale_with_capacity(self):
+        huge = ResourceSet.memory(10**18)
+        assert huge.capacity == len(huge.units) == 10**18
+        assert addr(huge.unit_at(10**18 - 1)) == 10**18 - 1
 
 
 class TestExtents:

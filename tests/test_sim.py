@@ -1,5 +1,6 @@
 """End-to-end simulator behavior: traces, metrics, swapping, determinism."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from osalg import (
     variable_quantum,
     class_quantum,
 )
-from osalg import binding
+from osalg import binding, sim
 from osalg.binding import validate
 from osalg.errors import (
     IncompleteRunError,
@@ -346,6 +347,44 @@ class TestDeterminismAndInvariants:
         with pytest.raises(OsAlgError) as exc:
             run(ps, cfg, strict=True)
         assert str(exc.value) == f"binding violations: {violations}"
+
+    def test_strict_mode_reports_a_corrupted_release(self, monkeypatch):
+        """A release that leaves the freed extent allocated as well breaks
+        disjointness: a strict run stops on it, a lax one completes."""
+        real_deallocate = sim.deallocate
+
+        def leaky_deallocate(m, pid):
+            freed = real_deallocate(m, pid)
+            return dataclasses.replace(
+                freed, allocated={**freed.allocated, pid: m.extents_of(pid)}
+            )
+
+        monkeypatch.setattr(sim, "deallocate", leaky_deallocate)
+        ps = [proc(1, size=4, time=2), proc(2, size=4, time=1, arrival=5)]
+        cfg = SimConfig(memory_capacity=16)
+        trace, _ = run(ps, cfg, strict=False)
+        assert len(trace.of_kind(EventKind.COMPLETE)) == 2
+        with pytest.raises(ParameterError, match="overlaps"):
+            run(ps, cfg, strict=True)
+
+    def test_paging_paginates_each_procedure_once(self, monkeypatch):
+        """Admit retries and swap-ins reuse the first pagination."""
+        calls = {"paginate": 0, "build_page_table": 0}
+        for name in calls:
+            real = getattr(sim, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(sim, name, counted)
+        ps = [proc(i, size=6, time=3, arrival=i, priority=i % 3) for i in range(1, 9)]
+        cfg = SimConfig(memory_capacity=16, backing_capacity=8, allocator="paging",
+                        page_size=4, scheduler="rr", quantum=1)
+        trace, _ = run(ps, cfg, strict=True)
+        assert trace.of_kind(EventKind.SWAP_IN)
+        assert calls["build_page_table"] > len(ps)
+        assert calls["paginate"] == len(ps)
 
     def test_internal_fragmentation_reported(self):
         cfg = SimConfig(memory_capacity=32, allocator="paging", page_size=4)
