@@ -176,20 +176,24 @@ def _topological_orders(
     for first, then in dependencies:
         blockers[then].add(first)
     orders: list[tuple[str, ...]] = []
-
-    def extend(prefix: list[str], placed: set[str]) -> None:
-        if len(prefix) == len(nodes):
-            orders.append(tuple(prefix))
-            return
-        for n in nodes:
+    prefix: list[str] = []
+    placed: set[str] = set()
+    # iterative, so chains of any length fit in a constant Python stack:
+    # one iterator per position of the prefix, over the candidates for it
+    pending = [iter(nodes)]
+    while pending:
+        for n in pending[-1]:
             if n not in placed and blockers[n] <= placed:
                 prefix.append(n)
                 placed.add(n)
-                extend(prefix, placed)
-                placed.remove(n)
-                prefix.pop()
-
-    extend([], set())
+                pending.append(iter(nodes))
+                break
+        else:
+            if len(prefix) == len(nodes):
+                orders.append(tuple(prefix))
+            pending.pop()
+            if prefix:
+                placed.remove(prefix.pop())
     return orders
 
 

@@ -21,7 +21,7 @@ from .errors import (
     UnrunnableProcedureError,
     WorkloadError,
 )
-from .sim import Metrics, SimConfig, Trace, run
+from .sim import ALLOCATORS, SCHEDULERS, Metrics, SimConfig, Trace, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,16 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="simulate a workload")
     runp.add_argument("--workload", required=True, help="workload file path")
-    runp.add_argument(
-        "--scheduler",
-        required=True,
-        choices=["fcfs", "sjf-size", "sjf-time", "priority", "rr", "var-quantum"],
-    )
-    runp.add_argument(
-        "--allocator",
-        required=True,
-        choices=["first-fit", "fixed", "buddy", "paging", "segmentation"],
-    )
+    runp.add_argument("--scheduler", required=True, choices=list(SCHEDULERS))
+    runp.add_argument("--allocator", required=True, choices=list(ALLOCATORS))
     runp.add_argument("--quantum", type=int, default=1, help="round robin quantum")
     runp.add_argument("--io-quantum", type=int, default=1)
     runp.add_argument("--cpu-quantum", type=int, default=4)

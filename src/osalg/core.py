@@ -13,7 +13,8 @@ file; activating it against an interpretation context makes it a process,
 and passivating captures the context back into the file. Procedure values
 are ordinary data: sets hold them, disciplines take them as arguments and
 hand them back as results. All types here are immutable values; the
-operations are pure functions.
+operations are pure functions. The one exception is ``ArrivalStream``,
+the cursor that hands procedures to schedulers in arrival order.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from __future__ import annotations
 from collections import abc
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BoundsError,
     IllegalTransitionError,
     MalformedExtentError,
     ParameterError,
+    StreamOrderError,
 )
 
 # Addresses are consecutive naturals from 0 within each resource set; any
@@ -320,6 +322,50 @@ class ProcedureSet:
         return ProcedureSet(
             tuple(sorted(self.members, key=lambda p: (p.arrival, p.id)))
         )
+
+
+class ArrivalStream:
+    """Pull-based arrival source; arrivals must be non-decreasing.
+
+    Works over any iterable, including unbounded generators, pulling only
+    as far as the requested instant.
+    """
+
+    def __init__(self, procedures: Iterable[Procedure]):
+        self._source = iter(procedures)
+        self._peeked: Procedure | None = None
+        self._last_arrival = 0
+        self._exhausted = False
+
+    def peek(self) -> Procedure | None:
+        if self._peeked is None and not self._exhausted:
+            try:
+                candidate = next(self._source)
+            except StopIteration:
+                self._exhausted = True
+                return None
+            if candidate.arrival < self._last_arrival:
+                raise StreamOrderError(
+                    f"arrival {candidate.arrival} after {self._last_arrival}"
+                )
+            self._last_arrival = candidate.arrival
+            self._peeked = candidate
+        return self._peeked
+
+    def take_until(self, now: int) -> tuple[Procedure, ...]:
+        """Pull every procedure with arrival <= now, in stream order."""
+        taken: list[Procedure] = []
+        while True:
+            head = self.peek()
+            if head is None or head.arrival > now:
+                break
+            taken.append(head)
+            self._peeked = None
+        return tuple(taken)
+
+    @property
+    def exhausted(self) -> bool:
+        return self.peek() is None
 
 
 def project(k: int, value: Procedure | ProcedureSet | Sequence[Any]) -> Any:

@@ -1,14 +1,16 @@
 """Brute-force reference implementations used as ground truth in tests.
 
-Everything here is deliberately independent of the combinator machinery:
-schedules come from exhaustive permutation enumeration or direct queue
-replay, buddy placements from a textbook free-list allocator. Results are
-plain tuples over core types so nothing leaks back from the code paths
-they are meant to check.
+Everything here is deliberately independent of the combinator machinery
+and of the simulator: schedules come from exhaustive permutation
+enumeration or a round robin stepped one instant at a time, buddy
+placements from a textbook free-list allocator. Results are plain tuples
+over core types so nothing leaks back from the code paths they are meant
+to check.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
@@ -138,38 +140,39 @@ def replay_rr(
     procedures: ProcedureSet | Sequence[Procedure],
     quantum: int | Callable[[Procedure], int],
 ) -> tuple[tuple[int, int, int], ...]:
-    """Queue-based round robin replay, one slice tuple per turn.
+    """Round robin stepped one CPU instant at a time, one slice tuple per
+    turn.
 
-    Arrivals occurring at or before a turn's end join the queue before
-    the preempted procedure re-enters it. A constant quantum reproduces
-    the fixed-quantum discipline; a callable gives per-procedure quanta.
+    At each instant, first every procedure arrived by then joins the
+    queue's tail, then a turn that has used its quantum or finished its
+    work ends (an unfinished procedure rejoins the tail, behind those
+    arrivals), then an idle CPU takes the queue's head, and the running
+    procedure spends the instant. A constant quantum reproduces the
+    fixed-quantum discipline; a callable gives per-procedure quanta.
     """
     quantum_of = quantum if callable(quantum) else (lambda p: quantum)
-    pending = sorted(procedures, key=lambda p: (p.arrival, p.id))
+    pending = deque(sorted(procedures, key=lambda p: (p.arrival, p.id)))
     for p in pending:
         if quantum_of(p) < 1:
             raise ParameterError(f"quantum must be >= 1 for procedure {p.id}")
-    remaining = {p.id: p.time for p in pending}
-    queue: list[Procedure] = []
+    left = {p.id: p.time for p in pending}
+    queue: deque[Procedure] = deque()
+    turn: tuple[Procedure, int] | None = None  # running procedure, turn start
     slices: list[tuple[int, int, int]] = []
-    clock = 0
-
-    def admit_until(now: int) -> None:
+    now = 0
+    while pending or queue or turn is not None:
         while pending and pending[0].arrival <= now:
-            queue.append(pending.pop(0))
-
-    admit_until(clock)
-    while queue or pending:
-        if not queue:
-            clock = pending[0].arrival
-            admit_until(clock)
-            continue
-        p = queue.pop(0)
-        run = min(quantum_of(p), remaining[p.id])
-        slices.append((p.id, clock, run))
-        clock += run
-        remaining[p.id] -= run
-        admit_until(clock)
-        if remaining[p.id] > 0:
-            queue.append(p)
+            queue.append(pending.popleft())
+        if turn is not None:
+            p, start = turn
+            if left[p.id] == 0 or now - start == quantum_of(p):
+                slices.append((p.id, start, now - start))
+                if left[p.id]:
+                    queue.append(p)
+                turn = None
+        if turn is None and queue:
+            turn = (queue.popleft(), now)
+        if turn is not None:
+            left[turn[0].id] -= 1
+        now += 1
     return tuple(slices)

@@ -1,4 +1,9 @@
-"""CPU-time disciplines built from the select/organize algebra.
+"""CPU-time disciplines as batch schedules.
+
+Each function runs one scheduling policy of the simulator (`osalg.sim`)
+over first-fit memory large enough to hold every procedure at once, and
+returns the simulator's dispatches as slices; the disciplines themselves
+are written once, as the simulator's policies.
 
 Each discipline repeatedly draws the next procedure from the ready set:
 first-come-first-served selects the first member of the identity
@@ -16,14 +21,15 @@ preempted procedure.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .combinators import Organize, Select, SortKey, compose
-from .core import Procedure, ProcedureSet, WorkClass
-from .errors import ParameterError, StreamOrderError
-
-Classifier = Callable[[Procedure], int]
+from .combinators import SortKey
+from .core import ArrivalStream, Procedure, ProcedureSet
+from .errors import ParameterError
+# Classifier and class_quantum are defined with the simulator's registry
+# and published here, next to the disciplines that take them
+from .sim import FCFS, PRIORITY, SJF, Classifier, Policy, class_quantum, dispatch_slices
 
 
 @dataclass(frozen=True)
@@ -54,14 +60,6 @@ class Schedule:
     @property
     def makespan(self) -> int:
         return max((s.end for s in self.slices), default=0)
-
-    def dispatch_order(self) -> tuple[int, ...]:
-        """Procedure ids in order of first dispatch."""
-        seen: list[int] = []
-        for s in self.slices:
-            if s.pid not in seen:
-                seen.append(s.pid)
-        return tuple(seen)
 
     def total_time(self, pid: int) -> int:
         return sum(s.length for s in self.slices if s.pid == pid)
@@ -94,50 +92,6 @@ class Quantum:
             raise ParameterError(f"quantum must be >= 1, got {self.value}")
 
 
-class ArrivalStream:
-    """Pull-based arrival source; arrivals must be non-decreasing.
-
-    Works over any iterable, including unbounded generators, pulling only
-    as far as the requested instant.
-    """
-
-    def __init__(self, procedures: Iterable[Procedure]):
-        self._source = iter(procedures)
-        self._peeked: Procedure | None = None
-        self._last_arrival = 0
-        self._exhausted = False
-
-    def peek(self) -> Procedure | None:
-        if self._peeked is None and not self._exhausted:
-            try:
-                candidate = next(self._source)
-            except StopIteration:
-                self._exhausted = True
-                return None
-            if candidate.arrival < self._last_arrival:
-                raise StreamOrderError(
-                    f"arrival {candidate.arrival} after {self._last_arrival}"
-                )
-            self._last_arrival = candidate.arrival
-            self._peeked = candidate
-        return self._peeked
-
-    def take_until(self, now: int) -> tuple[Procedure, ...]:
-        """Pull every procedure with arrival <= now, in stream order."""
-        taken: list[Procedure] = []
-        while True:
-            head = self.peek()
-            if head is None or head.arrival > now:
-                break
-            taken.append(head)
-            self._peeked = None
-        return tuple(taken)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.peek() is None
-
-
 def admit(stream: ArrivalStream | Iterable[Procedure], now: int) -> ProcedureSet:
     """Procedures that have arrived by `now`, in arrival order.
 
@@ -149,32 +103,13 @@ def admit(stream: ArrivalStream | Iterable[Procedure], now: int) -> ProcedureSet
     return ProcedureSet(stream.take_until(now))
 
 
-def _dispatch_loop(
-    procedures: ProcedureSet | Sequence[Procedure],
-    pick: Callable[[tuple[Procedure, ...]], Procedure],
-) -> Schedule:
-    """Non-preemptive loop: re-evaluate the discipline at each dispatch."""
-    pending = sorted(procedures, key=lambda p: (p.arrival, p.id))
-    ready: list[Procedure] = []
-    slices: list[Slice] = []
-    clock = 0
-    while pending or ready:
-        while pending and pending[0].arrival <= clock:
-            ready.append(pending.pop(0))
-        if not ready:
-            clock = pending[0].arrival
-            continue
-        chosen = pick(tuple(ready))
-        ready.remove(chosen)
-        slices.append(Slice(chosen.id, clock, chosen.time))
-        clock += chosen.time
-    return Schedule(tuple(slices))
+def _project(procedures: Iterable[Procedure], policy: Policy) -> Schedule:
+    return Schedule(tuple(Slice(*s) for s in dispatch_slices(procedures, policy)))
 
 
 def fcfs(procedures: ProcedureSet | Sequence[Procedure]) -> Schedule:
     """First come, first served: identity selection over the arrival order."""
-    discipline = compose(Select.identity(1), Organize.identity())
-    return _dispatch_loop(procedures, lambda ready: discipline.apply(ready))
+    return _project(procedures, FCFS)
 
 
 def sjf(procedures: ProcedureSet | Sequence[Procedure], key: SortKey | str) -> Schedule:
@@ -182,76 +117,26 @@ def sjf(procedures: ProcedureSet | Sequence[Procedure], key: SortKey | str) -> S
     key = SortKey(key) if not isinstance(key, SortKey) else key
     if key is SortKey.PRIORITY:
         raise ParameterError("shortest-job-first orders by size or time")
-    discipline = compose(Select.identity(1), Organize.sort(key))
-    return _dispatch_loop(procedures, lambda ready: discipline.apply(ready))
+    return _project(procedures, SJF[key])
 
 
 def priority_schedule(procedures: ProcedureSet | Sequence[Procedure]) -> Schedule:
-    """Highest priority first, non-preemptive; ids break ties."""
-    for p in procedures:
-        if p.priority is None:
-            raise ParameterError(f"procedure {p.id} has no priority")
-    discipline = compose(Select.argmax_priority(), Organize.identity())
-    return _dispatch_loop(procedures, lambda ready: discipline.apply(ready))
-
-
-def _quantum_loop(
-    procedures: ProcedureSet | Sequence[Procedure], quantum_of: Classifier
-) -> Schedule:
-    pending = sorted(procedures, key=lambda p: (p.arrival, p.id))
-    for p in pending:
-        if quantum_of(p) < 1:
-            raise ParameterError(f"quantum for procedure {p.id} must be >= 1")
-    remaining = {p.id: p.time for p in pending}
-    queue: list[Procedure] = []
-    slices: list[Slice] = []
-    clock = 0
-
-    def admit_until(now: int) -> None:
-        while pending and pending[0].arrival <= now:
-            queue.append(pending.pop(0))
-
-    admit_until(clock)
-    while queue or pending:
-        if not queue:
-            clock = pending[0].arrival
-            admit_until(clock)
-            continue
-        p = queue.pop(0)
-        run = min(quantum_of(p), remaining[p.id])
-        slices.append(Slice(p.id, clock, run))
-        clock += run
-        remaining[p.id] -= run
-        admit_until(clock)  # arrivals enter ahead of the preempted procedure
-        if remaining[p.id] > 0:
-            queue.append(p)
-    return Schedule(tuple(slices))
+    """Highest priority first, non-preemptive; ids break ties. A procedure
+    without a priority raises ParameterError."""
+    return _project(procedures, PRIORITY)
 
 
 def round_robin(
     procedures: ProcedureSet | Sequence[Procedure], q: Quantum | int
 ) -> Schedule:
     """Equal CPU-time chunks of size q, rotated in arrival order."""
-    value = q.value if isinstance(q, Quantum) else q
-    if value < 1:
-        raise ParameterError(f"quantum must be >= 1, got {value}")
-    return _quantum_loop(procedures, lambda p: value)
+    value = (q if isinstance(q, Quantum) else Quantum(q)).value
+    return _project(procedures, Policy(quantum_of=lambda p: value))
 
 
 def variable_quantum(
     procedures: ProcedureSet | Sequence[Procedure], classifier: Classifier
 ) -> Schedule:
-    """Round robin with a per-procedure chunk size from the classifier."""
-    return _quantum_loop(procedures, classifier)
-
-
-def class_quantum(io_quantum: int = 1, cpu_quantum: int = 4) -> Classifier:
-    """Classifier giving I/O-bound procedures a small chunk, CPU-bound a
-    large one; untagged procedures count as CPU-bound."""
-    if io_quantum < 1 or cpu_quantum < 1:
-        raise ParameterError("class quanta must be >= 1")
-
-    def classify(p: Procedure) -> int:
-        return io_quantum if p.io_class is WorkClass.IO_BOUND else cpu_quantum
-
-    return classify
+    """Round robin with a per-procedure chunk size from the classifier; a
+    chunk size below 1 raises ParameterError."""
+    return _project(procedures, Policy(quantum_of=classifier))

@@ -15,6 +15,7 @@ they re-enter through swap-in, ahead of the backlog.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -23,9 +24,7 @@ from typing import Iterable, Mapping
 from . import binding as bindingmod
 from .allocators import (
     MemoryState,
-    PageMap,
     Pagination,
-    SegmentMap,
     SwapRecord,
     allocate as allocate_op,
     build_page_table,
@@ -37,7 +36,7 @@ from .allocators import (
     swap_out,
 )
 from .combinators import Discipline, Organize, Select, SortKey, compose
-from .core import Extent, Procedure, ProcedureSet
+from .core import ArrivalStream, Extent, Procedure, ProcedureSet, WorkClass
 from .errors import (
     AllocationFailure,
     IncompleteRunError,
@@ -46,10 +45,6 @@ from .errors import (
     SwapFailure,
     UnrunnableProcedureError,
 )
-from .schedulers import ArrivalStream, class_quantum
-
-SCHEDULERS = ("fcfs", "sjf-size", "sjf-time", "priority", "rr", "var-quantum")
-ALLOCATORS = ("first-fit", "fixed", "buddy", "paging", "segmentation")
 
 STRICT_ENV = "OSALG_STRICT"
 
@@ -81,6 +76,8 @@ _KIND_ORDER = {
 }
 
 Detail = tuple[tuple[str, str], ...]
+Extents = tuple[Extent, ...]
+Graph = bindingmod.BindingGraph
 
 
 @dataclass(frozen=True)
@@ -138,11 +135,11 @@ class SimConfig:
 
     memory_capacity: int = 64
     backing_capacity: int | None = None  # defaults to the primary capacity
-    scheduler: str = "fcfs"
+    scheduler: str = "fcfs"  # a key of SCHEDULERS
     quantum: int = 1
     io_quantum: int = 1
     cpu_quantum: int = 4
-    allocator: str = "first-fit"
+    allocator: str = "first-fit"  # a key of ALLOCATORS
     unit_size: int | None = None
     page_size: int | None = None
 
@@ -155,20 +152,8 @@ class SimConfig:
             raise ParameterError(f"unknown scheduler {self.scheduler!r}")
         if self.allocator not in ALLOCATORS:
             raise ParameterError(f"unknown allocator {self.allocator!r}")
-        if self.scheduler == "rr" and self.quantum < 1:
-            raise ParameterError("round robin quantum must be >= 1")
-        if self.scheduler == "var-quantum" and (
-            self.io_quantum < 1 or self.cpu_quantum < 1
-        ):
-            raise ParameterError("class quanta must be >= 1")
-        if self.allocator == "fixed" and (self.unit_size is None or self.unit_size < 1):
-            raise ParameterError("fixed allocator needs --unit >= 1")
-        if self.allocator == "paging" and (self.page_size is None or self.page_size < 1):
-            raise ParameterError("paging allocator needs --page-size >= 1")
-        if self.allocator == "buddy" and (
-            self.memory_capacity & (self.memory_capacity - 1)
-        ):
-            raise ParameterError("buddy allocator needs a power-of-two capacity")
+        SCHEDULERS[self.scheduler](self)  # building the policy checks its parameters
+        ALLOCATORS[self.allocator].check_config(self)
 
     @property
     def effective_backing(self) -> int:
@@ -185,131 +170,80 @@ def _format_extents(extents: Iterable[Extent]) -> str:
 
 
 class _Memory:
-    """Primary/backing state pair specialised to one allocator mode."""
+    """Primary/backing state pair under one allocator.
+
+    This base class is first fit over the identity organization; each
+    other allocator is a subclass that changes its organizer, its
+    feasibility test, its grant and, for paging, its swap-in and binding
+    hooks. `ALLOCATORS` maps each allocator name to its class.
+    """
+
+    symbol = "free-list"  # the binding-log symbol of the free store
+    select = Select.first_fit()
+
+    @staticmethod
+    def check_config(cfg: SimConfig) -> None:
+        """Raise ParameterError when cfg lacks what this allocator needs."""
+
+    def organizer(self) -> Organize:
+        return Organize.identity()
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        if cfg.allocator == "fixed":
-            organizer = Organize.fixed_partition(cfg.unit_size or 1)
-            self.discipline: Discipline | None = compose(Select.first_fit(), organizer)
-        elif cfg.allocator == "paging":
-            organizer = Organize.fixed_partition(cfg.page_size or 1)
-            self.discipline = None
-        elif cfg.allocator == "buddy":
-            organizer = Organize.buddy()
-            self.discipline = compose(Select.buddy_fit(), organizer)
-        else:  # first-fit, segmentation
-            organizer = Organize.identity()
-            self.discipline = compose(Select.first_fit(), organizer)
+        organizer = self.organizer()
+        self.discipline: Discipline = compose(self.select, organizer)
         self.primary = MemoryState.initial(cfg.memory_capacity, organizer)
         self.backing = MemoryState.initial(cfg.effective_backing, Organize.identity())
-        self.page_maps: dict[int, PageMap] = {}
-        self.segment_maps: dict[int, SegmentMap] = {}
-        # a pagination depends only on the size and the page size, so each
-        # procedure is paginated once, at its first admit attempt
-        self.paginations: dict[int, Pagination] = {}
         # the states last found clean: check_invariants is a pure function
         # of an immutable state, so they need no second look
         self.checked: tuple[MemoryState | None, MemoryState | None] = (None, None)
 
     def feasible(self, p: Procedure) -> bool:
-        """Could p ever be made resident, given an empty primary memory?"""
-        if p.size == 0:
-            return True
-        cfg = self.cfg
-        if cfg.allocator == "fixed":
-            unit = cfg.unit_size or 1
-            return p.size <= unit and cfg.memory_capacity // unit >= 1
-        if cfg.allocator == "paging":
-            page = cfg.page_size or 1
-            return -(-p.size // page) <= cfg.memory_capacity // page
-        if cfg.allocator == "buddy":
-            block = 1 << (p.size - 1).bit_length()
-            return block <= cfg.memory_capacity
-        return p.size <= cfg.memory_capacity
+        """Could p, of non-zero size, ever be resident in an empty primary
+        memory?"""
+        return p.size <= self.cfg.memory_capacity
 
-    def segment_spec(self, p: Procedure) -> tuple[int, ...]:
-        if p.segments is not None:
-            return p.segments
-        return (p.size,) if p.size else ()
+    def grant(self, p: Procedure) -> tuple[Detail, int]:
+        """Grant memory to p; returns the allocator's own trace detail and
+        the internal fragmentation."""
+        self.primary, _ = allocate_op(self.discipline, self.primary, p)
+        return (), 0
 
-    def allocate(self, p: Procedure) -> tuple[tuple[Extent, ...], Detail]:
-        """Grant memory to p; returns its extents and trace detail."""
-        int_frag = 0
-        extra: list[tuple[str, str]] = []
-        if self.cfg.allocator == "paging":
-            pagination = self.pagination(p)
-            page_map, self.primary = build_page_table(pagination, self.primary)
-            self.page_maps[p.id] = page_map
-            int_frag = pagination.internal_fragmentation
-            if page_map.entries:
-                extra.append(
-                    ("pages", "+".join(f"{pg}:{fr}" for pg, fr in page_map.entries))
-                )
-        elif self.cfg.allocator == "segmentation":
-            assert self.discipline is not None
-            seg_map, self.primary = segment_alloc(
-                p, self.segment_spec(p), self.discipline, self.primary
-            )
-            self.segment_maps[p.id] = seg_map
-            if seg_map.segments:
-                extra.append(
-                    (
-                        "segments",
-                        "+".join(f"{length}@{base}" for _, length, base in seg_map.segments),
-                    )
-                )
-        else:
-            assert self.discipline is not None
-            if self.cfg.allocator == "fixed" and p.size > 0:
-                int_frag = (self.cfg.unit_size or 0) - p.size
-            self.primary, _ = allocate_op(self.discipline, self.primary, p)
-        extents = self.primary.extents_of(p.id)
-        detail = [("extents", _format_extents(extents))]
-        detail.extend(extra)
-        detail.append(("ext_frag", self.frag_sample()))
-        detail.append(("int_frag", str(int_frag)))
-        return extents, tuple(detail)
+    def allocate(self, p: Procedure) -> Detail:
+        """Grant memory to p; returns the trace detail of the grant."""
+        extra, int_frag = self.grant(p)
+        extents = _format_extents(self.primary.extents_of(p.id))
+        return (
+            (("extents", extents),)
+            + extra
+            + (("ext_frag", self.frag_sample()), ("int_frag", str(int_frag)))
+        )
 
-    def pagination(self, p: Procedure) -> Pagination:
-        pagination = self.paginations.get(p.id)
-        if pagination is None:
-            pagination = paginate(p, self.cfg.page_size or 1)
-            self.paginations[p.id] = pagination
-        return pagination
-
-    def release(self, pid: int) -> tuple[Extent, ...]:
+    def release(self, pid: int) -> Extents:
         extents = self.primary.extents_of(pid)
         self.primary = deallocate(self.primary, pid)
-        self.page_maps.pop(pid, None)
-        self.segment_maps.pop(pid, None)
-        self.paginations.pop(pid, None)
         return extents
 
-    def swap_out_victim(
-        self, candidates: list[Procedure]
-    ) -> tuple[SwapRecord, tuple[Extent, ...]]:
+    def swap_out_victim(self, candidates: list[Procedure]) -> tuple[SwapRecord, Extents]:
         before = self.primary
         self.primary, self.backing, record = swap_out(
             self.primary, self.backing, candidates, default_victim
         )
-        self.page_maps.pop(record.pid, None)
-        self.segment_maps.pop(record.pid, None)
         return record, before.extents_of(record.pid)
 
-    def swap_in_record(self, record: SwapRecord, p: Procedure) -> tuple[Extent, ...]:
-        if self.cfg.allocator == "paging":
-            # residency may land in different frames: rebuild the table
-            backing2 = deallocate(self.backing, record.pid)
-            pagination = self.pagination(p)
-            page_map, self.primary = build_page_table(pagination, self.primary)
-            self.backing = backing2
-            self.page_maps[p.id] = page_map
-            return self.primary.extents_of(p.id)
+    def swap_in_record(self, record: SwapRecord, p: Procedure) -> Extents:
         self.primary, self.backing, granted = swap_in(
             self.primary, self.backing, record
         )
         return granted
+
+    def bind(self, graph: Graph, p: Procedure, at: int) -> Graph:
+        """The binding log after p is made resident at `at`."""
+        return graph
+
+    def use(self, graph: Graph, pid: int, at: int) -> Graph:
+        """The binding log after procedure pid is dispatched at `at`."""
+        return graph
 
     def frag_sample(self) -> str:
         total = self.primary.free_size
@@ -326,37 +260,203 @@ class _Memory:
         self.checked = (self.primary, self.backing)
 
 
-class _Picker:
-    """Dispatch policy: which ready procedure runs next, and how long."""
+class _Fixed(_Memory):
+    """First fit over fixed-size units; a procedure fits in one unit."""
+
+    symbol = "frames"
+
+    @staticmethod
+    def check_config(cfg: SimConfig) -> None:
+        if cfg.unit_size is None or cfg.unit_size < 1:
+            raise ParameterError("fixed allocator needs --unit >= 1")
+
+    def organizer(self) -> Organize:
+        return Organize.fixed_partition(self.cfg.unit_size)
+
+    def feasible(self, p: Procedure) -> bool:
+        unit = self.cfg.unit_size
+        return p.size <= unit and self.cfg.memory_capacity // unit >= 1
+
+    def grant(self, p: Procedure) -> tuple[Detail, int]:
+        super().grant(p)
+        return (), (self.cfg.unit_size - p.size if p.size else 0)
+
+
+class _Buddy(_Memory):
+    """Buddy-fit selection over the binary buddy tree."""
+
+    symbol = "buddy-tree"
+    select = Select.buddy_fit()
+
+    @staticmethod
+    def check_config(cfg: SimConfig) -> None:
+        if cfg.memory_capacity & (cfg.memory_capacity - 1):
+            raise ParameterError("buddy allocator needs a power-of-two capacity")
+
+    def organizer(self) -> Organize:
+        return Organize.buddy()
+
+    def feasible(self, p: Procedure) -> bool:
+        return 1 << (p.size - 1).bit_length() <= self.cfg.memory_capacity
+
+
+class _Segmentation(_Memory):
+    """First fit per segment; an unsegmented procedure is one segment."""
+
+    def grant(self, p: Procedure) -> tuple[Detail, int]:
+        spec = p.segments if p.segments is not None else ((p.size,) if p.size else ())
+        seg_map, self.primary = segment_alloc(p, spec, self.discipline, self.primary)
+        if not seg_map.segments:
+            return (), 0
+        placed = "+".join(f"{length}@{base}" for _, length, base in seg_map.segments)
+        return (("segments", placed),), 0
+
+
+class _Paging(_Memory):
+    """Pages of a procedure into free frames, through a page table that
+    is bound on admit and used on every dispatch."""
+
+    symbol = "frames"
+
+    @staticmethod
+    def check_config(cfg: SimConfig) -> None:
+        if cfg.page_size is None or cfg.page_size < 1:
+            raise ParameterError("paging allocator needs --page-size >= 1")
+
+    def organizer(self) -> Organize:
+        return Organize.fixed_partition(self.cfg.page_size)
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        name = cfg.scheduler
-        if name == "fcfs":
-            self.discipline = compose(Select.identity(1), Organize.identity())
-        elif name == "sjf-size":
-            self.discipline = compose(Select.identity(1), Organize.sort(SortKey.SIZE))
-        elif name == "sjf-time":
-            self.discipline = compose(Select.identity(1), Organize.sort(SortKey.TIME))
-        elif name == "priority":
-            self.discipline = compose(Select.argmax_priority(), Organize.identity())
-        else:
-            self.discipline = None
-        if name == "var-quantum":
-            self.quantum_of = class_quantum(cfg.io_quantum, cfg.cpu_quantum)
-        elif name == "rr":
-            self.quantum_of = lambda p: cfg.quantum
-        else:
-            self.quantum_of = None
+        super().__init__(cfg)
+        # a pagination depends only on the size and the page size, so each
+        # procedure is paginated once, at its first admit attempt
+        self.paginations: dict[int, Pagination] = {}
 
-    def pick(self, ready: list[Procedure], remaining: Mapping[int, int]) -> tuple[Procedure, int]:
+    def feasible(self, p: Procedure) -> bool:
+        page = self.cfg.page_size
+        return -(-p.size // page) <= self.cfg.memory_capacity // page
+
+    def pagination(self, p: Procedure) -> Pagination:
+        pagination = self.paginations.get(p.id)
+        if pagination is None:
+            pagination = paginate(p, self.cfg.page_size)
+            self.paginations[p.id] = pagination
+        return pagination
+
+    def grant(self, p: Procedure) -> tuple[Detail, int]:
+        pagination = self.pagination(p)
+        page_map, self.primary = build_page_table(pagination, self.primary)
+        extra: Detail = ()
+        if page_map.entries:
+            extra = (("pages", "+".join(f"{pg}:{fr}" for pg, fr in page_map.entries)),)
+        return extra, pagination.internal_fragmentation
+
+    def release(self, pid: int) -> Extents:
+        self.paginations.pop(pid, None)
+        return super().release(pid)
+
+    def swap_in_record(self, record: SwapRecord, p: Procedure) -> Extents:
+        # residency may land in different frames: rebuild the table
+        backing = deallocate(self.backing, record.pid)
+        _, self.primary = build_page_table(self.pagination(p), self.primary)
+        self.backing = backing
+        return self.primary.extents_of(p.id)
+
+    def bind(self, graph: Graph, p: Procedure, at: int) -> Graph:
+        pages = f"pages:{p.id}"
+        table = f"page-table:{p.id}"
+        graph = bindingmod.record(graph, pages, bindingmod.EventKind.BIND, at)
+        graph = bindingmod.record(graph, table, bindingmod.EventKind.BIND, at)
+        graph = graph.with_dependency("frames", table)
+        return graph.with_dependency(pages, table)
+
+    def use(self, graph: Graph, pid: int, at: int) -> Graph:
+        table = f"page-table:{pid}"
+        return bindingmod.record(graph, table, bindingmod.EventKind.USE, at)
+
+
+# Each allocator name -> its class; `check_config` checks its parameters.
+ALLOCATORS: dict[str, type[_Memory]] = {
+    "first-fit": _Memory,
+    "fixed": _Fixed,
+    "buddy": _Buddy,
+    "paging": _Paging,
+    "segmentation": _Segmentation,
+}
+
+Classifier = Callable[[Procedure], int]
+
+
+def class_quantum(io_quantum: int = 1, cpu_quantum: int = 4) -> Classifier:
+    """Classifier giving I/O-bound procedures a small chunk, CPU-bound a
+    large one; untagged procedures count as CPU-bound."""
+    if io_quantum < 1 or cpu_quantum < 1:
+        raise ParameterError("class quanta must be >= 1")
+
+    def classify(p: Procedure) -> int:
+        return io_quantum if p.io_class is WorkClass.IO_BOUND else cpu_quantum
+
+    return classify
+
+
+@dataclass(frozen=True)
+class Policy:
+    """A CPU discipline as the simulator runs it.
+
+    Without `quantum_of`, `discipline` picks from the ready procedures in
+    (arrival, id) order and the pick runs to completion. With it, the
+    head of the rotation queue runs for at most `quantum_of` of it and is
+    preempted at the end of that chunk.
+    """
+
+    discipline: Discipline | None = None
+    quantum_of: Classifier | None = None
+    needs_priority: bool = False  # every procedure must carry a priority
+
+    def pick(
+        self, ready: list[Procedure], remaining: Mapping[int, int]
+    ) -> tuple[Procedure, int]:
+        """The procedure to run next and for how long."""
         if self.quantum_of is not None:
             chosen = ready[0]  # rotation order
-            return chosen, min(self.quantum_of(chosen), remaining[chosen.id])
+            quantum = self.quantum_of(chosen)
+            if quantum < 1:
+                raise ParameterError(f"quantum for procedure {chosen.id} must be >= 1")
+            return chosen, min(quantum, remaining[chosen.id])
         assert self.discipline is not None
         view = sorted(ready, key=lambda p: (p.arrival, p.id))
         chosen = self.discipline.apply(view)
         return chosen, remaining[chosen.id]
+
+
+FCFS = Policy(compose(Select.identity(1), Organize.identity()))
+SJF = {
+    key: Policy(compose(Select.identity(1), Organize.sort(key)))
+    for key in (SortKey.SIZE, SortKey.TIME)
+}
+PRIORITY = Policy(
+    compose(Select.argmax_priority(), Organize.identity()), needs_priority=True
+)
+
+
+def _round_robin(cfg: SimConfig) -> Policy:
+    if cfg.quantum < 1:
+        raise ParameterError("round robin quantum must be >= 1")
+    return Policy(quantum_of=lambda p: cfg.quantum)
+
+
+# Each scheduler name -> its policy under a configuration; building the
+# policy checks the scheduler's parameters.
+SCHEDULERS: dict[str, Callable[[SimConfig], Policy]] = {
+    "fcfs": lambda cfg: FCFS,
+    "sjf-size": lambda cfg: SJF[SortKey.SIZE],
+    "sjf-time": lambda cfg: SJF[SortKey.TIME],
+    "priority": lambda cfg: PRIORITY,
+    "rr": _round_robin,
+    "var-quantum": lambda cfg: Policy(
+        quantum_of=class_quantum(cfg.io_quantum, cfg.cpu_quantum)
+    ),
+}
 
 
 class _TraceBuilder:
@@ -390,12 +490,17 @@ class _TraceBuilder:
 
 
 class _Simulation:
-    def __init__(self, stream: ArrivalStream, cfg: SimConfig, strict: bool):
+    """One run; `policy`, when given, replaces the scheduler cfg names."""
+
+    def __init__(
+        self, stream: ArrivalStream, cfg: SimConfig, strict: bool,
+        policy: Policy | None = None,
+    ):
         self.cfg = cfg
         self.strict = strict
         self.stream = stream
-        self.memory = _Memory(cfg)
-        self.picker = _Picker(cfg)
+        self.memory = ALLOCATORS[cfg.allocator](cfg)
+        self.policy = policy or SCHEDULERS[cfg.scheduler](cfg)
         self.trace = _TraceBuilder()
         self.clock = 0
         self.procs: dict[int, Procedure] = {}
@@ -406,14 +511,9 @@ class _Simulation:
         self.running: tuple[int, int, int] | None = None  # pid, start, end
         self.holdover: Procedure | None = None  # preempted, rejoins after arrivals
         self.cpu_frontier = 0  # first CPU instant not yet assigned
-        self.graph = bindingmod.BindingGraph()
-        symbol = {
-            "fixed": "frames",
-            "paging": "frames",
-            "buddy": "buddy-tree",
-        }.get(cfg.allocator, "free-list")
-        self.graph = bindingmod.record(self.graph, symbol, bindingmod.EventKind.BIND, 0)
-        self.checked_graph: bindingmod.BindingGraph | None = None
+        bind = bindingmod.EventKind.BIND
+        self.graph = bindingmod.record(Graph(), self.memory.symbol, bind, 0)
+        self.checked_graph: Graph | None = None
 
     def emit(self, instant: int, kind: EventKind, pid: int, detail: Detail = ()) -> None:
         self.trace.emit(instant, kind, pid, detail)
@@ -434,12 +534,12 @@ class _Simulation:
     # -- admission ---------------------------------------------------
 
     def arrive(self, p: Procedure) -> None:
-        if not self.memory.feasible(p):
+        if p.size and not self.memory.feasible(p):
             raise UnrunnableProcedureError(
                 f"procedure {p.id} (size {p.size}) can never be resident under "
                 f"{self.cfg.allocator} in {self.cfg.memory_capacity} units"
             )
-        if self.cfg.scheduler == "priority" and p.priority is None:
+        if self.policy.needs_priority and p.priority is None:
             raise ParameterError(f"procedure {p.id} has no priority")
         self.procs[p.id] = p
         self.remaining[p.id] = p.time
@@ -456,12 +556,12 @@ class _Simulation:
 
     def try_admit(self, p: Procedure, at: int) -> bool:
         try:
-            _, detail = self.memory.allocate(p)
+            detail = self.memory.allocate(p)
         except AllocationFailure:
             if not self.swap_attempt(at):
                 return False
             try:
-                _, detail = self.memory.allocate(p)
+                detail = self.memory.allocate(p)
             except AllocationFailure:
                 return False
         self.emit(at, EventKind.ADMIT, p.id)
@@ -498,14 +598,7 @@ class _Simulation:
         return True
 
     def record_allocation_bindings(self, p: Procedure, at: int) -> None:
-        if self.cfg.allocator != "paging":
-            return
-        pages = f"pages:{p.id}"
-        table = f"page-table:{p.id}"
-        self.graph = bindingmod.record(self.graph, pages, bindingmod.EventKind.BIND, at)
-        self.graph = bindingmod.record(self.graph, table, bindingmod.EventKind.BIND, at)
-        self.graph = self.graph.with_dependency("frames", table)
-        self.graph = self.graph.with_dependency(pages, table)
+        self.graph = self.memory.bind(self.graph, p, at)
 
     # -- reclamation -------------------------------------------------
 
@@ -542,7 +635,7 @@ class _Simulation:
                 self.arrive(p)
 
     def dispatch(self) -> None:
-        chosen, run = self.picker.pick(self.ready, self.remaining)
+        chosen, run = self.policy.pick(self.ready, self.remaining)
         self.ready.remove(chosen)
         if self.strict:
             if self.clock < self.cpu_frontier:
@@ -553,13 +646,7 @@ class _Simulation:
                 raise OsAlgError(f"dispatch of non-resident procedure {chosen.id}")
         self.cpu_frontier = self.clock + run
         self.emit(self.clock, EventKind.DISPATCH, chosen.id, (("run", str(run)),))
-        if self.cfg.allocator == "paging":
-            self.graph = bindingmod.record(
-                self.graph,
-                f"page-table:{chosen.id}",
-                bindingmod.EventKind.USE,
-                self.clock,
-            )
+        self.graph = self.memory.use(self.graph, chosen.id, self.clock)
         self.running = (chosen.id, self.clock, self.clock + run)
 
     def finish_slice(self) -> None:
@@ -629,6 +716,20 @@ def run(
     sim = _Simulation(stream, cfg, strict)
     trace = sim.run()
     return trace, metrics(trace)
+
+
+def dispatch_slices(
+    procedures: Iterable[Procedure], policy: Policy
+) -> list[tuple[int, int, int]]:
+    """(pid, start, length) of each dispatch when `policy` schedules the
+    procedures over first-fit memory that holds all of them at once."""
+    members = sorted(procedures, key=lambda p: (p.arrival, p.id))
+    cfg = SimConfig(memory_capacity=max(1, sum(p.size for p in members)))
+    trace = _Simulation(ArrivalStream(members), cfg, False, policy).run()
+    return [
+        (e.pid, e.instant, int(e.value("run") or 0))
+        for e in trace.of_kind(EventKind.DISPATCH)
+    ]
 
 
 def metrics(t: Trace) -> Metrics:

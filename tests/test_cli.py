@@ -15,6 +15,7 @@ from osalg.cli import (
     parse_workload,
 )
 from osalg.errors import WorkloadError
+from osalg.sim import ALLOCATORS, SCHEDULERS
 
 TWO_RECORDS = """\
 # two batch procedures
@@ -131,6 +132,15 @@ class TestMainRun:
         ])
         assert code == EXIT_USAGE
 
+    def test_unknown_allocator_is_usage_error(self, tmp_path, capsys):
+        wpath = self.workload_path(tmp_path)
+        code = main([
+            "run", "--workload", wpath, "--scheduler", "fcfs",
+            "--allocator", "slab",
+        ])
+        assert code == EXIT_USAGE
+        assert "invalid choice: 'slab'" in capsys.readouterr().err
+
     def test_missing_parameter_is_usage_error(self, tmp_path):
         wpath = self.workload_path(tmp_path)
         code = main([
@@ -170,6 +180,37 @@ class TestMainRun:
             "--allocator", "first-fit",
         ])
         assert code == EXIT_WORKLOAD
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--scheduler", "fcfs", "--allocator", "fixed"],
+     "fixed allocator needs --unit >= 1"),
+    (["--scheduler", "fcfs", "--allocator", "fixed", "--unit", "0"],
+     "fixed allocator needs --unit >= 1"),
+    (["--scheduler", "fcfs", "--allocator", "paging", "--page-size", "0"],
+     "paging allocator needs --page-size >= 1"),
+    (["--scheduler", "fcfs", "--allocator", "buddy", "--memory", "48"],
+     "buddy allocator needs a power-of-two capacity"),
+    (["--scheduler", "rr", "--quantum", "0", "--allocator", "first-fit"],
+     "round robin quantum must be >= 1"),
+    (["--scheduler", "var-quantum", "--io-quantum", "0", "--allocator", "first-fit"],
+     "class quanta must be >= 1"),
+    (["--scheduler", "var-quantum", "--cpu-quantum", "0", "--allocator", "first-fit"],
+     "class quanta must be >= 1"),
+])
+def test_parameter_checks_are_usage_errors(tmp_path, capsys, flags, message):
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(TWO_RECORDS)
+    code = main(["run", "--workload", str(wpath), *flags])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_help_lists_the_registry_names(capsys):
+    assert main(["run", "--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "--scheduler {" + ",".join(SCHEDULERS) + "}" in out
+    assert "--allocator {" + ",".join(ALLOCATORS) + "}" in out
 
 
 @pytest.mark.parametrize("allocator", ["first-fit", "buddy", "segmentation"])
@@ -214,6 +255,14 @@ class TestMainOrderings:
         code = main(["orderings", "--symbols", "a,b", "--deps", "a<b,b<a"])
         assert code == EXIT_WORKLOAD
         assert "cyclic" in capsys.readouterr().err
+
+    def test_long_chain_has_one_order(self, capsys):
+        # the chain runs against the lexicographic order of its names
+        names = [f"s{i:04d}" for i in range(3000)]
+        deps = ",".join(f"{b}<{a}" for a, b in zip(names, names[1:]))
+        code = main(["orderings", "--symbols", ",".join(names), "--deps", deps])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == ",".join(reversed(names)) + "\n"
 
     def test_bad_dep_syntax_is_usage_error(self, capsys):
         code = main(["orderings", "--symbols", "a,b", "--deps", "a-b"])

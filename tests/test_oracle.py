@@ -103,6 +103,11 @@ class TestReplayRR:
         with pytest.raises(ParameterError):
             replay_rr([proc(1)], 0)
 
+    def test_arrival_at_turn_end_goes_ahead_of_the_preempted(self):
+        # 2 arrives at instant 2, the end of 1's first turn: 2 runs next
+        jobs = [proc(1, time=4), proc(2, time=1, arrival=2)]
+        assert replay_rr(jobs, 2) == ((1, 0, 2), (2, 2, 1), (1, 3, 2))
+
     def test_idle_gap_jumps_to_arrival(self):
         slices = replay_rr([proc(1, time=2, arrival=5)], 1)
         assert slices == ((1, 5, 1), (1, 6, 1))

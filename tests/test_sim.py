@@ -9,13 +9,9 @@ import pytest
 from osalg import (
     ProcedureSet,
     SimConfig,
-    SortKey,
     Trace,
     metrics,
-    round_robin,
     run,
-    sjf,
-    variable_quantum,
     class_quantum,
 )
 from osalg import binding, sim
@@ -26,7 +22,7 @@ from osalg.errors import (
     ParameterError,
     UnrunnableProcedureError,
 )
-from osalg.oracle import brute_schedule
+from osalg.oracle import brute_schedule, replay_rr
 from osalg.sim import EventKind, TraceEvent, _Simulation
 
 from conftest import proc, random_batch, random_arrivals, regression_runs
@@ -129,14 +125,18 @@ class TestMetricsArithmetic:
 
 
 class TestSchedulerIntegration:
+    """The batch schedulers are projections of the simulator, so the batch
+    schedules these tests expect come from references that share no code
+    with it: the unit-step round robin oracle, and a plain sort checked
+    against enumeration."""
+
     def test_rr_trace_matches_batch_schedule(self):
         rng = random.Random(67)
         for _ in range(15):
             ps = random_arrivals(rng, rng.randint(1, 8), max_size=4, spread=8)
             cfg = SimConfig(memory_capacity=256, scheduler="rr", quantum=2)
             trace, _ = run(ps, cfg)
-            want = [(s.pid, s.start, s.length) for s in round_robin(ps, 2)]
-            assert dispatch_slices(trace) == want
+            assert dispatch_slices(trace) == list(replay_rr(ps, 2))
 
     def test_var_quantum_trace_matches_batch_schedule(self):
         rng = random.Random(71)
@@ -146,15 +146,20 @@ class TestSchedulerIntegration:
             cfg = SimConfig(memory_capacity=256, scheduler="var-quantum",
                             io_quantum=1, cpu_quantum=3)
             trace, _ = run(ps, cfg)
-            want = [(s.pid, s.start, s.length) for s in variable_quantum(ps, classifier)]
-            assert dispatch_slices(trace) == want
+            assert dispatch_slices(trace) == list(replay_rr(ps, classifier))
 
     def test_sjf_trace_matches_batch_schedule(self):
         rng = random.Random(73)
-        ps = random_batch(rng, 10)
-        trace, _ = run(ps, SimConfig(memory_capacity=512, scheduler="sjf-time"))
-        want = [(s.pid, s.start, s.length) for s in sjf(ps, SortKey.TIME)]
-        assert dispatch_slices(trace) == want
+        for n in (10, 8, 5):
+            ps = random_batch(rng, n)
+            trace, m = run(ps, SimConfig(memory_capacity=512, scheduler="sjf-time"))
+            want, clock = [], 0
+            for p in sorted(ps, key=lambda p: (p.time, p.id)):
+                want.append((p.id, clock, p.time))
+                clock += p.time
+            assert dispatch_slices(trace) == want
+            if n <= 8:
+                assert sum(m.waiting.values()) == brute_schedule(ps).cost
 
     def test_priority_requires_priorities(self):
         with pytest.raises(ParameterError):
@@ -324,6 +329,19 @@ class TestDeterminismAndInvariants:
         symbols = {e.symbol for e in trace.binding.events}
         assert {"frames", "pages:1", "page-table:1"} <= symbols
         assert validate(trace.binding) == []
+
+    @pytest.mark.parametrize("allocator, extra, symbol", [
+        ("first-fit", {}, "free-list"),
+        ("fixed", {"unit_size": 4}, "frames"),
+        ("buddy", {}, "buddy-tree"),
+        ("paging", {"page_size": 4}, "frames"),
+        ("segmentation", {}, "free-list"),
+    ])
+    def test_free_store_is_bound_first(self, allocator, extra, symbol):
+        cfg = SimConfig(memory_capacity=32, allocator=allocator, **extra)
+        trace, _ = run([proc(1, size=3, time=1)], cfg)
+        first = trace.binding.events[0]
+        assert (first.symbol, first.kind.value, first.instant) == (symbol, "Bind", 0)
 
     def test_strict_mode_reports_binding_violation(self, monkeypatch):
         """With the page-table bind left out, the dispatch's Use precedes
