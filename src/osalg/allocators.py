@@ -16,21 +16,15 @@ an address is unmapped.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 
 from .combinators import (
-    BuddyTree,
     Discipline,
+    FreeStore,
     Organize,
-    OrganizeTag,
     SelectTag,
-    _buddy_leaves,
-    _start,
-    organize_buddy,
-    organize_fixed_partition,
-    select_first_fit,
+    free_store,
 )
 from .core import Extent, Procedure, ResourceSet
 from .errors import (
@@ -44,46 +38,26 @@ from .errors import (
 VictimPolicy = Callable[[Sequence[Procedure]], Procedure]
 
 
-def _merge_free(free: tuple[Extent, ...], e: Extent) -> tuple[Extent, ...]:
-    """Insert a released extent into an address-ordered list of maximal
-    free runs, merging it with the neighbours it touches."""
-    i = bisect_left(free, e.start, key=_start)
-    lo, hi = i, i
-    start, end = e.start, e.end
-    if i > 0 and free[i - 1].end == start:
-        lo -= 1
-        start = free[lo].start
-    if i < len(free) and free[i].start == end:
-        hi += 1
-        end = free[i].end
-    return free[:lo] + (Extent(start, end),) + free[hi:]
-
-
 @dataclass(frozen=True)
 class MemoryState:
     """Allocation bookkeeping for one finite reusable resource set.
 
-    `organizer` fixes the structure of the free space: identity keeps a
-    coalesced free-extent list, fixed partitioning keeps whole allocation
-    units, the buddy organizer keeps the block tree (mirrored into `free`
-    for uniform accounting, as the tree's own free leaves). `allocated`
-    maps procedure ids to the extents they hold, `free_total` is the
-    size of `free`.
-
-    Each grant and release updates `free` and `free_total` by what it
-    changes, never by a rescan: a first-fit grant splits one free run
-    and a release merges with its two neighbours, fixed units come off
-    the front and go back in address order, and the buddy tree hands
-    over its free leaves after its own path-local update. A buddy grant
-    takes the leftmost free block that fits (leftmost fit).
+    `store` is the free store `organizer` shapes: free runs for the
+    identity organization, free runs of whole units for fixed
+    partitioning, the block tree for the buddy organizer. `free` is its
+    free extents, so under fixed partitioning it holds runs of whole
+    units, not single units. `allocated` maps procedure ids to the
+    extents they hold, `free_total` is the size of `free`, and `residue`
+    is a fixed-partitioned memory's tail too short for one unit. Each
+    grant and release updates the store and `free_total` by what it
+    changes, never by a rescan.
     """
 
     resource: ResourceSet
     organizer: Organize
     allocated: Mapping[int, tuple[Extent, ...]]
-    free: tuple[Extent, ...]
+    store: FreeStore
     free_total: int
-    buddy: BuddyTree | None = None
     residue: Extent | None = None
 
     @staticmethod
@@ -91,22 +65,11 @@ class MemoryState:
         """An empty memory of `capacity` units under the given organizer."""
         organizer = organizer or Organize.identity()
         resource = ResourceSet.memory(capacity)
-        if organizer.tag is OrganizeTag.IDENTITY:
-            free = (Extent(0, capacity),) if capacity else ()
-            return MemoryState(resource, organizer, {}, free, capacity)
-        if organizer.tag is OrganizeTag.FIXED_PARTITION:
-            assert organizer.unit_size is not None
-            partition = organize_fixed_partition(resource, organizer.unit_size)
-            return MemoryState(
-                resource, organizer, {}, partition.units,
-                len(partition.units) * organizer.unit_size, residue=partition.residue,
-            )
-        if organizer.tag is OrganizeTag.BUDDY_TREE:
-            tree = organize_buddy(resource)
-            return MemoryState(
-                resource, organizer, {}, tree.free_extents(), capacity, buddy=tree
-            )
-        raise ParameterError(f"memory cannot be organized by {organizer.tag.value}")
+        store = free_store(organizer, resource)
+        # an empty store is one run from 0, or none; the rest is residue
+        free_total = sum(e.size for e in store.free_extents())
+        residue = Extent(free_total, capacity) if free_total < capacity else None
+        return MemoryState(resource, organizer, {}, store, free_total, residue)
 
     @property
     def capacity(self) -> int:
@@ -115,6 +78,10 @@ class MemoryState:
     @property
     def unit_size(self) -> int | None:
         return self.organizer.unit_size
+
+    @property
+    def free(self) -> tuple[Extent, ...]:
+        return self.store.free_extents()
 
     def holds(self, pid: int) -> bool:
         return pid in self.allocated
@@ -133,15 +100,12 @@ class MemoryState:
         return sum(e.size for exts in self.allocated.values() for e in exts)
 
     def largest_free(self) -> int:
-        if self.organizer.tag is OrganizeTag.FIXED_PARTITION:
-            # every free extent is one whole unit
-            return (self.unit_size or 0) if self.free else 0
-        return max((e.size for e in self.free), default=0)
+        return self.store.largest()
 
     def check_invariants(self) -> None:
         """Conservation and disjointness, the carried free total and the
-        buddy mirror, each recomputed from scratch; raises ParameterError
-        on breach."""
+        store's own shape, each recomputed from scratch; raises
+        ParameterError on breach."""
         pieces = list(self.free)
         pieces.extend(e for exts in self.allocated.values() for e in exts)
         if self.residue is not None:
@@ -166,73 +130,20 @@ class MemoryState:
             raise ParameterError(
                 f"carried free total {self.free_total}, free list holds {scanned}"
             )
-        if self.buddy is not None:
-            walked = tuple(e for e, used in _buddy_leaves(self.buddy.root) if not used)
-            if walked != self.buddy.free_extents() or walked != self.free:
-                raise ParameterError("buddy tree and free list disagree")
-
-
-def _register(m: MemoryState, pid: int, extents: tuple[Extent, ...]) -> MemoryState:
-    allocated = dict(m.allocated)
-    allocated[pid] = allocated.get(pid, ()) + extents
-    return replace(m, allocated=allocated)
-
-
-def _carve(m: MemoryState, q: int) -> tuple[Extent, MemoryState]:
-    """First-fit carve of a q-unit extent from an identity-organized state."""
-    grant = select_first_fit(m.free, q)
-    i = bisect_left(m.free, grant.start, key=_start)
-    hole = m.free[i]
-    rest = (Extent(grant.end, hole.end),) if grant.end < hole.end else ()
-    free = m.free[:i] + rest + m.free[i + 1:]
-    return grant, replace(m, free=free, free_total=m.free_total - q)
-
-
-def _take_units(m: MemoryState, count: int) -> tuple[tuple[Extent, ...], MemoryState]:
-    """Take the `count` lowest-addressed free allocation units whole."""
-    if count > len(m.free):
-        raise AllocationFailure(f"{count} units needed, {len(m.free)} free")
-    taken = m.free[:count]
-    free_total = m.free_total - sum(e.size for e in taken)
-    return taken, replace(m, free=m.free[count:], free_total=free_total)
+        self.store.check()
 
 
 def _grant(
-    m: MemoryState, pid: int, q: int, segments: tuple[int, ...] | None = None,
-    pages: int | None = None,
+    m: MemoryState, pid: int, pieces: Sequence[int]
 ) -> tuple[MemoryState, tuple[Extent, ...]]:
-    """Grant q units to pid under the state's own organization."""
+    """Grant pid one extent per piece size, from the state's own store."""
     if m.holds(pid):
         raise ParameterError(f"procedure {pid} already holds memory")
-    if q == 0 and pages is None:
-        return _register(m, pid, ()), ()
-    if m.organizer.tag is OrganizeTag.BUDDY_TREE:
-        assert m.buddy is not None
-        extent, tree = m.buddy.allocate(q)
-        m2 = replace(
-            m, buddy=tree, free=tree.free_extents(),
-            free_total=m.free_total - extent.size,
-        )
-        return _register(m2, pid, (extent,)), (extent,)
-    if m.organizer.tag is OrganizeTag.FIXED_PARTITION:
-        unit = m.unit_size or 0
-        if pages is not None:
-            taken, m2 = _take_units(m, pages)
-            return _register(m2, pid, taken), taken
-        if q > unit:
-            raise AllocationFailure(f"demand {q} exceeds the {unit}-unit partitions")
-        select_first_fit(m.free, q)  # fails when no unit is free
-        taken, m2 = _take_units(m, 1)
-        return _register(m2, pid, taken), taken
-    if segments:
-        state = m
-        granted: list[Extent] = []
-        for length in segments:
-            extent, state = _carve(state, length)
-            granted.append(extent)
-        return _register(state, pid, tuple(granted)), tuple(granted)
-    extent, m2 = _carve(m, q)
-    return _register(m2, pid, (extent,)), (extent,)
+    granted, store = m.store.grant(pieces)
+    allocated = dict(m.allocated)
+    allocated[pid] = granted
+    free_total = m.free_total - sum(e.size for e in granted)
+    return replace(m, allocated=allocated, store=store, free_total=free_total), granted
 
 
 def allocate(
@@ -243,21 +154,18 @@ def allocate(
 
     The discipline must organize the set the same way the state does;
     paging and segmentation have their own entry points
-    (:func:`build_page_table`, :func:`segment_alloc`).
+    (:func:`build_page_table`, :func:`segment_alloc`). Under fixed
+    partitioning a procedure fits in one unit.
     """
-    if d.organize.tag is not m.organizer.tag:
-        raise ParameterError(
-            f"discipline organizes by {d.organize.tag.value}, "
-            f"memory by {m.organizer.tag.value}"
-        )
-    if (
-        d.organize.tag is OrganizeTag.FIXED_PARTITION
-        and d.organize.unit_size != m.unit_size
-    ):
-        raise ParameterError("discipline and memory disagree on unit size")
+    if d.organize != m.organizer:
+        raise ParameterError("discipline and memory are organized differently")
     if d.select.tag not in (SelectTag.FIRST_FIT, SelectTag.BUDDY_FIT):
         raise ParameterError(f"{d.select.tag.value} selection does not allocate memory")
-    return _grant(m, p.id, p.size)
+    if m.unit_size is not None and p.size > m.unit_size:
+        raise AllocationFailure(
+            f"demand {p.size} exceeds the {m.unit_size}-unit partitions"
+        )
+    return _grant(m, p.id, m.store.pieces(p.size))
 
 
 def deallocate(m: MemoryState, pid: int) -> MemoryState:
@@ -266,26 +174,10 @@ def deallocate(m: MemoryState, pid: int) -> MemoryState:
     extents = m.extents_of(pid)
     allocated = dict(m.allocated)
     del allocated[pid]
+    # a release takes back what one grant gave: one block from a buddy tree
+    store = m.store.release(*extents) if extents else m.store
     free_total = m.free_total + sum(e.size for e in extents)
-    if m.organizer.tag is OrganizeTag.BUDDY_TREE:
-        assert m.buddy is not None
-        tree = m.buddy
-        for e in extents:
-            tree = tree.release(e)
-        return replace(
-            m, allocated=allocated, buddy=tree, free=tree.free_extents(),
-            free_total=free_total,
-        )
-    if m.organizer.tag is OrganizeTag.FIXED_PARTITION:
-        units = list(m.free)
-        for e in extents:
-            insort(units, e, key=_start)
-        free = tuple(units)
-    else:
-        free = m.free
-        for e in extents:
-            free = _merge_free(free, e)
-    return replace(m, allocated=allocated, free=free, free_total=free_total)
+    return replace(m, allocated=allocated, store=store, free_total=free_total)
 
 
 @dataclass(frozen=True)
@@ -373,19 +265,17 @@ def build_page_table(
     of the demand) are independent; either may exist first. Building the
     table requires both, plus enough free frames.
     """
-    if m.organizer.tag is not OrganizeTag.FIXED_PARTITION:
+    unit = m.unit_size
+    if unit is None:
         raise ParameterError("page tables need a fixed-partitioned memory")
-    if pages.page_size != m.unit_size:
+    if pages.page_size != unit:
         raise ParameterError(
-            f"page size {pages.page_size} does not match frame size {m.unit_size}"
+            f"page size {pages.page_size} does not match frame size {unit}"
         )
-    if pages.page_count > len(m.free):
-        raise AllocationFailure(
-            f"{pages.page_count} frames needed, {len(m.free)} free"
-        )
-    unit = m.unit_size or 1
-    m2, granted = _grant(m, pages.pid, sum(p.length for p in pages.pages),
-                         pages=pages.page_count)
+    frames = m.free_total // unit
+    if pages.page_count > frames:
+        raise AllocationFailure(f"{pages.page_count} frames needed, {frames} free")
+    m2, granted = _grant(m, pages.pid, (unit,) * pages.page_count)
     entries = tuple(
         (page.number, extent.start // unit)
         for page, extent in zip(pages.pages, granted)
@@ -425,9 +315,9 @@ def segment_alloc(
         raise ParameterError(
             f"segments sum to {sum(lengths)}, procedure size is {p.size}"
         )
-    if d.organize.tag is not OrganizeTag.IDENTITY or m.organizer.tag is not OrganizeTag.IDENTITY:
+    if d.organize != Organize.identity() or m.organizer != Organize.identity():
         raise ParameterError("segments place into an identity-organized memory")
-    m2, granted = _grant(m, p.id, p.size, segments=lengths)
+    m2, granted = _grant(m, p.id, lengths)
     segments = tuple(
         (i, length, extent.start)
         for i, (length, extent) in enumerate(zip(lengths, granted))
@@ -470,13 +360,17 @@ def translate(address: int, chain: Sequence[BindingLayer]) -> int:
 
 @dataclass(frozen=True)
 class SwapRecord:
-    """Where a swapped-out procedure's contents live in the backing store."""
+    """Where a swapped-out procedure's contents live in the backing store.
+
+    Swap-in regrants `size` in the pieces the primary store makes of it:
+    whole units, one buddy block, or, under the identity organization,
+    the declared `segments` (even where admission granted one extent).
+    """
 
     pid: int
     size: int
     backing_extents: tuple[Extent, ...]
-    units_held: int | None = None  # frame/unit count under fixed partitioning
-    segments: tuple[int, ...] | None = None  # re-grant shape when segmented
+    segments: tuple[int, ...] | None = None
 
 
 def default_victim(candidates: Sequence[Procedure]) -> Procedure:
@@ -505,17 +399,14 @@ def swap_out(
         raise SwapFailure("no swappable resident procedure")
     victim = policy(candidates)
     try:
-        backing2, granted = _grant(backing, victim.id, victim.size)
+        pieces = backing.store.pieces(victim.size)
+        backing2, granted = _grant(backing, victim.id, pieces)
     except AllocationFailure as exc:
         raise SwapFailure(f"backing store cannot hold procedure {victim.id}") from exc
-    held = m.extents_of(victim.id)
     record = SwapRecord(
         pid=victim.id,
         size=victim.size,
         backing_extents=granted,
-        units_held=(
-            len(held) if m.organizer.tag is OrganizeTag.FIXED_PARTITION else None
-        ),
         segments=victim.segments,
     )
     return deallocate(m, victim.id), backing2, record
@@ -526,14 +417,12 @@ def swap_in(
 ) -> tuple[MemoryState, MemoryState, tuple[Extent, ...]]:
     """Restore a swapped-out procedure to primary memory.
 
-    Residency may land at different addresses; the grant repeats the
-    shape recorded at swap-out. Insufficient primary space raises
-    AllocationFailure, which is retriable once memory frees up.
+    Residency may land at different addresses; the grant takes the
+    pieces described on :class:`SwapRecord`. Insufficient primary space
+    raises AllocationFailure, which is retriable once memory frees up.
     """
-    if m.organizer.tag is OrganizeTag.FIXED_PARTITION:
-        m2, granted = _grant(m, record.pid, record.size, pages=record.units_held)
-    else:
-        m2, granted = _grant(m, record.pid, record.size, segments=record.segments)
+    pieces = m.store.pieces(record.size, record.segments)
+    m2, granted = _grant(m, record.pid, pieces)
     backing2 = deallocate(backing, record.pid)
     return m2, backing2, granted
 

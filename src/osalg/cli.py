@@ -166,7 +166,7 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     try:
         with open(args.workload, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read workload: {exc}", file=err)
         return EXIT_WORKLOAD
     try:
@@ -197,18 +197,18 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     except (ParameterError, WorkloadError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_WORKLOAD
-    trace_text = render_trace(trace)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(trace_text)
-    else:
-        out.write(trace_text)
-    metrics_text = render_metrics(measured)
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            handle.write(metrics_text)
-    else:
-        out.write(metrics_text)
+    for path, text in (
+        (args.trace, render_trace(trace)), (args.metrics, render_metrics(measured))
+    ):
+        if not path:
+            out.write(text)
+            continue
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write {path}: {exc.strerror}", file=err)
+            return EXIT_USAGE
     return EXIT_OK
 
 

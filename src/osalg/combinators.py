@@ -92,8 +92,84 @@ class BuddyNode:
 
 
 @dataclass(frozen=True)
+class FreeRuns:
+    """The free store of identity and fixed-partition organized memory:
+    address-ordered maximal free runs (Wilson et al. 1995). Under a
+    `unit`, every grant piece is one whole unit and every run is unit
+    aligned, so first fit takes the lowest free unit.
+
+    Like ``BuddyTree``, a store is a value with ``pieces``, ``grant``,
+    ``release`` (of the extents one grant gave), ``free_extents``,
+    ``largest`` and ``check``.
+    """
+
+    runs: tuple[Extent, ...]
+    unit: int | None = None
+
+    def pieces(
+        self, size: int, segments: tuple[int, ...] | None = None
+    ) -> tuple[int, ...]:
+        """The piece sizes a grant of `size` units takes: whole units under
+        a unit, else the declared segments or one run."""
+        if self.unit is not None:
+            return (self.unit,) * -(-size // self.unit)
+        return (segments or (size,)) if size else ()
+
+    def grant(self, pieces: Sequence[int]) -> tuple[tuple[Extent, ...], "FreeRuns"]:
+        """First fit of each piece in turn; AllocationFailure, with this
+        store unchanged, when one does not fit."""
+        runs, granted = list(self.runs), []
+        for q in pieces:
+            extent = select_first_fit(runs, q)
+            i = bisect_left(runs, extent.start, key=_start)
+            if extent.end < runs[i].end:
+                runs[i] = Extent(extent.end, runs[i].end)
+            else:
+                del runs[i]
+            granted.append(extent)
+        return tuple(granted), FreeRuns(tuple(runs), self.unit)
+
+    def release(self, *extents: Extent) -> "FreeRuns":
+        """Merge released extents with the runs they touch."""
+        runs = list(self.runs)
+        for e in extents:
+            i = bisect_left(runs, e.start, key=_start)
+            lo, hi = i, i
+            start, end = e.start, e.end
+            if i > 0 and runs[i - 1].end == start:
+                lo -= 1
+                start = runs[lo].start
+            if i < len(runs) and runs[i].start == end:
+                hi += 1
+                end = runs[i].end
+            runs[lo:hi] = (Extent(start, end),)
+        return FreeRuns(tuple(runs), self.unit)
+
+    def free_extents(self) -> tuple[Extent, ...]:
+        return self.runs
+
+    def largest(self) -> int:
+        """The largest single extent a grant piece can take."""
+        if self.unit is not None:
+            return self.unit if self.runs else 0
+        return max((e.size for e in self.runs), default=0)
+
+    def check(self) -> None:
+        """Raise ParameterError unless the runs are non-empty, address
+        ordered, maximal and, under a unit, unit aligned."""
+        end, unit = -1, self.unit
+        for run in self.runs:
+            if run.start <= end or run.size == 0:
+                raise ParameterError(f"free run {run} is not maximal")
+            if unit is not None and (run.start % unit or run.size % unit):
+                raise ParameterError(f"free run {run} is not aligned to unit {unit}")
+            end = run.end
+
+
+@dataclass(frozen=True)
 class BuddyTree:
-    """A persistent binary buddy tree over ``[0, capacity)``.
+    """A persistent binary buddy tree over ``[0, capacity)``: the free
+    store of buddy-organized memory.
 
     Mutating operations return a new tree; eager sibling merging keeps
     the invariant that no two free sibling blocks coexist. The tree
@@ -168,11 +244,31 @@ class BuddyTree:
         free = self.free_leaves[:lo] + (merged,) + self.free_leaves[hi:]
         return BuddyTree(self.capacity, _buddy_rebuild(path, node), free)
 
+    def pieces(
+        self, size: int, segments: tuple[int, ...] | None = None
+    ) -> tuple[int, ...]:
+        """A buddy grant is one block, whatever the declared segments."""
+        return (size,) if size else ()
+
+    def grant(self, pieces: Sequence[int]) -> tuple[tuple[Extent, ...], "BuddyTree"]:
+        tree, granted = self, []
+        for q in pieces:
+            extent, tree = tree.allocate(q)
+            granted.append(extent)
+        return tuple(granted), tree
+
     def free_extents(self) -> tuple[Extent, ...]:
         return self.free_leaves
 
-    def used_extents(self) -> tuple[Extent, ...]:
-        return tuple(e for e, used in _buddy_leaves(self.root) if used)
+    def largest(self) -> int:
+        return max((e.size for e in self.free_leaves), default=0)
+
+    def check(self) -> None:
+        """Raise ParameterError unless the carried free leaves are the
+        tree's own, walked from scratch."""
+        walked = tuple(e for e, used in _buddy_leaves(self.root) if not used)
+        if walked != self.free_leaves:
+            raise ParameterError("buddy tree and free list disagree")
 
 
 _start = attrgetter("start")
@@ -371,6 +467,22 @@ class Organize:
             assert self.unit_size is not None
             return organize_fixed_partition(x, self.unit_size)
         return organize_buddy(x)
+
+
+FreeStore = FreeRuns | BuddyTree
+
+
+def free_store(organize: Organize, resource: ResourceSet) -> FreeStore:
+    """The free store of an empty `resource` shaped by `organize`, in
+    O(1): the buddy tree, or one free run of every whole unit."""
+    if organize.tag is OrganizeTag.BUDDY_TREE:
+        return organize_buddy(resource)
+    if organize.tag not in (OrganizeTag.IDENTITY, OrganizeTag.FIXED_PARTITION):
+        raise ParameterError(f"memory cannot be organized by {organize.tag.value}")
+    unit = organize.unit_size
+    capacity = resource.capacity or 0
+    usable = capacity - capacity % unit if unit else capacity
+    return FreeRuns((Extent(0, usable),) if usable else (), unit)
 
 
 @dataclass(frozen=True)

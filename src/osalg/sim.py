@@ -174,8 +174,10 @@ class _Memory:
 
     This base class is first fit over the identity organization; each
     other allocator is a subclass that changes its organizer, its
-    feasibility test, its grant and, for paging, its swap-in and binding
-    hooks. `ALLOCATORS` maps each allocator name to its class.
+    feasibility test, its grant and, for paging, its binding hooks.
+    Swap-in is the same for all: the primary state's free store regrants
+    the procedure in its own pieces. `ALLOCATORS` maps each allocator
+    name to its class.
     """
 
     symbol = "free-list"  # the binding-log symbol of the free store
@@ -231,7 +233,7 @@ class _Memory:
         )
         return record, before.extents_of(record.pid)
 
-    def swap_in_record(self, record: SwapRecord, p: Procedure) -> Extents:
+    def swap_in_record(self, record: SwapRecord) -> Extents:
         self.primary, self.backing, granted = swap_in(
             self.primary, self.backing, record
         )
@@ -354,13 +356,6 @@ class _Paging(_Memory):
     def release(self, pid: int) -> Extents:
         self.paginations.pop(pid, None)
         return super().release(pid)
-
-    def swap_in_record(self, record: SwapRecord, p: Procedure) -> Extents:
-        # residency may land in different frames: rebuild the table
-        backing = deallocate(self.backing, record.pid)
-        _, self.primary = build_page_table(self.pagination(p), self.primary)
-        self.backing = backing
-        return self.primary.extents_of(p.id)
 
     def bind(self, graph: Graph, p: Procedure, at: int) -> Graph:
         pages = f"pages:{p.id}"
@@ -608,7 +603,7 @@ class _Simulation:
             record = self.swapped[0]
             p = self.procs[record.pid]
             try:
-                granted = self.memory.swap_in_record(record, p)
+                granted = self.memory.swap_in_record(record)
             except AllocationFailure:
                 break
             self.swapped.pop(0)

@@ -105,4 +105,44 @@ def regression_runs() -> list[tuple[str, ProcedureSet, SimConfig]]:
     runs.append(("staggered-sjf-size-tight", sjf_size,
                  SimConfig(memory_capacity=8, backing_capacity=16,
                            scheduler="sjf-size", allocator="first-fit")))
+
+    # each organization swaps out and back in; the residue of fixed
+    # partitioning (10 units, unit 4) never takes part
+    runs.append(("swap-fixed", ProcedureSet.of(
+        proc(1, size=4, time=5, priority=5),
+        proc(2, size=3, time=4, priority=1),
+        proc(3, size=2, time=2, arrival=1, priority=9),
+        proc(4, size=4, time=1, arrival=2, priority=3),
+    ), SimConfig(memory_capacity=10, backing_capacity=8, scheduler="fcfs",
+                 allocator="fixed", unit_size=4)))
+    runs.append(("swap-buddy", ProcedureSet.of(
+        proc(1, size=3, time=5, priority=5),
+        proc(2, size=2, time=4, priority=1),
+        proc(3, size=4, time=2, arrival=1, priority=9),
+        proc(4, size=1, time=3, arrival=2, priority=2),
+    ), SimConfig(memory_capacity=8, backing_capacity=8, scheduler="priority",
+                 allocator="buddy")))
+    runs.append(("swap-paging", ProcedureSet.of(
+        proc(1, size=5, time=5, priority=5),
+        proc(2, size=3, time=4, priority=1),
+        proc(3, size=4, time=2, arrival=1, priority=9),
+        proc(4, size=2, time=3, arrival=3, priority=2),
+    ), SimConfig(memory_capacity=12, backing_capacity=8, scheduler="rr",
+                 quantum=2, allocator="paging", page_size=2)))
+    runs.append(("swap-segmentation", ProcedureSet.of(
+        proc(1, size=4, time=5, priority=5, segments=(1, 3)),
+        proc(2, size=5, time=4, priority=1, segments=(2, 3)),
+        proc(3, size=4, time=2, arrival=1, priority=9),
+        proc(4, size=2, time=3, arrival=2, priority=2, segments=(1, 1)),
+    ), SimConfig(memory_capacity=10, backing_capacity=8, scheduler="sjf-time",
+                 allocator="segmentation")))
+    # first fit admits procedure 2 as one extent but swaps it back in as
+    # its two declared segments, into the two holes left at instant 9
+    runs.append(("swap-first-fit-segmented", ProcedureSet.of(
+        proc(1, size=2, time=3, priority=5),
+        proc(2, size=4, time=6, priority=1, segments=(2, 2)),
+        proc(3, size=2, time=6, priority=4),
+        proc(4, size=4, time=1, arrival=1, priority=9),
+    ), SimConfig(memory_capacity=8, backing_capacity=8, scheduler="fcfs",
+                 allocator="first-fit")))
     return runs

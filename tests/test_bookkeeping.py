@@ -119,7 +119,8 @@ class ReferenceMemory:
     def free(self):
         if self.kind == "buddy":
             return tuple(e for e, used in old_buddy_leaves(self.root) if not used)
-        return self.units if self.kind == "fixed" else self.runs
+        # the store keeps free units as coalesced runs of whole units
+        return old_coalesce(self.units) if self.kind == "fixed" else self.runs
 
     def grant(self, pid, q, segments=None, pages=None):
         """The extents granted, or AllocationFailure with nothing changed."""
@@ -189,7 +190,10 @@ OPS = st.lists(
 def assert_agrees(m, ref):
     assert m.free == ref.free
     assert m.free_size == sum(e.size for e in m.free)
-    assert m.largest_free() == max((e.size for e in m.free), default=0)
+    largest = max((e.size for e in m.free), default=0)
+    if m.unit_size is not None:  # a fixed-partition grant takes one unit
+        largest = min(largest, m.unit_size)
+    assert m.largest_free() == largest
     m.check_invariants()
 
 
@@ -281,7 +285,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
         elif op == "swap_in" and swapped:
             record = swapped[0]
             if kind == "fixed":
-                shape = {"pages": record.units_held}
+                shape = {"pages": -(-record.size // UNIT)}
             else:
                 shape = {"segments": record.segments}
             got, expected = expect_same(
@@ -312,19 +316,31 @@ class TestChecksBite:
     def test_clean_states_pass(self):
         buddy_memory_with_a_grant().check_invariants()
 
-    def test_free_list_disagreeing_with_the_tree(self):
+    def test_tree_mirror_disagreeing_with_the_tree(self):
         m = buddy_memory_with_a_grant()
         # the same units, cut differently: conservation still holds
         wrong = (Extent(4, 6), Extent(6, 8), Extent(8, 16))
+        tree = replace(m.store, free_leaves=wrong)
         with pytest.raises(ParameterError, match="buddy tree and free list"):
-            replace(m, free=wrong).check_invariants()
+            replace(m, store=tree).check_invariants()
 
-    def test_tree_mirror_disagreeing_with_the_tree(self):
-        m = buddy_memory_with_a_grant()
-        wrong = (Extent(4, 6), Extent(6, 8), Extent(8, 16))
-        tree = replace(m.buddy, free_leaves=wrong)
-        with pytest.raises(ParameterError, match="buddy tree and free list"):
-            replace(m, buddy=tree).check_invariants()
+    @pytest.mark.parametrize("organizer", [
+        Organize.identity(), Organize.fixed_partition(UNIT),
+    ])
+    def test_free_run_that_is_not_maximal(self, organizer):
+        m = MemoryState.initial(16, organizer)
+        split = replace(m.store, runs=(Extent(0, 8), Extent(8, 16)))
+        with pytest.raises(ParameterError, match="not maximal"):
+            replace(m, store=split).check_invariants()
+
+    def test_free_run_that_is_not_unit_aligned(self):
+        m = MemoryState.initial(16, Organize.fixed_partition(UNIT))
+        # [0, 2) held and one free run from mid-unit: conservation and
+        # the carried total both hold
+        m = replace(m, allocated={1: (Extent(0, 2),)},
+                    store=replace(m.store, runs=(Extent(2, 16),)), free_total=14)
+        with pytest.raises(ParameterError, match="not aligned"):
+            m.check_invariants()
 
     @pytest.mark.parametrize("organizer", [
         Organize.identity(), Organize.fixed_partition(UNIT), Organize.buddy(),

@@ -1,6 +1,9 @@
 """Workload parsing, trace rendering, and the command-line surface."""
 
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +168,26 @@ class TestMainRun:
         ])
         assert code == EXIT_WORKLOAD
 
+    def test_undecodable_workload_is_workload_error(self, tmp_path, capsys):
+        wpath = tmp_path / "w.txt"
+        wpath.write_bytes(b"id=1 size=1 time=1 owner=\xff\n")
+        code = main([
+            "run", "--workload", str(wpath), "--scheduler", "fcfs",
+            "--allocator", "first-fit",
+        ])
+        assert code == EXIT_WORKLOAD
+        assert capsys.readouterr().err.startswith("error: cannot read workload: ")
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_output_path_naming_a_directory_is_usage_error(self, tmp_path, capsys, flag):
+        wpath = self.workload_path(tmp_path)
+        code = main([
+            "run", "--workload", wpath, "--scheduler", "fcfs",
+            "--allocator", "first-fit", flag, str(tmp_path),
+        ])
+        assert code == EXIT_USAGE
+        assert f"usage error: cannot write {tmp_path}: " in capsys.readouterr().err
+
     def test_unrunnable_exit_code(self, tmp_path):
         wpath = self.workload_path(tmp_path, "id=1 size=999 time=1\n")
         code = main([
@@ -213,16 +236,35 @@ def test_help_lists_the_registry_names(capsys):
     assert "--allocator {" + ",".join(ALLOCATORS) + "}" in out
 
 
-@pytest.mark.parametrize("allocator", ["first-fit", "buddy", "segmentation"])
-def test_huge_memory_costs_no_more_than_its_workload(tmp_path, allocator):
-    """A 2**30-unit memory is built and run without touching every unit."""
+def test_bench_names_match_the_registries(monkeypatch):
+    """The benchmark imports nothing from osalg, so its own copy of the
+    scheduler and allocator names is checked here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    assert workloads.SCHEDULERS == tuple(SCHEDULERS)
+    assert workloads.ALLOCATORS == tuple(ALLOCATORS)
+
+
+@pytest.mark.parametrize("allocator, flags", [
+    pytest.param("first-fit", [], id="first-fit"),
+    pytest.param("buddy", [], id="buddy"),
+    pytest.param("segmentation", [], id="segmentation"),
+    pytest.param("fixed", ["--unit", "4"], id="fixed"),
+    pytest.param("paging", ["--page-size", "1"], id="paging"),
+])
+def test_huge_memory_costs_no_more_than_its_workload(tmp_path, allocator, flags):
+    """A 2**30-unit memory is built and run without touching every unit,
+    also when it is cut into 4-unit partitions or 1-unit frames."""
     wpath = tmp_path / "w.txt"
     wpath.write_text(TWO_RECORDS)
     tracemalloc.start()
     try:
         code = main([
             "run", "--workload", str(wpath), "--scheduler", "fcfs",
-            "--allocator", allocator, "--memory", str(1 << 30),
+            "--allocator", allocator, *flags, "--memory", str(1 << 30),
             "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.txt"),
         ])
         _, peak = tracemalloc.get_traced_memory()
