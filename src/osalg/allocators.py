@@ -375,7 +375,8 @@ class SwapRecord:
 
 def default_victim(candidates: Sequence[Procedure]) -> Procedure:
     """Lowest priority first (none counts lowest), then largest size,
-    then highest id."""
+    then highest id. Ids are unique, so the key is a total order and the
+    order of the candidates does not matter."""
     if not candidates:
         raise SwapFailure("no swappable resident procedure")
     key = lambda p: (p.priority if p.priority is not None else -1, -p.size, -p.id)

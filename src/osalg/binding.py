@@ -172,28 +172,47 @@ def _topological_orders(
     nodes = sorted(set(symbols) | {s for pair in dependencies for s in pair})
     successors = _successor_index(dependencies)
     _find_cycle(successors, successors)
-    blockers: dict[str, set[str]] = {n: set() for n in nodes}
-    for first, then in dependencies:
-        blockers[then].add(first)
+    # blockers not yet placed, per symbol; `ready` holds, sorted, the
+    # unplaced symbols with none left, which are the candidates for the
+    # next position of the prefix
+    unplaced: dict[str, int] = dict.fromkeys(nodes, 0)
+    for _, then in dependencies:
+        unplaced[then] += 1
+    ready = [n for n in nodes if not unplaced[n]]
     orders: list[tuple[str, ...]] = []
     prefix: list[str] = []
-    placed: set[str] = set()
+
+    def place(n: str) -> None:
+        prefix.append(n)
+        del ready[bisect.bisect_left(ready, n)]
+        for then in successors.get(n, ()):
+            unplaced[then] -= 1
+            if not unplaced[then]:
+                bisect.insort(ready, then)
+
+    def unplace() -> None:
+        n = prefix.pop()
+        for then in successors.get(n, ()):
+            if not unplaced[then]:
+                del ready[bisect.bisect_left(ready, then)]
+            unplaced[then] += 1
+        bisect.insort(ready, n)
+
     # iterative, so chains of any length fit in a constant Python stack:
-    # one iterator per position of the prefix, over the candidates for it
-    pending = [iter(nodes)]
+    # one iterator per position of the prefix, over a snapshot of the
+    # candidates for it, in sorted order
+    pending = [iter(tuple(ready))]
     while pending:
         for n in pending[-1]:
-            if n not in placed and blockers[n] <= placed:
-                prefix.append(n)
-                placed.add(n)
-                pending.append(iter(nodes))
-                break
+            place(n)
+            pending.append(iter(tuple(ready)))
+            break
         else:
             if len(prefix) == len(nodes):
                 orders.append(tuple(prefix))
             pending.pop()
             if prefix:
-                placed.remove(prefix.pop())
+                unplace()
     return orders
 
 

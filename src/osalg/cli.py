@@ -9,8 +9,12 @@ across runs for regression diffing.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
+import stat
 import sys
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from .binding import legal_orderings
 from .core import Procedure, ProcedureSet, WorkClass
@@ -197,19 +201,87 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     except (ParameterError, WorkloadError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_WORKLOAD
-    for path, text in (
+    outputs = (
         (args.trace, render_trace(trace)), (args.metrics, render_metrics(measured))
-    ):
+    )
+    try:
+        _write_files([(path, text) for path, text in outputs if path])
+    except OSError as exc:
+        print(f"usage error: cannot write {exc.filename}: {exc.strerror}", file=err)
+        return EXIT_USAGE
+    for path, text in outputs:
         if not path:
             out.write(text)
+    return EXIT_OK
+
+
+def _write_files(files: Sequence[tuple[str, str]]) -> None:
+    """Write each text to its path, in order, all or nothing: each text
+    goes to a new file beside its path first, and those files replace
+    their paths only once every write has succeeded. A path that exists
+    and is neither a regular file nor a directory, such as a device or a
+    pipe, cannot be replaced and is written in place. Raises OSError
+    naming the first path that failed, with every path left as it was.
+    """
+    staged: list[tuple[str, str]] = []  # (new file, path)
+    try:
+        in_place = []
+        for path, text in files:
+            with _naming(path):
+                if _is_special(path):
+                    in_place.append((path, text))
+                else:
+                    staged.append((_stage(path, text), path))
+        for path, text in in_place:
+            with _naming(path), open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        for temp, path in staged:
+            with _naming(path):
+                os.replace(temp, path)
+        staged.clear()
+    finally:
+        for temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+
+
+@contextlib.contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Re-raise an OSError as one that names path."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def _is_special(path: str) -> bool:
+    """Whether path exists as neither a regular file nor a directory;
+    IsADirectoryError when it is a directory."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return False
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return not stat.S_ISREG(mode)
+
+
+def _stage(path: str, text: str) -> str:
+    """Write text to a new hidden file beside path; returns its name."""
+    head, tail = os.path.split(path)
+    while True:
+        temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            handle = open(temp, "x", encoding="utf-8")
+        except FileExistsError:
             continue
         try:
-            with open(path, "w", encoding="utf-8") as handle:
+            with handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"usage error: cannot write {path}: {exc.strerror}", file=err)
-            return EXIT_USAGE
-    return EXIT_OK
+        except BaseException:
+            os.unlink(temp)
+            raise
+        return temp
 
 
 def _cmd_orderings(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:

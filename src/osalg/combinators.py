@@ -18,6 +18,7 @@ first: disciplines are plain values.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -544,3 +545,36 @@ def compose(select: Select, organize: Organize) -> Discipline:
             f"{organize.tag.value} organization"
         )
     return Discipline(select=select, organize=organize)
+
+
+OrderKey = Callable[[Procedure], tuple]
+
+
+def order_key(d: Discipline) -> OrderKey:
+    """The total order a procedure discipline selects by, as a key ending
+    in the procedure id: for every non-empty set of procedures listed in
+    (arrival, id) order, `d.apply` returns the member of least key.
+
+    This is the organize done once, when a procedure joins a ready set,
+    so that select takes the head: (arrival, id) under identity, the
+    sort projection then the id under a sort, and for argmax priority
+    the negated priority then the id. Any other composition raises
+    CompositionError.
+    """
+    select, organize = d.select, d.organize
+    if select.tag is SelectTag.IDENTITY and select.index == 1:
+        if organize.tag is OrganizeTag.IDENTITY:
+            return lambda p: (p.arrival, p.id)
+        if organize.tag is OrganizeTag.SORT:
+            value_of = organize.key.value_of
+            return lambda p: (value_of(p), p.id)
+    if (
+        select.tag is SelectTag.ARGMAX_PRIORITY
+        and organize.tag is OrganizeTag.IDENTITY
+    ):
+        return lambda p: (-p.priority, p.id)
+    index = f"({select.index})" if select.index is not None else ""
+    raise CompositionError(
+        f"{select.tag.value}{index} selection over the {organize.tag.value} "
+        "organization has no order to keep a ready set in"
+    )

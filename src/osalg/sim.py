@@ -15,10 +15,12 @@ they re-enter through swap-in, ahead of the backlog.
 from __future__ import annotations
 
 import os
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
 from . import binding as bindingmod
@@ -35,7 +37,15 @@ from .allocators import (
     swap_in,
     swap_out,
 )
-from .combinators import Discipline, Organize, Select, SortKey, compose
+from .combinators import (
+    Discipline,
+    Organize,
+    OrderKey,
+    Select,
+    SortKey,
+    compose,
+    order_key,
+)
 from .core import ArrivalStream, Extent, Procedure, ProcedureSet, WorkClass
 from .errors import (
     AllocationFailure,
@@ -394,34 +404,104 @@ def class_quantum(io_quantum: int = 1, cpu_quantum: int = 4) -> Classifier:
     return classify
 
 
+class OrderedReady:
+    """The ready set of a non-rotating policy, organized on entry: a heap
+    of order keys, each ending in its procedure's id, plus the live
+    members by id. A discarded member's key stays in the heap until a pop
+    meets it and skips it; every key of one procedure is the same, so a
+    procedure that rejoins while a stale key is left is popped once."""
+
+    def __init__(self, key: OrderKey):
+        self.key = key
+        self.heap: list[tuple] = []
+        self.live: dict[int, Procedure] = {}
+
+    def __len__(self) -> int:
+        return len(self.live)
+
+    def add(self, p: Procedure) -> None:
+        self.live[p.id] = p
+        heappush(self.heap, self.key(p))
+
+    def pop(self) -> Procedure:
+        """The member of least key, taken out of the set."""
+        while True:
+            p = self.live.pop(heappop(self.heap)[-1], None)
+            if p is not None:
+                return p
+
+    def discard(self, pid: int) -> None:
+        self.live.pop(pid, None)
+
+    def members(self) -> list[Procedure]:
+        return list(self.live.values())
+
+
+class RotatingReady:
+    """The ready set of a rotating policy: a FIFO queue."""
+
+    def __init__(self) -> None:
+        self.queue: deque[Procedure] = deque()
+
+    def __len__(self) -> int:
+        return len(self.queue)
+
+    def add(self, p: Procedure) -> None:
+        self.queue.append(p)
+
+    def pop(self) -> Procedure:
+        return self.queue.popleft()
+
+    def discard(self, pid: int) -> None:
+        for i, q in enumerate(self.queue):
+            if q.id == pid:
+                del self.queue[i]
+                return
+
+    def members(self) -> list[Procedure]:
+        return list(self.queue)
+
+
+ReadySet = OrderedReady | RotatingReady
+
+
 @dataclass(frozen=True)
 class Policy:
     """A CPU discipline as the simulator runs it.
 
-    Without `quantum_of`, `discipline` picks from the ready procedures in
-    (arrival, id) order and the pick runs to completion. With it, the
-    head of the rotation queue runs for at most `quantum_of` of it and is
-    preempted at the end of that chunk.
+    Without `quantum_of`, the ready set is kept ordered by a key taken
+    from `discipline` once, when the policy is built, and the head runs
+    to completion; a discipline with no such order raises
+    CompositionError. With `quantum_of`, the head of the rotation queue
+    runs for at most `quantum_of` of it and is preempted at the end of
+    that chunk.
     """
 
     discipline: Discipline | None = None
     quantum_of: Classifier | None = None
     needs_priority: bool = False  # every procedure must carry a priority
+    key: OrderKey | None = field(default=None, init=False, repr=False, compare=False)
 
-    def pick(
-        self, ready: list[Procedure], remaining: Mapping[int, int]
-    ) -> tuple[Procedure, int]:
-        """The procedure to run next and for how long."""
-        if self.quantum_of is not None:
-            chosen = ready[0]  # rotation order
-            quantum = self.quantum_of(chosen)
-            if quantum < 1:
-                raise ParameterError(f"quantum for procedure {chosen.id} must be >= 1")
-            return chosen, min(quantum, remaining[chosen.id])
-        assert self.discipline is not None
-        view = sorted(ready, key=lambda p: (p.arrival, p.id))
-        chosen = self.discipline.apply(view)
-        return chosen, remaining[chosen.id]
+    def __post_init__(self) -> None:
+        if self.quantum_of is None:
+            if self.discipline is None:
+                raise ParameterError("a policy needs a discipline or a quantum")
+            object.__setattr__(self, "key", order_key(self.discipline))
+
+    def ready_set(self) -> ReadySet:
+        """An empty ready set kept in this policy's order."""
+        if self.key is None:
+            return RotatingReady()
+        return OrderedReady(self.key)
+
+    def run_length(self, p: Procedure, left: int) -> int:
+        """How long p runs once dispatched with `left` time units to go."""
+        if self.quantum_of is None:
+            return left
+        quantum = self.quantum_of(p)
+        if quantum < 1:
+            raise ParameterError(f"quantum for procedure {p.id} must be >= 1")
+        return min(quantum, left)
 
 
 FCFS = Policy(compose(Select.identity(1), Organize.identity()))
@@ -500,9 +580,9 @@ class _Simulation:
         self.clock = 0
         self.procs: dict[int, Procedure] = {}
         self.remaining: dict[int, int] = {}
-        self.ready: list[Procedure] = []
-        self.backlog: list[Procedure] = []
-        self.swapped: list[SwapRecord] = []
+        self.ready = self.policy.ready_set()
+        self.backlog: deque[Procedure] = deque()
+        self.swapped: deque[SwapRecord] = deque()
         self.running: tuple[int, int, int] | None = None  # pid, start, end
         self.holdover: Procedure | None = None  # preempted, rejoins after arrivals
         self.cpu_frontier = 0  # first CPU instant not yet assigned
@@ -562,13 +642,13 @@ class _Simulation:
         self.emit(at, EventKind.ADMIT, p.id)
         self.emit(at, EventKind.ALLOCATE, p.id, detail)
         self.record_allocation_bindings(p, at)
-        self.ready.append(p)
+        self.ready.add(p)
         return True
 
     def swap_attempt(self, at: int) -> bool:
         # the running procedure stays resident; a just-preempted one is an
         # ordinary candidate even before it rejoins the queue
-        candidates = list(self.ready)
+        candidates = self.ready.members()
         if self.holdover is not None:
             candidates.append(self.holdover)
         if not candidates:
@@ -578,7 +658,7 @@ class _Simulation:
         except SwapFailure:
             return False
         self.swapped.append(record)
-        self.ready = [q for q in self.ready if q.id != record.pid]
+        self.ready.discard(record.pid)
         if self.holdover is not None and self.holdover.id == record.pid:
             self.holdover = None
         self.emit(
@@ -606,16 +686,16 @@ class _Simulation:
                 granted = self.memory.swap_in_record(record)
             except AllocationFailure:
                 break
-            self.swapped.pop(0)
+            self.swapped.popleft()
             self.emit(
                 at, EventKind.SWAP_IN, p.id, (("extents", _format_extents(granted)),)
             )
             self.record_allocation_bindings(p, at)
-            self.ready.append(p)
+            self.ready.add(p)
         while self.backlog:
             if not self.try_admit(self.backlog[0], at):
                 break
-            self.backlog.pop(0)
+            self.backlog.popleft()
 
     # -- dispatch ----------------------------------------------------
 
@@ -630,8 +710,8 @@ class _Simulation:
                 self.arrive(p)
 
     def dispatch(self) -> None:
-        chosen, run = self.policy.pick(self.ready, self.remaining)
-        self.ready.remove(chosen)
+        chosen = self.ready.pop()
+        run = self.policy.run_length(chosen, self.remaining[chosen.id])
         if self.strict:
             if self.clock < self.cpu_frontier:
                 raise OsAlgError(
@@ -670,7 +750,7 @@ class _Simulation:
                 continue
             self.pump_arrivals(self.clock, inclusive=True)
             if self.holdover is not None:
-                self.ready.append(self.holdover)  # arrivals joined first
+                self.ready.add(self.holdover)  # arrivals joined first
                 self.holdover = None
             if self.ready:
                 self.dispatch()
