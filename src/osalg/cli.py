@@ -12,9 +12,11 @@ import argparse
 import contextlib
 import errno
 import os
+import shutil
 import stat
 import sys
-from typing import IO, Iterator, Sequence
+import tempfile
+from typing import IO, Sequence
 
 from .binding import legal_orderings
 from .core import Procedure, ProcedureSet, WorkClass
@@ -217,41 +219,36 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
 
 def _write_files(files: Sequence[tuple[str, str]]) -> None:
     """Write each text to its path, in order, all or nothing: each text
-    goes to a new file beside its path first, and those files replace
-    their paths only once every write has succeeded. A path that exists
-    and is neither a regular file nor a directory, such as a device or a
+    goes to a new file beside the file its path names, through any
+    symlink, and those files replace their targets only once every write
+    has succeeded. A replaced file keeps its mode; a new one gets the
+    mode that opening it for writing would give. A path that exists and
+    is neither a regular file nor a directory, such as a device or a
     pipe, cannot be replaced and is written in place. Raises OSError
     naming the first path that failed, with every path left as it was.
     """
-    staged: list[tuple[str, str]] = []  # (new file, path)
+    staged: list[tuple[str, str, str]] = []  # (new file, target, path)
+    current = ""
     try:
         in_place = []
-        for path, text in files:
-            with _naming(path):
-                if _is_special(path):
-                    in_place.append((path, text))
-                else:
-                    staged.append((_stage(path, text), path))
-        for path, text in in_place:
-            with _naming(path), open(path, "w", encoding="utf-8") as handle:
+        for current, text in files:
+            target = os.path.realpath(current)
+            if _is_special(target):
+                in_place.append((current, text))
+            else:
+                staged.append((_stage(target, text), target, current))
+        for current, text in in_place:
+            with open(current, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        for temp, path in staged:
-            with _naming(path):
-                os.replace(temp, path)
+        for temp, target, current in staged:
+            os.replace(temp, target)
         staged.clear()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, current) from exc
     finally:
-        for temp, _ in staged:
+        for temp, _, _ in staged:
             with contextlib.suppress(OSError):
                 os.unlink(temp)
-
-
-@contextlib.contextmanager
-def _naming(path: str) -> Iterator[None]:
-    """Re-raise an OSError as one that names path."""
-    try:
-        yield
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _is_special(path: str) -> bool:
@@ -266,22 +263,24 @@ def _is_special(path: str) -> bool:
     return not stat.S_ISREG(mode)
 
 
-def _stage(path: str, text: str) -> str:
-    """Write text to a new hidden file beside path; returns its name."""
-    head, tail = os.path.split(path)
-    while True:
-        temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-        try:
-            handle = open(temp, "x", encoding="utf-8")
-        except FileExistsError:
-            continue
-        try:
-            with handle:
-                handle.write(text)
-        except BaseException:
-            os.unlink(temp)
-            raise
-        return temp
+def _stage(target: str, text: str) -> str:
+    """Write text to a new hidden file beside target, with target's mode
+    if it exists; returns the new file's name."""
+    head, tail = os.path.split(target)
+    handle, temp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")
+    try:
+        with open(handle, "w", encoding="utf-8") as staged:
+            staged.write(text)
+        if os.path.exists(target):
+            shutil.copymode(target, temp)
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(temp, 0o666 & ~umask)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    return temp
 
 
 def _cmd_orderings(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:

@@ -1,6 +1,7 @@
 """`osalg run` writes its output files all or nothing."""
 
 import os
+import stat
 
 import pytest
 
@@ -53,6 +54,34 @@ def test_success_replaces_both(tmp_path, capsys):
     assert metrics.read_text().startswith("makespan=5\n")
     assert sorted(os.listdir(tmp_path)) == ["m.txt", "t.csv", "w.txt"]
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+def test_symlinked_trace_is_written_through(tmp_path, capsys):
+    target = tmp_path / "real.csv"
+    target.write_text("earlier trace\n")
+    link = tmp_path / "t.csv"
+    link.symlink_to(target)
+    assert run_to(tmp_path, link, tmp_path / "m.txt") == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text().startswith("instant,event,pid,detail\n")
+
+
+def test_replaced_file_keeps_its_mode(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("earlier trace\n")
+    trace.chmod(0o640)
+    assert run_to(tmp_path, trace, tmp_path / "m.txt") == EXIT_OK
+    assert stat.S_IMODE(trace.stat().st_mode) == 0o640
+
+
+def test_new_file_gets_the_mode_of_a_plain_open(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    metrics = tmp_path / "m.txt"
+    assert run_to(tmp_path, tmp_path / "t.csv", metrics) == EXIT_OK
+    assert stat.S_IMODE(metrics.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")

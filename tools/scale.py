@@ -2,11 +2,12 @@
 
     python3 tools/scale.py                        # this tree only
     python3 tools/scale.py --before HEAD~1        # before/after, interleaved
-    python3 tools/scale.py --before HEAD~1 --repeats 3 --out BENCH_scale.json
+    python3 tools/scale.py --before HEAD~1 --out BENCH_scale.json
 
 Run it from the repository root. Each cell is one scheduler x allocator
-pair at one workload size n: a seeded workload of n procedures (sizes
-1-16, times 1-12, priorities 0-9, both work classes) is simulated by an
+pair of PAIRS at one workload size n of SIZES: a workload of n
+procedures drawn with SEED (sizes 1-16, times 1-12, priorities 0-9,
+both work classes) is simulated REPEATS times, each by an
 in-process ``osalg.sim.run`` call with strict mode off, in a child
 process that imports ``osalg`` from the tree under test. Only that call
 is timed; building the workload is not. A cell's figure is the median
@@ -41,6 +42,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MEMORY = 65536
+SIZES = (1000, 4000)
+SEED = 0
+REPEATS = 5
 
 # pair name -> (SimConfig keywords, largest arrival gap)
 PAIRS = {
@@ -51,9 +55,9 @@ PAIRS = {
 }
 
 
-def workload(pair: str, n: int, seed: int) -> list[dict]:
+def workload(pair: str, n: int) -> list[dict]:
     """The procedures of one cell, as Procedure keywords in arrival order."""
-    rng = random.Random(f"scale:{pair}:{n}:{seed}")
+    rng = random.Random(f"scale:{pair}:{n}:{SEED}")
     _, max_gap = PAIRS[pair]
     procedures, arrival = [], 0
     for pid in range(1, n + 1):
@@ -69,7 +73,7 @@ def workload(pair: str, n: int, seed: int) -> list[dict]:
     return procedures
 
 
-def measure(src: str, pair: str, n: int, seed: int) -> dict:
+def measure(src: str, pair: str, n: int) -> dict:
     """Time one simulation of a cell with the osalg found under src."""
     sys.path.insert(0, src)
     from osalg.core import Procedure, WorkClass
@@ -77,7 +81,7 @@ def measure(src: str, pair: str, n: int, seed: int) -> dict:
 
     procedures = [
         Procedure(**{**kw, "io_class": WorkClass(kw["io_class"])})
-        for kw in workload(pair, n, seed)
+        for kw in workload(pair, n)
     ]
     cfg = SimConfig(memory_capacity=MEMORY, **PAIRS[pair][0])
     gc.collect()
@@ -91,10 +95,10 @@ def measure(src: str, pair: str, n: int, seed: int) -> dict:
     }
 
 
-def cell(src: Path, pair: str, n: int, seed: int) -> dict:
+def cell(src: Path, pair: str, n: int) -> dict:
     """One measurement in a fresh child process."""
     done = subprocess.run(
-        [sys.executable, __file__, "--cell", str(src), pair, str(n), str(seed)],
+        [sys.executable, __file__, "--cell", str(src), pair, str(n)],
         capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -112,7 +116,7 @@ def describe(tree: Path, rev: str | None = None) -> str:
     return done.stdout.strip()
 
 
-def summarize(runs: dict, sizes: list[int]) -> dict:
+def summarize(runs: dict) -> dict:
     cells, slopes = {}, {}
     for pair, by_n in runs.items():
         figures = {}
@@ -125,27 +129,21 @@ def summarize(runs: dict, sizes: list[int]) -> dict:
                 "events": samples[0]["events"],
                 "peak_rss_mb": round(max(s["peak_rss_mb"] for s in samples), 1),
             }
-        slopes[pair] = round(figures[max(sizes)] / figures[min(sizes)], 2)
+        slopes[pair] = round(figures[max(SIZES)] / figures[min(SIZES)], 2)
     return {"cells": cells, "slopes": slopes}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", help="git revision to measure alongside this tree")
-    parser.add_argument("--sizes", default="1000,4000", help="comma-separated n")
-    parser.add_argument("--pairs", default=",".join(PAIRS), help="comma-separated pairs")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="JSON path (default: print only)")
-    parser.add_argument("--cell", nargs=4, help=argparse.SUPPRESS)
+    parser.add_argument("--cell", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.cell:
-        src, pair, n, seed = args.cell
-        print(json.dumps(measure(src, pair, int(n), int(seed))))
+        src, pair, n = args.cell
+        print(json.dumps(measure(src, pair, int(n))))
         return 0
 
-    sizes = [int(n) for n in args.sizes.split(",")]
-    pairs = args.pairs.split(",")
     with tempfile.TemporaryDirectory() as scratch:
         trees = {"after": (ROOT, describe(ROOT))}
         if args.before:
@@ -155,16 +153,16 @@ def main() -> int:
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-C", str(before)], input=archive, check=True)
             trees = {"before": (before, describe(ROOT, args.before)), **trees}
-        runs = {side: {p: {n: [] for n in sizes} for p in pairs} for side in trees}
-        for repeat in range(args.repeats):
-            for pair in pairs:
-                for n in sizes:
+        runs = {side: {p: {n: [] for n in SIZES} for p in PAIRS} for side in trees}
+        for repeat in range(REPEATS):
+            for pair in PAIRS:
+                for n in SIZES:
                     # alternate which tree goes first, so neither always
                     # runs on the host right after the other
                     order = list(trees) if repeat % 2 == 0 else list(reversed(trees))
                     for side in order:
                         tree, _ = trees[side]
-                        sample = cell(tree / "src", pair, n, args.seed)
+                        sample = cell(tree / "src", pair, n)
                         runs[side][pair][n].append(sample)
                         rate = sample["seconds"] / sample["events"] * 1e6
                         print(f"{side:6} {pair:16} n={n:<6} {rate:9.2f} us/event",
@@ -173,12 +171,12 @@ def main() -> int:
         "what": "in-process osalg.sim.run, strict off, memory 65536; "
                 "us/event is the median over repeats of host wall time per "
                 "trace event; slope is us/event at the largest n over the smallest",
-        "sizes": sizes,
-        "repeats": args.repeats,
-        "seed": args.seed,
+        "sizes": list(SIZES),
+        "repeats": REPEATS,
+        "seed": SEED,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        **{side: {"commit": trees[side][1], **summarize(runs[side], sizes)}
+        **{side: {"commit": trees[side][1], **summarize(runs[side])}
            for side in trees},
     }
     text = json.dumps(result, indent=2) + "\n"
