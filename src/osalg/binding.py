@@ -15,7 +15,7 @@ table that binds pages to frames is built and used.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -163,12 +163,14 @@ def legal_orderings(
     lexicographically. Cyclic dependencies raise CycleError naming one
     cycle.
     """
-    return _topological_orders(tuple(symbols), frozenset(dependencies))
+    return list(_topological_orders(tuple(symbols), frozenset(dependencies)))
 
 
 def _topological_orders(
     symbols: tuple[str, ...], dependencies: frozenset[tuple[str, str]]
-) -> list[tuple[str, ...]]:
+) -> Iterator[tuple[str, ...]]:
+    """The orders of `legal_orderings`, each yielded once it is found; a
+    cycle raises CycleError before the first."""
     nodes = sorted(set(symbols) | {s for pair in dependencies for s in pair})
     successors = _successor_index(dependencies)
     _find_cycle(successors, successors)
@@ -179,7 +181,6 @@ def _topological_orders(
     for _, then in dependencies:
         unplaced[then] += 1
     ready = [n for n in nodes if not unplaced[n]]
-    orders: list[tuple[str, ...]] = []
     prefix: list[str] = []
 
     def place(n: str) -> None:
@@ -209,11 +210,10 @@ def _topological_orders(
             break
         else:
             if len(prefix) == len(nodes):
-                orders.append(tuple(prefix))
+                yield tuple(prefix)
             pending.pop()
             if prefix:
                 unplace()
-    return orders
 
 
 def _successor_index(

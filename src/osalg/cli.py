@@ -16,12 +16,13 @@ import shutil
 import stat
 import sys
 import tempfile
-from typing import IO, Sequence
+from decimal import Decimal
+from fractions import Fraction
+from typing import IO, Any, Callable, Iterable, Sequence
 
-from .binding import legal_orderings
+from .binding import _topological_orders
 from .core import Procedure, ProcedureSet, WorkClass
 from .errors import (
-    CycleError,
     OsAlgError,
     ParameterError,
     UnrunnableProcedureError,
@@ -113,23 +114,51 @@ def emit_workload(procedures: ProcedureSet) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _extents_text(extents: Iterable[object]) -> str:
+    return "+".join(map(str, extents)) or "-"
+
+
+def _fraction_text(f: Fraction | None) -> str:
+    """str(f), or "-" for None, at any size: str() of an int stops at the
+    interpreter's digit limit (sys.get_int_max_str_digits), Decimal does
+    not."""
+    if f is None:
+        return "-"
+    text = str(Decimal(f.numerator))
+    return text if f.denominator == 1 else f"{text}/{Decimal(f.denominator)}"
+
+
+# The text of each trace field whose value `str` does not render
+_FIELD_TEXT: dict[str, Callable[[Any], str]] = {
+    "extents": _extents_text,
+    "backing": _extents_text,
+    "segments": lambda placed: "+".join(f"{length}@{base}" for _, length, base in placed),
+    "pages": lambda entries: "+".join(f"{page}:{frame}" for page, frame in entries),
+    "ext_frag": _fraction_text,
+    "class": lambda io_class: io_class.value,
+}
+
+
 def render_trace(trace: Trace) -> str:
-    """One CSV line per event, stable field order."""
+    """One CSV line per event, its fields in the order the event carries
+    them."""
     lines = ["instant,event,pid,detail"]
-    lines.extend(
-        f"{e.instant},{e.kind.value},{e.pid},{e.detail_str}" for e in trace.events
-    )
+    text = _FIELD_TEXT.get
+    for e in trace.events:
+        fields = []
+        for k, v in e.detail:
+            render = text(k)
+            fields.append(f"{k}={v}" if render is None else f"{k}={render(v)}")
+        lines.append(f"{e.instant},{e.kind.value},{e.pid},{' '.join(fields)}")
     return "\n".join(lines) + "\n"
 
 
 def render_metrics(m: Metrics) -> str:
     lines = [
         f"makespan={m.makespan}",
-        f"mean_waiting={m.mean_waiting}",
-        f"mean_turnaround={m.mean_turnaround}",
-        "mean_external_fragmentation="
-        + (str(m.mean_external_fragmentation)
-           if m.mean_external_fragmentation is not None else "-"),
+        f"mean_waiting={_fraction_text(m.mean_waiting)}",
+        f"mean_turnaround={_fraction_text(m.mean_turnaround)}",
+        f"mean_external_fragmentation={_fraction_text(m.mean_external_fragmentation)}",
         f"internal_fragmentation_total={m.internal_fragmentation_total}",
     ]
     for pid in sorted(m.waiting):
@@ -196,6 +225,12 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE
     try:
+        for path in filter(None, (args.trace, args.metrics)):
+            _check_writable(path)
+    except OSError as exc:
+        print(f"usage error: cannot write {path}: {exc.strerror}", file=err)
+        return EXIT_USAGE
+    try:
         trace, measured = run(workload, cfg)
     except UnrunnableProcedureError as exc:
         print(f"error: {exc}", file=err)
@@ -215,6 +250,16 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
         if not path:
             out.write(text)
     return EXIT_OK
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError when `_write_files` could not write path for a reason
+    known before there is anything to write, such as a directory at path
+    or a missing or unwritable directory around it: stage an empty text
+    for it as `_write_files` would, then remove it."""
+    target = os.path.realpath(path)
+    if not _is_special(target):
+        os.unlink(_stage(target, ""))
 
 
 def _write_files(files: Sequence[tuple[str, str]]) -> None:
@@ -295,12 +340,8 @@ def _cmd_orderings(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
             return EXIT_USAGE
         first, then = pair.split("<", 1)
         deps.append((first.strip(), then.strip()))
-    try:
-        orders = legal_orderings(symbols, deps)
-    except CycleError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_WORKLOAD
-    for order in orders:
+    # a cycle raises CycleError before the first order; main reports it
+    for order in _topological_orders(tuple(symbols), frozenset(deps)):
         out.write(",".join(order) + "\n")
     return EXIT_OK
 

@@ -85,7 +85,10 @@ _KIND_ORDER = {
     EventKind.DISPATCH: 8,
 }
 
-Detail = tuple[tuple[str, str], ...]
+# An event's fields in render order, as values: int sizes, times and lengths,
+# tuples of Extent, SegmentMap.segments, PageMap.entries, the WorkClass, and
+# a Fraction, or None, for ext_frag. Only the CLI renders them as text.
+Detail = tuple[tuple[str, object], ...]
 Extents = tuple[Extent, ...]
 Graph = bindingmod.BindingGraph
 
@@ -97,11 +100,7 @@ class TraceEvent:
     pid: int
     detail: Detail = ()
 
-    @property
-    def detail_str(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.detail)
-
-    def value(self, key: str) -> str | None:
+    def value(self, key: str) -> object:
         for k, v in self.detail:
             if k == key:
                 return v
@@ -174,11 +173,6 @@ class SimConfig:
         )
 
 
-def _format_extents(extents: Iterable[Extent]) -> str:
-    text = "+".join(str(e) for e in extents)
-    return text or "-"
-
-
 class _Memory:
     """Primary/backing state pair under one allocator.
 
@@ -224,11 +218,10 @@ class _Memory:
     def allocate(self, p: Procedure) -> Detail:
         """Grant memory to p; returns the trace detail of the grant."""
         extra, int_frag = self.grant(p)
-        extents = _format_extents(self.primary.extents_of(p.id))
         return (
-            (("extents", extents),)
+            (("extents", self.primary.extents_of(p.id)),)
             + extra
-            + (("ext_frag", self.frag_sample()), ("int_frag", str(int_frag)))
+            + (("ext_frag", self.frag_sample()), ("int_frag", int_frag))
         )
 
     def release(self, pid: int) -> Extents:
@@ -257,11 +250,11 @@ class _Memory:
         """The binding log after procedure pid is dispatched at `at`."""
         return graph
 
-    def frag_sample(self) -> str:
+    def frag_sample(self) -> Fraction | None:
         total = self.primary.free_size
         if total == 0:
-            return "-"
-        return str(Fraction(self.primary.largest_free(), total))
+            return None
+        return Fraction(self.primary.largest_free(), total)
 
     def check(self) -> None:
         checked_primary, checked_backing = self.checked
@@ -318,10 +311,7 @@ class _Segmentation(_Memory):
     def grant(self, p: Procedure) -> tuple[Detail, int]:
         spec = p.segments if p.segments is not None else ((p.size,) if p.size else ())
         seg_map, self.primary = segment_alloc(p, spec, self.discipline, self.primary)
-        if not seg_map.segments:
-            return (), 0
-        placed = "+".join(f"{length}@{base}" for _, length, base in seg_map.segments)
-        return (("segments", placed),), 0
+        return ((("segments", seg_map.segments),) if seg_map.segments else ()), 0
 
 
 class _Paging(_Memory):
@@ -358,9 +348,7 @@ class _Paging(_Memory):
     def grant(self, p: Procedure) -> tuple[Detail, int]:
         pagination = self.pagination(p)
         page_map, self.primary = build_page_table(pagination, self.primary)
-        extra: Detail = ()
-        if page_map.entries:
-            extra = (("pages", "+".join(f"{pg}:{fr}" for pg, fr in page_map.entries)),)
+        extra: Detail = (("pages", page_map.entries),) if page_map.entries else ()
         return extra, pagination.internal_fragmentation
 
     def release(self, pid: int) -> Extents:
@@ -534,36 +522,6 @@ SCHEDULERS: dict[str, Callable[[SimConfig], Policy]] = {
 }
 
 
-class _TraceBuilder:
-    """Buffers events per instant and flushes them in the fixed kind order."""
-
-    def __init__(self) -> None:
-        self.done: list[TraceEvent] = []
-        self.buffer: list[tuple[int, int, TraceEvent]] = []
-        self.open_instant: int | None = None
-        self.seq = 0
-
-    def emit(self, instant: int, kind: EventKind, pid: int, detail: Detail = ()) -> None:
-        if self.open_instant is not None and instant < self.open_instant:
-            raise OsAlgError(f"event at {instant} after instant {self.open_instant}")
-        if self.open_instant is None or instant > self.open_instant:
-            self.flush()
-            self.open_instant = instant
-        self.buffer.append(
-            (_KIND_ORDER[kind], self.seq, TraceEvent(instant, kind, pid, detail))
-        )
-        self.seq += 1
-
-    def flush(self) -> None:
-        self.buffer.sort(key=lambda item: (item[0], item[1]))
-        self.done.extend(event for _, _, event in self.buffer)
-        self.buffer.clear()
-
-    def finish(self) -> tuple[TraceEvent, ...]:
-        self.flush()
-        return tuple(self.done)
-
-
 class _Simulation:
     """One run; `policy`, when given, replaces the scheduler cfg names."""
 
@@ -576,7 +534,8 @@ class _Simulation:
         self.stream = stream
         self.memory = ALLOCATORS[cfg.allocator](cfg)
         self.policy = policy or SCHEDULERS[cfg.scheduler](cfg)
-        self.trace = _TraceBuilder()
+        # events in emission order; instants never decrease along it
+        self.events: list[TraceEvent] = []
         self.clock = 0
         self.procs: dict[int, Procedure] = {}
         self.remaining: dict[int, int] = {}
@@ -591,7 +550,10 @@ class _Simulation:
         self.checked_graph: Graph | None = None
 
     def emit(self, instant: int, kind: EventKind, pid: int, detail: Detail = ()) -> None:
-        self.trace.emit(instant, kind, pid, detail)
+        last = self.events[-1].instant if self.events else instant
+        if instant < last:
+            raise OsAlgError(f"event at {instant} after instant {last}")
+        self.events.append(TraceEvent(instant, kind, pid, detail))
         if self.strict:
             self.memory.check()
             self.check_bindings()
@@ -618,13 +580,13 @@ class _Simulation:
             raise ParameterError(f"procedure {p.id} has no priority")
         self.procs[p.id] = p
         self.remaining[p.id] = p.time
-        detail: list[tuple[str, str]] = [("size", str(p.size)), ("time", str(p.time))]
+        detail: list[tuple[str, object]] = [("size", p.size), ("time", p.time)]
         if p.priority is not None:
-            detail.append(("priority", str(p.priority)))
+            detail.append(("priority", p.priority))
         if p.owner is not None:
             detail.append(("owner", p.owner))
         if p.io_class is not None:
-            detail.append(("class", p.io_class.value))
+            detail.append(("class", p.io_class))
         self.emit(p.arrival, EventKind.ARRIVE, p.id, tuple(detail))
         if not self.try_admit(p, p.arrival):
             self.backlog.append(p)
@@ -665,10 +627,7 @@ class _Simulation:
             at,
             EventKind.SWAP_OUT,
             record.pid,
-            (
-                ("extents", _format_extents(freed)),
-                ("backing", _format_extents(record.backing_extents)),
-            ),
+            (("extents", freed), ("backing", record.backing_extents)),
         )
         return True
 
@@ -687,9 +646,7 @@ class _Simulation:
             except AllocationFailure:
                 break
             self.swapped.popleft()
-            self.emit(
-                at, EventKind.SWAP_IN, p.id, (("extents", _format_extents(granted)),)
-            )
+            self.emit(at, EventKind.SWAP_IN, p.id, (("extents", granted),))
             self.record_allocation_bindings(p, at)
             self.ready.add(p)
         while self.backlog:
@@ -720,7 +677,7 @@ class _Simulation:
             if not self.memory.primary.holds(chosen.id):
                 raise OsAlgError(f"dispatch of non-resident procedure {chosen.id}")
         self.cpu_frontier = self.clock + run
-        self.emit(self.clock, EventKind.DISPATCH, chosen.id, (("run", str(run)),))
+        self.emit(self.clock, EventKind.DISPATCH, chosen.id, (("run", run),))
         self.graph = self.memory.use(self.graph, chosen.id, self.clock)
         self.running = (chosen.id, self.clock, self.clock + run)
 
@@ -732,12 +689,10 @@ class _Simulation:
         if self.remaining[pid] == 0:
             self.emit(end, EventKind.COMPLETE, pid)
             freed = self.memory.release(pid)
-            self.emit(
-                end, EventKind.DEALLOCATE, pid, (("extents", _format_extents(freed)),)
-            )
+            self.emit(end, EventKind.DEALLOCATE, pid, (("extents", freed),))
             self.reclaim(end)
         else:
-            self.emit(end, EventKind.PREEMPT, pid, (("left", str(self.remaining[pid])),))
+            self.emit(end, EventKind.PREEMPT, pid, (("left", self.remaining[pid]),))
             self.holdover = self.procs[pid]
 
     def run(self) -> Trace:
@@ -765,10 +720,12 @@ class _Simulation:
                     continue
                 raise OsAlgError("simulation stuck: nothing ready, memory idle")
             break
-        events = self.trace.finish()
         if self.strict:
             self.check_bindings()
-        return Trace(events=events, binding=self.graph)
+        # a stable sort: events of one instant keep their emission order
+        # within each kind
+        events = sorted(self.events, key=lambda e: (e.instant, _KIND_ORDER[e.kind]))
+        return Trace(events=tuple(events), binding=self.graph)
 
 
 def run(
@@ -802,7 +759,7 @@ def dispatch_slices(
     cfg = SimConfig(memory_capacity=max(1, sum(p.size for p in members)))
     trace = _Simulation(ArrivalStream(members), cfg, False, policy).run()
     return [
-        (e.pid, e.instant, int(e.value("run") or 0))
+        (e.pid, e.instant, e.value("run"))
         for e in trace.of_kind(EventKind.DISPATCH)
     ]
 
@@ -821,14 +778,14 @@ def metrics(t: Trace) -> Metrics:
     for e in t.events:
         if e.kind is EventKind.ARRIVE:
             arrivals[e.pid] = e.instant
-            times[e.pid] = int(e.value("time") or 0)
+            times[e.pid] = e.value("time")
         elif e.kind is EventKind.COMPLETE:
             completions[e.pid] = e.instant
         elif e.kind is EventKind.ALLOCATE:
             sample = e.value("ext_frag")
-            if sample and sample != "-":
-                frag_samples.append(Fraction(sample))
-            int_frag += int(e.value("int_frag") or 0)
+            if sample is not None:
+                frag_samples.append(sample)
+            int_frag += e.value("int_frag")
     unfinished = sorted(set(arrivals) - set(completions))
     if unfinished:
         raise IncompleteRunError(f"procedures never completed: {unfinished}")

@@ -1,13 +1,18 @@
 """Workload parsing, trace rendering, and the command-line surface."""
 
+import ast
+import importlib
 import importlib.util
+import random
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from osalg import WorkClass
+from osalg import Extent, SimConfig, WorkClass, run
 from osalg.cli import (
     EXIT_OK,
     EXIT_UNRUNNABLE,
@@ -16,9 +21,12 @@ from osalg.cli import (
     emit_workload,
     main,
     parse_workload,
+    render_trace,
 )
 from osalg.errors import WorkloadError
-from osalg.sim import ALLOCATORS, SCHEDULERS
+from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace, TraceEvent
+
+REPO = Path(__file__).resolve().parents[1]
 
 TWO_RECORDS = """\
 # two batch procedures
@@ -239,13 +247,101 @@ def test_help_lists_the_registry_names(capsys):
 def test_bench_names_match_the_registries(monkeypatch):
     """The benchmark imports nothing from osalg, so its own copy of the
     scheduler and allocator names is checked here."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    path = REPO / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
     assert workloads.SCHEDULERS == tuple(SCHEDULERS)
     assert workloads.ALLOCATORS == tuple(ALLOCATORS)
+
+
+def test_bench_span_targets_resolve():
+    """Every function the traced benchmark wraps is found where its span
+    wrapper looks for it: `vars(owner)[attr]`, with owner the module or
+    class on the target's path. The file is read, not imported."""
+    source = (REPO / "perfbench" / "spans.py").read_text(encoding="utf-8")
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    assert targets
+    for name, (module, path) in targets.items():
+        owner = importlib.import_module(module)
+        *classes, attr = path.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        assert attr in vars(owner), f"{name}: no {path} in {module}"
+
+
+def test_render_trace_renders_every_field_kind():
+    trace = Trace(events=(
+        TraceEvent(0, EventKind.ARRIVE, 1, (
+            ("size", 6), ("time", 3), ("priority", 2), ("owner", "ops"),
+            ("class", WorkClass.IO_BOUND),
+        )),
+        TraceEvent(0, EventKind.ADMIT, 1),
+        TraceEvent(0, EventKind.ALLOCATE, 1, (
+            ("extents", (Extent(0, 4), Extent(8, 10))),
+            ("segments", ((0, 4, 0), (1, 2, 8))),
+            ("ext_frag", Fraction(2, 3)), ("int_frag", 0),
+        )),
+        TraceEvent(0, EventKind.ALLOCATE, 2, (
+            ("extents", (Extent(4, 8),)), ("pages", ((0, 1), (1, 3))),
+            ("ext_frag", None), ("int_frag", 1),
+        )),
+        TraceEvent(0, EventKind.DISPATCH, 1, (("run", 2),)),
+        TraceEvent(2, EventKind.PREEMPT, 1, (("left", 1),)),
+        TraceEvent(2, EventKind.SWAP_OUT, 1, (
+            ("extents", (Extent(0, 4), Extent(8, 10))), ("backing", (Extent(0, 6),)),
+        )),
+        TraceEvent(3, EventKind.SWAP_IN, 1, (("extents", ()),)),
+        TraceEvent(4, EventKind.COMPLETE, 1),
+        TraceEvent(4, EventKind.DEALLOCATE, 1, (("extents", ()),)),
+    ))
+    assert render_trace(trace) == (
+        "instant,event,pid,detail\n"
+        "0,Arrive,1,size=6 time=3 priority=2 owner=ops class=IoBound\n"
+        "0,Admit,1,\n"
+        "0,Allocate,1,extents=[0..4)+[8..10) segments=4@0+2@8 ext_frag=2/3 int_frag=0\n"
+        "0,Allocate,2,extents=[4..8) pages=0:1+1:3 ext_frag=- int_frag=1\n"
+        "0,Dispatch,1,run=2\n"
+        "2,Preempt,1,left=1\n"
+        "2,SwapOut,1,extents=[0..4)+[8..10) backing=[0..6)\n"
+        "3,SwapIn,1,extents=-\n"
+        "4,Complete,1,\n"
+        "4,Deallocate,1,extents=-\n"
+    )
+
+
+def test_metrics_past_the_int_to_str_digit_limit(tmp_path):
+    """The mean fragmentation of a few thousand buddy grants has a
+    denominator of more digits than str() of an int allows by default;
+    it is still written exactly."""
+    rng = random.Random(0)
+    text = "".join(
+        f"id={i} size={rng.randint(1, 16)} time={rng.randint(1, 12)}\n"
+        for i in range(1, 2501)
+    )
+    wpath, mpath = tmp_path / "w.txt", tmp_path / "m.txt"
+    wpath.write_text(text)
+    code = main([
+        "run", "--workload", str(wpath), "--scheduler", "sjf-time",
+        "--allocator", "buddy", "--memory", "65536",
+        "--trace", str(tmp_path / "t.csv"), "--metrics", str(mpath),
+    ])
+    assert code == EXIT_OK
+    line = mpath.read_text().splitlines()[3]
+    key, value = line.split("=")
+    numerator, denominator = value.split("/")
+    assert key == "mean_external_fragmentation" and len(denominator) > 4300
+    cfg = SimConfig(memory_capacity=65536, scheduler="sjf-time", allocator="buddy")
+    _, measured = run(parse_workload(text), cfg)
+    assert Fraction(int(Decimal(numerator)), int(Decimal(denominator))) == (
+        measured.mean_external_fragmentation
+    )
 
 
 @pytest.mark.parametrize("allocator, flags", [

@@ -1,12 +1,16 @@
 """Legal binding orders against the enumerator that scans every symbol at
 every position of the prefix."""
 
+import itertools
+import signal
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from osalg.binding import _find_cycle, _successor_index, legal_orderings
+from osalg.cli import main
 from osalg.errors import CycleError
 
 
@@ -88,3 +92,40 @@ def test_long_chain_takes_one_pass():
     elapsed = time.perf_counter() - start
     assert orders == [tuple(reversed(names))]
     assert elapsed < 0.5  # about 0.02 s; the full rescan took about 0.7 s
+
+
+class Enough(Exception):
+    """Raised by the output once it has what the test reads."""
+
+
+class FirstLines:
+    def __init__(self, wanted):
+        self.lines, self.wanted = [], wanted
+
+    def write(self, text):
+        self.lines.append(text)
+        if len(self.lines) == self.wanted:
+            raise Enough
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+def test_orderings_are_written_as_they_are_found(monkeypatch):
+    """12 free symbols have 479 001 600 orders; the first ten are printed
+    at once, not after all of them are collected."""
+    symbols = "abcdefghijkl"
+    out = FirstLines(10)
+    monkeypatch.setattr(sys, "stdout", out)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("no 10 orders within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(Enough):
+            main(["orderings", "--symbols", ",".join(symbols)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    first = itertools.islice(itertools.permutations(symbols), 10)
+    assert out.lines == [",".join(order) + "\n" for order in first]

@@ -101,3 +101,35 @@ def test_stdout_waits_for_the_files(tmp_path, capsys):
     ])
     assert code == EXIT_USAGE
     assert capsys.readouterr().out == ""  # the trace is not printed either
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("the simulation ran before the paths were checked")
+
+    monkeypatch.setattr("osalg.cli.run", run)
+
+
+def unwritable_dir(tmp_path):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    locked.chmod(0o500)
+    if os.access(locked, os.W_OK):  # e.g. as root, mode bits do not stop a write
+        locked.chmod(0o700)
+        pytest.skip("this user can write into a read-only directory")
+    return locked / "m.txt"
+
+
+@pytest.mark.parametrize("bad_path", [
+    pytest.param(lambda tmp: tmp, id="directory"),
+    pytest.param(lambda tmp: tmp / "missing" / "m.txt", id="missing-parent"),
+    pytest.param(lambda tmp: tmp / "w.txt" / "m.txt", id="file-as-parent"),
+    pytest.param(unwritable_dir, id="unwritable-parent"),
+])
+def test_bad_path_is_reported_before_the_run(tmp_path, capsys, no_simulation, bad_path):
+    metrics = bad_path(tmp_path)
+    code = run_to(tmp_path, tmp_path / "t.csv", metrics)
+    assert code == EXIT_USAGE
+    assert f"usage error: cannot write {metrics}: " in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from osalg import (
+    Extent,
     ProcedureSet,
     SimConfig,
     Trace,
@@ -30,7 +31,7 @@ from conftest import proc, random_batch, random_arrivals, regression_runs
 
 def dispatch_slices(trace):
     return [
-        (e.pid, e.instant, int(e.value("run")))
+        (e.pid, e.instant, e.value("run"))
         for e in trace.of_kind(EventKind.DISPATCH)
     ]
 
@@ -51,7 +52,7 @@ def check_trace_wellformed(trace):
         elif e.kind is EventKind.DISPATCH:
             assert e.pid in resident, f"dispatch of non-resident {e.pid}"
             dispatched.add(e.pid)
-            intervals.append((e.instant, e.instant + int(e.value("run"))))
+            intervals.append((e.instant, e.instant + e.value("run")))
         elif e.kind is EventKind.COMPLETE:
             assert e.pid in dispatched
     intervals.sort()
@@ -89,6 +90,26 @@ class TestHandScenarios:
         assert m.makespan == 0
 
 
+def test_events_carry_typed_values():
+    """Fields are values, not text: the CLI alone renders them."""
+    ps = [proc(1, size=4, time=3), proc(2, size=4, time=2)]
+    trace, _ = run(ps, SimConfig(memory_capacity=8), strict=True)
+    for e in trace.of_kind(EventKind.ARRIVE):
+        assert type(e.value("size")) is int and type(e.value("time")) is int
+    runs = [e.value("run") for e in trace.of_kind(EventKind.DISPATCH)]
+    assert runs == [3, 2] and all(type(r) is int for r in runs)
+    for kind in (EventKind.ALLOCATE, EventKind.DEALLOCATE):
+        for e in trace.of_kind(kind):
+            extents = e.value("extents")
+            assert type(extents) is tuple
+            assert extents and all(isinstance(x, Extent) for x in extents)
+    allocations = trace.of_kind(EventKind.ALLOCATE)
+    # the first grant leaves [4..8) free, the second leaves nothing free
+    assert [e.value("ext_frag") for e in allocations] == [Fraction(1), None]
+    assert type(allocations[0].value("ext_frag")) is Fraction
+    assert [e.value("int_frag") for e in allocations] == [0, 0]
+
+
 class TestMetricsArithmetic:
     def test_fcfs_batch(self):
         ps = [proc(1, time=3), proc(2, time=2), proc(3, time=1)]
@@ -117,8 +138,8 @@ class TestMetricsArithmetic:
 
     def test_incomplete_trace_rejected(self):
         partial = Trace(events=(
-            TraceEvent(0, EventKind.ARRIVE, 1, (("size", "1"), ("time", "2"))),
-            TraceEvent(0, EventKind.DISPATCH, 1, (("run", "1"),)),
+            TraceEvent(0, EventKind.ARRIVE, 1, (("size", 1), ("time", 2))),
+            TraceEvent(0, EventKind.DISPATCH, 1, (("run", 1),)),
         ))
         with pytest.raises(IncompleteRunError):
             metrics(partial)
@@ -280,7 +301,7 @@ class TestEverySchedulerAllocatorPair:
                 assert validate(trace.binding) == []
                 for p in ps:
                     total = sum(
-                        int(e.value("run"))
+                        e.value("run")
                         for e in trace.of_kind(EventKind.DISPATCH)
                         if e.pid == p.id
                     )
