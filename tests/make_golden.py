@@ -1,5 +1,5 @@
-"""Golden outputs that pin the simulator's and the batch schedulers'
-behaviour byte for byte.
+"""Golden outputs that pin the simulator's traces, metrics and binding
+logs, and the batch schedulers' behaviour, byte for byte.
 
 `tests/test_golden.py` compares every file under `tests/golden/` with
 `golden_files()`. Rewrite the files only when a change of output is
@@ -23,6 +23,7 @@ from osalg import (
     sjf,
     variable_quantum,
 )
+from osalg.binding import export_edges
 from osalg.cli import render_metrics, render_trace
 
 from conftest import random_arrivals, regression_runs
@@ -57,6 +58,7 @@ def golden_files() -> dict[str, str]:
         trace, measured = run(workload, cfg, strict=False)
         files[f"run-{name}.trace.csv"] = render_trace(trace)
         files[f"run-{name}.metrics.txt"] = render_metrics(measured)
+        files[f"run-{name}.binding.txt"] = export_edges(trace.binding)
     for load, workload in batch_workloads().items():
         for sched, schedule in BATCH_SCHEDULERS.items():
             lines = ["pid,start,length"]
