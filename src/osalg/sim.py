@@ -109,7 +109,8 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class Trace:
-    """Ordered event log of one run, plus the auto-recorded binding log."""
+    """Ordered event log of one run, plus the binding log derived from it
+    by the run's allocator (`_Memory.binding_log`)."""
 
     events: tuple[TraceEvent, ...] = ()
     binding: bindingmod.BindingGraph = field(default_factory=bindingmod.BindingGraph)
@@ -178,7 +179,8 @@ class _Memory:
 
     This base class is first fit over the identity organization; each
     other allocator is a subclass that changes its organizer, its
-    feasibility test, its grant and, for paging, its binding hooks.
+    feasibility test, its grant and, for paging, the binding log it
+    derives from a trace.
     Swap-in is the same for all: the primary state's free store regrants
     the procedure in its own pieces. `ALLOCATORS` maps each allocator
     name to its class.
@@ -242,13 +244,10 @@ class _Memory:
         )
         return granted
 
-    def bind(self, graph: Graph, p: Procedure, at: int) -> Graph:
-        """The binding log after p is made resident at `at`."""
-        return graph
-
-    def use(self, graph: Graph, pid: int, at: int) -> Graph:
-        """The binding log after procedure pid is dispatched at `at`."""
-        return graph
+    def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
+        """The binding log of a run whose sorted trace is `events`: the
+        free store is bound at 0."""
+        return bindingmod.record(Graph(), self.symbol, bindingmod.EventKind.BIND, 0)
 
     def frag_sample(self) -> Fraction | None:
         total = self.primary.free_size
@@ -355,17 +354,22 @@ class _Paging(_Memory):
         self.paginations.pop(pid, None)
         return super().release(pid)
 
-    def bind(self, graph: Graph, p: Procedure, at: int) -> Graph:
-        pages = f"pages:{p.id}"
-        table = f"page-table:{p.id}"
-        graph = bindingmod.record(graph, pages, bindingmod.EventKind.BIND, at)
-        graph = bindingmod.record(graph, table, bindingmod.EventKind.BIND, at)
-        graph = graph.with_dependency("frames", table)
-        return graph.with_dependency(pages, table)
-
-    def use(self, graph: Graph, pid: int, at: int) -> Graph:
-        table = f"page-table:{pid}"
-        return bindingmod.record(graph, table, bindingmod.EventKind.USE, at)
+    def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
+        """Each Allocate or SwapIn of p binds p's pages, then p's page
+        table, which depends on the frames and on those pages; each
+        Dispatch of p uses p's page table."""
+        graph = super().binding_log(events)
+        bind, use = bindingmod.EventKind.BIND, bindingmod.EventKind.USE
+        for e in events:
+            if e.kind is EventKind.ALLOCATE or e.kind is EventKind.SWAP_IN:
+                pages, table = f"pages:{e.pid}", f"page-table:{e.pid}"
+                graph = bindingmod.record(graph, pages, bind, e.instant)
+                graph = bindingmod.record(graph, table, bind, e.instant)
+                graph = graph.with_dependency(self.symbol, table)
+                graph = graph.with_dependency(pages, table)
+            elif e.kind is EventKind.DISPATCH:
+                graph = bindingmod.record(graph, f"page-table:{e.pid}", use, e.instant)
+        return graph
 
 
 # Each allocator name -> its class; `check_config` checks its parameters.
@@ -545,9 +549,6 @@ class _Simulation:
         self.running: tuple[int, int, int] | None = None  # pid, start, end
         self.holdover: Procedure | None = None  # preempted, rejoins after arrivals
         self.cpu_frontier = 0  # first CPU instant not yet assigned
-        bind = bindingmod.EventKind.BIND
-        self.graph = bindingmod.record(Graph(), self.memory.symbol, bind, 0)
-        self.checked_graph: Graph | None = None
 
     def emit(self, instant: int, kind: EventKind, pid: int, detail: Detail = ()) -> None:
         last = self.events[-1].instant if self.events else instant
@@ -556,17 +557,6 @@ class _Simulation:
         self.events.append(TraceEvent(instant, kind, pid, detail))
         if self.strict:
             self.memory.check()
-            self.check_bindings()
-
-    def check_bindings(self) -> None:
-        # validate is a pure function of an immutable graph, so the graph
-        # last found clean needs no second look
-        if self.graph is self.checked_graph:
-            return
-        violations = bindingmod.validate(self.graph)
-        if violations:
-            raise OsAlgError(f"binding violations: {violations}")
-        self.checked_graph = self.graph
 
     # -- admission ---------------------------------------------------
 
@@ -603,7 +593,6 @@ class _Simulation:
                 return False
         self.emit(at, EventKind.ADMIT, p.id)
         self.emit(at, EventKind.ALLOCATE, p.id, detail)
-        self.record_allocation_bindings(p, at)
         self.ready.add(p)
         return True
 
@@ -631,9 +620,6 @@ class _Simulation:
         )
         return True
 
-    def record_allocation_bindings(self, p: Procedure, at: int) -> None:
-        self.graph = self.memory.bind(self.graph, p, at)
-
     # -- reclamation -------------------------------------------------
 
     def reclaim(self, at: int) -> None:
@@ -647,7 +633,6 @@ class _Simulation:
                 break
             self.swapped.popleft()
             self.emit(at, EventKind.SWAP_IN, p.id, (("extents", granted),))
-            self.record_allocation_bindings(p, at)
             self.ready.add(p)
         while self.backlog:
             if not self.try_admit(self.backlog[0], at):
@@ -678,7 +663,6 @@ class _Simulation:
                 raise OsAlgError(f"dispatch of non-resident procedure {chosen.id}")
         self.cpu_frontier = self.clock + run
         self.emit(self.clock, EventKind.DISPATCH, chosen.id, (("run", run),))
-        self.graph = self.memory.use(self.graph, chosen.id, self.clock)
         self.running = (chosen.id, self.clock, self.clock + run)
 
     def finish_slice(self) -> None:
@@ -720,12 +704,15 @@ class _Simulation:
                     continue
                 raise OsAlgError("simulation stuck: nothing ready, memory idle")
             break
-        if self.strict:
-            self.check_bindings()
         # a stable sort: events of one instant keep their emission order
         # within each kind
         events = sorted(self.events, key=lambda e: (e.instant, _KIND_ORDER[e.kind]))
-        return Trace(events=tuple(events), binding=self.graph)
+        graph = self.memory.binding_log(events)
+        if self.strict:
+            violations = bindingmod.validate(graph)
+            if violations:
+                raise OsAlgError(f"binding violations: {violations}")
+        return Trace(events=tuple(events), binding=graph)
 
 
 def run(
@@ -735,8 +722,9 @@ def run(
 ) -> tuple[Trace, Metrics]:
     """Simulate the workload under the configuration.
 
-    `strict` turns on per-event invariant checking; unset, it follows the
-    OSALG_STRICT environment variable.
+    `strict` turns on per-event invariant checking, and one check of the
+    binding log once the run is over; unset, it follows the OSALG_STRICT
+    environment variable.
     """
     if strict is None:
         strict = os.environ.get(STRICT_ENV, "") == "1"

@@ -365,19 +365,20 @@ class TestDeterminismAndInvariants:
         assert (first.symbol, first.kind.value, first.instant) == (symbol, "Bind", 0)
 
     def test_strict_mode_reports_binding_violation(self, monkeypatch):
-        """With the page-table bind left out, the dispatch's Use precedes
+        """With the page-table binds left out, the dispatch's Use precedes
         any binding: a strict run stops on it, a lax one completes."""
+        real_log = sim._Paging.binding_log
 
-        def bind_all_but_table(sim, p, at):
-            if sim.cfg.allocator == "paging":
-                table = f"page-table:{p.id}"
-                sim.graph = binding.record(sim.graph, f"pages:{p.id}", "Bind", at)
-                sim.graph = sim.graph.with_dependency("frames", table)
-                sim.graph = sim.graph.with_dependency(f"pages:{p.id}", table)
+        def log_without_table_binds(memory, events):
+            g = real_log(memory, events)
+            kept = tuple(
+                e for e in g.events
+                if e.kind is not binding.EventKind.BIND
+                or not e.symbol.startswith("page-table:")
+            )
+            return binding.BindingGraph(kept, g.dependencies)
 
-        monkeypatch.setattr(
-            _Simulation, "record_allocation_bindings", bind_all_but_table
-        )
+        monkeypatch.setattr(sim._Paging, "binding_log", log_without_table_binds)
         cfg = SimConfig(memory_capacity=32, allocator="paging", page_size=4)
         ps = [proc(1, size=10, time=2)]
         trace, _ = run(ps, cfg, strict=False)
@@ -386,6 +387,25 @@ class TestDeterminismAndInvariants:
         with pytest.raises(OsAlgError) as exc:
             run(ps, cfg, strict=True)
         assert str(exc.value) == f"binding violations: {violations}"
+
+    def test_strict_mode_validates_the_binding_log_once(self, monkeypatch):
+        """A strict run validates its finished binding log once; a lax run
+        never validates it."""
+        checked = []
+
+        def counted_validate(g):
+            checked.append(g)
+            return validate(g)
+
+        monkeypatch.setattr(binding, "validate", counted_validate)
+        ps = [proc(i, size=6, time=3, arrival=i, priority=i % 3) for i in range(1, 9)]
+        cfg = SimConfig(memory_capacity=16, backing_capacity=24, scheduler="rr",
+                        quantum=2, allocator="paging", page_size=4)
+        run(ps, cfg, strict=False)
+        assert checked == []
+        trace, _ = run(ps, cfg, strict=True)
+        assert len(trace.of_kind(EventKind.SWAP_IN)) > 0
+        assert checked == [trace.binding]
 
     def test_strict_mode_reports_a_corrupted_release(self, monkeypatch):
         """A release that leaves the freed extent allocated as well breaks
