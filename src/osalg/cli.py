@@ -353,13 +353,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     out, err = sys.stdout, sys.stderr
+    command = _cmd_run if args.command == "run" else _cmd_orderings
     try:
-        if args.command == "run":
-            return _cmd_run(args, out, err)
-        return _cmd_orderings(args, out, err)
+        code = command(args, out, err)
+        out.flush()  # so that a closed pipe is met here, not at exit
     except OsAlgError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_WORKLOAD
+    except BrokenPipeError:
+        # the reader stopped, which is no failure: what is still buffered
+        # goes to devnull, or the interpreter's final flush fails again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -109,8 +109,7 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class Trace:
-    """Ordered event log of one run, plus the binding log derived from it
-    by the run's allocator (`_Memory.binding_log`)."""
+    """Ordered event log of one run, plus the binding log derived from it."""
 
     events: tuple[TraceEvent, ...] = ()
     binding: bindingmod.BindingGraph = field(default_factory=bindingmod.BindingGraph)
@@ -722,9 +721,8 @@ def run(
 ) -> tuple[Trace, Metrics]:
     """Simulate the workload under the configuration.
 
-    `strict` turns on per-event invariant checking, and one check of the
-    binding log once the run is over; unset, it follows the OSALG_STRICT
-    environment variable.
+    `strict` turns on per-event invariant checks and one check of the binding
+    log at the end; unset, it follows the OSALG_STRICT environment variable.
     """
     if strict is None:
         strict = os.environ.get(STRICT_ENV, "") == "1"

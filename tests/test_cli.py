@@ -3,7 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -405,6 +407,29 @@ class TestMainOrderings:
     def test_bad_dep_syntax_is_usage_error(self, capsys):
         code = main(["orderings", "--symbols", "a,b", "--deps", "a-b"])
         assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, lines_read", [
+    (["orderings", "--symbols", "a,b,c,d,e,f,g,h"], 1),  # | head -1
+    (["run", "--scheduler", "fcfs", "--allocator", "first-fit"], 0),  # | head -0
+])
+def test_closed_pipe_ends_quietly(tmp_path, command, lines_read):
+    """A reader that closes the pipe early ends the command with exit 0
+    and nothing on stderr, also at the interpreter's final flush."""
+    if command[0] == "run":
+        (tmp_path / "w.txt").write_text(TWO_RECORDS)
+        command = [*command, "--workload", str(tmp_path / "w.txt")]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "osalg.cli", *command],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    for _ in range(lines_read):
+        assert child.stdout.readline()
+    child.stdout.close()
+    assert child.stderr.read() == b""
+    assert child.wait(timeout=60) == EXIT_OK
+    child.stderr.close()
 
 
 def test_no_subcommand_is_usage_error(capsys):
