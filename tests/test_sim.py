@@ -24,7 +24,7 @@ from osalg.errors import (
     UnrunnableProcedureError,
 )
 from osalg.oracle import brute_schedule, replay_rr
-from osalg.sim import EventKind, TraceEvent, _Simulation
+from osalg.sim import EventKind, TraceEvent
 
 from conftest import proc, random_batch, random_arrivals, regression_runs
 
