@@ -2,11 +2,15 @@
 paging, segmentation, virtualization chains, deallocation, swapping, and
 ownership partitioning.
 
-A ``MemoryState`` is a pure value: every operation returns a new state,
-and at all times the allocated extents, the free extents, and any
-partition residue tile ``[0, capacity)`` exactly, pairwise disjoint.
-Extent sharing is rejected outright; temporal coordination of shared
-writes is out of scope.
+A ``MemoryState`` is a pure value: every operation on one returns a new
+state. A ``MemoryLedger`` holds the same fields and is updated in place,
+so that a simulation pays for what a grant or release changes and no
+more; it gives its state as a ``MemoryState`` on demand. Each operation
+is written once for both: only recording a grant and recording a
+release differ between them. At all times the allocated extents, the
+free extents, and any partition residue tile ``[0, capacity)`` exactly,
+pairwise disjoint. Extent sharing is rejected outright; temporal
+coordination of shared writes is out of scope.
 
 Address virtualization is a chain of injective partial maps: a resource
 set bound to an intermediate set that is in turn bound to the physical
@@ -17,7 +21,9 @@ an address is unmapped.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import TypeVar
 
 from .combinators import (
     Discipline,
@@ -38,38 +44,12 @@ from .errors import (
 VictimPolicy = Callable[[Sequence[Procedure]], Procedure]
 
 
-@dataclass(frozen=True)
-class MemoryState:
-    """Allocation bookkeeping for one finite reusable resource set.
+class _MemoryReads:
+    """The reads MemoryState and MemoryLedger share, over the fields both
+    carry: `resource`, `organizer`, `allocated`, `store`, `free_total`
+    and `residue`."""
 
-    `store` is the free store `organizer` shapes: free runs for the
-    identity organization, free runs of whole units for fixed
-    partitioning, the block tree for the buddy organizer. `free` is its
-    free extents, so under fixed partitioning it holds runs of whole
-    units, not single units. `allocated` maps procedure ids to the
-    extents they hold, `free_total` is the size of `free`, and `residue`
-    is a fixed-partitioned memory's tail too short for one unit. Each
-    grant and release updates the store and `free_total` by what it
-    changes, never by a rescan.
-    """
-
-    resource: ResourceSet
-    organizer: Organize
-    allocated: Mapping[int, tuple[Extent, ...]]
-    store: FreeStore
-    free_total: int
-    residue: Extent | None = None
-
-    @staticmethod
-    def initial(capacity: int, organizer: Organize | None = None) -> "MemoryState":
-        """An empty memory of `capacity` units under the given organizer."""
-        organizer = organizer or Organize.identity()
-        resource = ResourceSet.memory(capacity)
-        store = free_store(organizer, resource)
-        # an empty store is one run from 0, or none; the rest is residue
-        free_total = sum(e.size for e in store.free_extents())
-        residue = Extent(free_total, capacity) if free_total < capacity else None
-        return MemoryState(resource, organizer, {}, store, free_total, residue)
+    __slots__ = ()
 
     @property
     def capacity(self) -> int:
@@ -102,53 +82,152 @@ class MemoryState:
     def largest_free(self) -> int:
         return self.store.largest()
 
+
+@dataclass(frozen=True)
+class MemoryState(_MemoryReads):
+    """Allocation bookkeeping for one finite reusable resource set.
+
+    `store` is the free store `organizer` shapes: free runs for the
+    identity organization, free runs of whole units for fixed
+    partitioning, the block tree for the buddy organizer. `free` is its
+    free extents, so under fixed partitioning it holds runs of whole
+    units, not single units. `allocated` maps procedure ids to the
+    extents they hold, `free_total` is the size of `free`, and `residue`
+    is a fixed-partitioned memory's tail too short for one unit. Each
+    grant and release updates the store and `free_total` by what it
+    changes, never by a rescan.
+    """
+
+    resource: ResourceSet
+    organizer: Organize
+    allocated: Mapping[int, tuple[Extent, ...]]
+    store: FreeStore
+    free_total: int
+    residue: Extent | None = None
+
+    @staticmethod
+    def initial(capacity: int, organizer: Organize | None = None) -> "MemoryState":
+        """An empty memory of `capacity` units under the given organizer."""
+        organizer = organizer or Organize.identity()
+        resource = ResourceSet.memory(capacity)
+        store = free_store(organizer, resource)
+        # an empty store is one run from 0, or none; the rest is residue
+        free_total = sum(e.size for e in store.free_extents())
+        residue = Extent(free_total, capacity) if free_total < capacity else None
+        return MemoryState(resource, organizer, {}, store, free_total, residue)
+
     def check_invariants(self) -> None:
         """Conservation and disjointness, the carried free total and the
         store's own shape, each recomputed from scratch; raises
         ParameterError on breach."""
         pieces = list(self.free)
-        pieces.extend(e for exts in self.allocated.values() for e in exts)
+        for exts in self.allocated.values():
+            pieces.extend(exts)
         if self.residue is not None:
             pieces.append(self.residue)
-        pieces = [e for e in pieces if e.size > 0]
-        pieces.sort(key=lambda e: e.start)
+        pieces = [e for e in pieces if e.start < e.end]
+        pieces.sort(key=_start)
+        capacity = self.capacity
         covered = 0
         for e in pieces:
             if e.start < covered:
                 raise ParameterError(f"extent {e} overlaps a previous one")
             if e.start > covered:
                 raise ParameterError(f"gap before {e}: units uncovered")
-            if e.end > self.capacity:
-                raise ParameterError(f"extent {e} beyond capacity {self.capacity}")
+            if e.end > capacity:
+                raise ParameterError(f"extent {e} beyond capacity {capacity}")
             covered = e.end
-        if covered != self.capacity:
+        if covered != capacity:
             raise ParameterError(
-                f"covered {covered} of {self.capacity} units: conservation broken"
+                f"covered {covered} of {capacity} units: conservation broken"
             )
-        scanned = sum(e.size for e in self.free)
+        scanned = 0
+        for e in self.free:
+            scanned += e.end - e.start
         if scanned != self.free_total:
             raise ParameterError(
                 f"carried free total {self.free_total}, free list holds {scanned}"
             )
         self.store.check()
 
+    def _record_grant(
+        self, pid: int, granted: tuple[Extent, ...], store: FreeStore, size: int
+    ) -> "MemoryState":
+        allocated = dict(self.allocated)
+        allocated[pid] = granted
+        return MemoryState(self.resource, self.organizer, allocated, store,
+                           self.free_total - size, self.residue)
 
-def _grant(
-    m: MemoryState, pid: int, pieces: Sequence[int]
-) -> tuple[MemoryState, tuple[Extent, ...]]:
-    """Grant pid one extent per piece size, from the state's own store."""
+    def _record_release(self, pid: int, store: FreeStore, size: int) -> "MemoryState":
+        allocated = dict(self.allocated)
+        del allocated[pid]
+        return MemoryState(self.resource, self.organizer, allocated, store,
+                           self.free_total + size, self.residue)
+
+
+class MemoryLedger(_MemoryReads):
+    """A memory updated in place: a MemoryState's fields, of which each
+    grant and release changes `allocated`, the `store` reference and
+    `free_total`, plus `changes`, the number of grants and releases
+    recorded since the ledger was made. The free store itself stays a
+    value. `snapshot` gives the ledger's state as a MemoryState.
+    """
+
+    __slots__ = ("resource", "organizer", "allocated", "store", "free_total",
+                 "residue", "changes")
+
+    def __init__(self, state: MemoryState):
+        self.resource = state.resource
+        self.organizer = state.organizer
+        self.allocated: dict[int, tuple[Extent, ...]] = dict(state.allocated)
+        self.store = state.store
+        self.free_total = state.free_total
+        self.residue = state.residue
+        self.changes = 0
+
+    def snapshot(self) -> MemoryState:
+        return MemoryState(self.resource, self.organizer, dict(self.allocated),
+                           self.store, self.free_total, self.residue)
+
+    def _record_grant(
+        self, pid: int, granted: tuple[Extent, ...], store: FreeStore, size: int
+    ) -> "MemoryLedger":
+        self.allocated[pid] = granted
+        self.store = store
+        self.free_total -= size
+        self.changes += 1
+        return self
+
+    def _record_release(self, pid: int, store: FreeStore, size: int) -> "MemoryLedger":
+        del self.allocated[pid]
+        self.store = store
+        self.free_total += size
+        self.changes += 1
+        return self
+
+
+# Either kind of memory; each operation returns the kind it was given.
+Memory = TypeVar("Memory", MemoryState, MemoryLedger)
+
+_start = attrgetter("start")
+
+
+def _grant(m: Memory, pid: int, pieces: Sequence[int]) -> tuple[Memory, tuple[Extent, ...]]:
+    """Grant pid one extent per piece size, from the memory's own store.
+    Pieces that sum past the free total fail before the store is
+    searched."""
     if m.holds(pid):
         raise ParameterError(f"procedure {pid} already holds memory")
+    asked = sum(pieces)
+    if asked > m.free_total:
+        raise AllocationFailure(f"{asked} units asked, {m.free_total} free")
     granted, store = m.store.grant(pieces)
-    allocated = dict(m.allocated)
-    allocated[pid] = granted
-    free_total = m.free_total - sum(e.size for e in granted)
-    return replace(m, allocated=allocated, store=store, free_total=free_total), granted
+    return m._record_grant(pid, granted, store, sum(e.size for e in granted)), granted
 
 
 def allocate(
-    d: Discipline, m: MemoryState, p: Procedure
-) -> tuple[MemoryState, tuple[Extent, ...]]:
+    d: Discipline, m: Memory, p: Procedure
+) -> tuple[Memory, tuple[Extent, ...]]:
     """Assign an extent (or whole allocation unit, or buddy block) of total
     size >= p.size to p, under the discipline d.
 
@@ -168,16 +247,13 @@ def allocate(
     return _grant(m, p.id, m.store.pieces(p.size))
 
 
-def deallocate(m: MemoryState, pid: int) -> MemoryState:
+def deallocate(m: Memory, pid: int) -> Memory:
     """Return pid's extents to the free space, merging where the
     organization allows: adjacent runs coalesce, buddy siblings merge."""
     extents = m.extents_of(pid)
-    allocated = dict(m.allocated)
-    del allocated[pid]
     # a release takes back what one grant gave: one block from a buddy tree
     store = m.store.release(*extents) if extents else m.store
-    free_total = m.free_total + sum(e.size for e in extents)
-    return replace(m, allocated=allocated, store=store, free_total=free_total)
+    return m._record_release(pid, store, sum(e.size for e in extents))
 
 
 @dataclass(frozen=True)
@@ -256,9 +332,7 @@ class PageMap:
         return BindingLayer({a: self.translate(a) for a in range(span)})
 
 
-def build_page_table(
-    pages: Pagination, m: MemoryState
-) -> tuple[PageMap, MemoryState]:
+def build_page_table(pages: Pagination, m: Memory) -> tuple[PageMap, Memory]:
     """Bind pages to the lowest free frames of a framed memory.
 
     Framing (fixed partitioning of memory) and pagination (fixed chunking
@@ -301,8 +375,8 @@ def segment_alloc(
     p: Procedure,
     spec: Sequence[int],
     d: Discipline,
-    m: MemoryState,
-) -> tuple[SegmentMap, MemoryState]:
+    m: Memory,
+) -> tuple[SegmentMap, Memory]:
     """Place each segment independently through d, all or nothing.
 
     Segment lengths must each be >= 1 and sum to p's size. Any segment
@@ -373,22 +447,28 @@ class SwapRecord:
     segments: tuple[int, ...] | None = None
 
 
+def victim_key(p: Procedure) -> tuple[int, int, int, int]:
+    """The swap-victim order, least first: lowest priority (none counts
+    lowest), then largest size, then highest id. Ids are unique, so it is
+    a total order. Like a ready set's order key it ends in the id, so a
+    heap of these keys names its members."""
+    return (p.priority if p.priority is not None else -1, -p.size, -p.id, p.id)
+
+
 def default_victim(candidates: Sequence[Procedure]) -> Procedure:
-    """Lowest priority first (none counts lowest), then largest size,
-    then highest id. Ids are unique, so the key is a total order and the
-    order of the candidates does not matter."""
+    """The candidate of least `victim_key`; the order of the candidates
+    does not matter."""
     if not candidates:
         raise SwapFailure("no swappable resident procedure")
-    key = lambda p: (p.priority if p.priority is not None else -1, -p.size, -p.id)
-    return min(candidates, key=key)
+    return min(candidates, key=victim_key)
 
 
 def swap_out(
-    m: MemoryState,
-    backing: MemoryState,
+    m: Memory,
+    backing: Memory,
     residents: Sequence[Procedure],
     policy: VictimPolicy = default_victim,
-) -> tuple[MemoryState, MemoryState, SwapRecord]:
+) -> tuple[Memory, Memory, SwapRecord]:
     """Evict one resident procedure's extents to the backing store.
 
     The victim comes from `policy` over the residents actually holding
@@ -414,14 +494,16 @@ def swap_out(
 
 
 def swap_in(
-    m: MemoryState, backing: MemoryState, record: SwapRecord
-) -> tuple[MemoryState, MemoryState, tuple[Extent, ...]]:
+    m: Memory, backing: Memory, record: SwapRecord
+) -> tuple[Memory, Memory, tuple[Extent, ...]]:
     """Restore a swapped-out procedure to primary memory.
 
     Residency may land at different addresses; the grant takes the
     pieces described on :class:`SwapRecord`. Insufficient primary space
     raises AllocationFailure, which is retriable once memory frees up.
+    A swap-in that fails changes neither memory.
     """
+    backing.extents_of(record.pid)  # NotFoundError before the grant
     pieces = m.store.pieces(record.size, record.segments)
     m2, granted = _grant(m, record.pid, pieces)
     backing2 = deallocate(backing, record.pid)

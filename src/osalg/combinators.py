@@ -18,11 +18,12 @@ first: disciplines are plain values.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import abc
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterator, Sequence
 
 from .core import Extent, Procedure, ProcedureSet, ResourceKind, ResourceSet
 from .errors import (
@@ -51,11 +52,54 @@ class SortKey(Enum):
         return p.size if self is SortKey.SIZE else p.time
 
 
+class _Units(abc.Sequence):
+    """`count` equal units of `size` from address 0, each made when it is
+    read.
+
+    Compares equal to the tuple of the same extents, as the addresses of
+    ``core.ResourceSet.memory`` do, so a partition built lazily equals one
+    given its units eagerly.
+    """
+
+    __slots__ = ("count", "size")
+
+    def __init__(self, count: int, size: int) -> None:
+        self.count = count
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index):
+        size = self.size
+        starts = range(0, self.count * size, size)[index]
+        if isinstance(starts, range):
+            return tuple(Extent(start, start + size) for start in starts)
+        return Extent(starts, starts + size)
+
+    def __iter__(self) -> Iterator[Extent]:
+        size = self.size
+        return (Extent(start, start + size) for start in range(0, self.count * size, size))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Units):
+            return self.count == other.count and (not self.count or self.size == other.size)
+        if isinstance(other, tuple):
+            return len(other) == self.count and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # as the equal tuple's; made only when asked
+
+    def __repr__(self) -> str:
+        return f"<{self.count} units of {self.size}>" if self.count else "()"
+
+
 @dataclass(frozen=True)
 class PartitionedSet:
     """Memory cut into equal allocation units plus an unusable residue."""
 
-    units: tuple[Extent, ...]
+    units: Sequence[Extent]
     unit_size: int
     residue: Extent | None = None
 
@@ -267,8 +311,8 @@ class BuddyTree:
     def check(self) -> None:
         """Raise ParameterError unless the carried free leaves are the
         tree's own, walked from scratch."""
-        walked = tuple(e for e, used in _buddy_leaves(self.root) if not used)
-        if walked != self.free_leaves:
+        walked = [e for e, used in _buddy_leaves(self.root) if not used]
+        if tuple(walked) != self.free_leaves:
             raise ParameterError("buddy tree and free list disagree")
 
 
@@ -307,12 +351,19 @@ def _buddy_rebuild(path: list[tuple[BuddyNode, bool]], node: BuddyNode) -> Buddy
     return node
 
 
-def _buddy_leaves(node: BuddyNode) -> Iterable[tuple[Extent, bool]]:
-    if node.is_leaf:
-        yield node.extent, node.used
-    else:
-        yield from _buddy_leaves(node.left)
-        yield from _buddy_leaves(node.right)
+def _buddy_leaves(root: BuddyNode) -> list[tuple[Extent, bool]]:
+    """Every leaf block under `root`, address ordered, with whether it is
+    used; walked with an explicit stack, left child on top."""
+    leaves: list[tuple[Extent, bool]] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.left is None:
+            leaves.append((node.extent, node.used))
+        else:
+            stack.append(node.right)
+            stack.append(node.left)
+    return leaves
 
 
 def _members(x: Any) -> tuple:
@@ -341,7 +392,8 @@ def organize_sort(procedures: Any, key: SortKey | str) -> tuple[Procedure, ...]:
 
 
 def organize_fixed_partition(resource: ResourceSet, unit_size: int) -> PartitionedSet:
-    """Cut memory into equal allocation units, address ordered.
+    """Cut memory into equal allocation units, address ordered, in O(1):
+    each unit's extent is made when it is read.
 
     A trailing remainder smaller than one unit is recorded as unusable
     residue rather than becoming an odd-sized unit.
@@ -352,12 +404,10 @@ def organize_fixed_partition(resource: ResourceSet, unit_size: int) -> Partition
         raise ParameterError("only finite resource sets partition")
     capacity = resource.capacity or 0
     count = capacity // unit_size
-    units = tuple(
-        Extent(i * unit_size, (i + 1) * unit_size) for i in range(count)
-    )
     cut = count * unit_size
     residue = Extent(cut, capacity) if cut < capacity else None
-    return PartitionedSet(units=units, unit_size=unit_size, residue=residue)
+    return PartitionedSet(units=_Units(count, unit_size), unit_size=unit_size,
+                          residue=residue)
 
 
 def organize_buddy(resource: ResourceSet) -> BuddyTree:

@@ -14,6 +14,7 @@ they re-enter through swap-in, ahead of the backlog.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from collections.abc import Callable
@@ -25,6 +26,7 @@ from typing import Iterable, Mapping
 
 from . import binding as bindingmod
 from .allocators import (
+    MemoryLedger,
     MemoryState,
     Pagination,
     SwapRecord,
@@ -36,6 +38,7 @@ from .allocators import (
     segment_alloc,
     swap_in,
     swap_out,
+    victim_key,
 )
 from .combinators import (
     Discipline,
@@ -174,7 +177,8 @@ class SimConfig:
 
 
 class _Memory:
-    """Primary/backing state pair under one allocator.
+    """Primary/backing memory pair under one allocator, each a ledger the
+    run updates in place.
 
     This base class is first fit over the identity organization; each
     other allocator is a subclass that changes its organizer, its
@@ -199,11 +203,13 @@ class _Memory:
         self.cfg = cfg
         organizer = self.organizer()
         self.discipline: Discipline = compose(self.select, organizer)
-        self.primary = MemoryState.initial(cfg.memory_capacity, organizer)
-        self.backing = MemoryState.initial(cfg.effective_backing, Organize.identity())
-        # the states last found clean: check_invariants is a pure function
-        # of an immutable state, so they need no second look
-        self.checked: tuple[MemoryState | None, MemoryState | None] = (None, None)
+        self.primary = MemoryLedger(MemoryState.initial(cfg.memory_capacity, organizer))
+        self.backing = MemoryLedger(
+            MemoryState.initial(cfg.effective_backing, Organize.identity())
+        )
+        # each memory last found clean, with its change count then: one
+        # that neither changed nor was replaced needs no second look
+        self.checked: tuple[tuple[MemoryLedger | None, int], ...] = ((None, 0),) * 2
 
     def feasible(self, p: Procedure) -> bool:
         """Could p, of non-zero size, ever be resident in an empty primary
@@ -230,12 +236,12 @@ class _Memory:
         self.primary = deallocate(self.primary, pid)
         return extents
 
-    def swap_out_victim(self, candidates: list[Procedure]) -> tuple[SwapRecord, Extents]:
-        before = self.primary
+    def swap_out_victim(self, victim: Procedure) -> tuple[SwapRecord, Extents]:
+        freed = self.primary.extents_of(victim.id)
         self.primary, self.backing, record = swap_out(
-            self.primary, self.backing, candidates, default_victim
+            self.primary, self.backing, (victim,), default_victim
         )
-        return record, before.extents_of(record.pid)
+        return record, freed
 
     def swap_in_record(self, record: SwapRecord) -> Extents:
         self.primary, self.backing, granted = swap_in(
@@ -255,12 +261,13 @@ class _Memory:
         return Fraction(self.primary.largest_free(), total)
 
     def check(self) -> None:
-        checked_primary, checked_backing = self.checked
-        if self.primary is not checked_primary:
-            self.primary.check_invariants()
-        if self.backing is not checked_backing:
-            self.backing.check_invariants()
-        self.checked = (self.primary, self.backing)
+        """Check each memory that changed since it was last found clean,
+        on a snapshot of it."""
+        memories = (self.primary, self.backing)
+        for memory, (seen, changes) in zip(memories, self.checked):
+            if memory is not seen or memory.changes != changes:
+                memory.snapshot().check_invariants()
+        self.checked = tuple((memory, memory.changes) for memory in memories)
 
 
 class _Fixed(_Memory):
@@ -399,8 +406,10 @@ class OrderedReady:
     """The ready set of a non-rotating policy, organized on entry: a heap
     of order keys, each ending in its procedure's id, plus the live
     members by id. A discarded member's key stays in the heap until a pop
-    meets it and skips it; every key of one procedure is the same, so a
-    procedure that rejoins while a stale key is left is popped once."""
+    or a look at the head meets it and skips it; every key of one
+    procedure is the same, so a procedure that rejoins while a stale key
+    is left is popped once. Keyed by `victim_key`, the same structure
+    holds a run's swap candidates."""
 
     def __init__(self, key: OrderKey):
         self.key = key
@@ -421,11 +430,18 @@ class OrderedReady:
             if p is not None:
                 return p
 
+    def head(self) -> Procedure | None:
+        """The member of least key, left in the set; None when empty."""
+        heap, live = self.heap, self.live
+        while heap:
+            p = live.get(heap[0][-1])
+            if p is not None:
+                return p
+            heappop(heap)
+        return None
+
     def discard(self, pid: int) -> None:
         self.live.pop(pid, None)
-
-    def members(self) -> list[Procedure]:
-        return list(self.live.values())
 
 
 class RotatingReady:
@@ -448,9 +464,6 @@ class RotatingReady:
             if q.id == pid:
                 del self.queue[i]
                 return
-
-    def members(self) -> list[Procedure]:
-        return list(self.queue)
 
 
 ReadySet = OrderedReady | RotatingReady
@@ -543,6 +556,8 @@ class _Simulation:
         self.procs: dict[int, Procedure] = {}
         self.remaining: dict[int, int] = {}
         self.ready = self.policy.ready_set()
+        # what a swap may evict: the ready members plus the holdover
+        self.candidates = OrderedReady(victim_key)
         self.backlog: deque[Procedure] = deque()
         self.swapped: deque[SwapRecord] = deque()
         self.running: tuple[int, int, int] | None = None  # pid, start, end
@@ -592,22 +607,25 @@ class _Simulation:
                 return False
         self.emit(at, EventKind.ADMIT, p.id)
         self.emit(at, EventKind.ALLOCATE, p.id, detail)
-        self.ready.add(p)
+        self.make_ready(p)
         return True
+
+    def make_ready(self, p: Procedure) -> None:
+        self.ready.add(p)
+        self.candidates.add(p)
 
     def swap_attempt(self, at: int) -> bool:
         # the running procedure stays resident; a just-preempted one is an
         # ordinary candidate even before it rejoins the queue
-        candidates = self.ready.members()
-        if self.holdover is not None:
-            candidates.append(self.holdover)
-        if not candidates:
+        victim = self.candidates.head()
+        if victim is None:
             return False
         try:
-            record, freed = self.memory.swap_out_victim(candidates)
+            record, freed = self.memory.swap_out_victim(victim)
         except SwapFailure:
             return False
         self.swapped.append(record)
+        self.candidates.discard(record.pid)
         self.ready.discard(record.pid)
         if self.holdover is not None and self.holdover.id == record.pid:
             self.holdover = None
@@ -632,7 +650,7 @@ class _Simulation:
                 break
             self.swapped.popleft()
             self.emit(at, EventKind.SWAP_IN, p.id, (("extents", granted),))
-            self.ready.add(p)
+            self.make_ready(p)
         while self.backlog:
             if not self.try_admit(self.backlog[0], at):
                 break
@@ -652,6 +670,7 @@ class _Simulation:
 
     def dispatch(self) -> None:
         chosen = self.ready.pop()
+        self.candidates.discard(chosen.id)
         run = self.policy.run_length(chosen, self.remaining[chosen.id])
         if self.strict:
             if self.clock < self.cpu_frontier:
@@ -677,6 +696,7 @@ class _Simulation:
         else:
             self.emit(end, EventKind.PREEMPT, pid, (("left", self.remaining[pid]),))
             self.holdover = self.procs[pid]
+            self.candidates.add(self.holdover)
 
     def run(self) -> Trace:
         while True:
@@ -780,9 +800,6 @@ def metrics(t: Trace) -> Metrics:
     count = len(arrivals)
     mean_wait = Fraction(sum(waiting.values()), count) if count else Fraction(0)
     mean_turn = Fraction(sum(turnaround.values()), count) if count else Fraction(0)
-    mean_frag = (
-        sum(frag_samples, Fraction(0)) / len(frag_samples) if frag_samples else None
-    )
     return Metrics(
         waiting=waiting,
         turnaround=turnaround,
@@ -790,6 +807,18 @@ def metrics(t: Trace) -> Metrics:
         mean_waiting=mean_wait,
         mean_turnaround=mean_turn,
         external_fragmentation=tuple(frag_samples),
-        mean_external_fragmentation=mean_frag,
+        mean_external_fragmentation=_mean(frag_samples) if frag_samples else None,
         internal_fragmentation_total=int_frag,
     )
+
+
+def _mean(samples: list[Fraction]) -> Fraction:
+    """The exact mean of `samples`: the numerators of each denominator
+    summed, then scaled once to the least common denominator, so that no
+    running sum carries an ever larger one."""
+    numerators: dict[int, int] = {}
+    for s in samples:
+        numerators[s.denominator] = numerators.get(s.denominator, 0) + s.numerator
+    common = math.lcm(*numerators)
+    total = sum(n * (common // d) for d, n in numerators.items())
+    return Fraction(total, common * len(samples))

@@ -1,6 +1,7 @@
 """The select/organize algebra and its composition laws."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -87,6 +88,36 @@ class TestFixedPartition:
     def test_zero_unit_rejected(self):
         with pytest.raises(ParameterError):
             organize_fixed_partition(ResourceSet.memory(8), 0)
+
+    @pytest.mark.parametrize("capacity", range(0, 14))
+    @pytest.mark.parametrize("unit", [1, 3, 4])
+    def test_units_equal_the_eager_tuple(self, capacity, unit):
+        """Units made when read look like units given up front."""
+        partition = Organize.fixed_partition(unit)(ResourceSet.memory(capacity))
+        count = capacity // unit
+        eager = tuple(Extent(i * unit, (i + 1) * unit) for i in range(count))
+        assert partition.units == eager and eager == partition.units
+        assert len(partition) == len(eager) and tuple(partition) == eager
+        assert [partition.units[i] for i in range(-count, count)] == list(eager) * 2
+        assert partition.units[1:-1] == eager[1:-1]
+        assert hash(partition.units) == hash(eager)
+        assert partition == organize_fixed_partition(ResourceSet.memory(capacity), unit)
+        assert count < 2 or partition.units != eager[1:] + eager[:1]
+        with pytest.raises(IndexError):
+            partition.units[count]
+
+    def test_a_huge_memory_partitions_in_constant_space(self):
+        capacity = 1 << 30
+        tracemalloc.start()
+        try:
+            partition = Organize.fixed_partition(1)(ResourceSet.memory(capacity))
+            last = partition.units[-1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(partition) == capacity
+        assert last == Extent(capacity - 1, capacity)
+        assert peak < 64 * 1024
 
 
 class TestBuddyOrganize:

@@ -1,10 +1,13 @@
 """The simulator's ready set against its specification, the discipline
-applied to the live members in (arrival, id) order."""
+applied to the live members in (arrival, id) order, and its swap
+candidates against `default_victim`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import proc
+from osalg import ArrivalStream, SimConfig, sim
+from osalg.allocators import default_victim
 from osalg.combinators import Organize, Select, SortKey, compose, order_key
 from osalg.errors import CompositionError
 from osalg.sim import FCFS, PRIORITY, SJF, Policy
@@ -30,6 +33,13 @@ OPS = st.lists(
     ),
     max_size=40,
 )
+
+
+def members(ready):
+    """The procedures in a ready set, in its own order of keeping."""
+    if isinstance(ready, sim.RotatingReady):
+        return list(ready.queue)
+    return list(ready.live.values())
 
 
 def arrival_order(procedures):
@@ -68,7 +78,7 @@ def test_every_pop_is_the_disciplines_pick(name, shapes, ops):
             ready.add(p)
             live[p.id] = p
         assert len(ready) == len(live)
-        assert {p.id for p in ready.members()} == set(live)
+        assert {p.id for p in members(ready)} == set(live)
     while live:  # stale keys left by swap-outs never surface
         expected = policy.discipline.apply(arrival_order(live.values()))
         assert ready.pop() is expected
@@ -82,7 +92,7 @@ def test_rotation_is_first_in_first_out():
     for p in (c, a, b):
         ready.add(p)
     ready.discard(1)
-    assert ready.members() == [c, b]
+    assert members(ready) == [c, b]
     assert ready.pop() is c
     ready.add(c)
     assert [ready.pop(), ready.pop()] == [b, c]
@@ -102,3 +112,55 @@ def test_a_discipline_without_an_order_is_rejected(discipline):
     with pytest.raises(CompositionError):
         Policy(discipline)
 
+
+
+class WatchedSimulation(sim._Simulation):
+    """A run that, after every event, compares the head of its swap
+    candidates with the default victim of the ready members plus the
+    holdover; `swaps` counts the swap-outs."""
+
+    swaps = 0
+
+    def emit(self, instant, kind, pid, detail=()):
+        super().emit(instant, kind, pid, detail)
+        self.swaps += kind is sim.EventKind.SWAP_OUT
+        candidates = members(self.ready)
+        if self.holdover is not None:
+            candidates.append(self.holdover)
+        expected = default_victim(candidates) if candidates else None
+        assert self.candidates.head() is expected
+
+
+def watched_run(scheduler, shapes):
+    members = [
+        proc(i + 1, size=size, time=time, arrival=arrival, priority=priority)
+        for i, (arrival, size, time, priority) in enumerate(shapes)
+    ]
+    members.sort(key=lambda p: (p.arrival, p.id))
+    cfg = SimConfig(memory_capacity=12, backing_capacity=16, scheduler=scheduler,
+                    quantum=2)
+    simulation = WatchedSimulation(ArrivalStream(members), cfg, strict=False)
+    simulation.run()
+    return simulation
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["fcfs", "sjf-time", "priority", "rr", "var-quantum"]),
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 8), st.integers(1, 6),
+                  st.integers(0, 3)),
+        min_size=1,
+        max_size=14,
+    ),
+)
+def test_victim_heap_head_is_the_default_victim(scheduler, shapes):
+    """Admits, dispatches, preemptions and swaps keep the head of the
+    swap candidates equal to `default_victim` over the ready members plus
+    the holdover."""
+    watched_run(scheduler, shapes)
+
+
+def test_watched_runs_do_swap():
+    shapes = [(i % 3, 5 + i % 4, 3, i % 4) for i in range(10)]
+    assert watched_run("rr", shapes).swaps > 0

@@ -1,10 +1,10 @@
 """End-to-end simulator behavior: traces, metrics, swapping, determinism."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osalg import (
     Extent,
@@ -143,6 +143,27 @@ class TestMetricsArithmetic:
         ))
         with pytest.raises(IncompleteRunError):
             metrics(partial)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(st.none(), st.fractions(0, 1, max_denominator=70_000)), max_size=40,
+    ))
+    def test_mean_fragmentation_is_the_exact_mean(self, samples):
+        """The mean taken over one common denominator equals the running
+        sum of the samples over their count; None samples are skipped."""
+        events = [TraceEvent(0, EventKind.ARRIVE, 1, (("size", 1), ("time", 1)))]
+        events += [
+            TraceEvent(0, EventKind.ALLOCATE, 1, (("ext_frag", s), ("int_frag", 0)))
+            for s in samples
+        ]
+        events.append(TraceEvent(1, EventKind.COMPLETE, 1))
+        m = metrics(Trace(events=tuple(events)))
+        taken = [s for s in samples if s is not None]
+        assert m.external_fragmentation == tuple(taken)
+        if taken:
+            assert m.mean_external_fragmentation == sum(taken, Fraction(0)) / len(taken)
+        else:
+            assert m.mean_external_fragmentation is None
 
 
 class TestSchedulerIntegration:
@@ -413,12 +434,30 @@ class TestDeterminismAndInvariants:
         real_deallocate = sim.deallocate
 
         def leaky_deallocate(m, pid):
+            held = m.extents_of(pid)  # the simulator's ledger drops them
             freed = real_deallocate(m, pid)
-            return dataclasses.replace(
-                freed, allocated={**freed.allocated, pid: m.extents_of(pid)}
-            )
+            freed.allocated[pid] = held
+            return freed
 
         monkeypatch.setattr(sim, "deallocate", leaky_deallocate)
+        ps = [proc(1, size=4, time=2), proc(2, size=4, time=1, arrival=5)]
+        cfg = SimConfig(memory_capacity=16)
+        trace, _ = run(ps, cfg, strict=False)
+        assert len(trace.of_kind(EventKind.COMPLETE)) == 2
+        with pytest.raises(ParameterError, match="overlaps"):
+            run(ps, cfg, strict=True)
+
+    def test_strict_mode_reports_a_corrupted_grant(self, monkeypatch):
+        """A grant that also records its extents under a second id breaks
+        disjointness: a strict run stops on it, a lax one completes."""
+        real_allocate = sim.allocate_op
+
+        def doubled_allocate(d, m, p):
+            granted_to, granted = real_allocate(d, m, p)
+            granted_to.allocated[-p.id] = granted
+            return granted_to, granted
+
+        monkeypatch.setattr(sim, "allocate_op", doubled_allocate)
         ps = [proc(1, size=4, time=2), proc(2, size=4, time=1, arrival=5)]
         cfg = SimConfig(memory_capacity=16)
         trace, _ = run(ps, cfg, strict=False)
