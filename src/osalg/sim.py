@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from . import binding as bindingmod
@@ -408,8 +408,10 @@ class OrderedReady:
     members by id. A discarded member's key stays in the heap until a pop
     or a look at the head meets it and skips it; every key of one
     procedure is the same, so a procedure that rejoins while a stale key
-    is left is popped once. Keyed by `victim_key`, the same structure
-    holds a run's swap candidates."""
+    is left is popped once. Once stale keys outnumber the live members
+    the heap is rebuilt from them, so it stays O(live) in size. Keyed by
+    `victim_key`, the same structure holds a run's swap candidates,
+    whose head is read but seldom popped."""
 
     def __init__(self, key: OrderKey):
         self.key = key
@@ -442,6 +444,9 @@ class OrderedReady:
 
     def discard(self, pid: int) -> None:
         self.live.pop(pid, None)
+        if len(self.heap) > 2 * len(self.live) + 32:
+            self.heap = [self.key(p) for p in self.live.values()]
+            heapify(self.heap)
 
 
 class RotatingReady:

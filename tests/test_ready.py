@@ -86,6 +86,18 @@ def test_every_pop_is_the_disciplines_pick(name, shapes, ops):
     assert not ready
 
 
+def test_stale_keys_are_dropped_once_they_outnumber_the_members():
+    ready = FCFS.ready_set()
+    ps = [proc(i, arrival=i) for i in range(1, 101)]
+    for p in ps:
+        ready.add(p)
+    for p in ps[:90]:
+        ready.discard(p.id)
+    assert len(ready.heap) <= 2 * len(ready) + 32
+    ready.add(ps[0])  # rejoins after its stale key is gone
+    assert [ready.pop().id for _ in range(11)] == [1, *range(91, 101)]
+
+
 def test_rotation_is_first_in_first_out():
     ready = Policy(quantum_of=lambda p: 1).ready_set()
     a, b, c = proc(1), proc(2), proc(3)
