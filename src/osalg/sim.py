@@ -819,11 +819,21 @@ def metrics(t: Trace) -> Metrics:
 
 def _mean(samples: list[Fraction]) -> Fraction:
     """The exact mean of `samples`: the numerators of each denominator
-    summed, then scaled once to the least common denominator, so that no
-    running sum carries an ever larger one."""
+    summed, those sums added over the least common denominator, and one
+    Fraction made at the end. The sums are added in pairs, then pairs of
+    pairs, so that the common denominators grow evenly rather than one
+    running total carrying the largest through every addition."""
     numerators: dict[int, int] = {}
     for s in samples:
         numerators[s.denominator] = numerators.get(s.denominator, 0) + s.numerator
-    common = math.lcm(*numerators)
-    total = sum(n * (common // d) for d, n in numerators.items())
+    terms = [(n, d) for d, n in numerators.items()]
+    while len(terms) > 1:
+        merged = []
+        for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2]):
+            common = math.lcm(d1, d2)
+            merged.append((n1 * (common // d1) + n2 * (common // d2), common))
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    total, common = terms[0]
     return Fraction(total, common * len(samples))
