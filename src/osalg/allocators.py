@@ -168,13 +168,12 @@ class MemoryState(_MemoryReads):
 class MemoryLedger(_MemoryReads):
     """A memory updated in place: a MemoryState's fields, of which each
     grant and release changes `allocated`, the `store` reference and
-    `free_total`, plus `changes`, the number of grants and releases
-    recorded since the ledger was made. The free store itself stays a
-    value. `snapshot` gives the ledger's state as a MemoryState.
+    `free_total`. The free store itself stays a value. `snapshot` gives
+    the ledger's state as a MemoryState.
     """
 
     __slots__ = ("resource", "organizer", "allocated", "store", "free_total",
-                 "residue", "changes")
+                 "residue")
 
     def __init__(self, state: MemoryState):
         self.resource = state.resource
@@ -183,7 +182,6 @@ class MemoryLedger(_MemoryReads):
         self.store = state.store
         self.free_total = state.free_total
         self.residue = state.residue
-        self.changes = 0
 
     def snapshot(self) -> MemoryState:
         return MemoryState(self.resource, self.organizer, dict(self.allocated),
@@ -195,14 +193,12 @@ class MemoryLedger(_MemoryReads):
         self.allocated[pid] = granted
         self.store = store
         self.free_total -= size
-        self.changes += 1
         return self
 
     def _record_release(self, pid: int, store: FreeStore, size: int) -> "MemoryLedger":
         del self.allocated[pid]
         self.store = store
         self.free_total += size
-        self.changes += 1
         return self
 
 
@@ -363,12 +359,6 @@ class SegmentMap:
 
     pid: int
     segments: tuple[tuple[int, int, int], ...]  # (segment id, length, base)
-
-    def base_of(self, segment: int) -> int:
-        for sid, _, base in self.segments:
-            if sid == segment:
-                return base
-        raise NotFoundError(f"no segment {segment}")
 
 
 def segment_alloc(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import os
 import shutil
 import stat
@@ -167,7 +168,11 @@ def render_metrics(m: Metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first `main` call of a process and
+    kept: parsing leaves it as it was, and usage text goes to the
+    sys.stderr of the moment."""
     parser = argparse.ArgumentParser(
         prog="osalg",
         description="Compose scheduling and allocation disciplines and "

@@ -112,7 +112,13 @@ class ResourceSet:
             if any(b <= a for a, b in zip(addresses, addresses[1:])):
                 raise MalformedExtentError("unit addresses must strictly increase")
         if self.kind is ResourceKind.FINITE_REUSABLE:
-            if self.capacity is None or self.capacity != len(self.units):
+            # an on-demand set counts its units without len(), which fails
+            # past the largest index, 2**63 - 1 on 64-bit builds
+            count = (
+                self.units.count if isinstance(self.units, _Addresses)
+                else len(self.units)
+            )
+            if self.capacity is None or self.capacity != count:
                 raise ParameterError("finite set capacity must equal its unit count")
         elif self.capacity is not None:
             raise ParameterError("infinite set cannot carry a capacity")
@@ -138,15 +144,11 @@ class ResourceSet:
         """The countably infinite, non-reusable set of CPU time instants."""
         return ResourceSet(kind=ResourceKind.INFINITE_NONREUSABLE)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind is ResourceKind.FINITE_REUSABLE
-
     def unit_at(self, address: Address) -> ResourceUnit:
         """The unit with the given address (valid for both kinds)."""
         if address < 0 or (self.capacity is not None and address >= self.capacity):
             raise BoundsError(f"no unit at address {address}")
-        if self.units:
+        if self.capacity is not None:
             return self.units[address]
         return ResourceUnit(address)
 
@@ -255,10 +257,6 @@ class Procedure:
                     f"segments sum to {sum(self.segments)}, size is {self.size}"
                 )
 
-    @property
-    def is_active(self) -> bool:
-        return self.state is LifecycleState.ACTIVE
-
 
 def activate(p: Procedure, context: Mapping[str, Any] | Context) -> Procedure:
     """Turn a file into a process by attaching an interpretation context."""
@@ -316,12 +314,6 @@ class ProcedureSet:
 
     def __getitem__(self, index: int) -> Procedure:
         return self.members[index]
-
-    def by_arrival(self) -> "ProcedureSet":
-        """Members reordered by (arrival, id) ascending."""
-        return ProcedureSet(
-            tuple(sorted(self.members, key=lambda p: (p.arrival, p.id)))
-        )
 
 
 class ArrivalStream:

@@ -23,6 +23,43 @@ class ParameterError(OsAlgError, ValueError):
     """An operation parameter violates its precondition."""
 
 
+class InvariantViolation(ParameterError):
+    """Strict mode found a run breaking an invariant.
+
+    `invariant` names it: ``disjointness``, ``conservation``,
+    ``free-total``, ``store-shape`` or ``binding``. `event` is the index,
+    in emission order, of the trace event the breach was found at, or
+    None for the binding log, which is checked once the run is over.
+    `excerpt` is a short account of the memory found broken. A breach
+    found by a full check of a memory also names `last_clean`, the event
+    at which the check last found that memory clean (None before its
+    first full check).
+    """
+
+    def __init__(
+        self,
+        invariant: str,
+        event: int | None,
+        message: str,
+        excerpt: str = "",
+        last_clean: int | None = None,
+        full_check: bool = False,
+    ):
+        self.invariant = invariant
+        self.event = event
+        self.excerpt = excerpt
+        self.last_clean = last_clean
+        if event is not None:
+            where = f"{invariant} broken at event {event}"
+            if full_check:
+                where += ", found by a full check, " + (
+                    "never found clean before" if last_clean is None
+                    else f"last found clean at event {last_clean}"
+                )
+            message = f"{where}: {message}" + (f" ({excerpt})" if excerpt else "")
+        super().__init__(message)
+
+
 class CompositionError(OsAlgError):
     """Select and organize operations target incompatible set shapes."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import binding as bindingmod
 from .allocators import (
@@ -53,11 +53,15 @@ from .core import ArrivalStream, Extent, Procedure, ProcedureSet, WorkClass
 from .errors import (
     AllocationFailure,
     IncompleteRunError,
+    InvariantViolation,
     OsAlgError,
     ParameterError,
     SwapFailure,
     UnrunnableProcedureError,
 )
+
+if TYPE_CHECKING:
+    from .strict import MemoryCheck
 
 STRICT_ENV = "OSALG_STRICT"
 
@@ -199,7 +203,7 @@ class _Memory:
     def organizer(self) -> Organize:
         return Organize.identity()
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, events: list[TraceEvent] | None = None):
         self.cfg = cfg
         organizer = self.organizer()
         self.discipline: Discipline = compose(self.select, organizer)
@@ -207,9 +211,15 @@ class _Memory:
         self.backing = MemoryLedger(
             MemoryState.initial(cfg.effective_backing, Organize.identity())
         )
-        # each memory last found clean, with its change count then: one
-        # that neither changed nor was replaced needs no second look
-        self.checked: tuple[tuple[MemoryLedger | None, int], ...] = ((None, 0),) * 2
+        # strict mode's check of each memory, given every change as a
+        # delta; None in a lax run, whose `events` are not given. Its
+        # module loads at the first strict run, so lax ones never pay for it.
+        self.strict: tuple[MemoryCheck, MemoryCheck] | None = None
+        if events is not None:
+            from .strict import MemoryCheck
+
+            self.strict = (MemoryCheck("primary", self.primary, events),
+                           MemoryCheck("backing", self.backing, events))
 
     def feasible(self, p: Procedure) -> bool:
         """Could p, of non-zero size, ever be resident in an empty primary
@@ -225,8 +235,11 @@ class _Memory:
     def allocate(self, p: Procedure) -> Detail:
         """Grant memory to p; returns the trace detail of the grant."""
         extra, int_frag = self.grant(p)
+        extents = self.primary.extents_of(p.id)
+        if self.strict is not None:
+            self.strict[0].grant(self.primary, p.id, extents)
         return (
-            (("extents", self.primary.extents_of(p.id)),)
+            (("extents", extents),)
             + extra
             + (("ext_frag", self.frag_sample()), ("int_frag", int_frag))
         )
@@ -234,6 +247,8 @@ class _Memory:
     def release(self, pid: int) -> Extents:
         extents = self.primary.extents_of(pid)
         self.primary = deallocate(self.primary, pid)
+        if self.strict is not None:
+            self.strict[0].release(self.primary, pid, extents)
         return extents
 
     def swap_out_victim(self, victim: Procedure) -> tuple[SwapRecord, Extents]:
@@ -241,12 +256,18 @@ class _Memory:
         self.primary, self.backing, record = swap_out(
             self.primary, self.backing, (victim,), default_victim
         )
+        if self.strict is not None:
+            self.strict[0].release(self.primary, record.pid, freed)
+            self.strict[1].grant(self.backing, record.pid, record.backing_extents)
         return record, freed
 
     def swap_in_record(self, record: SwapRecord) -> Extents:
         self.primary, self.backing, granted = swap_in(
             self.primary, self.backing, record
         )
+        if self.strict is not None:
+            self.strict[0].grant(self.primary, record.pid, granted)
+            self.strict[1].release(self.backing, record.pid, record.backing_extents)
         return granted
 
     def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
@@ -260,14 +281,11 @@ class _Memory:
             return None
         return Fraction(self.primary.largest_free(), total)
 
-    def check(self) -> None:
-        """Check each memory that changed since it was last found clean,
-        on a snapshot of it."""
-        memories = (self.primary, self.backing)
-        for memory, (seen, changes) in zip(memories, self.checked):
-            if memory is not seen or memory.changes != changes:
-                memory.snapshot().check_invariants()
-        self.checked = tuple((memory, memory.changes) for memory in memories)
+    def check_all(self) -> None:
+        """Run strict mode's full check on both memories."""
+        primary, backing = self.strict
+        primary.full(self.primary)
+        backing.full(self.backing)
 
 
 class _Fixed(_Memory):
@@ -333,8 +351,8 @@ class _Paging(_Memory):
     def organizer(self) -> Organize:
         return Organize.fixed_partition(self.cfg.page_size)
 
-    def __init__(self, cfg: SimConfig):
-        super().__init__(cfg)
+    def __init__(self, cfg: SimConfig, events: list[TraceEvent] | None = None):
+        super().__init__(cfg, events)
         # a pagination depends only on the size and the page size, so each
         # procedure is paginated once, at its first admit attempt
         self.paginations: dict[int, Pagination] = {}
@@ -553,10 +571,10 @@ class _Simulation:
         self.cfg = cfg
         self.strict = strict
         self.stream = stream
-        self.memory = ALLOCATORS[cfg.allocator](cfg)
-        self.policy = policy or SCHEDULERS[cfg.scheduler](cfg)
         # events in emission order; instants never decrease along it
         self.events: list[TraceEvent] = []
+        self.memory = ALLOCATORS[cfg.allocator](cfg, self.events if strict else None)
+        self.policy = policy or SCHEDULERS[cfg.scheduler](cfg)
         self.clock = 0
         self.procs: dict[int, Procedure] = {}
         self.remaining: dict[int, int] = {}
@@ -574,8 +592,6 @@ class _Simulation:
         if instant < last:
             raise OsAlgError(f"event at {instant} after instant {last}")
         self.events.append(TraceEvent(instant, kind, pid, detail))
-        if self.strict:
-            self.memory.check()
 
     # -- admission ---------------------------------------------------
 
@@ -728,6 +744,8 @@ class _Simulation:
                     continue
                 raise OsAlgError("simulation stuck: nothing ready, memory idle")
             break
+        if self.strict:
+            self.memory.check_all()
         # a stable sort: events of one instant keep their emission order
         # within each kind
         events = sorted(self.events, key=lambda e: (e.instant, _KIND_ORDER[e.kind]))
@@ -735,7 +753,9 @@ class _Simulation:
         if self.strict:
             violations = bindingmod.validate(graph)
             if violations:
-                raise OsAlgError(f"binding violations: {violations}")
+                raise InvariantViolation(
+                    "binding", None, f"binding violations: {violations}"
+                )
         return Trace(events=tuple(events), binding=graph)
 
 
@@ -746,8 +766,10 @@ def run(
 ) -> tuple[Trace, Metrics]:
     """Simulate the workload under the configuration.
 
-    `strict` turns on per-event invariant checks and one check of the binding
-    log at the end; unset, it follows the OSALG_STRICT environment variable.
+    `strict` turns on a check of each memory change, full checks of memory
+    spread over the run and run again at its end, and one check of the
+    binding log at the end; unset, it follows the OSALG_STRICT environment
+    variable.
     """
     if strict is None:
         strict = os.environ.get(STRICT_ENV, "") == "1"

@@ -1,7 +1,9 @@
 """Workload parsing, trace rendering, and the command-line surface."""
 
 import ast
+import contextlib
 import importlib
+import io
 import importlib.util
 import os
 import random
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from osalg import Extent, SimConfig, WorkClass, run
+from osalg import Extent, SimConfig, WorkClass, cli, run
 from osalg.cli import (
     EXIT_OK,
     EXIT_UNRUNNABLE,
@@ -371,6 +373,80 @@ def test_huge_memory_costs_no_more_than_its_workload(tmp_path, allocator, flags)
     assert code == EXIT_OK
     assert "makespan=5" in (tmp_path / "m.txt").read_text()
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("strict", ["0", "1"])
+@pytest.mark.parametrize("allocator, flags", [
+    pytest.param("first-fit", [], id="first-fit"),
+    pytest.param("buddy", [], id="buddy"),
+    pytest.param("segmentation", [], id="segmentation"),
+    pytest.param("fixed", ["--unit", "4"], id="fixed"),
+    pytest.param("paging", ["--page-size", "4"], id="paging"),
+])
+def test_memory_past_the_index_range_runs(tmp_path, capsys, monkeypatch,
+                                          allocator, flags, strict):
+    """2**64 units, more than len() can count, run like any memory: exit 0
+    and no traceback, with strict mode off or on."""
+    monkeypatch.setenv("OSALG_STRICT", strict)
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(TWO_RECORDS)
+    code = main([
+        "run", "--workload", str(wpath), "--scheduler", "fcfs",
+        "--allocator", allocator, *flags, "--memory", str(2**64),
+        "--backing", str(2**64),
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "Traceback" not in captured.err
+    assert "makespan=5" in captured.out
+
+
+def test_a_memory_past_the_index_range_that_buddy_cannot_split_is_a_usage_error(
+    tmp_path, capsys
+):
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(TWO_RECORDS)
+    code = main(["run", "--workload", str(wpath), "--scheduler", "fcfs",
+                 "--allocator", "buddy", "--memory", str(10**23)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == "usage error: buddy allocator needs a power-of-two capacity\n"
+
+
+def test_one_parser_serves_every_main_call(tmp_path):
+    """The parser is built once in a process. Later calls, bad flags among
+    them, still exit 0 or 1, and their usage text goes to the stderr in
+    place at each call."""
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(TWO_RECORDS)
+    good = ["run", "--workload", str(wpath), "--scheduler", "rr",
+            "--quantum", "2", "--allocator", "first-fit"]
+    calls = [
+        (good, EXIT_OK),
+        (good[:-1] + ["lottery"], EXIT_USAGE),
+        (good + ["--quantum", "two"], EXIT_USAGE),
+        (good, EXIT_OK),
+        (["orderings"], EXIT_USAGE),
+        ([], EXIT_USAGE),
+        (["--help"], EXIT_OK),
+        (good, EXIT_OK),
+    ]
+    outputs = []
+    for argv, expected in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == expected, argv
+        outputs.append((argv, out.getvalue(), err.getvalue()))
+        if expected == EXIT_USAGE:
+            assert err.getvalue().startswith("usage: osalg"), argv
+            assert out.getvalue() == ""
+        else:
+            assert err.getvalue() == ""
+    runs = {text for argv, text, _ in outputs if argv == good}
+    assert len(runs) == 1 and "makespan=" in runs.pop()
+    assert "invalid choice: 'lottery'" in outputs[1][2]
+    assert outputs[6][1].startswith("usage: osalg")
+    assert cli._build_parser.cache_info().misses == 1
 
 
 class TestMainOrderings:

@@ -5,16 +5,17 @@
     python3 tools/scale.py --before HEAD~1 --out BENCH_scale.json
 
 Run it from the repository root. Each cell is one scheduler x allocator
-pair of PAIRS at one workload size n of SIZES: a workload of n
-procedures drawn with SEED (sizes 1-16, times 1-12, priorities 0-9,
-both work classes) is simulated REPEATS times, each by an
-in-process ``osalg.sim.run`` call with strict mode off, in a child
-process that imports ``osalg`` from the tree under test. Only that call
-is timed; building the workload is not. A cell's figure is the median
-of its repeats, in microseconds of host wall time per trace event, and
-each pair's slope is its figure at the largest n over the one at the
-smallest: 1 when the cost per event stays flat, n_max / n_min when it
-grows linearly in n.
+pair of PAIRS at one workload size n of SIZES, with strict mode off or,
+for the pairs of STRICT_PAIRS, on: a workload of n procedures drawn with
+SEED (sizes 1-16, times 1-12, priorities 0-9, both work classes) is
+simulated REPEATS times, each by an in-process ``osalg.sim.run`` call,
+in a child process that imports ``osalg`` from the tree under test.
+Only that call is timed; building the workload is not. A cell's figure
+is the median of its repeats, in microseconds of host wall time per
+trace event, and each pair's slope is its figure at the largest n over
+the one at the smallest: 1 when the cost per event stays flat,
+n_max / n_min when it grows linearly in n. A strict pair also reports
+its figure at the largest n over the lax one's.
 
 With ``--before REV``, the tree of git revision REV is exported to a
 temporary directory and measured too. The two trees alternate cell by
@@ -53,6 +54,8 @@ PAIRS = {
     "priority/fixed": (dict(scheduler="priority", allocator="fixed", unit_size=16), 0),
     "rr/paging": (dict(scheduler="rr", allocator="paging", page_size=4, quantum=2), 2),
 }
+# the pairs also measured with strict mode on, as "<pair> strict"
+STRICT_PAIRS = ("fcfs/first-fit", "rr/paging")
 
 
 def workload(pair: str, n: int) -> list[dict]:
@@ -73,7 +76,7 @@ def workload(pair: str, n: int) -> list[dict]:
     return procedures
 
 
-def measure(src: str, pair: str, n: int) -> dict:
+def measure(src: str, pair: str, n: int, strict: bool) -> dict:
     """Time one simulation of a cell with the osalg found under src."""
     sys.path.insert(0, src)
     from osalg.core import Procedure, WorkClass
@@ -86,7 +89,7 @@ def measure(src: str, pair: str, n: int) -> dict:
     cfg = SimConfig(memory_capacity=MEMORY, **PAIRS[pair][0])
     gc.collect()
     start = time.perf_counter()
-    trace, _ = run(procedures, cfg, strict=False)
+    trace, _ = run(procedures, cfg, strict=strict)
     seconds = time.perf_counter() - start
     return {
         "events": len(trace.events),
@@ -95,10 +98,10 @@ def measure(src: str, pair: str, n: int) -> dict:
     }
 
 
-def cell(src: Path, pair: str, n: int) -> dict:
+def cell(src: Path, pair: str, n: int, strict: bool) -> dict:
     """One measurement in a fresh child process."""
     done = subprocess.run(
-        [sys.executable, __file__, "--cell", str(src), pair, str(n)],
+        [sys.executable, __file__, "--cell", str(src), pair, str(n), str(int(strict))],
         capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -117,31 +120,36 @@ def describe(tree: Path, rev: str | None = None) -> str:
 
 
 def summarize(runs: dict) -> dict:
-    cells, slopes = {}, {}
-    for pair, by_n in runs.items():
-        figures = {}
+    cells, slopes, figures = {}, {}, {}
+    for (pair, strict), by_n in runs.items():
+        name = f"{pair} strict" if strict else pair
         for n, samples in by_n.items():
             per_event = [s["seconds"] / s["events"] * 1e6 for s in samples]
-            figures[n] = statistics.median(per_event)
-            cells[f"{pair} n={n}"] = {
-                "us_per_event": round(figures[n], 2),
+            figures[name, n] = statistics.median(per_event)
+            cells[f"{name} n={n}"] = {
+                "us_per_event": round(figures[name, n], 2),
                 "samples_us_per_event": [round(x, 2) for x in per_event],
                 "events": samples[0]["events"],
                 "peak_rss_mb": round(max(s["peak_rss_mb"] for s in samples), 1),
+                "strict": strict,
             }
-        slopes[pair] = round(figures[max(SIZES)] / figures[min(SIZES)], 2)
-    return {"cells": cells, "slopes": slopes}
+        slopes[name] = round(figures[name, max(SIZES)] / figures[name, min(SIZES)], 2)
+    strict_over_lax = {
+        pair: round(figures[f"{pair} strict", max(SIZES)] / figures[pair, max(SIZES)], 2)
+        for pair in STRICT_PAIRS
+    }
+    return {"cells": cells, "slopes": slopes, "strict_over_lax": strict_over_lax}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", help="git revision to measure alongside this tree")
     parser.add_argument("--out", help="JSON path (default: print only)")
-    parser.add_argument("--cell", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--cell", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.cell:
-        src, pair, n = args.cell
-        print(json.dumps(measure(src, pair, int(n))))
+        src, pair, n, strict = args.cell
+        print(json.dumps(measure(src, pair, int(n), strict == "1")))
         return 0
 
     with tempfile.TemporaryDirectory() as scratch:
@@ -153,24 +161,28 @@ def main() -> int:
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-C", str(before)], input=archive, check=True)
             trees = {"before": (before, describe(ROOT, args.before)), **trees}
-        runs = {side: {p: {n: [] for n in SIZES} for p in PAIRS} for side in trees}
+        kinds = [(p, False) for p in PAIRS] + [(p, True) for p in STRICT_PAIRS]
+        runs = {side: {k: {n: [] for n in SIZES} for k in kinds} for side in trees}
         for repeat in range(REPEATS):
-            for pair in PAIRS:
+            for pair, strict in kinds:
                 for n in SIZES:
                     # alternate which tree goes first, so neither always
                     # runs on the host right after the other
                     order = list(trees) if repeat % 2 == 0 else list(reversed(trees))
                     for side in order:
                         tree, _ = trees[side]
-                        sample = cell(tree / "src", pair, n)
-                        runs[side][pair][n].append(sample)
+                        sample = cell(tree / "src", pair, n, strict)
+                        runs[side][pair, strict][n].append(sample)
                         rate = sample["seconds"] / sample["events"] * 1e6
-                        print(f"{side:6} {pair:16} n={n:<6} {rate:9.2f} us/event",
+                        mode = "strict" if strict else "lax"
+                        print(f"{side:6} {pair:16} {mode:6} n={n:<6} {rate:9.2f} us/event",
                               file=sys.stderr, flush=True)
     result = {
-        "what": "in-process osalg.sim.run, strict off, memory 65536; "
-                "us/event is the median over repeats of host wall time per "
-                "trace event; slope is us/event at the largest n over the smallest",
+        "what": "in-process osalg.sim.run, strict off unless the cell says "
+                "strict, memory 65536; us/event is the median over repeats of "
+                "host wall time per trace event; slope is us/event at the "
+                "largest n over the smallest; strict_over_lax is a strict "
+                "pair's us/event at the largest n over the lax pair's",
         "sizes": list(SIZES),
         "repeats": REPEATS,
         "seed": SEED,
