@@ -260,7 +260,6 @@ def test_a_store_shape_breach_waits_for_the_next_full_check(monkeypatch):
     ps = [proc(i, size=2, time=2, arrival=i) for i in range(1, 9)]
     cfg = SimConfig(memory_capacity=64)
     real_deallocate = sim.deallocate
-    broken_at = []
 
     def splitting(m, pid):
         m = real_deallocate(m, pid)
@@ -270,12 +269,12 @@ def test_a_store_shape_breach_waits_for_the_next_full_check(monkeypatch):
 
     monkeypatch.setattr(sim, "deallocate", splitting)
     order = lax_emissions(monkeypatch, ps, cfg)
-    broken_at.append(index_of(order, EventKind.DEALLOCATE, 2))
+    broken_at = index_of(order, EventKind.DEALLOCATE, 2)
     found = violation(ps, cfg)
     assert found.invariant == "store-shape"
     assert "not maximal" in str(found) and "found by a full check" in str(found)
-    assert broken_at[0] <= found.event < len(order)  # before the run's end
-    assert found.last_clean is not None and found.last_clean < broken_at[0]
+    assert broken_at <= found.event < len(order)  # before the run's end
+    assert found.last_clean is not None and found.last_clean < broken_at
     assert f"last found clean at event {found.last_clean}" in str(found)
 
 
