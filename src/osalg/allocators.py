@@ -35,6 +35,7 @@ from .combinators import (
 from .core import Extent, Procedure, ResourceSet
 from .errors import (
     AllocationFailure,
+    InvariantViolation,
     NotFoundError,
     ParameterError,
     SwapFailure,
@@ -118,8 +119,9 @@ class MemoryState(_MemoryReads):
 
     def check_invariants(self) -> None:
         """Conservation and disjointness, the carried free total and the
-        store's own shape, each recomputed from scratch; raises
-        ParameterError on breach."""
+        store's own shape, each recomputed from scratch; raises an
+        InvariantViolation, a ParameterError, that names the invariant
+        broken."""
         pieces = list(self.free)
         for exts in self.allocated.values():
             pieces.extend(exts)
@@ -131,24 +133,32 @@ class MemoryState(_MemoryReads):
         covered = 0
         for e in pieces:
             if e.start < covered:
-                raise ParameterError(f"extent {e} overlaps a previous one")
+                raise InvariantViolation(
+                    "disjointness", f"extent {e} overlaps a previous one")
             if e.start > covered:
-                raise ParameterError(f"gap before {e}: units uncovered")
+                raise InvariantViolation(
+                    "conservation", f"gap before {e}: units uncovered")
             if e.end > capacity:
-                raise ParameterError(f"extent {e} beyond capacity {capacity}")
+                raise InvariantViolation(
+                    "conservation", f"extent {e} beyond capacity {capacity}")
             covered = e.end
         if covered != capacity:
-            raise ParameterError(
-                f"covered {covered} of {capacity} units: conservation broken"
+            raise InvariantViolation(
+                "conservation",
+                f"covered {covered} of {capacity} units: conservation broken",
             )
         scanned = 0
         for e in self.free:
             scanned += e.end - e.start
         if scanned != self.free_total:
-            raise ParameterError(
-                f"carried free total {self.free_total}, free list holds {scanned}"
+            raise InvariantViolation(
+                "free-total",
+                f"carried free total {self.free_total}, free list holds {scanned}",
             )
-        self.store.check()
+        try:
+            self.store.check()
+        except ParameterError as exc:
+            raise InvariantViolation("store-shape", str(exc)) from exc
 
     def _record_grant(
         self, pid: int, granted: tuple[Extent, ...], store: FreeStore, size: int

@@ -24,40 +24,43 @@ class ParameterError(OsAlgError, ValueError):
 
 
 class InvariantViolation(ParameterError):
-    """Strict mode found a run breaking an invariant.
+    """A memory state, or a strict run, breaking an invariant.
 
     `invariant` names it: ``disjointness``, ``conservation``,
-    ``free-total``, ``store-shape`` or ``binding``. `event` is the index,
-    in emission order, of the trace event the breach was found at, or
-    None for the binding log, which is checked once the run is over.
-    `excerpt` is a short account of the memory found broken. A breach
-    found by a full check of a memory also names `last_clean`, the event
-    at which the check last found that memory clean (None before its
-    first full check).
+    ``free-total``, ``store-shape`` or ``binding``. When strict mode finds
+    the breach during a run, the other fields say where:
+
+    - `at` is the trace event that records the change the breach was
+      found at, as (instant, event, pid): the first three fields of its
+      line in the rendered trace. None for a check at the end of the run.
+    - `event` is that event's index in emission order, or the number of
+      events for a check at the end of the run. The rendered trace sorts
+      the events of one instant by kind, so `at`, not `event`, finds the
+      line there.
+    - `excerpt` is a short account of the memory found broken.
+    - `last_clean` is, for a breach found by a full check, the `event`
+      index at which a full check last found that memory clean (None
+      before the first).
+
+    The binding log is checked once the run is over, so its breach has
+    none of these.
     """
 
     def __init__(
         self,
         invariant: str,
-        event: int | None,
         message: str,
+        event: int | None = None,
+        at: tuple[int, str, int] | None = None,
         excerpt: str = "",
         last_clean: int | None = None,
-        full_check: bool = False,
     ):
+        super().__init__(message)
         self.invariant = invariant
         self.event = event
+        self.at = at
         self.excerpt = excerpt
         self.last_clean = last_clean
-        if event is not None:
-            where = f"{invariant} broken at event {event}"
-            if full_check:
-                where += ", found by a full check, " + (
-                    "never found clean before" if last_clean is None
-                    else f"last found clean at event {last_clean}"
-                )
-            message = f"{where}: {message}" + (f" ({excerpt})" if excerpt else "")
-        super().__init__(message)
 
 
 class CompositionError(OsAlgError):

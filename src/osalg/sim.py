@@ -232,42 +232,45 @@ class _Memory:
         self.primary, _ = allocate_op(self.discipline, self.primary, p)
         return (), 0
 
-    def allocate(self, p: Procedure) -> Detail:
-        """Grant memory to p; returns the trace detail of the grant."""
+    def allocate(self, p: Procedure, at: int) -> Detail:
+        """Grant memory to p, admitted at instant `at`; returns the trace
+        detail of the grant."""
         extra, int_frag = self.grant(p)
         extents = self.primary.extents_of(p.id)
         if self.strict is not None:
-            self.strict[0].grant(self.primary, p.id, extents)
+            self.strict[0].grant(self.primary, p.id, extents, at, EventKind.ADMIT)
         return (
             (("extents", extents),)
             + extra
             + (("ext_frag", self.frag_sample()), ("int_frag", int_frag))
         )
 
-    def release(self, pid: int) -> Extents:
+    def release(self, pid: int, at: int) -> Extents:
         extents = self.primary.extents_of(pid)
         self.primary = deallocate(self.primary, pid)
         if self.strict is not None:
-            self.strict[0].release(self.primary, pid, extents)
+            self.strict[0].release(self.primary, pid, extents, at, EventKind.DEALLOCATE)
         return extents
 
-    def swap_out_victim(self, victim: Procedure) -> tuple[SwapRecord, Extents]:
+    def swap_out_victim(self, victim: Procedure, at: int) -> tuple[SwapRecord, Extents]:
         freed = self.primary.extents_of(victim.id)
         self.primary, self.backing, record = swap_out(
             self.primary, self.backing, (victim,), default_victim
         )
         if self.strict is not None:
-            self.strict[0].release(self.primary, record.pid, freed)
-            self.strict[1].grant(self.backing, record.pid, record.backing_extents)
+            pid, kind = record.pid, EventKind.SWAP_OUT
+            self.strict[0].release(self.primary, pid, freed, at, kind)
+            self.strict[1].grant(self.backing, pid, record.backing_extents, at, kind)
         return record, freed
 
-    def swap_in_record(self, record: SwapRecord) -> Extents:
+    def swap_in_record(self, record: SwapRecord, at: int) -> Extents:
         self.primary, self.backing, granted = swap_in(
             self.primary, self.backing, record
         )
         if self.strict is not None:
-            self.strict[0].grant(self.primary, record.pid, granted)
-            self.strict[1].release(self.backing, record.pid, record.backing_extents)
+            pid, kind = record.pid, EventKind.SWAP_IN
+            self.strict[0].grant(self.primary, pid, granted, at, kind)
+            self.strict[1].release(self.backing, pid, record.backing_extents, at, kind)
         return granted
 
     def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
@@ -374,9 +377,9 @@ class _Paging(_Memory):
         extra: Detail = (("pages", page_map.entries),) if page_map.entries else ()
         return extra, pagination.internal_fragmentation
 
-    def release(self, pid: int) -> Extents:
+    def release(self, pid: int, at: int) -> Extents:
         self.paginations.pop(pid, None)
-        return super().release(pid)
+        return super().release(pid, at)
 
     def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
         """Each Allocate or SwapIn of p binds p's pages, then p's page
@@ -618,12 +621,12 @@ class _Simulation:
 
     def try_admit(self, p: Procedure, at: int) -> bool:
         try:
-            detail = self.memory.allocate(p)
+            detail = self.memory.allocate(p, at)
         except AllocationFailure:
             if not self.swap_attempt(at):
                 return False
             try:
-                detail = self.memory.allocate(p)
+                detail = self.memory.allocate(p, at)
             except AllocationFailure:
                 return False
         self.emit(at, EventKind.ADMIT, p.id)
@@ -642,7 +645,7 @@ class _Simulation:
         if victim is None:
             return False
         try:
-            record, freed = self.memory.swap_out_victim(victim)
+            record, freed = self.memory.swap_out_victim(victim, at)
         except SwapFailure:
             return False
         self.swapped.append(record)
@@ -666,7 +669,7 @@ class _Simulation:
             record = self.swapped[0]
             p = self.procs[record.pid]
             try:
-                granted = self.memory.swap_in_record(record)
+                granted = self.memory.swap_in_record(record, at)
             except AllocationFailure:
                 break
             self.swapped.popleft()
@@ -711,7 +714,7 @@ class _Simulation:
         self.remaining[pid] -= end - start
         if self.remaining[pid] == 0:
             self.emit(end, EventKind.COMPLETE, pid)
-            freed = self.memory.release(pid)
+            freed = self.memory.release(pid, end)
             self.emit(end, EventKind.DEALLOCATE, pid, (("extents", freed),))
             self.reclaim(end)
         else:
@@ -754,7 +757,7 @@ class _Simulation:
             violations = bindingmod.validate(graph)
             if violations:
                 raise InvariantViolation(
-                    "binding", None, f"binding violations: {violations}"
+                    "binding", f"binding violations: {violations}"
                 )
         return Trace(events=tuple(events), binding=graph)
 

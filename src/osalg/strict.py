@@ -1,65 +1,63 @@
 """Strict mode's memory check, one change at a time.
 
 Each grant, release, swap-out and swap-in of a strict run reaches the
-`MemoryCheck` of the memory it changed as a delta: the procedure and the
-extents it took or freed. The check keeps its own record of that memory:
-the occupied extents in address order, and the extents each holder was
+`MemoryCheck` of the memory it changed as a delta: the procedure, the
+extents it took or freed, and the instant and kind of the trace event
+that records it. The check keeps its own record of that memory: the
+occupied extents in address order, and the extents each holder was
 granted. It shares no code with the free stores, so a store or ledger
 that goes wrong shows as a disagreement with the record. Each delta is
 checked in O(log n) plus a list insert or delete:
 
 - a granted extent lies inside the memory (whole units under a unit),
   clear of the occupied extents next to it and of the store's free
-  extents; a freed one is what its holder was granted, and lies inside a
-  free extent of the store after the release;
+  extents;
+- a freed one is what its holder was granted, and lies inside a free
+  extent of the store after the release, which is itself inside the
+  memory and clear of the occupied extents;
+- the unit just before and the unit just after each granted extent, and
+  each free extent a release leaves, is occupied, free or outside the
+  memory, so no unit beside a change drops out of both;
 - the ledger holds the procedure after a grant and not after a release,
   has as many holders as the record, and carries a free total of the
   memory's size less what the record has occupied.
 
 A delta that disagrees runs the full `MemoryState.check_invariants` at
 once, so that a breach that check finds is reported in its words. The
-full check, which alone sees the store's own shape, also runs once the
-changes since its last run reach the number of holders, and on every
-memory at the end of the run: its cost is spread to O(log n) a change.
+full check also runs once the changes since its last run reach the
+number of holders, and on every memory at the end of the run: its cost
+is spread to O(log n) a change. It alone sees the store's own shape, and
+a store that changed away from the extents a delta touched.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
+from enum import Enum
 from operator import attrgetter
 from typing import NoReturn
 
 from .allocators import MemoryLedger
 from .core import Extent
-from .errors import InvariantViolation, ParameterError
+from .errors import InvariantViolation
 
 _start = attrgetter("start")
 
-# The invariant each of check_invariants' messages reports, by a phrase
-# in it; any other message is the free store's own shape check.
-_FULL_CHECK_PHRASES = (
-    ("overlaps", "disjointness"),
-    ("gap before", "conservation"),
-    ("beyond capacity", "conservation"),
-    ("conservation broken", "conservation"),
-    ("carried free total", "free-total"),
-)
-
-
-def _invariant_of(message: str) -> str:
-    for phrase, invariant in _FULL_CHECK_PHRASES:
-        if phrase in message:
-            return invariant
-    return "store-shape"
-
-
-# a delta as (verb, procedure id, extents), put into words only on failure
-Change = tuple[str, int, tuple[Extent, ...]]
+# a delta as (verb, procedure id, extents, instant, event kind), put into
+# words only on failure
+Change = tuple[str, int, tuple[Extent, ...], int, Enum]
 
 
 def _text(extents: Sequence[Extent]) -> str:
     return "+".join(map(str, extents)) or "nothing"
+
+
+def _where(event: int, at: tuple[int, str, int] | None) -> str:
+    if at is None:
+        return f"the end of the run (event {event})"
+    instant, kind, pid = at
+    return f"event {event} ({kind} of procedure {pid} at instant {instant})"
 
 
 class MemoryCheck:
@@ -80,10 +78,14 @@ class MemoryCheck:
         self.occupied = 0
         self.held: dict[int, tuple[Extent, ...]] = {}
         self.since = 0  # changes since the last full check
-        self.clean: int | None = None  # the event of the last full check passed
+        # the event index and event of the last full check passed
+        self.clean: tuple[int, tuple[int, str, int] | None] | None = None
 
-    def grant(self, ledger: MemoryLedger, pid: int, extents: tuple[Extent, ...]) -> None:
-        change = ("grant", pid, extents)
+    def grant(
+        self, ledger: MemoryLedger, pid: int, extents: tuple[Extent, ...],
+        instant: int, kind: Enum,
+    ) -> None:
+        change = ("grant", pid, extents, instant, kind)
         if pid in self.held:
             self.fail(ledger, change, "conservation",
                       f"procedure {pid} already holds {_text(self.held[pid])}")
@@ -110,30 +112,68 @@ class MemoryCheck:
             starts.insert(i, s)
             ends.insert(i, t)
             self.occupied += t - s
+        # once every extent is in the record, as they may sit side by side
+        for e in extents:
+            if e.start < e.end:
+                self.bordered(ledger, change, free, e)
         self.held[pid] = extents
         self.settle(ledger, change, pid, True)
 
-    def release(self, ledger: MemoryLedger, pid: int, extents: tuple[Extent, ...]) -> None:
-        change = ("release", pid, extents)
+    def release(
+        self, ledger: MemoryLedger, pid: int, extents: tuple[Extent, ...],
+        instant: int, kind: Enum,
+    ) -> None:
+        change = ("release", pid, extents, instant, kind)
         held = self.held.pop(pid, None)
         if held != extents:
             self.fail(ledger, change, "conservation",
                       f"procedure {pid} was granted "
                       f"{'nothing' if held is None else _text(held)}")
         starts, ends = self.starts, self.ends
+        for e in extents:
+            if e.start < e.end:
+                i = bisect_left(starts, e.start)
+                del starts[i], ends[i]
+                self.occupied -= e.end - e.start
         free = ledger.store.free_extents()
         for e in extents:
             s, t = e.start, e.end
             if s == t:
                 continue
-            i = bisect_left(starts, s)
-            del starts[i], ends[i]
-            self.occupied -= t - s
             j = bisect_right(free, s, key=_start) - 1
             if j < 0 or free[j].end < t:
                 self.fail(ledger, change, "conservation",
                           f"freed extent {e} is not free in the store")
+            merged = free[j]
+            if merged.end > self.limit:
+                self.fail(ledger, change, "conservation",
+                          f"free extent {merged} beyond the {self.limit} units "
+                          f"of the memory")
+            i = bisect_right(starts, merged.start)
+            if (i and ends[i - 1] > merged.start) or (
+                i < len(starts) and starts[i] < merged.end
+            ):
+                self.fail(ledger, change, "disjointness",
+                          f"free extent {merged} overlaps an occupied one")
+            self.bordered(ledger, change, free, merged)
         self.settle(ledger, change, pid, False)
+
+    def bordered(
+        self, ledger: MemoryLedger, change: Change, free: Sequence[Extent], e: Extent
+    ) -> None:
+        """The units just before and just after `e` must each be occupied,
+        free or outside the memory."""
+        for u in (e.start - 1, e.end):
+            if u < 0 or u >= self.limit:
+                continue
+            i = bisect_right(self.starts, u) - 1
+            if i >= 0 and self.ends[i] > u:
+                continue
+            j = bisect_right(free, u, key=_start) - 1
+            if j >= 0 and free[j].end > u:
+                continue
+            self.fail(ledger, change, "conservation",
+                      f"unit {u} beside {e} is neither occupied nor free")
 
     def settle(self, ledger: MemoryLedger, change: Change, pid: int, holds: bool) -> None:
         """The ledger's holders and free total against the record; then a
@@ -151,20 +191,24 @@ class MemoryCheck:
                       f"{self.limit - self.occupied} units unoccupied")
         self.since += 1
         if self.since >= len(self.held):
-            self.full(ledger)
+            self.full(ledger, change)
 
-    def full(self, ledger: MemoryLedger) -> None:
-        """Run the full check of the memory."""
-        event = len(self.events)
-        try:
-            ledger.snapshot().check_invariants()
-        except ParameterError as exc:
-            message = str(exc)
-            raise InvariantViolation(
-                _invariant_of(message), event, message, self.excerpt(ledger),
-                self.clean, full_check=True,
-            ) from exc
-        self.clean = event
+    def full(self, ledger: MemoryLedger, change: Change | None = None) -> None:
+        """Run the full check of the memory, at the event that records
+        `change`, or at the end of the run when there is none."""
+        event, at = len(self.events), self.event_of(change)
+        found = self.breach(ledger)
+        if found is not None:
+            if self.clean is None:
+                before = "never found clean before"
+            else:
+                before = f"last found clean at {_where(*self.clean)}"
+            raise self.violation(
+                found.invariant, str(found), ledger, change,
+                f", found by a full check, {before}",
+                None if self.clean is None else self.clean[0],
+            ) from found
+        self.clean = (event, at)
         self.since = 0
 
     def fail(
@@ -172,22 +216,42 @@ class MemoryCheck:
     ) -> NoReturn:
         """Raise for a delta that disagrees with the record: in the words of
         the full check when it finds the breach too, else in the delta's."""
-        event = len(self.events)
-        excerpt = self.excerpt(ledger, change)
+        breach = self.breach(ledger)
+        if breach is not None:
+            raise self.violation(breach.invariant, str(breach), ledger, change) from breach
+        raise self.violation(invariant, found, ledger, change)
+
+    @staticmethod
+    def breach(ledger: MemoryLedger) -> InvariantViolation | None:
+        """What the full check of the memory finds broken, if anything."""
         try:
             ledger.snapshot().check_invariants()
-        except ParameterError as exc:
-            message = str(exc)
-            raise InvariantViolation(
-                _invariant_of(message), event, message, excerpt
-            ) from exc
-        raise InvariantViolation(invariant, event, found, excerpt)
+        except InvariantViolation as found:
+            return found
+        return None
 
-    def excerpt(self, ledger: MemoryLedger, change: Change | None = None) -> str:
+    @staticmethod
+    def event_of(change: Change | None) -> tuple[int, str, int] | None:
+        """The event that records `change`, as the rendered trace shows it."""
+        if change is None:
+            return None
+        _, pid, _, instant, kind = change
+        return (instant, kind.value, pid)
+
+    def violation(
+        self, invariant: str, found: str, ledger: MemoryLedger,
+        change: Change | None, how: str = "", last_clean: int | None = None,
+    ) -> InvariantViolation:
+        event, at = len(self.events), self.event_of(change)
         what = ""
         if change is not None:
-            verb, pid, extents = change
+            verb, pid, extents, _, _ = change
             what = f", {verb} of {_text(extents)} for procedure {pid}"
-        return (f"{self.name} memory{what}: "
-                f"{len(ledger.allocated)} holders, "
-                f"{ledger.free_total} of {self.limit} units free")
+        excerpt = (f"{self.name} memory{what}: "
+                   f"{len(ledger.allocated)} holders, "
+                   f"{ledger.free_total} of {self.limit} units free")
+        return InvariantViolation(
+            invariant,
+            f"{invariant} broken at {_where(event, at)}{how}: {found} ({excerpt})",
+            event, at, excerpt, last_clean,
+        )

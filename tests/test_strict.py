@@ -2,11 +2,12 @@
 
 Each test breaks one thing in an otherwise working run and expects a
 strict run to stop with an ``InvariantViolation`` that names the broken
-invariant and the index of the event where the breach happened. That
-index is in emission order: the order the simulator makes events, before
-the trace sorts the events of each instant by kind. A lax run with the
-same fault records the emission order, so the expected index never comes
-from the checker under test.
+invariant and the event where the breach happened: its (instant, kind,
+pid), as the rendered trace shows it, and its index in emission order,
+the order the simulator makes events before the trace sorts the events
+of each instant by kind. A lax run with the same fault records the
+emitted events, so the expected event never comes from the checker under
+test.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 
 from osalg import Extent, SimConfig, run, sim, strict
 from osalg.allocators import MemoryLedger, MemoryState
-from osalg.cli import EXIT_WORKLOAD, main
+from osalg.cli import EXIT_WORKLOAD, main, render_trace
 from osalg.errors import InvariantViolation, ParameterError
 from osalg.sim import EventKind
 
@@ -42,14 +43,14 @@ ALLOCATORS = {
 TWO = [proc(1, size=4, time=2), proc(2, size=4, time=1, arrival=5)]
 
 
-def record_emissions(monkeypatch) -> list[tuple[EventKind, int]]:
-    """(kind, pid) of every event the simulator emits, in emission order,
-    from now on."""
-    order: list[tuple[EventKind, int]] = []
+def record_emissions(monkeypatch) -> list[tuple[int, EventKind, int]]:
+    """(instant, kind, pid) of every event the simulator emits, in emission
+    order, from now on."""
+    order: list[tuple[int, EventKind, int]] = []
     real_emit = sim._Simulation.emit
 
     def recording(self, instant, kind, pid, detail=()):
-        order.append((kind, pid))
+        order.append((instant, kind, pid))
         real_emit(self, instant, kind, pid, detail)
 
     monkeypatch.setattr(sim._Simulation, "emit", recording)
@@ -57,7 +58,19 @@ def record_emissions(monkeypatch) -> list[tuple[EventKind, int]]:
 
 
 def index_of(order, kind, pid):
-    return order.index((kind, pid))
+    """The emission index of the first event of this kind for pid."""
+    return next(i for i, (_, k, p) in enumerate(order) if (k, p) == (kind, pid))
+
+
+def assert_found_at(found, order, kind, pid):
+    """`found` names the first emitted event of this kind for pid, by its
+    index and by its (instant, kind, pid)."""
+    i = index_of(order, kind, pid)
+    instant = order[i][0]
+    assert found.event == i
+    assert found.at == (instant, kind.value, pid)
+    assert (f"at event {i} ({kind.value} of procedure {pid} at instant {instant}):"
+            in str(found))
 
 
 def violation(workload, cfg) -> InvariantViolation:
@@ -76,12 +89,18 @@ def delta_violation(workload, cfg) -> InvariantViolation:
 
 def lax_emissions(monkeypatch, workload, cfg):
     """The emission order of a lax run of the workload, which completes."""
+    return lax_run(monkeypatch, workload, cfg)[0]
+
+
+def lax_run(monkeypatch, workload, cfg):
+    """The emitted events and the rendered trace of a lax run of the
+    workload, which completes."""
     order = record_emissions(monkeypatch)
     trace, _ = run(workload, cfg, strict=False)
     assert len(trace.of_kind(EventKind.COMPLETE)) == len(workload)
     emitted = list(order)
     order.clear()
-    return emitted
+    return emitted, render_trace(trace)
 
 
 # -- each delta check bites, at the event of the breach -------------------
@@ -101,9 +120,8 @@ def test_a_skipped_release_is_caught_at_its_deallocate(monkeypatch, allocator):
     order = lax_emissions(monkeypatch, TWO, cfg)
     found = delta_violation(TWO, cfg)
     assert found.invariant == "conservation"
-    assert found.event == index_of(order, EventKind.DEALLOCATE, 1)
+    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
     assert "not free in the store" in str(found)
-    assert f"at event {found.event}:" in str(found)
 
 
 @pytest.mark.parametrize("shift, invariant, words", [
@@ -130,7 +148,7 @@ def test_a_grant_shifted_by_one_unit_is_caught_at_its_admit(
     order = lax_emissions(monkeypatch, ps, cfg)
     found = delta_violation(ps, cfg)
     assert found.invariant == invariant
-    assert found.event == index_of(order, EventKind.ADMIT, 2)
+    assert_found_at(found, order, EventKind.ADMIT, 2)
     assert words in str(found)
 
 
@@ -147,7 +165,7 @@ def test_a_free_counted_twice_is_caught_at_its_deallocate(monkeypatch, allocator
     order = lax_emissions(monkeypatch, TWO, cfg)
     found = delta_violation(TWO, cfg)
     assert found.invariant == "free-total"
-    assert found.event == index_of(order, EventKind.DEALLOCATE, 1)
+    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
     assert "carried free total 20, free list holds 16" in str(found)
 
 
@@ -167,7 +185,7 @@ def test_extents_rewritten_before_their_release_are_caught_at_its_deallocate(
     order = lax_emissions(monkeypatch, TWO, cfg)
     monkeypatch.setattr(sim._Simulation, "emit", rewriting)
     found = delta_violation(TWO, cfg)
-    assert found.event == index_of(order, EventKind.DEALLOCATE, 1)
+    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
     assert found.invariant == "conservation"
     assert "gap before [1..5)" in str(found)
 
@@ -186,12 +204,18 @@ def test_a_swap_in_to_the_wrong_place_is_caught_at_its_swap_in(monkeypatch):
     ps = [proc(1, size=8, time=4, priority=5), proc(2, size=8, time=1, priority=1),
           proc(3, size=8, time=1, arrival=1, priority=9)]
     cfg = SimConfig(memory_capacity=16, scheduler="priority")
-    order = lax_emissions(monkeypatch, ps, cfg)
-    (swapped,) = {pid for kind, pid in order if kind is EventKind.SWAP_IN}
+    order, rendered = lax_run(monkeypatch, ps, cfg)
+    (swapped,) = {pid for _, kind, pid in order if kind is EventKind.SWAP_IN}
     found = delta_violation(ps, cfg)
-    assert found.event == index_of(order, EventKind.SWAP_IN, swapped)
+    assert_found_at(found, order, EventKind.SWAP_IN, swapped)
     assert found.invariant == "conservation"
     assert "gap before [1..9)" in str(found)
+    # the rendered trace orders this run's events otherwise than the
+    # simulator emits them, but `at` still names the line
+    rendered_order = [tuple(line.split(",")[:3]) for line in rendered.splitlines()[1:]]
+    emitted_order = [(str(t), k.value, str(p)) for t, k, p in order]
+    assert rendered_order != emitted_order
+    assert tuple(map(str, found.at)) in rendered_order
 
 
 def test_a_corrupted_release_is_a_disjointness_breach_at_its_deallocate(
@@ -211,8 +235,8 @@ def test_a_corrupted_release_is_a_disjointness_breach_at_its_deallocate(
     cfg = SimConfig(memory_capacity=16)
     order = lax_emissions(monkeypatch, TWO, cfg)
     found = delta_violation(TWO, cfg)
-    assert (found.invariant, found.event) == (
-        "disjointness", index_of(order, EventKind.DEALLOCATE, 1))
+    assert found.invariant == "disjointness"
+    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
     assert "overlaps a previous one" in str(found)
     assert "primary memory, release of [0..4) for procedure 1" in str(found)
 
@@ -231,9 +255,96 @@ def test_a_corrupted_grant_is_a_disjointness_breach_at_its_admit(monkeypatch):
     cfg = SimConfig(memory_capacity=16)
     order = lax_emissions(monkeypatch, TWO, cfg)
     found = delta_violation(TWO, cfg)
-    assert (found.invariant, found.event) == (
-        "disjointness", index_of(order, EventKind.ADMIT, 1))
+    assert found.invariant == "disjointness"
+    assert_found_at(found, order, EventKind.ADMIT, 1)
     assert "overlaps a previous one" in str(found)
+
+
+# pid 1 completes at 2 while pid 2, granted the 4 units after it, waits
+SIDE_BY_SIDE = [proc(1, size=4, time=2), proc(2, size=4, time=3)]
+
+
+def with_free(store, extents):
+    """The free store with its free extents replaced, whatever its kind."""
+    field = "runs" if hasattr(store, "runs") else "free_leaves"
+    return replace(store, **{field: tuple(extents)})
+
+
+@pytest.mark.parametrize("allocator", sorted(ALLOCATORS))
+def test_a_grant_that_leaks_a_unit_is_caught_at_its_admit(monkeypatch, allocator):
+    """The store's grant to procedure 2 also drops the free unit just
+    after it, one unit off in the split: the units and every holder add
+    up, but unit 8 is neither occupied nor free."""
+    real_record = MemoryLedger._record_grant
+
+    def leaking(ledger, pid, granted, store, size):
+        if pid == 2:
+            end = granted[-1].end
+            store = with_free(store, [Extent(f.start + 1, f.end) if f.start == end
+                                      else f for f in store.free_extents()])
+        return real_record(ledger, pid, granted, store, size)
+
+    monkeypatch.setattr(MemoryLedger, "_record_grant", leaking)
+    cfg = SimConfig(memory_capacity=16, allocator=allocator, **ALLOCATORS[allocator])
+    order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
+    found = delta_violation(SIDE_BY_SIDE, cfg)
+    assert found.invariant == "conservation"
+    assert_found_at(found, order, EventKind.ADMIT, 2)
+    assert "gap before [9..16)" in str(found)
+
+
+@pytest.mark.parametrize("allocator", sorted(ALLOCATORS))
+def test_a_release_merged_over_a_neighbour_is_caught_at_its_deallocate(
+    monkeypatch, allocator
+):
+    """The store merges procedure 1's freed [0..4) over procedure 2's
+    [4..8): the freed extent is free, the holders and the carried free
+    total agree, but a free extent overlaps an occupied one."""
+    real_record = MemoryLedger._record_release
+
+    def merging(ledger, pid, store, size):
+        if pid == 1:
+            store = with_free(store, [Extent(0, 8) if f.start == 0 else f
+                                      for f in store.free_extents()])
+        return real_record(ledger, pid, store, size)
+
+    monkeypatch.setattr(MemoryLedger, "_record_release", merging)
+    cfg = SimConfig(memory_capacity=16, allocator=allocator, **ALLOCATORS[allocator])
+    order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
+    found = delta_violation(SIDE_BY_SIDE, cfg)
+    assert found.invariant == "disjointness"
+    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
+    assert "[4..8) overlaps a previous one" in str(found)
+
+
+def broken_states():
+    """(state, invariant, words): one state for each message of the full
+    check, each over an empty first-fit memory of 16 units."""
+    m = MemoryState.initial(16)
+
+    def runs(*extents):
+        return replace(m.store, runs=extents)
+
+    return [
+        (replace(m, allocated={1: (Extent(0, 4),)}), "disjointness", "overlaps"),
+        (replace(m, store=runs(Extent(2, 16)), free_total=14),
+         "conservation", "gap before"),
+        (replace(m, allocated={1: (Extent(16, 20),)}),
+         "conservation", "beyond capacity"),
+        (replace(m, store=runs(Extent(0, 8)), free_total=8),
+         "conservation", "conservation broken"),
+        (replace(m, free_total=15), "free-total", "carried free total"),
+        (replace(m, store=runs(Extent(0, 8), Extent(8, 16))),
+         "store-shape", "not maximal"),
+    ]
+
+
+@pytest.mark.parametrize("state, invariant, words", broken_states())
+def test_the_full_check_names_the_invariant_it_finds_broken(state, invariant, words):
+    with pytest.raises(InvariantViolation, match=words) as caught:
+        state.check_invariants()
+    assert caught.value.invariant == invariant
+    assert caught.value.event is None and caught.value.at is None
 
 
 # -- the store's own shape waits for a full check --------------------------
@@ -274,8 +385,12 @@ def test_a_store_shape_breach_waits_for_the_next_full_check(monkeypatch):
     assert found.invariant == "store-shape"
     assert "not maximal" in str(found) and "found by a full check" in str(found)
     assert broken_at <= found.event < len(order)  # before the run's end
+    instant, kind, pid = order[found.event]
+    assert found.at == (instant, kind.value, pid)
     assert found.last_clean is not None and found.last_clean < broken_at
-    assert f"last found clean at event {found.last_clean}" in str(found)
+    instant, kind, pid = order[found.last_clean]
+    assert (f"last found clean at event {found.last_clean} "
+            f"({kind.value} of procedure {pid} at instant {instant}):") in str(found)
 
 
 def test_a_store_shape_breach_after_the_last_change_is_caught_at_the_end(
@@ -296,9 +411,11 @@ def test_a_store_shape_breach_after_the_last_change_is_caught_at_the_end(
     monkeypatch.setattr(sim._Simulation, "emit", splitting_at_the_end)
     found = violation(ps, cfg)
     assert found.invariant == "store-shape"
-    assert found.event == len(order)
+    assert found.event == len(order) and found.at is None
+    assert f"broken at the end of the run (event {len(order)})" in str(found)
     # the release emptied the memory, so its full check ran at once
     assert found.last_clean == index_of(order, EventKind.DEALLOCATE, 1)
+    assert "last found clean at event 5 (Deallocate of procedure 1 at instant 2)" in str(found)
 
 
 # -- what strict mode costs, and what it reports ---------------------------
@@ -328,9 +445,9 @@ def test_a_clean_strict_run_checks_every_memory_at_the_end(monkeypatch):
     checked = []
     real_full = strict.MemoryCheck.full
 
-    def counted(check, ledger):
+    def counted(check, ledger, change=None):
         checked.append(check.name)
-        return real_full(check, ledger)
+        return real_full(check, ledger, change)
 
     monkeypatch.setattr(strict.MemoryCheck, "full", counted)
     run(TWO, SimConfig(memory_capacity=16), strict=True)
