@@ -112,10 +112,20 @@ class MemoryCheck:
             starts.insert(i, s)
             ends.insert(i, t)
             self.occupied += t - s
-        # once every extent is in the record, as they may sit side by side
+        # the units beside each extent, once all are in the record, as they
+        # may sit side by side: free extents end at or before s, and start
+        # at or after t
         for e in extents:
-            if e.start < e.end:
-                self.bordered(ledger, change, free, e)
+            s, t = e.start, e.end
+            if s == t:
+                continue
+            i = bisect_left(starts, s)
+            j = bisect_right(free, s, key=_start)
+            if not (s == 0 or (i and ends[i - 1] == s) or (j and free[j - 1].end == s)):
+                self.uncovered(ledger, change, s - 1, e)
+            if not (t == limit or (i + 1 < len(starts) and starts[i + 1] == t)
+                    or (j < len(free) and free[j].start == t)):
+                self.uncovered(ledger, change, t, e)
         self.held[pid] = extents
         self.settle(ledger, change, pid, True)
 
@@ -129,7 +139,7 @@ class MemoryCheck:
             self.fail(ledger, change, "conservation",
                       f"procedure {pid} was granted "
                       f"{'nothing' if held is None else _text(held)}")
-        starts, ends = self.starts, self.ends
+        starts, ends, limit = self.starts, self.ends, self.limit
         for e in extents:
             if e.start < e.end:
                 i = bisect_left(starts, e.start)
@@ -144,36 +154,26 @@ class MemoryCheck:
             if j < 0 or free[j].end < t:
                 self.fail(ledger, change, "conservation",
                           f"freed extent {e} is not free in the store")
-            merged = free[j]
-            if merged.end > self.limit:
+            # the free extent around e, and the units beside it
+            a, b = free[j].start, free[j].end
+            if b > limit:
                 self.fail(ledger, change, "conservation",
-                          f"free extent {merged} beyond the {self.limit} units "
+                          f"free extent {free[j]} beyond the {limit} units "
                           f"of the memory")
-            i = bisect_right(starts, merged.start)
-            if (i and ends[i - 1] > merged.start) or (
-                i < len(starts) and starts[i] < merged.end
-            ):
+            i = bisect_right(starts, a)
+            if (i and ends[i - 1] > a) or (i < len(starts) and starts[i] < b):
                 self.fail(ledger, change, "disjointness",
-                          f"free extent {merged} overlaps an occupied one")
-            self.bordered(ledger, change, free, merged)
+                          f"free extent {free[j]} overlaps an occupied one")
+            if not (a == 0 or (i and ends[i - 1] == a) or (j and free[j - 1].end == a)):
+                self.uncovered(ledger, change, a - 1, free[j])
+            if not (b == limit or (i < len(starts) and starts[i] == b)
+                    or (j + 1 < len(free) and free[j + 1].start == b)):
+                self.uncovered(ledger, change, b, free[j])
         self.settle(ledger, change, pid, False)
 
-    def bordered(
-        self, ledger: MemoryLedger, change: Change, free: Sequence[Extent], e: Extent
-    ) -> None:
-        """The units just before and just after `e` must each be occupied,
-        free or outside the memory."""
-        for u in (e.start - 1, e.end):
-            if u < 0 or u >= self.limit:
-                continue
-            i = bisect_right(self.starts, u) - 1
-            if i >= 0 and self.ends[i] > u:
-                continue
-            j = bisect_right(free, u, key=_start) - 1
-            if j >= 0 and free[j].end > u:
-                continue
-            self.fail(ledger, change, "conservation",
-                      f"unit {u} beside {e} is neither occupied nor free")
+    def uncovered(self, ledger: MemoryLedger, change: Change, unit: int, e: Extent) -> NoReturn:
+        self.fail(ledger, change, "conservation",
+                  f"unit {unit} beside {e} is neither occupied nor free")
 
     def settle(self, ledger: MemoryLedger, change: Change, pid: int, holds: bool) -> None:
         """The ledger's holders and free total against the record; then a
