@@ -27,23 +27,26 @@ class InvariantViolation(ParameterError):
     """A memory state, or a strict run, breaking an invariant.
 
     `invariant` names it: ``disjointness``, ``conservation``,
-    ``free-total``, ``store-shape`` or ``binding``. When strict mode finds
-    the breach during a run, the other fields say where:
+    ``free-total`` or ``store-shape`` of a memory, ``cpu-time`` (a CPU
+    instant dispatched twice), ``residency`` (a dispatch of a procedure
+    not in primary memory) or ``binding``. When strict mode finds the
+    breach during a run, the other fields say where:
 
-    - `at` is the trace event that records the change the breach was
-      found at, as (instant, event, pid): the first three fields of its
-      line in the rendered trace. None for a check at the end of the run.
+    - `at` is the trace event the breach was found at, as (instant,
+      event, pid): the first three fields of its line in the rendered
+      trace. None for a check at the end of the run.
     - `event` is that event's index in emission order, or the number of
       events for a check at the end of the run. The rendered trace sorts
       the events of one instant by kind, so `at`, not `event`, finds the
       line there.
-    - `excerpt` is a short account of the memory found broken.
+    - `excerpt` is a short account of the memory, or the CPU, found
+      broken.
     - `last_clean` is, for a breach found by a full check, the `event`
       index at which a full check last found that memory clean (None
       before the first).
 
     The binding log is checked once the run is over, so its breach has
-    none of these.
+    only `event`, the number of events.
     """
 
     def __init__(

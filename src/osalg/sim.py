@@ -53,7 +53,6 @@ from .core import ArrivalStream, Extent, Procedure, ProcedureSet, WorkClass
 from .errors import (
     AllocationFailure,
     IncompleteRunError,
-    InvariantViolation,
     OsAlgError,
     ParameterError,
     SwapFailure,
@@ -61,7 +60,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .strict import MemoryCheck
+    from .strict import RunCheck
 
 STRICT_ENV = "OSALG_STRICT"
 
@@ -203,7 +202,7 @@ class _Memory:
     def organizer(self) -> Organize:
         return Organize.identity()
 
-    def __init__(self, cfg: SimConfig, events: list[TraceEvent] | None = None):
+    def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         organizer = self.organizer()
         self.discipline: Discipline = compose(self.select, organizer)
@@ -211,15 +210,6 @@ class _Memory:
         self.backing = MemoryLedger(
             MemoryState.initial(cfg.effective_backing, Organize.identity())
         )
-        # strict mode's check of each memory, given every change as a
-        # delta; None in a lax run, whose `events` are not given. Its
-        # module loads at the first strict run, so lax ones never pay for it.
-        self.strict: tuple[MemoryCheck, MemoryCheck] | None = None
-        if events is not None:
-            from .strict import MemoryCheck
-
-            self.strict = (MemoryCheck("primary", self.primary, events),
-                           MemoryCheck("backing", self.backing, events))
 
     def feasible(self, p: Procedure) -> bool:
         """Could p, of non-zero size, ever be resident in an empty primary
@@ -232,45 +222,31 @@ class _Memory:
         self.primary, _ = allocate_op(self.discipline, self.primary, p)
         return (), 0
 
-    def allocate(self, p: Procedure, at: int) -> Detail:
-        """Grant memory to p, admitted at instant `at`; returns the trace
-        detail of the grant."""
+    def allocate(self, p: Procedure) -> Detail:
+        """Grant memory to p; returns the trace detail of the grant."""
         extra, int_frag = self.grant(p)
-        extents = self.primary.extents_of(p.id)
-        if self.strict is not None:
-            self.strict[0].grant(self.primary, p.id, extents, at, EventKind.ADMIT)
         return (
-            (("extents", extents),)
+            (("extents", self.primary.extents_of(p.id)),)
             + extra
             + (("ext_frag", self.frag_sample()), ("int_frag", int_frag))
         )
 
-    def release(self, pid: int, at: int) -> Extents:
+    def release(self, pid: int) -> Extents:
         extents = self.primary.extents_of(pid)
         self.primary = deallocate(self.primary, pid)
-        if self.strict is not None:
-            self.strict[0].release(self.primary, pid, extents, at, EventKind.DEALLOCATE)
         return extents
 
-    def swap_out_victim(self, victim: Procedure, at: int) -> tuple[SwapRecord, Extents]:
+    def swap_out_victim(self, victim: Procedure) -> tuple[SwapRecord, Extents]:
         freed = self.primary.extents_of(victim.id)
         self.primary, self.backing, record = swap_out(
             self.primary, self.backing, (victim,), default_victim
         )
-        if self.strict is not None:
-            pid, kind = record.pid, EventKind.SWAP_OUT
-            self.strict[0].release(self.primary, pid, freed, at, kind)
-            self.strict[1].grant(self.backing, pid, record.backing_extents, at, kind)
         return record, freed
 
-    def swap_in_record(self, record: SwapRecord, at: int) -> Extents:
+    def swap_in_record(self, record: SwapRecord) -> Extents:
         self.primary, self.backing, granted = swap_in(
             self.primary, self.backing, record
         )
-        if self.strict is not None:
-            pid, kind = record.pid, EventKind.SWAP_IN
-            self.strict[0].grant(self.primary, pid, granted, at, kind)
-            self.strict[1].release(self.backing, pid, record.backing_extents, at, kind)
         return granted
 
     def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
@@ -283,12 +259,6 @@ class _Memory:
         if total == 0:
             return None
         return Fraction(self.primary.largest_free(), total)
-
-    def check_all(self) -> None:
-        """Run strict mode's full check on both memories."""
-        primary, backing = self.strict
-        primary.full(self.primary)
-        backing.full(self.backing)
 
 
 class _Fixed(_Memory):
@@ -354,8 +324,8 @@ class _Paging(_Memory):
     def organizer(self) -> Organize:
         return Organize.fixed_partition(self.cfg.page_size)
 
-    def __init__(self, cfg: SimConfig, events: list[TraceEvent] | None = None):
-        super().__init__(cfg, events)
+    def __init__(self, cfg: SimConfig):
+        super().__init__(cfg)
         # a pagination depends only on the size and the page size, so each
         # procedure is paginated once, at its first admit attempt
         self.paginations: dict[int, Pagination] = {}
@@ -377,9 +347,9 @@ class _Paging(_Memory):
         extra: Detail = (("pages", page_map.entries),) if page_map.entries else ()
         return extra, pagination.internal_fragmentation
 
-    def release(self, pid: int, at: int) -> Extents:
+    def release(self, pid: int) -> Extents:
         self.paginations.pop(pid, None)
-        return super().release(pid, at)
+        return super().release(pid)
 
     def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
         """Each Allocate or SwapIn of p binds p's pages, then p's page
@@ -572,11 +542,16 @@ class _Simulation:
         policy: Policy | None = None,
     ):
         self.cfg = cfg
-        self.strict = strict
         self.stream = stream
         # events in emission order; instants never decrease along it
         self.events: list[TraceEvent] = []
-        self.memory = ALLOCATORS[cfg.allocator](cfg, self.events if strict else None)
+        self.memory = ALLOCATORS[cfg.allocator](cfg)
+        # strict mode's observer of the events; only a strict run loads it
+        self.check: RunCheck | None = None
+        if strict:
+            from .strict import RunCheck
+
+            self.check = RunCheck(self.memory, self.events)
         self.policy = policy or SCHEDULERS[cfg.scheduler](cfg)
         self.clock = 0
         self.procs: dict[int, Procedure] = {}
@@ -588,13 +563,15 @@ class _Simulation:
         self.swapped: deque[SwapRecord] = deque()
         self.running: tuple[int, int, int] | None = None  # pid, start, end
         self.holdover: Procedure | None = None  # preempted, rejoins after arrivals
-        self.cpu_frontier = 0  # first CPU instant not yet assigned
 
     def emit(self, instant: int, kind: EventKind, pid: int, detail: Detail = ()) -> None:
         last = self.events[-1].instant if self.events else instant
         if instant < last:
             raise OsAlgError(f"event at {instant} after instant {last}")
-        self.events.append(TraceEvent(instant, kind, pid, detail))
+        event = TraceEvent(instant, kind, pid, detail)
+        if self.check is not None:
+            self.check.see(event)
+        self.events.append(event)
 
     # -- admission ---------------------------------------------------
 
@@ -621,12 +598,12 @@ class _Simulation:
 
     def try_admit(self, p: Procedure, at: int) -> bool:
         try:
-            detail = self.memory.allocate(p, at)
+            detail = self.memory.allocate(p)
         except AllocationFailure:
             if not self.swap_attempt(at):
                 return False
             try:
-                detail = self.memory.allocate(p, at)
+                detail = self.memory.allocate(p)
             except AllocationFailure:
                 return False
         self.emit(at, EventKind.ADMIT, p.id)
@@ -645,7 +622,7 @@ class _Simulation:
         if victim is None:
             return False
         try:
-            record, freed = self.memory.swap_out_victim(victim, at)
+            record, freed = self.memory.swap_out_victim(victim)
         except SwapFailure:
             return False
         self.swapped.append(record)
@@ -669,7 +646,7 @@ class _Simulation:
             record = self.swapped[0]
             p = self.procs[record.pid]
             try:
-                granted = self.memory.swap_in_record(record, at)
+                granted = self.memory.swap_in_record(record)
             except AllocationFailure:
                 break
             self.swapped.popleft()
@@ -696,14 +673,6 @@ class _Simulation:
         chosen = self.ready.pop()
         self.candidates.discard(chosen.id)
         run = self.policy.run_length(chosen, self.remaining[chosen.id])
-        if self.strict:
-            if self.clock < self.cpu_frontier:
-                raise OsAlgError(
-                    f"CPU instant {self.clock} would be assigned twice"
-                )
-            if not self.memory.primary.holds(chosen.id):
-                raise OsAlgError(f"dispatch of non-resident procedure {chosen.id}")
-        self.cpu_frontier = self.clock + run
         self.emit(self.clock, EventKind.DISPATCH, chosen.id, (("run", run),))
         self.running = (chosen.id, self.clock, self.clock + run)
 
@@ -714,7 +683,7 @@ class _Simulation:
         self.remaining[pid] -= end - start
         if self.remaining[pid] == 0:
             self.emit(end, EventKind.COMPLETE, pid)
-            freed = self.memory.release(pid, end)
+            freed = self.memory.release(pid)
             self.emit(end, EventKind.DEALLOCATE, pid, (("extents", freed),))
             self.reclaim(end)
         else:
@@ -747,18 +716,12 @@ class _Simulation:
                     continue
                 raise OsAlgError("simulation stuck: nothing ready, memory idle")
             break
-        if self.strict:
-            self.memory.check_all()
         # a stable sort: events of one instant keep their emission order
         # within each kind
         events = sorted(self.events, key=lambda e: (e.instant, _KIND_ORDER[e.kind]))
         graph = self.memory.binding_log(events)
-        if self.strict:
-            violations = bindingmod.validate(graph)
-            if violations:
-                raise InvariantViolation(
-                    "binding", f"binding violations: {violations}"
-                )
+        if self.check is not None:
+            self.check.finish(graph)
         return Trace(events=tuple(events), binding=graph)
 
 
@@ -769,10 +732,10 @@ def run(
 ) -> tuple[Trace, Metrics]:
     """Simulate the workload under the configuration.
 
-    `strict` turns on a check of each memory change, full checks of memory
-    spread over the run and run again at its end, and one check of the
-    binding log at the end; unset, it follows the OSALG_STRICT environment
-    variable.
+    `strict` checks each event as it is emitted: each memory change, with
+    full checks of memory spread over the run and run again at its end,
+    and each dispatch; then the binding log, once. Unset, it follows the
+    OSALG_STRICT environment variable.
     """
     if strict is None:
         strict = os.environ.get(STRICT_ENV, "") == "1"

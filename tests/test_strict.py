@@ -23,7 +23,7 @@ import pytest
 from osalg import Extent, SimConfig, run, sim, strict
 from osalg.allocators import MemoryLedger, MemoryState
 from osalg.cli import EXIT_WORKLOAD, main, render_trace
-from osalg.errors import InvariantViolation, ParameterError
+from osalg.errors import InvariantViolation, NotFoundError, ParameterError
 from osalg.sim import EventKind
 
 from conftest import proc
@@ -317,6 +317,52 @@ def test_a_release_merged_over_a_neighbour_is_caught_at_its_deallocate(
     assert "[4..8) overlaps a previous one" in str(found)
 
 
+# -- each dispatch check bites, at the dispatch ----------------------------
+
+
+def test_a_dispatch_that_overstates_its_slice_is_a_cpu_time_breach(monkeypatch):
+    """Procedure 1's Dispatch claims one instant more than it runs, so the
+    next Dispatch, at the end of the real slice, starts on a CPU instant
+    already assigned."""
+    real_emit = sim._Simulation.emit
+
+    def overstating(self, instant, kind, pid, detail=()):
+        if kind is EventKind.DISPATCH and pid == 1:
+            (key, run), = detail
+            detail = ((key, run + 1),)
+        real_emit(self, instant, kind, pid, detail)
+
+    cfg = SimConfig(memory_capacity=16)
+    monkeypatch.setattr(sim._Simulation, "emit", overstating)
+    order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
+    found = violation(SIDE_BY_SIDE, cfg)
+    assert found.invariant == "cpu-time"
+    assert_found_at(found, order, EventKind.DISPATCH, 2)
+    assert "CPU instant 2 would be assigned twice" in str(found)
+
+
+def test_a_swapped_out_procedure_left_ready_is_a_residency_breach(monkeypatch):
+    """Round robin's ready queue keeps procedure 2 when it is swapped out
+    for procedure 3, so 2 is dispatched while it is not resident."""
+    monkeypatch.setattr(sim.RotatingReady, "discard", lambda ready, pid: None)
+    ps = [proc(1, size=8, time=3, priority=5), proc(2, size=8, time=3, priority=1),
+          proc(3, size=8, time=1, arrival=1, priority=9)]
+    cfg = SimConfig(memory_capacity=16, scheduler="rr")
+    # a lax run dispatches 2 between its SwapOut and its SwapIn, and fails
+    # later, at 2's second release
+    order = record_emissions(monkeypatch)
+    with pytest.raises(NotFoundError):
+        run(ps, cfg, strict=False)
+    order = list(order)
+    dispatched = index_of(order, EventKind.DISPATCH, 2)
+    assert (index_of(order, EventKind.SWAP_OUT, 2) < dispatched
+            < index_of(order, EventKind.SWAP_IN, 2))
+    found = violation(ps, cfg)
+    assert found.invariant == "residency"
+    assert_found_at(found, order, EventKind.DISPATCH, 2)
+    assert "dispatch of non-resident procedure 2" in str(found)
+
+
 def broken_states():
     """(state, invariant, words): one state for each message of the full
     check, each over an empty first-fit memory of 16 units."""
@@ -393,6 +439,34 @@ def test_a_store_shape_breach_waits_for_the_next_full_check(monkeypatch):
             f"({kind.value} of procedure {pid} at instant {instant}):") in str(found)
 
 
+def test_a_store_shape_breach_made_while_memory_fills_waits_no_longer_than_the_fill(
+    monkeypatch,
+):
+    """40 grants fill the memory before anything is released. A free run
+    split at the 5th grant is found by the full check at the 8th, where
+    the holders have doubled since the last full check at the 4th, not at
+    the first Deallocate."""
+    ps = [proc(i, size=4, time=1) for i in range(1, 41)]
+    cfg = SimConfig(memory_capacity=256)
+    real_allocate = sim.allocate_op
+
+    def splitting(d, m, p):
+        m, granted = real_allocate(d, m, p)
+        if p.id == 5:
+            assert split_a_free_run(m)
+        return m, granted
+
+    monkeypatch.setattr(sim, "allocate_op", splitting)
+    order = lax_emissions(monkeypatch, ps, cfg)
+    assert index_of(order, EventKind.ADMIT, 40) < index_of(order, EventKind.DEALLOCATE, 1)
+    found = violation(ps, cfg)
+    assert found.invariant == "store-shape" and "not maximal" in str(found)
+    eighth, fourth = index_of(order, EventKind.ADMIT, 8), index_of(order, EventKind.ADMIT, 4)
+    assert (found.event, found.at, found.last_clean) == (eighth, (0, "Admit", 8), fourth)
+    assert (f"broken at event {eighth} (Admit of procedure 8 at instant 0), "
+            f"found by a full check, last found clean at event {fourth} ") in str(found)
+
+
 def test_a_store_shape_breach_after_the_last_change_is_caught_at_the_end(
     monkeypatch,
 ):
@@ -423,10 +497,10 @@ def test_a_store_shape_breach_after_the_last_change_is_caught_at_the_end(
 
 def test_full_checks_are_spread_over_the_changes(monkeypatch):
     """40 procedures resident at once make 80 changes. A full check runs
-    once the changes since the last reach the holders: after the first
-    grant, at the first release, each time the holders halve from there,
-    and on both memories at the end. That is 10 checks, not one per
-    event."""
+    once the changes since the last reach the holders that one found (at
+    least one): while memory fills, each time the holders double; then
+    once 8 grants and 24 releases have left 16, at the last release, and
+    on both memories at the end. That is 10 checks, not one per event."""
     calls = []
     real_check = MemoryState.check_invariants
 
@@ -438,16 +512,16 @@ def test_full_checks_are_spread_over_the_changes(monkeypatch):
     ps = [proc(i, size=4, time=1) for i in range(1, 41)]
     trace, _ = run(ps, SimConfig(memory_capacity=256), strict=True)
     assert len(trace) == 6 * 40
-    assert calls == [1, 39, 19, 9, 4, 2, 1, 0, 0, 0]
+    assert calls == [1, 2, 4, 8, 16, 32, 16, 0, 0, 0]
 
 
 def test_a_clean_strict_run_checks_every_memory_at_the_end(monkeypatch):
     checked = []
     real_full = strict.MemoryCheck.full
 
-    def counted(check, ledger, change=None):
+    def counted(check, change=None):
         checked.append(check.name)
-        return real_full(check, ledger, change)
+        return real_full(check, change)
 
     monkeypatch.setattr(strict.MemoryCheck, "full", counted)
     run(TWO, SimConfig(memory_capacity=16), strict=True)
