@@ -90,7 +90,7 @@ class MemoryState(_MemoryReads):
 
     `store` is the free store `organizer` shapes: free runs for the
     identity organization, free runs of whole units for fixed
-    partitioning, the block tree for the buddy organizer. `free` is its
+    partitioning, the free blocks for the buddy organizer. `free` is its
     free extents, so under fixed partitioning it holds runs of whole
     units, not single units. `allocated` maps procedure ids to the
     extents they hold, `free_total` is the size of `free`, and `residue`

@@ -3,7 +3,8 @@
 An ``Organize`` reshapes a set without creating or destroying members:
 identity keeps the order, sort reorders procedures by a projection,
 fixed-size partitioning cuts memory into equal allocation units, and the
-buddy organizer views it as a binary tree of power-of-two blocks. A
+buddy organizer views it as a binary tree of power-of-two blocks, a tree
+implicit in the block addresses, so that only the free blocks are kept. A
 ``Select`` returns a member (or extent of members) of the organized set.
 Composing one of each yields a ``Discipline``, the executable form of a
 resource-management algorithm: first-come-first-served is identity
@@ -111,32 +112,6 @@ class PartitionedSet:
 
 
 @dataclass(frozen=True)
-class BuddyNode:
-    """One block of a buddy tree.
-
-    A childless node is a whole block: a free block when ``used`` is
-    false, an allocated one when true. A node with children is split and
-    the children carry the state.
-    """
-
-    extent: Extent
-    used: bool = False
-    left: "BuddyNode | None" = None
-    right: "BuddyNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def split_extents(self) -> tuple[Extent, Extent]:
-        """The two half extents any non-unit block divides into."""
-        if self.extent.size < 2:
-            raise ParameterError("unit blocks do not split")
-        mid = self.extent.start + self.extent.size // 2
-        return Extent(self.extent.start, mid), Extent(mid, self.extent.end)
-
-
-@dataclass(frozen=True)
 class FreeRuns:
     """The free store of identity and fixed-partition organized memory:
     address-ordered maximal free runs (Wilson et al. 1995). Under a
@@ -213,19 +188,19 @@ class FreeRuns:
 
 @dataclass(frozen=True)
 class BuddyTree:
-    """A persistent binary buddy tree over ``[0, capacity)``: the free
-    store of buddy-organized memory.
+    """The free store of buddy-organized memory over ``[0, capacity)``:
+    its free blocks, address ordered.
 
-    Mutating operations return a new tree; eager sibling merging keeps
-    the invariant that no two free sibling blocks coexist. The tree
-    carries its free leaves in address order, and each grant and release
-    updates them by what it changes: both walk only the path to their
-    block. A grant takes the leftmost free block that holds the demand
-    (leftmost fit), not the smallest one.
+    A block of size s is a power of two that starts at a multiple of s,
+    and its buddy is the block of the same size at ``start ^ s``
+    (Knowlton 1965), so the binary tree of blocks is implicit in the
+    addresses and only the free blocks are kept. Mutating operations
+    return a new store; eager merging keeps the invariant that no two
+    free blocks are buddies. A grant takes the leftmost free block that
+    holds the demand (leftmost fit), not the smallest one.
     """
 
     capacity: int
-    root: BuddyNode
     free_leaves: tuple[Extent, ...]
 
     @property
@@ -240,7 +215,8 @@ class BuddyTree:
         return 1 << (q - 1).bit_length()
 
     def allocate(self, q: int) -> tuple[Extent, "BuddyTree"]:
-        """Mark the leftmost fitting block used; split larger free blocks.
+        """Take the leftmost free block holding q units, split down to the
+        block size at its left end.
 
         Raises AllocationFailure when no free block can hold q units.
         """
@@ -252,42 +228,39 @@ class BuddyTree:
                 break
         else:
             raise AllocationFailure(f"no free block of {block} units")
-        # split the leaf down to the block at its left end; the right
-        # halves split off stay free, in address order
-        start = leaf.start
-        extent = Extent(start, start + block)
-        node = BuddyNode(extent, used=True)
-        halves: list[Extent] = []
-        size = block
+        # the right halves split off stay free, in address order
+        start, size, halves = leaf.start, block, []
         while size < leaf.size:
-            half = Extent(start + size, start + 2 * size)
-            halves.append(half)
-            node = BuddyNode(Extent(start, half.end), left=node, right=BuddyNode(half))
+            halves.append(Extent(start + size, start + 2 * size))
             size *= 2
         free = self.free_leaves[:i] + tuple(halves) + self.free_leaves[i + 1:]
-        path, _ = _buddy_path(self.root, leaf)
-        return extent, BuddyTree(self.capacity, _buddy_rebuild(path, node), free)
+        return Extent(start, start + block), BuddyTree(self.capacity, free)
 
     def release(self, extent: Extent) -> "BuddyTree":
-        """Free an allocated block, merging free siblings all the way up."""
-        path, node = _buddy_path(self.root, extent)
-        if not node.used or node.extent != extent:
+        """Free a granted block, merging it with its free buddy all the way
+        up; NotFoundError unless it is an aligned power-of-two block inside
+        the memory that overlaps no free block."""
+        start, size, free = extent.start, extent.size, self.free_leaves
+        i = bisect_left(free, start, key=_start)
+        if (size < 1 or size & (size - 1) or start % size
+                or extent.end > self.capacity
+                or (i < len(free) and free[i].start < extent.end)
+                or (i > 0 and free[i - 1].end > start)):
             raise NotFoundError(f"no allocated block {extent}")
-        node = BuddyNode(extent)
-        while path:
-            parent, went_left = path[-1]
-            sibling = parent.right if went_left else parent.left
-            assert sibling is not None
-            if not sibling.is_leaf or sibling.used:
+        lo, hi = i, i
+        while size < self.capacity:
+            if start & size:  # a right half: its buddy ends where it starts
+                if lo == 0 or free[lo - 1] != Extent(start - size, start):
+                    break
+                lo -= 1
+                start -= size
+            elif hi == len(free) or free[hi] != Extent(start + size, start + 2 * size):
                 break
-            path.pop()
-            node = BuddyNode(parent.extent)  # merge free siblings
-        # the merged block replaces the free leaves it swallowed
-        merged = node.extent
-        lo = bisect_left(self.free_leaves, merged.start, key=_start)
-        hi = bisect_left(self.free_leaves, merged.end, key=_start)
-        free = self.free_leaves[:lo] + (merged,) + self.free_leaves[hi:]
-        return BuddyTree(self.capacity, _buddy_rebuild(path, node), free)
+            else:
+                hi += 1
+            size *= 2
+        merged = (Extent(start, start + size),)
+        return BuddyTree(self.capacity, free[:lo] + merged + free[hi:])
 
     def pieces(
         self, size: int, segments: tuple[int, ...] | None = None
@@ -309,61 +282,25 @@ class BuddyTree:
         return max((e.size for e in self.free_leaves), default=0)
 
     def check(self) -> None:
-        """Raise ParameterError unless the carried free leaves are the
-        tree's own, walked from scratch."""
-        walked = [e for e, used in _buddy_leaves(self.root) if not used]
-        if tuple(walked) != self.free_leaves:
-            raise ParameterError("buddy tree and free list disagree")
+        """Raise ParameterError unless the free blocks are address ordered,
+        disjoint, aligned powers of two inside the memory, and no two of
+        them are buddies."""
+        end, before = 0, None
+        for block in self.free_leaves:
+            start, size = block.start, block.size
+            if size < 1 or size & (size - 1) or start % size:
+                raise ParameterError(f"free block {block} is not an aligned power of two")
+            if start < end:
+                raise ParameterError(f"free block {block} overlaps or precedes the one before")
+            if block.end > self.capacity:
+                raise ParameterError(f"free block {block} lies past capacity {self.capacity}")
+            # a free buddy pair is adjacent, so its right half follows its left
+            if before == Extent(start ^ size, (start ^ size) + size):
+                raise ParameterError(f"free blocks {before} and {block} are unmerged buddies")
+            end, before = block.end, block
 
 
 _start = attrgetter("start")
-
-
-def _buddy_path(
-    root: BuddyNode, extent: Extent
-) -> tuple[list[tuple[BuddyNode, bool]], BuddyNode]:
-    """The leaf whose block encloses `extent`, and the path down to it as
-    (ancestor, whether the path goes left) pairs; NotFoundError when no
-    single block on the way encloses it."""
-    path: list[tuple[BuddyNode, bool]] = []
-    node = root
-    while not node.is_leaf:
-        assert node.left is not None and node.right is not None
-        if node.left.extent.encloses(extent):
-            path.append((node, True))
-            node = node.left
-        elif node.right.extent.encloses(extent):
-            path.append((node, False))
-            node = node.right
-        else:
-            raise NotFoundError(f"no allocated block {extent}")
-    return path, node
-
-
-def _buddy_rebuild(path: list[tuple[BuddyNode, bool]], node: BuddyNode) -> BuddyNode:
-    """The root over `node` once each ancestor on `path` takes it in place
-    of the child the path went through; siblings are shared."""
-    for parent, went_left in reversed(path):
-        if went_left:
-            node = BuddyNode(parent.extent, left=node, right=parent.right)
-        else:
-            node = BuddyNode(parent.extent, left=parent.left, right=node)
-    return node
-
-
-def _buddy_leaves(root: BuddyNode) -> list[tuple[Extent, bool]]:
-    """Every leaf block under `root`, address ordered, with whether it is
-    used; walked with an explicit stack, left child on top."""
-    leaves: list[tuple[Extent, bool]] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.left is None:
-            leaves.append((node.extent, node.used))
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return leaves
 
 
 def _members(x: Any) -> tuple:
@@ -418,7 +355,7 @@ def organize_buddy(resource: ResourceSet) -> BuddyTree:
     if capacity < 1 or capacity & (capacity - 1):
         raise ParameterError(f"buddy capacity must be a power of two, got {capacity}")
     whole = Extent(0, capacity)
-    return BuddyTree(capacity, BuddyNode(whole), (whole,))
+    return BuddyTree(capacity, (whole,))
 
 
 def select_identity(organized: Any, i: int) -> Any:

@@ -298,7 +298,7 @@ class _Buddy(_Memory):
         return Organize.buddy()
 
     def feasible(self, p: Procedure) -> bool:
-        return 1 << (p.size - 1).bit_length() <= self.cfg.memory_capacity
+        return self.primary.store.block_size_for(p.size) <= self.cfg.memory_capacity
 
 
 class _Segmentation(_Memory):

@@ -73,7 +73,7 @@ def test_criterion_2_spt_optimality():
 
 def test_criterion_3_buddy_equivalence():
     """Combinator buddy matches the reference allocator extent-for-extent
-    over 100 random sequences; final trees have no free sibling pairs."""
+    over 100 random sequences; final stores have no free buddy pairs."""
     rng = random.Random(1003)
     ok = True
     for _ in range(100):
@@ -104,16 +104,9 @@ def test_criterion_3_buddy_equivalence():
         ok = ok and sorted(
             (e.start, e.end) for e in tree.free_extents()
         ) == ref.free_extent_pairs()
-
-        def no_free_siblings(node):
-            if node.is_leaf:
-                return True
-            left, right = node.left, node.right
-            if left.is_leaf and right.is_leaf and not left.used and not right.used:
-                return False
-            return no_free_siblings(left) and no_free_siblings(right)
-
-        ok = ok and no_free_siblings(tree.root)
+        # no free block has a free buddy: the block of its size at start ^ size
+        free = {(e.start, e.size) for e in tree.free_extents()}
+        ok = ok and not any((start ^ size, size) in free for start, size in free)
     report(3, "buddy-equivalence", ok)
 
 

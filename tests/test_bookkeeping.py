@@ -2,16 +2,16 @@
 it replaced.
 
 The references below are the former implementations, kept here as
-oracles: the buddy grant as a depth-first search of the whole tree, the
-buddy release as a recursive search for the block, the free mirror as a
-walk of every leaf, and the identity release as a sort-and-merge of the
-whole free list. A reference memory replays every grant and release with
+oracles: the buddy grant as a depth-first search of a whole node tree,
+the buddy release as a recursive search for the block, the free blocks
+as a walk of every leaf, and the identity release as a sort-and-merge of
+the whole free list. A reference memory replays every grant and release with
 them; the state under test must agree with it after every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,7 +31,6 @@ from osalg import (
     swap_out,
 )
 from osalg.allocators import default_victim
-from osalg.combinators import BuddyNode
 from osalg.errors import AllocationFailure, ParameterError, SwapFailure
 
 from conftest import proc
@@ -40,6 +39,25 @@ UNIT = 4
 
 
 # -- the former whole-state algorithms -------------------------------------
+
+
+@dataclass(frozen=True)
+class BuddyNode:
+    """One block of a buddy node tree: a childless node is a whole block,
+    free or used; a node with children is split."""
+
+    extent: Extent
+    used: bool = False
+    left: "BuddyNode | None" = None
+    right: "BuddyNode | None" = None
+
+    @property
+    def is_leaf(self):
+        return self.left is None
+
+    def split_extents(self):
+        mid = self.extent.start + self.extent.size // 2
+        return Extent(self.extent.start, mid), Extent(mid, self.extent.end)
 
 
 def old_coalesce(extents):
@@ -303,7 +321,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
         assert_agrees(backing, ref_backing)
 
 
-# -- strict checks still see a broken mirror or total ----------------------
+# -- strict checks still see a broken store shape or total ----------------
 
 
 def buddy_memory_with_a_grant():
@@ -316,12 +334,12 @@ class TestChecksBite:
     def test_clean_states_pass(self):
         buddy_memory_with_a_grant().check_invariants()
 
-    def test_tree_mirror_disagreeing_with_the_tree(self):
+    def test_free_blocks_that_are_unmerged_buddies(self):
         m = buddy_memory_with_a_grant()
         # the same units, cut differently: conservation still holds
         wrong = (Extent(4, 6), Extent(6, 8), Extent(8, 16))
         tree = replace(m.store, free_leaves=wrong)
-        with pytest.raises(ParameterError, match="buddy tree and free list"):
+        with pytest.raises(ParameterError, match="unmerged buddies"):
             replace(m, store=tree).check_invariants()
 
     @pytest.mark.parametrize("organizer", [

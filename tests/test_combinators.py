@@ -26,11 +26,31 @@ from osalg.errors import (
     AllocationFailure,
     BoundsError,
     CompositionError,
+    NotFoundError,
     ParameterError,
 )
+from osalg.combinators import BuddyTree
 from osalg.oracle import ReferenceBuddy
 
 from conftest import proc, random_batch
+
+
+def assert_tiles(tree, granted):
+    """The free blocks and the granted ones tile [0, capacity), each an
+    aligned power of two."""
+    cursor = 0
+    for e in sorted([*tree.free_extents(), *granted], key=lambda e: e.start):
+        assert e.start == cursor
+        assert e.size & (e.size - 1) == 0 and e.start % e.size == 0
+        cursor = e.end
+    assert cursor == tree.capacity
+
+
+def free_buddies(tree):
+    """The free blocks whose buddy, the block of the same size at
+    start ^ size, is free too."""
+    free = {(e.start, e.size) for e in tree.free_extents()}
+    return sorted((start, size) for start, size in free if (start ^ size, size) in free)
 
 
 class TestOrganizeIdentity:
@@ -123,25 +143,26 @@ class TestFixedPartition:
 class TestBuddyOrganize:
     def test_construction_shape(self):
         tree = organize_buddy(ResourceSet.memory(16))
-        assert tree.root.extent == Extent(0, 16)
-        assert tree.root.split_extents() == (Extent(0, 8), Extent(8, 16))
-        assert tree.depth == 4
         assert tree.free_extents() == (Extent(0, 16),)
+        assert tree.depth == 4
+        # the root block splits into its two halves
+        half, split = tree.allocate(8)
+        assert (half, split.free_extents()) == (Extent(0, 8), (Extent(8, 16),))
+        assert_tiles(split, [half])
 
     def test_single_unit(self):
         tree = organize_buddy(ResourceSet.memory(1))
-        assert tree.root.extent == Extent(0, 1)
+        assert tree.free_extents() == (Extent(0, 1),)
         assert tree.depth == 0
 
     def test_split_conserves_size(self):
         tree = organize_buddy(ResourceSet.memory(32))
-        node = tree.root
-        while node.extent.size > 1:
-            left, right = node.split_extents()
-            assert left.size + right.size == node.extent.size
-            from osalg.combinators import BuddyNode
-
-            node = BuddyNode(left)
+        unit, split = tree.allocate(1)
+        # one right half is left free at each level the root splits down
+        assert split.free_extents() == (
+            Extent(1, 2), Extent(2, 4), Extent(4, 8), Extent(8, 16), Extent(16, 32)
+        )
+        assert_tiles(split, [unit])
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ParameterError):
@@ -211,18 +232,54 @@ class TestSelectBuddy:
                     live.append(extent)
                 except AllocationFailure:
                     pass
-        # merge completeness: free leaves never have a free sibling leaf;
-        # block sizes stay powers of two throughout
-        def check(node):
-            assert node.extent.size & (node.extent.size - 1) == 0
-            if node.is_leaf:
-                return
-            l, r = node.left, node.right
-            assert not (l.is_leaf and r.is_leaf and not l.used and not r.used)
-            check(l)
-            check(r)
+        # merge completeness: no free block has a free buddy; the free and
+        # the granted blocks stay aligned powers of two that tile memory
+        assert free_buddies(tree) == []
+        assert_tiles(tree, live)
+        tree.check()
 
-        check(tree.root)
+
+
+class TestBuddyStoreChecks:
+    """The flat store's own checks: the shape of its free blocks, and
+    what a release may take back."""
+
+    def test_a_store_in_use_passes(self):
+        tree = organize_buddy(ResourceSet.memory(16))
+        _, tree = tree.allocate(3)
+        assert tree.free_extents() == (Extent(4, 8), Extent(8, 16))
+        tree.check()
+
+    @pytest.mark.parametrize("free, words", [
+        ((Extent(0, 4), Extent(6, 12)), "not an aligned power of two"),
+        ((Extent(0, 4), Extent(6, 10)), "not an aligned power of two"),
+        ((Extent(0, 8), Extent(4, 6)), "overlaps or precedes"),
+        ((Extent(8, 16), Extent(0, 4)), "overlaps or precedes"),
+        ((Extent(0, 4), Extent(16, 32)), "past capacity 16"),
+        ((Extent(4, 6), Extent(6, 8)), "unmerged buddies"),
+    ], ids=["size", "alignment", "overlap", "order", "capacity", "buddies"])
+    def test_check_rejects_each_shape_breach(self, free, words):
+        with pytest.raises(ParameterError, match=words):
+            BuddyTree(16, free).check()
+
+    def test_releasing_a_free_block_is_not_found(self):
+        _, tree = organize_buddy(ResourceSet.memory(16)).allocate(4)
+        for free in (Extent(4, 8), Extent(8, 12), Extent(12, 16), Extent(8, 16)):
+            with pytest.raises(NotFoundError):
+                tree.release(free)
+
+    @pytest.mark.parametrize("extent", [Extent(0, 3), Extent(2, 6), Extent(0, 0)])
+    def test_releasing_what_is_not_a_block_is_not_found(self, extent):
+        _, tree = organize_buddy(ResourceSet.memory(16)).allocate(8)
+        with pytest.raises(NotFoundError):
+            tree.release(extent)
+
+    def test_releasing_past_capacity_is_not_found(self):
+        _, tree = organize_buddy(ResourceSet.memory(16)).allocate(16)
+        assert tree.free_extents() == ()
+        for extent in (Extent(16, 32), Extent(0, 32)):
+            with pytest.raises(NotFoundError):
+                tree.release(extent)
 
 
 class TestCompose:
@@ -292,11 +349,11 @@ class TestConservation:
     def test_buddy_leaves_tile_capacity(self, log_capacity):
         capacity = 1 << log_capacity
         tree = organize_buddy(ResourceSet.memory(capacity))
-        tree = tree.allocate(max(1, capacity // 4))[1] if capacity >= 4 else tree
-        from osalg.combinators import _buddy_leaves
-
-        leaves = list(_buddy_leaves(tree.root))
-        assert sum(e.size for e, _ in leaves) == capacity
+        granted = []
+        if capacity >= 4:
+            block, tree = tree.allocate(capacity // 4)
+            granted.append(block)
+        assert_tiles(tree, granted)
 
     def test_large_set_conservation_once(self):
         members = tuple(proc(i, size=i % 17, time=1) for i in range(10_000))

@@ -55,7 +55,7 @@ PAIRS = {
     "rr/paging": (dict(scheduler="rr", allocator="paging", page_size=4, quantum=2), 2),
 }
 # the pairs also measured with strict mode on, as "<pair> strict"
-STRICT_PAIRS = ("fcfs/first-fit", "rr/paging")
+STRICT_PAIRS = ("fcfs/first-fit", "sjf-time/buddy", "rr/paging")
 
 
 def workload(pair: str, n: int) -> list[dict]:
