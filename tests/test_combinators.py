@@ -244,12 +244,6 @@ class TestBuddyStoreChecks:
     """The flat store's own checks: the shape of its free blocks, and
     what a release may take back."""
 
-    def test_a_store_in_use_passes(self):
-        tree = organize_buddy(ResourceSet.memory(16))
-        _, tree = tree.allocate(3)
-        assert tree.free_extents() == (Extent(4, 8), Extent(8, 16))
-        tree.check()
-
     @pytest.mark.parametrize("free, words", [
         ((Extent(0, 4), Extent(6, 12)), "not an aligned power of two"),
         ((Extent(0, 4), Extent(6, 10)), "not an aligned power of two"),
