@@ -54,7 +54,6 @@ from .schedulers import (
 from .allocators import (
     BindingLayer,
     MemoryState,
-    Page,
     PageMap,
     Pagination,
     SegmentMap,

@@ -263,39 +263,29 @@ def deallocate(m: Memory, pid: int) -> Memory:
 
 
 @dataclass(frozen=True)
-class Page:
-    """One fixed-size chunk of a procedure's memory demand."""
-
-    number: int
-    length: int  # units actually used; only the last page may fall short
-
-
-@dataclass(frozen=True)
 class Pagination:
-    """A procedure's demand cut into equal chunks."""
+    """A procedure's demand of `size` units cut into pages of `page_size`
+    units: only the last page may fall short, and what it leaves unused
+    is the internal fragmentation."""
 
     pid: int
     page_size: int
-    pages: tuple[Page, ...]
+    size: int
 
     @property
     def page_count(self) -> int:
-        return len(self.pages)
+        return -(-self.size // self.page_size)
 
     @property
     def internal_fragmentation(self) -> int:
-        return self.page_count * self.page_size - sum(p.length for p in self.pages)
+        return self.page_count * self.page_size - self.size
 
 
 def paginate(p: Procedure, page_size: int) -> Pagination:
     """Cut p's memory demand into ceil(size / page_size) pages."""
     if page_size < 1:
         raise ParameterError(f"page size must be >= 1, got {page_size}")
-    count = -(-p.size // page_size)
-    pages = tuple(
-        Page(i, min(page_size, p.size - i * page_size)) for i in range(count)
-    )
-    return Pagination(pid=p.id, page_size=page_size, pages=pages)
+    return Pagination(pid=p.id, page_size=page_size, size=p.size)
 
 
 @dataclass(frozen=True)
@@ -356,10 +346,7 @@ def build_page_table(pages: Pagination, m: Memory) -> tuple[PageMap, Memory]:
     if pages.page_count > frames:
         raise AllocationFailure(f"{pages.page_count} frames needed, {frames} free")
     m2, granted = _grant(m, pages.pid, (unit,) * pages.page_count)
-    entries = tuple(
-        (page.number, extent.start // unit)
-        for page, extent in zip(pages.pages, granted)
-    )
+    entries = tuple((page, extent.start // unit) for page, extent in enumerate(granted))
     return PageMap(page_size=pages.page_size, entries=entries), m2
 
 

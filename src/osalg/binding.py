@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ClockError, CycleError
@@ -58,19 +58,14 @@ class BindingGraph:
     Rebinding is allowed; the latest binding at or before a use governs.
 
     The constructor validates its whole input: instants must never
-    decrease and the dependencies must be acyclic. `record` and
-    `with_dependency` check only what they add, the new event's instant
-    or whether the new edge closes a cycle, so a log grown one step at a
-    time costs no re-validation of what was already checked.
+    decrease and the dependencies must be acyclic. `with_dependency`
+    builds through it. Only `record` checks just what it adds, the new
+    event's instant, so a log grown one event at a time costs no
+    re-validation of the events already checked.
     """
 
     events: tuple[BindingEvent, ...] = ()
     dependencies: frozenset[tuple[str, str]] = frozenset()
-    # each symbol mapped to the symbols it must be bound before, as
-    # _successor_index builds it; shared between graphs, never mutated
-    _successors: Mapping[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         instants = [e.instant for e in self.events]
@@ -78,36 +73,24 @@ class BindingGraph:
             raise ClockError("event instants must be non-decreasing")
         successors = _successor_index(self.dependencies)
         _find_cycle(successors, successors)
-        object.__setattr__(self, "_successors", successors)
 
     @classmethod
     def _extend(
         cls,
         events: tuple[BindingEvent, ...],
         dependencies: frozenset[tuple[str, str]],
-        successors: Mapping[str, tuple[str, ...]],
     ) -> "BindingGraph":
         """A graph whose parts the caller has already checked."""
         g = object.__new__(cls)
         object.__setattr__(g, "events", events)
         object.__setattr__(g, "dependencies", dependencies)
-        object.__setattr__(g, "_successors", successors)
         return g
 
     def with_dependency(self, first: str, then: str) -> "BindingGraph":
-        """Declare that `first` must be bound before `then`."""
-        if (first, then) in self.dependencies:
-            return self
-        successors = dict(self._successors)
-        old = successors.get(first, ())
-        at = bisect.bisect(old, then)
-        successors[first] = old[:at] + (then,) + old[at:]
-        # the graph was acyclic, so a cycle now runs through the new edge:
-        # it exists exactly when `first` is reachable from `then`
-        _find_cycle((then,), successors)
-        return BindingGraph._extend(
-            self.events, self.dependencies | {(first, then)}, successors
-        )
+        """Declare that `first` must be bound before `then`. The graph was
+        acyclic, so any cycle the constructor finds runs through the new
+        edge."""
+        return BindingGraph(self.events, self.dependencies | {(first, then)})
 
 
 def record(
@@ -120,9 +103,7 @@ def record(
             f"instant {instant} precedes last recorded {g.events[-1].instant}"
         )
     return BindingGraph._extend(
-        g.events + (BindingEvent(symbol, kind, instant),),
-        g.dependencies,
-        g._successors,
+        g.events + (BindingEvent(symbol, kind, instant),), g.dependencies
     )
 
 

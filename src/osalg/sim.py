@@ -324,49 +324,33 @@ class _Paging(_Memory):
     def organizer(self) -> Organize:
         return Organize.fixed_partition(self.cfg.page_size)
 
-    def __init__(self, cfg: SimConfig):
-        super().__init__(cfg)
-        # a pagination depends only on the size and the page size, so each
-        # procedure is paginated once, at its first admit attempt
-        self.paginations: dict[int, Pagination] = {}
-
     def feasible(self, p: Procedure) -> bool:
         page = self.cfg.page_size
-        return -(-p.size // page) <= self.cfg.memory_capacity // page
-
-    def pagination(self, p: Procedure) -> Pagination:
-        pagination = self.paginations.get(p.id)
-        if pagination is None:
-            pagination = paginate(p, self.cfg.page_size)
-            self.paginations[p.id] = pagination
-        return pagination
+        return Pagination(p.id, page, p.size).page_count <= self.cfg.memory_capacity // page
 
     def grant(self, p: Procedure) -> tuple[Detail, int]:
-        pagination = self.pagination(p)
+        pagination = paginate(p, self.cfg.page_size)
         page_map, self.primary = build_page_table(pagination, self.primary)
         extra: Detail = (("pages", page_map.entries),) if page_map.entries else ()
         return extra, pagination.internal_fragmentation
 
-    def release(self, pid: int) -> Extents:
-        self.paginations.pop(pid, None)
-        return super().release(pid)
-
     def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
         """Each Allocate or SwapIn of p binds p's pages, then p's page
         table, which depends on the frames and on those pages; each
-        Dispatch of p uses p's page table."""
+        Dispatch of p uses p's page table. The dependencies are gathered
+        first and the graph is built, and checked, once."""
         graph = super().binding_log(events)
         bind, use = bindingmod.EventKind.BIND, bindingmod.EventKind.USE
+        dependencies: set[tuple[str, str]] = set()
         for e in events:
             if e.kind is EventKind.ALLOCATE or e.kind is EventKind.SWAP_IN:
                 pages, table = f"pages:{e.pid}", f"page-table:{e.pid}"
                 graph = bindingmod.record(graph, pages, bind, e.instant)
                 graph = bindingmod.record(graph, table, bind, e.instant)
-                graph = graph.with_dependency(self.symbol, table)
-                graph = graph.with_dependency(pages, table)
+                dependencies.update(((self.symbol, table), (pages, table)))
             elif e.kind is EventKind.DISPATCH:
                 graph = bindingmod.record(graph, f"page-table:{e.pid}", use, e.instant)
-        return graph
+        return Graph(graph.events, graph.dependencies | dependencies)
 
 
 # Each allocator name -> its class; `check_config` checks its parameters.

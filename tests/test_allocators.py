@@ -119,7 +119,6 @@ class TestPaginate:
         pages = paginate(proc(1, size=10), 4)
         assert pages.page_count == 3
         assert pages.internal_fragmentation == 2
-        assert [p.length for p in pages.pages] == [4, 4, 2]
 
     def test_exact_fit(self):
         pages = paginate(proc(1, size=8), 4)
@@ -132,6 +131,15 @@ class TestPaginate:
     def test_zero_page_size_rejected(self):
         with pytest.raises(ParameterError):
             paginate(proc(1, size=4), 0)
+
+    def test_huge_demand_costs_no_more_than_a_small_one(self):
+        """A pagination is arithmetic on the size: 2**70 units, more pages
+        than any memory holds, paginate at once and exactly."""
+        pages = paginate(proc(1, size=2**70), 3)
+        assert pages.page_count == (2**70 + 2) // 3
+        assert pages.internal_fragmentation == 2
+        pages = paginate(proc(1, size=2**70), 2**10)
+        assert (pages.page_count, pages.internal_fragmentation) == (2**60, 0)
 
 
 class TestPageTable:

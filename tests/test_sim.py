@@ -376,6 +376,34 @@ class TestDeterminismAndInvariants:
         assert {"frames", "pages:1", "page-table:1"} <= symbols
         assert validate(trace.binding) == []
 
+    @pytest.mark.parametrize("scheduler", ["rr", "var-quantum"])
+    def test_paging_log_is_the_interleaved_one(self, scheduler):
+        """The binding log that gathers the dependencies and builds the
+        graph once equals the one grown event by event, each Allocate or
+        SwapIn recording its binds and then declaring its dependencies."""
+        bind, use = binding.EventKind.BIND, binding.EventKind.USE
+        swapped = 0
+        for seed in range(6):
+            ps = random_arrivals(random.Random(seed), 14, max_size=12,
+                                 spread=12, with_class=True)
+            cfg = SimConfig(memory_capacity=16, backing_capacity=24,
+                            scheduler=scheduler, quantum=2, allocator="paging",
+                            page_size=4)
+            trace, _ = run(ps, cfg, strict=False)
+            swapped += len(trace.of_kind(EventKind.SWAP_IN))
+            g = binding.record(binding.BindingGraph(), "frames", bind, 0)
+            for e in trace:
+                table = f"page-table:{e.pid}"
+                if e.kind in (EventKind.ALLOCATE, EventKind.SWAP_IN):
+                    g = binding.record(g, f"pages:{e.pid}", bind, e.instant)
+                    g = binding.record(g, table, bind, e.instant)
+                    g = g.with_dependency("frames", table)
+                    g = g.with_dependency(f"pages:{e.pid}", table)
+                elif e.kind is EventKind.DISPATCH:
+                    g = binding.record(g, table, use, e.instant)
+            assert trace.binding == g, seed
+        assert swapped > 0
+
     @pytest.mark.parametrize("allocator, extra, symbol", [
         ("first-fit", {}, "free-list"),
         ("fixed", {"unit_size": 4}, "frames"),
@@ -470,25 +498,6 @@ class TestDeterminismAndInvariants:
         assert len(trace.of_kind(EventKind.COMPLETE)) == 2
         with pytest.raises(ParameterError, match="overlaps"):
             run(ps, cfg, strict=True)
-
-    def test_paging_paginates_each_procedure_once(self, monkeypatch):
-        """Admit retries and swap-ins reuse the first pagination."""
-        calls = {"paginate": 0, "build_page_table": 0}
-        for name in calls:
-            real = getattr(sim, name)
-
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(sim, name, counted)
-        ps = [proc(i, size=6, time=3, arrival=i, priority=i % 3) for i in range(1, 9)]
-        cfg = SimConfig(memory_capacity=16, backing_capacity=8, allocator="paging",
-                        page_size=4, scheduler="rr", quantum=1)
-        trace, _ = run(ps, cfg, strict=True)
-        assert trace.of_kind(EventKind.SWAP_IN)
-        assert calls["build_page_table"] > len(ps)
-        assert calls["paginate"] == len(ps)
 
     def test_internal_fragmentation_reported(self):
         cfg = SimConfig(memory_capacity=32, allocator="paging", page_size=4)
