@@ -1,5 +1,6 @@
 """Golden outputs that pin the simulator's traces, metrics and binding
-logs, and the batch schedulers' behaviour, byte for byte.
+logs, the batch schedulers' behaviour and the output of the `osalg`
+command line, byte for byte.
 
 `tests/test_golden.py` compares every file under `tests/golden/` with
 `golden_files()`. Rewrite the files only when a change of output is
@@ -10,7 +11,10 @@ intended, and only with this script:
 
 from __future__ import annotations
 
+import io
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from osalg import (
@@ -24,7 +28,7 @@ from osalg import (
     variable_quantum,
 )
 from osalg.binding import export_edges
-from osalg.cli import render_metrics, render_trace
+from osalg.cli import emit_workload, main as cli_main, render_metrics, render_trace
 
 from conftest import random_arrivals, regression_runs
 
@@ -51,6 +55,52 @@ def batch_workloads():
     }
 
 
+# `osalg orderings` runs: name -> (--symbols, --deps)
+CLI_ORDERINGS = {
+    "page-table": ("frames,pages,page-table", "frames<page-table,pages<page-table"),
+    "chain": ("d,c,b,a", "d<c,c<b,b<a"),
+    "free": ("x,y,z", ""),
+}
+
+
+def cli_output(argv: list[str]) -> str:
+    """What `osalg <argv>` writes to stdout; raises unless it exits 0
+    with nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv)
+    if code or err.getvalue():
+        raise RuntimeError(f"osalg {' '.join(argv)} exited {code}: {err.getvalue()}")
+    return out.getvalue()
+
+
+def cli_files() -> dict[str, str]:
+    """The orderings of CLI_ORDERINGS, and the two files of one seeded
+    rr/paging `osalg run` that swaps, written through --trace and
+    --metrics while nothing goes to stdout."""
+    files = {
+        f"cli-orderings-{name}.txt": cli_output(
+            ["orderings", "--symbols", symbols, "--deps", deps])
+        for name, (symbols, deps) in CLI_ORDERINGS.items()
+    }
+    workload = random_arrivals(random.Random(3), 12, max_size=12, spread=12,
+                               with_class=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {kind: Path(tmp, f"out.{kind}") for kind in ("workload", "trace", "metrics")}
+        paths["workload"].write_text(emit_workload(workload), encoding="utf-8")
+        stdout = cli_output([
+            "run", "--workload", str(paths["workload"]), "--scheduler", "rr",
+            "--quantum", "2", "--allocator", "paging", "--page-size", "4",
+            "--memory", "16", "--backing", "24",
+            "--trace", str(paths["trace"]), "--metrics", str(paths["metrics"]),
+        ])
+        if stdout:
+            raise RuntimeError("osalg run wrote to stdout with both paths given")
+        files["cli-run-rr-paging.trace.csv"] = paths["trace"].read_text(encoding="utf-8")
+        files["cli-run-rr-paging.metrics.txt"] = paths["metrics"].read_text(encoding="utf-8")
+    return files
+
+
 def golden_files() -> dict[str, str]:
     """File name under `tests/golden/` -> its expected content."""
     files: dict[str, str] = {}
@@ -64,6 +114,7 @@ def golden_files() -> dict[str, str]:
             lines = ["pid,start,length"]
             lines.extend(f"{s.pid},{s.start},{s.length}" for s in schedule(workload))
             files[f"slices-{load}-{sched}.csv"] = "\n".join(lines) + "\n"
+    files.update(cli_files())
     return files
 
 
