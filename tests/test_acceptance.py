@@ -101,6 +101,7 @@ def test_criterion_3_buddy_equivalence():
                     continue
                 start, size = ref.alloc(key, q)
                 ok = ok and (extent.start, extent.end) == (start, start + size)
+                live[key] = extent
         ok = ok and sorted(
             (e.start, e.end) for e in tree.free_extents()
         ) == ref.free_extent_pairs()
