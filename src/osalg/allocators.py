@@ -1,6 +1,5 @@
 """Memory disciplines: contiguous allocation, fixed units, buddy blocks,
-paging, segmentation, virtualization chains, deallocation, swapping, and
-ownership partitioning.
+paging, segmentation, virtualization chains, deallocation and swapping.
 
 A ``MemoryState`` is a pure value: every operation on one returns a new
 state. A ``MemoryLedger`` holds the same fields and is updated in place,
@@ -20,7 +19,7 @@ an address is unmapped.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import TypeVar
@@ -32,7 +31,7 @@ from .combinators import (
     SelectTag,
     free_store,
 )
-from .core import Extent, Procedure, ResourceSet
+from .core import Extent, Procedure
 from .errors import (
     AllocationFailure,
     InvariantViolation,
@@ -42,19 +41,13 @@ from .errors import (
     TranslationFault,
 )
 
-VictimPolicy = Callable[[Sequence[Procedure]], Procedure]
-
 
 class _MemoryReads:
     """The reads MemoryState and MemoryLedger share, over the fields both
-    carry: `resource`, `organizer`, `allocated`, `store`, `free_total`
+    carry: `capacity`, `organizer`, `allocated`, `store`, `free_total`
     and `residue`."""
 
     __slots__ = ()
-
-    @property
-    def capacity(self) -> int:
-        return self.resource.capacity or 0
 
     @property
     def unit_size(self) -> int | None:
@@ -76,17 +69,13 @@ class _MemoryReads:
     def free_size(self) -> int:
         return self.free_total
 
-    @property
-    def allocated_size(self) -> int:
-        return sum(e.size for exts in self.allocated.values() for e in exts)
-
     def largest_free(self) -> int:
         return self.store.largest()
 
 
 @dataclass(frozen=True)
 class MemoryState(_MemoryReads):
-    """Allocation bookkeeping for one finite reusable resource set.
+    """Allocation bookkeeping for one memory of `capacity` units.
 
     `store` is the free store `organizer` shapes: free runs for the
     identity organization, free runs of whole units for fixed
@@ -99,7 +88,7 @@ class MemoryState(_MemoryReads):
     changes, never by a rescan.
     """
 
-    resource: ResourceSet
+    capacity: int
     organizer: Organize
     allocated: Mapping[int, tuple[Extent, ...]]
     store: FreeStore
@@ -109,13 +98,14 @@ class MemoryState(_MemoryReads):
     @staticmethod
     def initial(capacity: int, organizer: Organize | None = None) -> "MemoryState":
         """An empty memory of `capacity` units under the given organizer."""
+        if capacity < 0:
+            raise ParameterError(f"capacity must be natural, got {capacity}")
         organizer = organizer or Organize.identity()
-        resource = ResourceSet.memory(capacity)
-        store = free_store(organizer, resource)
+        store = free_store(organizer, capacity)
         # an empty store is one run from 0, or none; the rest is residue
         free_total = sum(e.size for e in store.free_extents())
         residue = Extent(free_total, capacity) if free_total < capacity else None
-        return MemoryState(resource, organizer, {}, store, free_total, residue)
+        return MemoryState(capacity, organizer, {}, store, free_total, residue)
 
     def check_invariants(self) -> None:
         """Conservation and disjointness, the carried free total and the
@@ -165,13 +155,13 @@ class MemoryState(_MemoryReads):
     ) -> "MemoryState":
         allocated = dict(self.allocated)
         allocated[pid] = granted
-        return MemoryState(self.resource, self.organizer, allocated, store,
+        return MemoryState(self.capacity, self.organizer, allocated, store,
                            self.free_total - size, self.residue)
 
     def _record_release(self, pid: int, store: FreeStore, size: int) -> "MemoryState":
         allocated = dict(self.allocated)
         del allocated[pid]
-        return MemoryState(self.resource, self.organizer, allocated, store,
+        return MemoryState(self.capacity, self.organizer, allocated, store,
                            self.free_total + size, self.residue)
 
 
@@ -182,11 +172,11 @@ class MemoryLedger(_MemoryReads):
     the ledger's state as a MemoryState.
     """
 
-    __slots__ = ("resource", "organizer", "allocated", "store", "free_total",
+    __slots__ = ("capacity", "organizer", "allocated", "store", "free_total",
                  "residue")
 
     def __init__(self, state: MemoryState):
-        self.resource = state.resource
+        self.capacity = state.capacity
         self.organizer = state.organizer
         self.allocated: dict[int, tuple[Extent, ...]] = dict(state.allocated)
         self.store = state.store
@@ -194,7 +184,7 @@ class MemoryLedger(_MemoryReads):
         self.residue = state.residue
 
     def snapshot(self) -> MemoryState:
-        return MemoryState(self.resource, self.organizer, dict(self.allocated),
+        return MemoryState(self.capacity, self.organizer, dict(self.allocated),
                            self.store, self.free_total, self.residue)
 
     def _record_grant(
@@ -320,13 +310,6 @@ class PageMap:
         page, offset = divmod(logical, self.page_size)
         return self.frame_of(page) * self.page_size + offset
 
-    def to_layer(self, limit: int | None = None) -> "BindingLayer":
-        """The map expanded to one address binding per logical unit."""
-        span = self.page_count * self.page_size
-        if limit is not None:
-            span = min(span, limit)
-        return BindingLayer({a: self.translate(a) for a in range(span)})
-
 
 def build_page_table(pages: Pagination, m: Memory) -> tuple[PageMap, Memory]:
     """Bind pages to the lowest free frames of a framed memory.
@@ -442,30 +425,17 @@ def victim_key(p: Procedure) -> tuple[int, int, int, int]:
     return (p.priority if p.priority is not None else -1, -p.size, -p.id, p.id)
 
 
-def default_victim(candidates: Sequence[Procedure]) -> Procedure:
-    """The candidate of least `victim_key`; the order of the candidates
-    does not matter."""
-    if not candidates:
-        raise SwapFailure("no swappable resident procedure")
-    return min(candidates, key=victim_key)
-
-
 def swap_out(
-    m: Memory,
-    backing: Memory,
-    residents: Sequence[Procedure],
-    policy: VictimPolicy = default_victim,
+    m: Memory, backing: Memory, victim: Procedure
 ) -> tuple[Memory, Memory, SwapRecord]:
-    """Evict one resident procedure's extents to the backing store.
+    """Evict the victim's extents to the backing store.
 
-    The victim comes from `policy` over the residents actually holding
-    memory. Its contents are first-fit placed in the backing store; a
-    full backing store fails the swap with the primary state unchanged.
+    The caller has chosen the victim, one that holds primary memory (see
+    :func:`victim_key`). Its contents are first-fit placed in the backing
+    store; a full backing store fails the swap with the primary state
+    unchanged.
     """
-    candidates = [p for p in residents if m.holds(p.id)]
-    if not candidates:
-        raise SwapFailure("no swappable resident procedure")
-    victim = policy(candidates)
+    m.extents_of(victim.id)  # NotFoundError before the grant
     try:
         pieces = backing.store.pieces(victim.size)
         backing2, granted = _grant(backing, victim.id, pieces)
@@ -495,19 +465,3 @@ def swap_in(
     m2, granted = _grant(m, record.pid, pieces)
     backing2 = deallocate(backing, record.pid)
     return m2, backing2, granted
-
-
-def partition_by_owner(
-    m: MemoryState, owners: Mapping[int, str]
-) -> dict[str, tuple[Extent, ...]]:
-    """Group allocated extents into equivalence classes by owner tag."""
-    classes: dict[str, list[Extent]] = {}
-    for pid, extents in m.allocated.items():
-        owner = owners.get(pid)
-        if owner is None:
-            raise ParameterError(f"procedure {pid} has no owner")
-        classes.setdefault(owner, []).extend(extents)
-    return {
-        owner: tuple(sorted(extents, key=lambda e: e.start))
-        for owner, extents in classes.items()
-    }

@@ -239,13 +239,3 @@ def _find_cycle(
             else:
                 state[path.pop()] = 2
                 pending.pop()
-
-
-def export_edges(g: BindingGraph) -> str:
-    """Dependency edges and the event log as plain text, one item per
-    line, for external graph viewers."""
-    lines = ["# dependencies"]
-    lines.extend(f"{first} -> {then}" for first, then in sorted(g.dependencies))
-    lines.append("# events")
-    lines.extend(f"{e.instant} {e.kind.value} {e.symbol}" for e in g.events)
-    return "\n".join(lines) + "\n"

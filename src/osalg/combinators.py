@@ -4,7 +4,8 @@ An ``Organize`` reshapes a set without creating or destroying members:
 identity keeps the order, sort reorders procedures by a projection,
 fixed-size partitioning cuts memory into equal allocation units, and the
 buddy organizer views it as a binary tree of power-of-two blocks, a tree
-implicit in the block addresses, so that only the free blocks are kept. A
+implicit in the block addresses, so that only the free blocks are kept.
+Organizing a memory, given by its capacity, gives its free store. A
 ``Select`` returns a member (or extent of members) of the organized set.
 Composing one of each yields a ``Discipline``, the executable form of a
 resource-management algorithm: first-come-first-served is identity
@@ -19,14 +20,13 @@ first: disciplines are plain values.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import abc
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
-from .core import Extent, Procedure, ProcedureSet, ResourceKind, ResourceSet
+from .core import Extent, Procedure, ProcedureSet
 from .errors import (
     AllocationFailure,
     BoundsError,
@@ -51,64 +51,6 @@ class SortKey(Enum):
                 raise ParameterError(f"procedure {p.id} has no priority")
             return p.priority
         return p.size if self is SortKey.SIZE else p.time
-
-
-class _Units(abc.Sequence):
-    """`count` equal units of `size` from address 0, each made when it is
-    read.
-
-    Compares equal to the tuple of the same extents, as the addresses of
-    ``core.ResourceSet.memory`` do, so a partition built lazily equals one
-    given its units eagerly.
-    """
-
-    __slots__ = ("count", "size")
-
-    def __init__(self, count: int, size: int) -> None:
-        self.count = count
-        self.size = size
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, index):
-        size = self.size
-        starts = range(0, self.count * size, size)[index]
-        if isinstance(starts, range):
-            return tuple(Extent(start, start + size) for start in starts)
-        return Extent(starts, starts + size)
-
-    def __iter__(self) -> Iterator[Extent]:
-        size = self.size
-        return (Extent(start, start + size) for start in range(0, self.count * size, size))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _Units):
-            return self.count == other.count and (not self.count or self.size == other.size)
-        if isinstance(other, tuple):
-            return len(other) == self.count and tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))  # as the equal tuple's; made only when asked
-
-    def __repr__(self) -> str:
-        return f"<{self.count} units of {self.size}>" if self.count else "()"
-
-
-@dataclass(frozen=True)
-class PartitionedSet:
-    """Memory cut into equal allocation units plus an unusable residue."""
-
-    units: Sequence[Extent]
-    unit_size: int
-    residue: Extent | None = None
-
-    def __iter__(self):
-        return iter(self.units)
-
-    def __len__(self) -> int:
-        return len(self.units)
 
 
 @dataclass(frozen=True)
@@ -202,11 +144,6 @@ class BuddyTree:
 
     capacity: int
     free_leaves: tuple[Extent, ...]
-
-    @property
-    def depth(self) -> int:
-        """Levels between the root block and unit blocks."""
-        return self.capacity.bit_length() - 1
 
     def block_size_for(self, q: int) -> int:
         """Smallest power of two holding a demand of q units."""
@@ -307,12 +244,6 @@ def _members(x: Any) -> tuple:
     """Materialize the members of a set-like value in its current order."""
     if isinstance(x, ProcedureSet):
         return x.members
-    if isinstance(x, ResourceSet):
-        if x.kind is not ResourceKind.FINITE_REUSABLE:
-            raise ParameterError("cannot materialize an infinite resource set")
-        return x.units
-    if isinstance(x, PartitionedSet):
-        return x.units
     return tuple(x)
 
 
@@ -328,34 +259,25 @@ def organize_sort(procedures: Any, key: SortKey | str) -> tuple[Procedure, ...]:
     return tuple(sorted(members, key=lambda p: (key.value_of(p), p.id)))
 
 
-def organize_fixed_partition(resource: ResourceSet, unit_size: int) -> PartitionedSet:
-    """Cut memory into equal allocation units, address ordered, in O(1):
-    each unit's extent is made when it is read.
+def organize_fixed_partition(capacity: int, unit_size: int) -> FreeRuns:
+    """Cut a memory of `capacity` units into equal allocation units, in
+    O(1): the free store of one run of every whole unit, address ordered.
 
-    A trailing remainder smaller than one unit is recorded as unusable
-    residue rather than becoming an odd-sized unit.
+    A trailing remainder smaller than one unit is left out of the store,
+    as unusable residue, rather than becoming an odd-sized unit.
     """
     if unit_size < 1:
         raise ParameterError(f"unit size must be >= 1, got {unit_size}")
-    if resource.kind is not ResourceKind.FINITE_REUSABLE:
-        raise ParameterError("only finite resource sets partition")
-    capacity = resource.capacity or 0
-    count = capacity // unit_size
-    cut = count * unit_size
-    residue = Extent(cut, capacity) if cut < capacity else None
-    return PartitionedSet(units=_Units(count, unit_size), unit_size=unit_size,
-                          residue=residue)
+    usable = capacity - capacity % unit_size
+    return FreeRuns((Extent(0, usable),) if usable else (), unit_size)
 
 
-def organize_buddy(resource: ResourceSet) -> BuddyTree:
-    """View memory as a binary tree of power-of-two blocks, all free."""
-    if resource.kind is not ResourceKind.FINITE_REUSABLE:
-        raise ParameterError("only finite resource sets organize into a buddy tree")
-    capacity = resource.capacity or 0
+def organize_buddy(capacity: int) -> BuddyTree:
+    """View a memory of `capacity` units as a binary tree of power-of-two
+    blocks, all free."""
     if capacity < 1 or capacity & (capacity - 1):
         raise ParameterError(f"buddy capacity must be a power of two, got {capacity}")
-    whole = Extent(0, capacity)
-    return BuddyTree(capacity, (whole,))
+    return BuddyTree(capacity, (Extent(0, capacity),))
 
 
 def select_identity(organized: Any, i: int) -> Any:
@@ -374,11 +296,6 @@ def select_first_fit(free_extents: Sequence[Extent], q: int) -> Extent:
         if free.size >= q:
             return Extent(free.start, free.start + q)
     raise AllocationFailure(f"no free extent of {q} units")
-
-
-def select_buddy(tree: BuddyTree, q: int) -> tuple[Extent, BuddyTree]:
-    """Allocate from a buddy tree; returns the block and the new tree."""
-    return tree.allocate(q)
 
 
 def select_argmax_priority(organized: Any) -> Procedure:
@@ -408,11 +325,7 @@ class SelectTag(Enum):
 
 # Set shapes each select knows how to consume.
 _COMPATIBLE = {
-    SelectTag.IDENTITY: {
-        OrganizeTag.IDENTITY,
-        OrganizeTag.SORT,
-        OrganizeTag.FIXED_PARTITION,
-    },
+    SelectTag.IDENTITY: {OrganizeTag.IDENTITY, OrganizeTag.SORT},
     SelectTag.FIRST_FIT: {OrganizeTag.IDENTITY, OrganizeTag.FIXED_PARTITION},
     SelectTag.BUDDY_FIT: {OrganizeTag.BUDDY_TREE},
     SelectTag.ARGMAX_PRIORITY: {OrganizeTag.IDENTITY, OrganizeTag.SORT},
@@ -446,31 +359,30 @@ class Organize:
         return Organize(OrganizeTag.BUDDY_TREE)
 
     def __call__(self, x: Any) -> Any:
-        if self.tag is OrganizeTag.IDENTITY:
-            return organize_identity(x)
+        """Organize a set of procedures, or, given a memory's capacity,
+        give its free store."""
         if self.tag is OrganizeTag.SORT:
             assert self.key is not None
             return organize_sort(x, self.key)
-        if self.tag is OrganizeTag.FIXED_PARTITION:
-            assert self.unit_size is not None
-            return organize_fixed_partition(x, self.unit_size)
-        return organize_buddy(x)
+        if self.tag is OrganizeTag.IDENTITY and not isinstance(x, int):
+            return organize_identity(x)
+        return free_store(self, x)
 
 
 FreeStore = FreeRuns | BuddyTree
 
 
-def free_store(organize: Organize, resource: ResourceSet) -> FreeStore:
-    """The free store of an empty `resource` shaped by `organize`, in
-    O(1): the buddy tree, or one free run of every whole unit."""
+def free_store(organize: Organize, capacity: int) -> FreeStore:
+    """The free store of an empty memory of `capacity` units shaped by
+    `organize`, in O(1): the buddy tree, or one free run of every whole
+    unit."""
     if organize.tag is OrganizeTag.BUDDY_TREE:
-        return organize_buddy(resource)
-    if organize.tag not in (OrganizeTag.IDENTITY, OrganizeTag.FIXED_PARTITION):
+        return organize_buddy(capacity)
+    if organize.tag is OrganizeTag.FIXED_PARTITION:
+        return organize_fixed_partition(capacity, organize.unit_size)
+    if organize.tag is not OrganizeTag.IDENTITY:
         raise ParameterError(f"memory cannot be organized by {organize.tag.value}")
-    unit = organize.unit_size
-    capacity = resource.capacity or 0
-    usable = capacity - capacity % unit if unit else capacity
-    return FreeRuns((Extent(0, usable),) if usable else (), unit)
+    return FreeRuns((Extent(0, capacity),) if capacity else ())
 
 
 @dataclass(frozen=True)
@@ -505,11 +417,11 @@ class Select:
         if self.tag is SelectTag.FIRST_FIT:
             if demand is None:
                 raise ParameterError("first-fit selection needs a demand")
-            return select_first_fit(_members(organized), demand)
+            return select_first_fit(organized.free_extents(), demand)
         if self.tag is SelectTag.BUDDY_FIT:
             if demand is None:
                 raise ParameterError("buddy selection needs a demand")
-            return select_buddy(organized, demand)
+            return organized.allocate(demand)
         return select_argmax_priority(organized)
 
 

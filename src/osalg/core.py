@@ -1,161 +1,31 @@
 """Domain types shared by every other module.
 
-Memory is modeled as a finite pool of reusable units; CPU time as an
-unbounded sequence of instants, each assignable once. Every unit of a
-resource set carries a unique natural number, its address, and units are
-kept in strictly increasing address order. A contiguous run of units is
-described by a half-open ``Extent`` so that its size is exactly
-``end - start``.
+Memory is modeled as a finite pool of reusable units, counted by its
+capacity; CPU time as an unbounded sequence of instants, each assignable
+once. Every unit of memory carries a unique natural number, its address,
+from 0 up. A contiguous run of units is described by a half-open
+``Extent`` so that its size is exactly ``end - start``.
 
 A ``Procedure`` is the unit every discipline manipulates: it records a
-memory demand, a CPU demand, and a lifecycle state. While passive it is a
-file; activating it against an interpretation context makes it a process,
-and passivating captures the context back into the file. Procedure values
-are ordinary data: sets hold them, disciplines take them as arguments and
-hand them back as results. All types here are immutable values; the
-operations are pure functions. The one exception is ``ArrivalStream``,
-the cursor that hands procedures to schedulers in arrival order.
+memory demand and a CPU demand. Procedure values are ordinary data: sets
+hold them, disciplines take them as arguments and hand them back as
+results. All types here are immutable values. The one exception is
+``ArrivalStream``, the cursor that hands procedures to schedulers in
+arrival order.
 """
 
 from __future__ import annotations
 
-from collections import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
-from .errors import (
-    BoundsError,
-    IllegalTransitionError,
-    MalformedExtentError,
-    ParameterError,
-    StreamOrderError,
-)
+from .errors import MalformedExtentError, ParameterError, StreamOrderError
 
-# Addresses are consecutive naturals from 0 within each resource set; any
-# unique monotone numbering would do, consecutiveness keeps extent
-# arithmetic total.
+# Addresses are consecutive naturals from 0 within one memory; any unique
+# monotone numbering would do, consecutiveness keeps extent arithmetic
+# total.
 Address = int
-
-
-class ResourceKind(Enum):
-    """The only two kinds of resource the disciplines manage."""
-
-    FINITE_REUSABLE = "finite-reusable"  # memory
-    INFINITE_NONREUSABLE = "infinite-nonreusable"  # CPU time
-
-
-@dataclass(frozen=True)
-class ResourceUnit:
-    """One indivisible unit of a resource, identified by its address."""
-
-    address: Address
-
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise MalformedExtentError(f"address must be natural, got {self.address}")
-
-
-class _Addresses(abc.Sequence):
-    """The units of addresses 0..count-1, each made when it is read.
-
-    Compares equal to the tuple of the same units, so a memory set built
-    by :meth:`ResourceSet.memory` equals one given its units eagerly.
-    """
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int) -> None:
-        self.count = count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, index):
-        addresses = range(self.count)[index]
-        if isinstance(addresses, range):
-            return tuple(map(ResourceUnit, addresses))
-        return ResourceUnit(addresses)
-
-    def __iter__(self) -> Iterator[ResourceUnit]:
-        return map(ResourceUnit, range(self.count))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _Addresses):
-            return self.count == other.count
-        if isinstance(other, tuple):
-            return len(other) == self.count and tuple(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<units 0..{self.count - 1}>" if self.count else "()"
-
-
-@dataclass(frozen=True)
-class ResourceSet:
-    """An address-ordered countable set of resource units.
-
-    Finite reusable sets (memory) carry a capacity equal to the unit
-    count; :meth:`memory` builds one in O(1), its units made on demand
-    like those of an infinite set. Infinite non-reusable sets (CPU time)
-    have ``capacity is None`` and generate units on demand via
-    :meth:`unit_at`.
-    """
-
-    kind: ResourceKind
-    units: Sequence[ResourceUnit] = ()
-    capacity: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.units, _Addresses):  # consecutive by construction
-            addresses = [u.address for u in self.units]
-            if any(b <= a for a, b in zip(addresses, addresses[1:])):
-                raise MalformedExtentError("unit addresses must strictly increase")
-        if self.kind is ResourceKind.FINITE_REUSABLE:
-            # an on-demand set counts its units without len(), which fails
-            # past the largest index, 2**63 - 1 on 64-bit builds
-            count = (
-                self.units.count if isinstance(self.units, _Addresses)
-                else len(self.units)
-            )
-            if self.capacity is None or self.capacity != count:
-                raise ParameterError("finite set capacity must equal its unit count")
-        elif self.capacity is not None:
-            raise ParameterError("infinite set cannot carry a capacity")
-
-    def __hash__(self) -> int:
-        # equal sets agree on kind and capacity; hashing the units would
-        # cost O(capacity) and fail on the on-demand ones
-        return hash((self.kind, self.capacity))
-
-    @staticmethod
-    def memory(capacity: int) -> "ResourceSet":
-        """A finite reusable set of `capacity` consecutively addressed units."""
-        if capacity < 0:
-            raise ParameterError(f"capacity must be natural, got {capacity}")
-        return ResourceSet(
-            kind=ResourceKind.FINITE_REUSABLE,
-            units=_Addresses(capacity),
-            capacity=capacity,
-        )
-
-    @staticmethod
-    def cpu_time() -> "ResourceSet":
-        """The countably infinite, non-reusable set of CPU time instants."""
-        return ResourceSet(kind=ResourceKind.INFINITE_NONREUSABLE)
-
-    def unit_at(self, address: Address) -> ResourceUnit:
-        """The unit with the given address (valid for both kinds)."""
-        if address < 0 or (self.capacity is not None and address >= self.capacity):
-            raise BoundsError(f"no unit at address {address}")
-        if self.capacity is not None:
-            return self.units[address]
-        return ResourceUnit(address)
-
-
-def addr(unit: ResourceUnit) -> Address:
-    """The unique natural address of a resource unit."""
-    return unit.address
 
 
 @dataclass(frozen=True)
@@ -189,32 +59,11 @@ class Extent:
         return f"[{self.start}..{self.end})"
 
 
-def extent_size(e: Extent) -> int:
-    """Number of units in the extent: ``end - start``."""
-    return e.size
-
-
-class LifecycleState(Enum):
-    """Passive procedures are files; active ones are processes."""
-
-    PASSIVE = "passive"
-    ACTIVE = "active"
-
-
 class WorkClass(Enum):
     """Static workload tag steering variable-quantum scheduling."""
 
     IO_BOUND = "IoBound"
     CPU_BOUND = "CpuBound"
-
-
-Context = tuple[tuple[str, Any], ...]
-
-
-def _freeze_context(context: Mapping[str, Any] | Context) -> Context:
-    if isinstance(context, tuple):
-        return context
-    return tuple(sorted(context.items()))
 
 
 @dataclass(frozen=True)
@@ -223,8 +72,7 @@ class Procedure:
 
     `priority` and `owner` are optional external attributes; `segments`,
     when present, names the variable-sized chunks a segmentation
-    allocator should place (they must sum to `size`). The interpretation
-    context is opaque: nothing here reads its contents.
+    allocator should place (they must sum to `size`).
     """
 
     id: int
@@ -233,10 +81,8 @@ class Procedure:
     priority: int | None = None
     owner: str | None = None
     arrival: int = 0
-    state: LifecycleState = LifecycleState.PASSIVE
     io_class: WorkClass | None = None
     segments: tuple[int, ...] | None = None
-    context: Context | None = None
 
     def __post_init__(self) -> None:
         if self.id < 0:
@@ -256,35 +102,6 @@ class Procedure:
                 raise ParameterError(
                     f"segments sum to {sum(self.segments)}, size is {self.size}"
                 )
-
-
-def activate(p: Procedure, context: Mapping[str, Any] | Context) -> Procedure:
-    """Turn a file into a process by attaching an interpretation context."""
-    if p.state is LifecycleState.ACTIVE:
-        raise IllegalTransitionError(f"procedure {p.id} is already active")
-    if context is None:
-        raise ParameterError("activation requires an interpretation context")
-    return replace(p, state=LifecycleState.ACTIVE, context=_freeze_context(context))
-
-
-def passivate(p: Procedure) -> Procedure:
-    """Turn a process back into a file, capturing its current context."""
-    if p.state is LifecycleState.PASSIVE:
-        raise IllegalTransitionError(f"procedure {p.id} is already passive")
-    return replace(p, state=LifecycleState.PASSIVE)
-
-
-def set_state(
-    p: Procedure,
-    target: LifecycleState,
-    context: Mapping[str, Any] | Context | None = None,
-) -> Procedure:
-    """Dispatch to :func:`activate` or :func:`passivate` by target state."""
-    if target is LifecycleState.ACTIVE:
-        if context is None:
-            raise ParameterError("activation requires an interpretation context")
-        return activate(p, context)
-    return passivate(p)
 
 
 @dataclass(frozen=True)
@@ -354,25 +171,3 @@ class ArrivalStream:
             taken.append(head)
             self._peeked = None
         return tuple(taken)
-
-    @property
-    def exhausted(self) -> bool:
-        return self.peek() is None
-
-
-def project(k: int, value: Procedure | ProcedureSet | Sequence[Any]) -> Any:
-    """1-indexed projection.
-
-    For a procedure, component 1 is its size and component 2 its time.
-    For a set or sequence, the k-th member.
-    """
-    if isinstance(value, Procedure):
-        if k == 1:
-            return value.size
-        if k == 2:
-            return value.time
-        raise BoundsError(f"procedure has components 1..2, got {k}")
-    members = value.members if isinstance(value, ProcedureSet) else value
-    if not 1 <= k <= len(members):
-        raise BoundsError(f"index {k} outside 1..{len(members)}")
-    return members[k - 1]

@@ -15,10 +15,6 @@ class BoundsError(OsAlgError, IndexError):
     """1-indexed access outside a set or tuple."""
 
 
-class IllegalTransitionError(OsAlgError):
-    """Lifecycle transition other than passive<->active."""
-
-
 class ParameterError(OsAlgError, ValueError):
     """An operation parameter violates its precondition."""
 

@@ -25,6 +25,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .combinators import SortKey
+# ArrivalStream, the source the simulator pulls arrivals from, is
+# published here next to the disciplines it feeds
 from .core import ArrivalStream, Procedure, ProcedureSet
 from .errors import ParameterError
 # Classifier and class_quantum are defined with the simulator's registry
@@ -81,28 +83,6 @@ class Schedule:
             clock = s.end
 
 
-@dataclass(frozen=True)
-class Quantum:
-    """A fixed CPU-time chunk size."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ParameterError(f"quantum must be >= 1, got {self.value}")
-
-
-def admit(stream: ArrivalStream | Iterable[Procedure], now: int) -> ProcedureSet:
-    """Procedures that have arrived by `now`, in arrival order.
-
-    The caller keeps the ready set: finished or swapped-out members drop
-    out of it there, not here.
-    """
-    if not isinstance(stream, ArrivalStream):
-        stream = ArrivalStream(stream)
-    return ProcedureSet(stream.take_until(now))
-
-
 def _project(procedures: Iterable[Procedure], policy: Policy) -> Schedule:
     return Schedule(tuple(Slice(*s) for s in dispatch_slices(procedures, policy)))
 
@@ -126,12 +106,11 @@ def priority_schedule(procedures: ProcedureSet | Sequence[Procedure]) -> Schedul
     return _project(procedures, PRIORITY)
 
 
-def round_robin(
-    procedures: ProcedureSet | Sequence[Procedure], q: Quantum | int
-) -> Schedule:
+def round_robin(procedures: ProcedureSet | Sequence[Procedure], q: int) -> Schedule:
     """Equal CPU-time chunks of size q, rotated in arrival order."""
-    value = (q if isinstance(q, Quantum) else Quantum(q)).value
-    return _project(procedures, Policy(quantum_of=lambda p: value))
+    if q < 1:
+        raise ParameterError(f"quantum must be >= 1, got {q}")
+    return _project(procedures, Policy(quantum_of=lambda p: q))
 
 
 def variable_quantum(

@@ -33,7 +33,6 @@ from .allocators import (
     allocate as allocate_op,
     build_page_table,
     deallocate,
-    default_victim,
     paginate,
     segment_alloc,
     swap_in,
@@ -216,6 +215,11 @@ class _Memory:
         memory?"""
         return p.size <= self.cfg.memory_capacity
 
+    @staticmethod
+    def listed_pages(cfg: SimConfig, p: Procedure) -> int:
+        """How many pages a trace line that grants p lists."""
+        return 0
+
     def grant(self, p: Procedure) -> tuple[Detail, int]:
         """Grant memory to p; returns the allocator's own trace detail and
         the internal fragmentation."""
@@ -239,7 +243,7 @@ class _Memory:
     def swap_out_victim(self, victim: Procedure) -> tuple[SwapRecord, Extents]:
         freed = self.primary.extents_of(victim.id)
         self.primary, self.backing, record = swap_out(
-            self.primary, self.backing, (victim,), default_victim
+            self.primary, self.backing, victim
         )
         return record, freed
 
@@ -326,7 +330,11 @@ class _Paging(_Memory):
 
     def feasible(self, p: Procedure) -> bool:
         page = self.cfg.page_size
-        return Pagination(p.id, page, p.size).page_count <= self.cfg.memory_capacity // page
+        return self.listed_pages(self.cfg, p) <= self.cfg.memory_capacity // page
+
+    @staticmethod
+    def listed_pages(cfg: SimConfig, p: Procedure) -> int:
+        return Pagination(p.id, cfg.page_size, p.size).page_count
 
     def grant(self, p: Procedure) -> tuple[Detail, int]:
         pagination = paginate(p, self.cfg.page_size)
@@ -731,6 +739,16 @@ def run(
     sim = _Simulation(stream, cfg, strict)
     trace = sim.run()
     return trace, metrics(trace)
+
+
+def trace_bound(procedures: Iterable[Procedure], cfg: SimConfig) -> int:
+    """What the trace of a run grows with, known before the run: its
+    Dispatch lines, the CPU demand of each procedure in quanta (one
+    dispatch for a policy that runs a procedure to completion), plus,
+    under paging, each procedure's pages, which its Allocate line lists."""
+    policy, pages = SCHEDULERS[cfg.scheduler](cfg), ALLOCATORS[cfg.allocator].listed_pages
+    return sum(-(-p.time // policy.run_length(p, p.time)) + pages(cfg, p)
+               for p in procedures)
 
 
 def dispatch_slices(

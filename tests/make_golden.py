@@ -17,18 +17,10 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from osalg import (
-    SortKey,
-    class_quantum,
-    fcfs,
-    priority_schedule,
-    round_robin,
-    run,
-    sjf,
-    variable_quantum,
-)
-from osalg.binding import export_edges
+from osalg import SortKey, fcfs, priority_schedule, round_robin, run, sjf
+from osalg.binding import BindingGraph
 from osalg.cli import emit_workload, main as cli_main, render_metrics, render_trace
+from osalg.schedulers import class_quantum, variable_quantum
 
 from conftest import random_arrivals, regression_runs
 
@@ -61,6 +53,16 @@ CLI_ORDERINGS = {
     "chain": ("d,c,b,a", "d<c,c<b,b<a"),
     "free": ("x,y,z", ""),
 }
+
+
+def export_edges(g: BindingGraph) -> str:
+    """Dependency edges and the event log of a binding graph as plain
+    text, one item per line."""
+    lines = ["# dependencies"]
+    lines.extend(f"{first} -> {then}" for first, then in sorted(g.dependencies))
+    lines.append("# events")
+    lines.extend(f"{e.instant} {e.kind.value} {e.symbol}" for e in g.events)
+    return "\n".join(lines) + "\n"
 
 
 def cli_output(argv: list[str]) -> str:

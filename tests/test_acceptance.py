@@ -15,6 +15,7 @@ from osalg import (
     SortKey,
     fcfs,
     legal_orderings,
+    organize_buddy,
     priority_schedule,
     record,
     round_robin,
@@ -24,8 +25,6 @@ from osalg import (
     validate,
 )
 from osalg.cli import render_trace
-from osalg.combinators import organize_buddy, select_buddy
-from osalg.core import ResourceSet
 from osalg.errors import AllocationFailure, TranslationFault
 from osalg.oracle import ReferenceBuddy, brute_schedule
 from osalg.sim import EventKind
@@ -78,7 +77,7 @@ def test_criterion_3_buddy_equivalence():
     ok = True
     for _ in range(100):
         capacity = rng.choice([16, 32, 64, 128, 256])
-        tree = organize_buddy(ResourceSet.memory(capacity))
+        tree = organize_buddy(capacity)
         ref = ReferenceBuddy(capacity)
         live = {}
         key = 0
@@ -91,7 +90,7 @@ def test_criterion_3_buddy_equivalence():
                 key += 1
                 q = rng.randint(1, max(1, capacity // 2))
                 try:
-                    extent, tree = select_buddy(tree, q)
+                    extent, tree = tree.allocate(q)
                 except AllocationFailure:
                     try:
                         ref.alloc(key, q)

@@ -1,28 +1,23 @@
 """Memory state transitions: allocation, paging, segmentation, swap,
-translation, ownership."""
+translation."""
 
 import random
 
 import pytest
 
-from osalg import (
-    BindingLayer,
-    Extent,
+from osalg import BindingLayer, Extent, Organize, Select, compose, translate
+from osalg.allocators import (
     MemoryState,
-    Organize,
-    Select,
+    PageMap,
     allocate,
     build_page_table,
-    compose,
     deallocate,
     paginate,
-    partition_by_owner,
     segment_alloc,
     swap_in,
     swap_out,
-    translate,
+    victim_key,
 )
-from osalg.allocators import PageMap, default_victim
 from osalg.errors import (
     AllocationFailure,
     NotFoundError,
@@ -230,7 +225,7 @@ class TestTranslate:
 
     def test_page_map_as_layer(self):
         table = PageMap(page_size=4, entries=((0, 2), (1, 0)))
-        layer = table.to_layer()
+        layer = BindingLayer({a: table.translate(a) for a in range(8)})
         assert translate(5, [layer]) == 1  # page 1, offset 1, frame 0
         assert table.translate(5) == 1
 
@@ -269,6 +264,9 @@ class TestSwap:
             proc(2, size=4, time=5, priority=1),
         ]
 
+    def victim(self):
+        return min(self.residents(), key=victim_key)
+
     def full_memory(self):
         m = first_fit_memory(8)
         for p in self.residents():
@@ -278,7 +276,7 @@ class TestSwap:
     def test_lowest_priority_swapped_first(self):
         m = self.full_memory()
         backing = first_fit_memory(8)
-        m, backing, record = swap_out(m, backing, self.residents())
+        m, backing, record = swap_out(m, backing, self.victim())
         assert record.pid == 2
         assert m.free == (Extent(4, 8),)
         assert backing.extents_of(2) == (Extent(0, 4),)
@@ -292,13 +290,13 @@ class TestSwap:
             proc(2, size=6, priority=1),
             proc(3, size=6, priority=1),
         ]
-        assert default_victim(candidates).id == 3  # largest size, then highest id
-        assert default_victim([proc(4, size=1), proc(5, size=1, priority=0)]).id == 4
+        assert min(candidates, key=victim_key).id == 3  # largest size, then highest id
+        assert min([proc(4, size=1), proc(5, size=1, priority=0)], key=victim_key).id == 4
 
     def test_swap_in_round_trip(self):
         m = self.full_memory()
         backing = first_fit_memory(8)
-        m, backing, record = swap_out(m, backing, self.residents())
+        m, backing, record = swap_out(m, backing, self.victim())
         m = deallocate(m, 1)
         m, backing, granted = swap_in(m, backing, record)
         assert m.holds(2)
@@ -309,54 +307,22 @@ class TestSwap:
         m = self.full_memory()
         backing = first_fit_memory(0)
         with pytest.raises(SwapFailure):
-            swap_out(m, backing, self.residents())
-        assert m.allocated_size == 8  # unchanged
+            swap_out(m, backing, self.victim())
+        assert m.free_size == 0 and m.extents_of(2) == (Extent(4, 8),)  # unchanged
+
+    def test_a_victim_that_holds_no_memory_is_not_found(self):
+        backing = first_fit_memory(8)
+        with pytest.raises(NotFoundError):
+            swap_out(first_fit_memory(8), backing, proc(1, size=4))
+        assert backing.free_size == 8
 
     def test_swap_in_retriable_when_tight(self):
         m = self.full_memory()
         backing = first_fit_memory(8)
-        m, backing, record = swap_out(m, backing, self.residents())
+        m, backing, record = swap_out(m, backing, self.victim())
         m, _ = allocate(FIRST_FIT, m, proc(3, size=4))
         with pytest.raises(AllocationFailure):
             swap_in(m, backing, record)
-
-
-class TestOwnership:
-    def test_relabeling(self):
-        m = first_fit_memory(8)
-        m, _ = allocate(FIRST_FIT, m, proc(1, size=4))
-        m, _ = allocate(FIRST_FIT, m, proc(2, size=4))
-        classes = partition_by_owner(m, {1: "A", 2: "B"})
-        assert classes == {"A": (Extent(0, 4),), "B": (Extent(4, 8),)}
-
-    def test_single_owner_single_class(self):
-        m = first_fit_memory(8)
-        m, _ = allocate(FIRST_FIT, m, proc(1, size=2))
-        m, _ = allocate(FIRST_FIT, m, proc(2, size=2))
-        classes = partition_by_owner(m, {1: "A", 2: "A"})
-        assert classes == {"A": (Extent(0, 2), Extent(2, 4))}
-
-    def test_missing_owner_rejected(self):
-        m = first_fit_memory(8)
-        m, _ = allocate(FIRST_FIT, m, proc(1, size=2))
-        m, _ = allocate(FIRST_FIT, m, proc(2, size=2))
-        with pytest.raises(ParameterError):
-            partition_by_owner(m, {1: "A"})
-
-    def test_classes_partition_all_allocations(self):
-        m = first_fit_memory(16)
-        owners = {}
-        for pid, owner in [(1, "A"), (2, "B"), (3, "A"), (4, "C")]:
-            m, _ = allocate(FIRST_FIT, m, proc(pid, size=3))
-            owners[pid] = owner
-        classes = partition_by_owner(m, owners)
-        everything = sorted(
-            (e.start, e.end) for extents in classes.values() for e in extents
-        )
-        held = sorted(
-            (e.start, e.end) for exts in m.allocated.values() for e in exts
-        )
-        assert everything == held
 
 
 class TestConservationRandomOps:

@@ -5,9 +5,11 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from osalg import BindingGraph, export_edges, legal_orderings, record, validate
+from osalg import BindingGraph, legal_orderings, record, validate
 from osalg.binding import BindingEvent, EventKind
 from osalg.errors import ClockError, CycleError
+
+from make_golden import export_edges
 
 PAGE_DEPS = {("frames", "page-table"), ("pages", "page-table")}
 

@@ -16,21 +16,18 @@ from dataclasses import dataclass, replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osalg import (
-    Extent,
+from osalg import Extent, Organize, Select, compose
+from osalg.allocators import (
     MemoryState,
-    Organize,
-    Select,
     allocate,
     build_page_table,
-    compose,
     deallocate,
     paginate,
     segment_alloc,
     swap_in,
     swap_out,
+    victim_key,
 )
-from osalg.allocators import default_victim
 from osalg.errors import AllocationFailure, ParameterError, SwapFailure
 
 from conftest import proc
@@ -289,10 +286,10 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
             m = deallocate(m, p.id)
             ref.release(p.id)
         elif op == "swap_out" and resident:
+            victim = min(resident, key=victim_key)
             try:
-                m, backing, record = swap_out(m, backing, resident)
+                m, backing, record = swap_out(m, backing, victim)
             except SwapFailure:
-                victim = default_victim(resident)
                 with pytest.raises(AllocationFailure):
                     ref_backing.grant(victim.id, victim.size)
             else:

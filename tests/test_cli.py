@@ -1,14 +1,14 @@
 """Workload parsing, trace rendering, and the command-line surface."""
 
-import ast
 import contextlib
-import importlib
 import io
 import importlib.util
 import os
 import random
+import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -28,7 +28,7 @@ from osalg.cli import (
     render_trace,
 )
 from osalg.errors import WorkloadError
-from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace, TraceEvent
+from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace, TraceEvent, trace_bound
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -260,26 +260,6 @@ def test_bench_names_match_the_registries(monkeypatch):
     assert workloads.ALLOCATORS == tuple(ALLOCATORS)
 
 
-def test_bench_span_targets_resolve():
-    """Every function the traced benchmark wraps is found where its span
-    wrapper looks for it: `vars(owner)[attr]`, with owner the module or
-    class on the target's path. The file is read, not imported."""
-    source = (REPO / "perfbench" / "spans.py").read_text(encoding="utf-8")
-    targets = next(
-        ast.literal_eval(node.value)
-        for node in ast.parse(source).body
-        if isinstance(node, ast.Assign)
-        and getattr(node.targets[0], "id", None) == "TARGETS"
-    )
-    assert targets
-    for name, (module, path) in targets.items():
-        owner = importlib.import_module(module)
-        *classes, attr = path.split(".")
-        for cls in classes:
-            owner = getattr(owner, cls)
-        assert attr in vars(owner), f"{name}: no {path} in {module}"
-
-
 def test_render_trace_renders_every_field_kind():
     trace = Trace(events=(
         TraceEvent(0, EventKind.ARRIVE, 1, (
@@ -411,6 +391,59 @@ def test_a_memory_past_the_index_range_that_buddy_cannot_split_is_a_usage_error(
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err == "usage error: buddy allocator needs a power-of-two capacity\n"
+
+
+@pytest.mark.parametrize("record, flags", [
+    pytest.param("id=1 size=4 time=999999999999999999999",
+                 ["--scheduler", "rr", "--quantum", "1", "--allocator", "first-fit",
+                  "--memory", "64"], id="rr-dispatches"),
+    pytest.param(f"id=1 size={10**23} time=1",
+                 ["--scheduler", "fcfs", "--allocator", "paging", "--page-size", "1",
+                  "--memory", str(10**23)], id="paging-pages"),
+])
+def test_a_run_past_the_trace_limit_is_a_usage_error(tmp_path, record, flags):
+    """10**21 quanta of CPU time, or 10**23 one-unit pages, are refused
+    before the run: exit 1 within 2 s and 600 MB of address space, and no
+    traceback."""
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(record + "\n")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+    started = time.monotonic()
+    child = subprocess.run(
+        [sys.executable, "-m", "osalg.cli", "run", "--workload", str(wpath), *flags],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert time.monotonic() - started < 2
+    assert child.returncode == EXIT_USAGE
+    assert "Traceback" not in child.stderr
+    assert child.stderr == (f"usage error: the trace would hold more than {cli.MAX_TRACE} "
+                            "dispatches and listed pages\n")
+
+
+def test_trace_bound_counts_dispatches_and_listed_pages():
+    ps = parse_workload("id=1 size=10 time=3\nid=2 size=0 time=4\n")
+    assert trace_bound(ps, SimConfig()) == 2  # one dispatch each
+    assert trace_bound(ps, SimConfig(scheduler="rr", quantum=2)) == 2 + 2
+    assert trace_bound(ps, SimConfig(scheduler="var-quantum", io_quantum=1,
+                                     cpu_quantum=3)) == 1 + 2
+    paging = SimConfig(allocator="paging", page_size=4)
+    assert trace_bound(ps, paging) == 2 + 3
+
+
+def test_a_run_at_the_trace_limit_runs(tmp_path, capsys, monkeypatch):
+    wpath = tmp_path / "w.txt"
+    wpath.write_text("id=1 size=4 time=5\n")
+    argv = ["run", "--workload", str(wpath), "--scheduler", "rr", "--quantum", "1",
+            "--allocator", "first-fit"]
+    monkeypatch.setattr(cli, "MAX_TRACE", 5)
+    assert main(argv) == EXIT_OK
+    monkeypatch.setattr(cli, "MAX_TRACE", 4)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: the trace would hold")
 
 
 def test_one_parser_serves_every_main_call(tmp_path):

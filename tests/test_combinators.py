@@ -6,19 +6,13 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from osalg import (
-    Extent,
-    Organize,
-    ProcedureSet,
-    ResourceSet,
-    Select,
-    SortKey,
-    compose,
-    organize_buddy,
+from osalg import Extent, Organize, ProcedureSet, Select, SortKey, compose, organize_buddy
+from osalg.allocators import MemoryState
+from osalg.combinators import (
+    BuddyTree,
     organize_fixed_partition,
     organize_identity,
     organize_sort,
-    select_buddy,
     select_first_fit,
     select_identity,
 )
@@ -29,7 +23,6 @@ from osalg.errors import (
     NotFoundError,
     ParameterError,
 )
-from osalg.combinators import BuddyTree
 from osalg.oracle import ReferenceBuddy
 
 from conftest import proc, random_batch
@@ -44,6 +37,16 @@ def assert_tiles(tree, granted):
         assert e.size & (e.size - 1) == 0 and e.start % e.size == 0
         cursor = e.end
     assert cursor == tree.capacity
+
+
+def whole_units(store):
+    """Every unit a fixed-partition store grants, one grant at a time,
+    lowest first, until it has none left."""
+    units = []
+    while store.largest():
+        (unit,), store = store.grant((store.unit,))
+        units.append(unit)
+    return tuple(units)
 
 
 def free_buddies(tree):
@@ -63,10 +66,6 @@ class TestOrganizeIdentity:
     def test_idempotent(self):
         once = organize_identity(["x", "y"])
         assert organize_identity(once) == once
-
-    def test_infinite_sets_do_not_materialize(self):
-        with pytest.raises(ParameterError):
-            organize_identity(ResourceSet.cpu_time())
 
 
 class TestOrganizeSort:
@@ -89,74 +88,65 @@ class TestOrganizeSort:
 
 class TestFixedPartition:
     def test_exact_division(self):
-        partition = organize_fixed_partition(ResourceSet.memory(16), 4)
-        assert partition.units == (
+        store = organize_fixed_partition(16, 4)
+        assert store.free_extents() == (Extent(0, 16),)
+        assert whole_units(store) == (
             Extent(0, 4), Extent(4, 8), Extent(8, 12), Extent(12, 16),
         )
-        assert partition.residue is None
+        assert MemoryState.initial(16, Organize.fixed_partition(4)).residue is None
 
     def test_remainder_becomes_residue(self):
-        partition = organize_fixed_partition(ResourceSet.memory(10), 4)
-        assert partition.units == (Extent(0, 4), Extent(4, 8))
-        assert partition.residue == Extent(8, 10)
+        assert whole_units(organize_fixed_partition(10, 4)) == (Extent(0, 4), Extent(4, 8))
+        assert MemoryState.initial(10, Organize.fixed_partition(4)).residue == Extent(8, 10)
 
     def test_degenerate_all_residue(self):
-        partition = organize_fixed_partition(ResourceSet.memory(3), 4)
-        assert partition.units == ()
-        assert partition.residue == Extent(0, 3)
+        assert organize_fixed_partition(3, 4).free_extents() == ()
+        assert MemoryState.initial(3, Organize.fixed_partition(4)).residue == Extent(0, 3)
 
     def test_zero_unit_rejected(self):
         with pytest.raises(ParameterError):
-            organize_fixed_partition(ResourceSet.memory(8), 0)
+            organize_fixed_partition(8, 0)
 
     @pytest.mark.parametrize("capacity", range(0, 14))
     @pytest.mark.parametrize("unit", [1, 3, 4])
     def test_units_equal_the_eager_tuple(self, capacity, unit):
-        """Units made when read look like units given up front."""
-        partition = Organize.fixed_partition(unit)(ResourceSet.memory(capacity))
+        """The units a partitioned memory grants are the units cut up
+        front."""
+        store = Organize.fixed_partition(unit)(capacity)
         count = capacity // unit
         eager = tuple(Extent(i * unit, (i + 1) * unit) for i in range(count))
-        assert partition.units == eager and eager == partition.units
-        assert len(partition) == len(eager) and tuple(partition) == eager
-        assert [partition.units[i] for i in range(-count, count)] == list(eager) * 2
-        assert partition.units[1:-1] == eager[1:-1]
-        assert hash(partition.units) == hash(eager)
-        assert partition == organize_fixed_partition(ResourceSet.memory(capacity), unit)
-        assert count < 2 or partition.units != eager[1:] + eager[:1]
-        with pytest.raises(IndexError):
-            partition.units[count]
+        assert whole_units(store) == eager
+        assert store == organize_fixed_partition(capacity, unit)
 
     def test_a_huge_memory_partitions_in_constant_space(self):
         capacity = 1 << 30
         tracemalloc.start()
         try:
-            partition = Organize.fixed_partition(1)(ResourceSet.memory(capacity))
-            last = partition.units[-1]
+            store = Organize.fixed_partition(1)(capacity)
+            (first,), rest = store.grant((1,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(partition) == capacity
-        assert last == Extent(capacity - 1, capacity)
+        assert store.free_extents() == (Extent(0, capacity),)
+        assert first == Extent(0, 1) and rest.free_extents() == (Extent(1, capacity),)
         assert peak < 64 * 1024
 
 
 class TestBuddyOrganize:
     def test_construction_shape(self):
-        tree = organize_buddy(ResourceSet.memory(16))
+        tree = organize_buddy(16)
         assert tree.free_extents() == (Extent(0, 16),)
-        assert tree.depth == 4
         # the root block splits into its two halves
         half, split = tree.allocate(8)
         assert (half, split.free_extents()) == (Extent(0, 8), (Extent(8, 16),))
         assert_tiles(split, [half])
 
     def test_single_unit(self):
-        tree = organize_buddy(ResourceSet.memory(1))
+        tree = organize_buddy(1)
         assert tree.free_extents() == (Extent(0, 1),)
-        assert tree.depth == 0
 
     def test_split_conserves_size(self):
-        tree = organize_buddy(ResourceSet.memory(32))
+        tree = organize_buddy(32)
         unit, split = tree.allocate(1)
         # one right half is left free at each level the root splits down
         assert split.free_extents() == (
@@ -166,7 +156,7 @@ class TestBuddyOrganize:
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ParameterError):
-            organize_buddy(ResourceSet.memory(12))
+            organize_buddy(12)
 
 
 class TestSelectIdentity:
@@ -201,34 +191,34 @@ class TestSelectFirstFit:
 
 class TestSelectBuddy:
     def test_first_allocations_match_reference(self):
-        tree = organize_buddy(ResourceSet.memory(16))
-        first, tree = select_buddy(tree, 3)
+        tree = organize_buddy(16)
+        first, tree = tree.allocate(3)
         assert first == Extent(0, 4)
-        second, tree = select_buddy(tree, 4)
+        second, tree = tree.allocate(4)
         assert second == Extent(4, 8)
 
     def test_demand_beyond_root_fails(self):
-        tree = organize_buddy(ResourceSet.memory(16))
+        tree = organize_buddy(16)
         with pytest.raises(AllocationFailure):
-            select_buddy(tree, 17)
+            tree.allocate(17)
 
     def test_release_merges_to_root(self):
-        tree = organize_buddy(ResourceSet.memory(16))
-        a, tree = select_buddy(tree, 4)
-        b, tree = select_buddy(tree, 4)
+        tree = organize_buddy(16)
+        a, tree = tree.allocate(4)
+        b, tree = tree.allocate(4)
         tree = tree.release(a).release(b)
         assert tree.free_extents() == (Extent(0, 16),)
 
     def test_no_free_siblings_after_random_ops(self):
         rng = random.Random(7)
-        tree = organize_buddy(ResourceSet.memory(64))
+        tree = organize_buddy(64)
         live = []
         for _ in range(300):
             if live and rng.random() < 0.4:
                 tree = tree.release(live.pop(rng.randrange(len(live))))
             else:
                 try:
-                    extent, tree = select_buddy(tree, rng.randint(1, 16))
+                    extent, tree = tree.allocate(rng.randint(1, 16))
                     live.append(extent)
                 except AllocationFailure:
                     pass
@@ -257,19 +247,19 @@ class TestBuddyStoreChecks:
             BuddyTree(16, free).check()
 
     def test_releasing_a_free_block_is_not_found(self):
-        _, tree = organize_buddy(ResourceSet.memory(16)).allocate(4)
+        _, tree = organize_buddy(16).allocate(4)
         for free in (Extent(4, 8), Extent(8, 12), Extent(12, 16), Extent(8, 16)):
             with pytest.raises(NotFoundError):
                 tree.release(free)
 
     @pytest.mark.parametrize("extent", [Extent(0, 3), Extent(2, 6), Extent(0, 0)])
     def test_releasing_what_is_not_a_block_is_not_found(self, extent):
-        _, tree = organize_buddy(ResourceSet.memory(16)).allocate(8)
+        _, tree = organize_buddy(16).allocate(8)
         with pytest.raises(NotFoundError):
             tree.release(extent)
 
     def test_releasing_past_capacity_is_not_found(self):
-        _, tree = organize_buddy(ResourceSet.memory(16)).allocate(16)
+        _, tree = organize_buddy(16).allocate(16)
         assert tree.free_extents() == ()
         for extent in (Extent(16, 32), Extent(0, 32)):
             with pytest.raises(NotFoundError):
@@ -294,8 +284,16 @@ class TestCompose:
 
     def test_buddy_discipline_applies(self):
         d = compose(Select.buddy_fit(), Organize.buddy())
-        extent, _ = d.apply(ResourceSet.memory(16), demand=3)
+        extent, _ = d.apply(16, demand=3)
         assert extent == Extent(0, 4)
+
+    def test_first_fit_discipline_applies(self):
+        d = compose(Select.first_fit(), Organize.identity())
+        assert d.apply(16, demand=3) == Extent(0, 3)
+        d = compose(Select.first_fit(), Organize.fixed_partition(4))
+        assert d.apply(10, demand=8) == Extent(0, 8)  # [8, 10) is residue
+        with pytest.raises(AllocationFailure):
+            d.apply(10, demand=9)
 
     def test_composition_law_randomized(self):
         rng = random.Random(11)
@@ -332,17 +330,17 @@ class TestConservation:
 
     @given(st.integers(0, 4096), st.integers(1, 64))
     def test_fixed_partition_conserves_units(self, capacity, unit):
-        partition = organize_fixed_partition(ResourceSet.memory(capacity), unit)
-        covered = sum(e.size for e in partition.units)
-        covered += partition.residue.size if partition.residue else 0
+        m = MemoryState.initial(capacity, Organize.fixed_partition(unit))
+        covered = sum(e.size for e in m.free)
+        covered += m.residue.size if m.residue else 0
         assert covered == capacity
-        for a, b in zip(partition.units, partition.units[1:]):
-            assert a.end == b.start
+        assert all(e.start % unit == 0 and e.size % unit == 0 for e in m.free)
+        m.check_invariants()
 
     @given(st.integers(0, 10))
     def test_buddy_leaves_tile_capacity(self, log_capacity):
         capacity = 1 << log_capacity
-        tree = organize_buddy(ResourceSet.memory(capacity))
+        tree = organize_buddy(capacity)
         granted = []
         if capacity >= 4:
             block, tree = tree.allocate(capacity // 4)
@@ -387,7 +385,7 @@ def test_buddy_matches_reference_on_random_sequences():
     rng = random.Random(42)
     for round_no in range(30):
         capacity = rng.choice([16, 32, 64, 128, 256])
-        tree = organize_buddy(ResourceSet.memory(capacity))
+        tree = organize_buddy(capacity)
         ref = ReferenceBuddy(capacity)
         live: dict[int, Extent] = {}
         key = 0
@@ -400,7 +398,7 @@ def test_buddy_matches_reference_on_random_sequences():
                 key += 1
                 q = rng.randint(1, capacity // 2)
                 try:
-                    extent, tree = select_buddy(tree, q)
+                    extent, tree = tree.allocate(q)
                 except AllocationFailure:
                     with pytest.raises(AllocationFailure):
                         ref.alloc(key, q)

@@ -1,4 +1,5 @@
-"""Core type behavior: addresses, extents, projection, lifecycle."""
+"""Core type behavior: extents, procedures, procedure sets, and the
+procedure lifecycle as a run's trace records it."""
 
 import gc
 import importlib
@@ -6,106 +7,59 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from osalg import (
-    Extent,
-    LifecycleState,
-    Procedure,
-    ProcedureSet,
-    ResourceKind,
-    ResourceSet,
-    ResourceUnit,
-    activate,
-    addr,
-    extent_size,
-    passivate,
-    project,
-    set_state,
-)
-from osalg.errors import (
-    BoundsError,
-    IllegalTransitionError,
-    MalformedExtentError,
-    ParameterError,
-)
+from osalg import Extent, ProcedureSet, SimConfig, run
+from osalg.allocators import MemoryState
+from osalg.errors import MalformedExtentError, ParameterError
+from osalg.sim import EventKind
 
-from conftest import proc
+from conftest import proc, regression_runs
+
+ACTIVATE, PASSIVATE = "activate", "passivate"
 
 
-class TestAddresses:
-    def test_third_unit_of_memory(self):
-        memory = ResourceSet.memory(16)
-        assert addr(memory.units[2]) == 2
+def lifecycles(trace):
+    """Each procedure's transitions in trace order, with the extents each
+    one takes or gives back: its Admit and each SwapIn activate it, each
+    SwapOut and its Complete passivate it."""
+    granted = {e.pid: e.value("extents") for e in trace.of_kind(EventKind.ALLOCATE)}
+    freed = {e.pid: e.value("extents") for e in trace.of_kind(EventKind.DEALLOCATE)}
+    steps = {}
+    for e in trace:
+        if e.kind is EventKind.ADMIT:
+            step = (ACTIVATE, granted[e.pid])
+        elif e.kind is EventKind.SWAP_IN:
+            step = (ACTIVATE, e.value("extents"))
+        elif e.kind is EventKind.SWAP_OUT:
+            step = (PASSIVATE, e.value("extents"))
+        elif e.kind is EventKind.COMPLETE:
+            step = (PASSIVATE, freed[e.pid])
+        else:
+            continue
+        steps.setdefault(e.pid, []).append(step)
+    return steps
 
-    def test_first_unit_is_zero(self):
-        assert addr(ResourceSet.memory(16).units[0]) == 0
 
-    def test_injective_over_one_set(self):
-        memory = ResourceSet.memory(512)
-        addresses = [addr(u) for u in memory.units]
-        assert len(set(addresses)) == len(addresses)
+def units(extents):
+    return sum(e.size for e in extents)
 
-    def test_addresses_strictly_increase(self):
-        memory = ResourceSet.memory(64)
-        addresses = [addr(u) for u in memory.units]
-        assert addresses == sorted(set(addresses))
 
-    def test_cpu_time_is_infinite_kind(self):
-        cpu = ResourceSet.cpu_time()
-        assert cpu.kind is ResourceKind.INFINITE_NONREUSABLE
-        assert cpu.capacity is None
-        assert addr(cpu.unit_at(12345)) == 12345
-
-    def test_memory_is_finite_kind(self):
-        assert ResourceSet.memory(4).kind is ResourceKind.FINITE_REUSABLE
-
-    def test_capacity_must_match_units(self):
-        with pytest.raises(ParameterError):
-            ResourceSet(kind=ResourceKind.FINITE_REUSABLE, units=(), capacity=3)
-
-    @pytest.mark.parametrize("n", range(6))
-    def test_memory_matches_eager_construction(self, n):
-        """Units made on demand look like units given up front."""
-        lazy = ResourceSet.memory(n)
-        eager = ResourceSet(
-            kind=ResourceKind.FINITE_REUSABLE,
-            units=tuple(ResourceUnit(a) for a in range(n)),
-            capacity=n,
-        )
-        assert len(lazy.units) == len(eager.units) == n
-        assert list(lazy.units) == list(eager.units)
-        assert [lazy.units[i] for i in range(-n, n)] == \
-            [eager.units[i] for i in range(-n, n)]
-        assert lazy.units[1:-1] == eager.units[1:-1]
-        assert [lazy.unit_at(a) for a in range(n)] == [eager.unit_at(a) for a in range(n)]
-        assert lazy == eager and eager == lazy
-        assert hash(lazy) == hash(eager)
-        assert lazy == ResourceSet.memory(n)
-        assert lazy != ResourceSet.memory(n + 1)
-        shifted = tuple(ResourceUnit(a + 1) for a in range(n))
-        assert n == 0 or lazy.units != shifted
-        assert n == 0 or lazy != ResourceSet(ResourceKind.FINITE_REUSABLE, shifted, n)
-        with pytest.raises(IndexError):
-            lazy.units[n]
-        with pytest.raises(BoundsError):
-            lazy.unit_at(n)
-
-    def test_memory_set_does_not_scale_with_capacity(self):
-        huge = ResourceSet.memory(10**18)
-        assert huge.capacity == len(huge.units) == 10**18
-        assert addr(huge.unit_at(10**18 - 1)) == 10**18 - 1
+def regression_lifecycles():
+    for _, workload, cfg in regression_runs():
+        trace, _ = run(workload, cfg, strict=False)
+        yield {p.id: p for p in workload}, lifecycles(trace)
 
 
 class TestExtents:
     def test_size_counts_half_open(self):
-        assert extent_size(Extent(0, 4)) == 4
+        assert Extent(0, 4).size == 4
 
     def test_empty_extent(self):
-        assert extent_size(Extent(7, 7)) == 0
+        assert Extent(7, 7).size == 0
 
     def test_plain_arithmetic(self):
-        assert extent_size(Extent(2, 10)) == 8
+        assert Extent(2, 10).size == 8
 
     def test_malformed_extent_rejected(self):
         with pytest.raises(MalformedExtentError):
@@ -118,72 +72,87 @@ class TestExtents:
     @given(st.integers(0, 1000), st.integers(0, 1000))
     def test_size_is_end_minus_start(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert extent_size(Extent(lo, hi)) == hi - lo
+        assert Extent(lo, hi).size == hi - lo
 
 
-class TestProjection:
-    def test_first_component_is_size(self):
-        assert project(1, proc(1, size=5, time=7)) == 5
+class TestAddresses:
+    """A memory's addresses are 0 up to its capacity, held as extents and
+    never unit by unit."""
 
-    def test_second_component_is_time(self):
-        assert project(2, proc(1, size=5, time=7)) == 7
-
-    def test_set_membership_is_one_indexed(self):
-        p1, p2, p3 = proc(1), proc(2), proc(3)
-        assert project(2, ProcedureSet.of(p1, p2, p3)) is p2
-
-    def test_out_of_range(self):
-        with pytest.raises(BoundsError):
-            project(3, proc(1, size=5, time=7))
-        with pytest.raises(BoundsError):
-            project(4, ProcedureSet.of(proc(1)))
-        with pytest.raises(BoundsError):
-            project(0, ProcedureSet.of(proc(1)))
-
-    def test_plain_tuples_project_too(self):
-        assert project(1, (5, 7)) == 5
+    def test_memory_set_does_not_scale_with_capacity(self):
+        huge = MemoryState.initial(10**18)
+        assert huge.capacity == huge.free_size == 10**18
+        assert huge.free == (Extent(0, 10**18),)
+        with pytest.raises(ParameterError):
+            MemoryState.initial(-1)
 
 
 class TestLifecycle:
+    """A procedure is a file until it is admitted, a process while it
+    holds primary memory, and a file again once swapped out or complete."""
+
     def test_activation_needs_context(self):
-        p = proc(1)
-        active = activate(p, {"pc": 0})
-        assert active.state is LifecycleState.ACTIVE
-        with pytest.raises(ParameterError):
-            set_state(p, LifecycleState.ACTIVE, context=None)
+        """Each activation grants the procedure its whole demand."""
+        for procs, steps in regression_lifecycles():
+            for pid, transitions in steps.items():
+                for kind, extents in transitions:
+                    assert kind == PASSIVATE or units(extents) >= procs[pid].size
 
     def test_round_trip_preserves_fields(self):
-        p = proc(3, size=5, time=7, arrival=2, priority=4, owner="a")
-        back = passivate(activate(p, {"k": 1}))
-        assert back.state is LifecycleState.PASSIVE
-        for field in ("id", "size", "time", "priority", "owner", "arrival"):
-            assert getattr(back, field) == getattr(p, field)
-        assert back.context == (("k", 1),)
+        """Swapped out and back in, a procedure holds as many units as
+        its admission gave it."""
+        for _, steps in regression_lifecycles():
+            for transitions in steps.values():
+                held = {units(extents) for kind, extents in transitions}
+                assert len(held) == 1
 
     def test_double_activation_rejected(self):
-        active = activate(proc(1), {})
-        with pytest.raises(IllegalTransitionError):
-            activate(active, {})
+        swapped_in = 0
+        for _, steps in regression_lifecycles():
+            for transitions in steps.values():
+                kinds = [kind for kind, _ in transitions]
+                assert kinds[0] == ACTIVATE
+                assert (ACTIVATE, ACTIVATE) not in zip(kinds, kinds[1:])
+                swapped_in += kinds.count(ACTIVATE) - 1
+        assert swapped_in > 0
 
     def test_double_passivation_rejected(self):
-        with pytest.raises(IllegalTransitionError):
-            passivate(proc(1))
+        for _, steps in regression_lifecycles():
+            for transitions in steps.values():
+                kinds = [kind for kind, _ in transitions]
+                assert kinds[-1] == PASSIVATE
+                assert (PASSIVATE, PASSIVATE) not in zip(kinds, kinds[1:])
 
     def test_activate_passivate_is_identity_on_context(self):
-        p = activate(proc(1), {"x": 2, "a": 1})
-        again = activate(passivate(p), p.context)
-        assert again.context == p.context == (("a", 1), ("x", 2))
+        """A passivation gives back exactly the extents the activation
+        before it took."""
+        for _, steps in regression_lifecycles():
+            for transitions in steps.values():
+                for (_, taken), (_, given_back) in zip(transitions[::2], transitions[1::2]):
+                    assert given_back == taken
 
+    @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(0, 100), st.integers(0, 20), st.integers(1, 20),
-        st.dictionaries(st.text(max_size=3), st.integers(), max_size=4),
+        st.sampled_from(["fcfs", "sjf-time", "rr"]),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8), st.integers(1, 6)),
+                 min_size=1, max_size=10),
     )
-    def test_round_trip_property(self, pid, size, time, context):
-        p = proc(pid, size=size, time=time)
-        back = passivate(activate(p, context))
-        assert (back.id, back.size, back.time, back.arrival) == (
-            p.id, p.size, p.time, p.arrival,
-        )
+    def test_round_trip_property(self, scheduler, shapes):
+        """Under swapping, every procedure alternates activate and
+        passivate, from its Admit to its Complete, and gives back what
+        it took."""
+        workload = [proc(i + 1, size=size, time=time, arrival=arrival)
+                    for i, (arrival, size, time) in enumerate(shapes)]
+        cfg = SimConfig(memory_capacity=10, backing_capacity=16, scheduler=scheduler,
+                        quantum=2)
+        trace, _ = run(workload, cfg, strict=False)
+        steps = lifecycles(trace)
+        assert sorted(steps) == [p.id for p in workload]
+        for transitions in steps.values():
+            kinds = [kind for kind, _ in transitions]
+            assert kinds == [ACTIVATE, PASSIVATE] * (len(kinds) // 2)
+            for (_, taken), (_, given_back) in zip(transitions[::2], transitions[1::2]):
+                assert given_back == taken
 
 
 class TestProcedureInvariants:

@@ -15,23 +15,21 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osalg import (
-    BuddyTree,
-    Extent,
+from osalg import Extent, Organize, Select, compose
+from osalg.allocators import (
+    MemoryLedger,
     MemoryState,
-    Organize,
-    Select,
     allocate,
     build_page_table,
-    compose,
     deallocate,
     paginate,
     segment_alloc,
     swap_in,
     swap_out,
+    victim_key,
 )
-from osalg.allocators import MemoryLedger
-from osalg.errors import AllocationFailure, OsAlgError
+from osalg.combinators import BuddyTree
+from osalg.errors import AllocationFailure, OsAlgError, SwapFailure
 
 from conftest import proc
 
@@ -131,7 +129,10 @@ def test_ledger_agrees_with_memory_state(kind, ops):
             residents = list(procs.values())
 
             def step(m, backing, residents=residents):
-                return swap_out(m, backing, residents)
+                held = [p for p in residents if m.holds(p.id)]
+                if not held:
+                    raise SwapFailure("no resident holds memory")
+                return swap_out(m, backing, min(held, key=victim_key))
         elif op == "swap_in" and records:
             record = records[n % len(records)]
 

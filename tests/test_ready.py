@@ -1,13 +1,13 @@
 """The simulator's ready set against its specification, the discipline
 applied to the live members in (arrival, id) order, and its swap
-candidates against `default_victim`."""
+candidates against the candidate of least `victim_key`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import proc
 from osalg import ArrivalStream, SimConfig, sim
-from osalg.allocators import default_victim
+from osalg.allocators import victim_key
 from osalg.combinators import Organize, Select, SortKey, compose, order_key
 from osalg.errors import CompositionError
 from osalg.sim import FCFS, PRIORITY, SJF, Policy
@@ -128,8 +128,8 @@ def test_a_discipline_without_an_order_is_rejected(discipline):
 
 class WatchedSimulation(sim._Simulation):
     """A run that, after every event, compares the head of its swap
-    candidates with the default victim of the ready members plus the
-    holdover; `swaps` counts the swap-outs."""
+    candidates with the candidate of least `victim_key` among the ready
+    members plus the holdover; `swaps` counts the swap-outs."""
 
     swaps = 0
 
@@ -139,7 +139,7 @@ class WatchedSimulation(sim._Simulation):
         candidates = members(self.ready)
         if self.holdover is not None:
             candidates.append(self.holdover)
-        expected = default_victim(candidates) if candidates else None
+        expected = min(candidates, key=victim_key) if candidates else None
         assert self.candidates.head() is expected
 
 
@@ -168,8 +168,8 @@ def watched_run(scheduler, shapes):
 )
 def test_victim_heap_head_is_the_default_victim(scheduler, shapes):
     """Admits, dispatches, preemptions and swaps keep the head of the
-    swap candidates equal to `default_victim` over the ready members plus
-    the holdover."""
+    swap candidates equal to the least `victim_key` over the ready members
+    plus the holdover."""
     watched_run(scheduler, shapes)
 
 

@@ -7,17 +7,14 @@ import pytest
 
 from osalg import (
     ArrivalStream,
-    Quantum,
     SortKey,
     WorkClass,
-    admit,
-    class_quantum,
     fcfs,
     priority_schedule,
     round_robin,
     sjf,
-    variable_quantum,
 )
+from osalg.schedulers import class_quantum, variable_quantum
 from osalg.errors import ParameterError, StreamOrderError
 from osalg.oracle import brute_schedule, replay_rr
 
@@ -107,8 +104,6 @@ class TestRoundRobin:
     def test_zero_quantum_rejected(self):
         with pytest.raises(ParameterError):
             round_robin([proc(1)], 0)
-        with pytest.raises(ParameterError):
-            Quantum(0)
 
     def test_matches_replay_oracle_on_random_workloads(self):
         rng = random.Random(17)
@@ -175,11 +170,11 @@ class TestVariableQuantum:
 class TestAdmit:
     def test_threshold_filter(self):
         ps = [proc(1, arrival=0), proc(2, arrival=5), proc(3, arrival=9)]
-        ready = admit(iter(ps), now=5)
+        ready = ArrivalStream(iter(ps)).take_until(5)
         assert [p.id for p in ready] == [1, 2]
 
     def test_idle_when_nothing_arrived(self):
-        ready = admit([proc(1, arrival=3)], now=0)
+        ready = ArrivalStream([proc(1, arrival=3)]).take_until(0)
         assert len(ready) == 0
 
     def test_out_of_order_stream_rejected(self):
@@ -189,9 +184,9 @@ class TestAdmit:
 
     def test_incremental_pulls(self):
         stream = ArrivalStream([proc(1, arrival=0), proc(2, arrival=5)])
-        assert [p.id for p in admit(stream, 0)] == [1]
-        assert [p.id for p in admit(stream, 5)] == [2]
-        assert stream.exhausted
+        assert [p.id for p in stream.take_until(0)] == [1]
+        assert [p.id for p in stream.take_until(5)] == [2]
+        assert stream.peek() is None
 
     def test_unbounded_stream_pulled_lazily(self):
         import itertools

@@ -6,15 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osalg import (
-    Extent,
-    ProcedureSet,
-    SimConfig,
-    Trace,
-    metrics,
-    run,
-    class_quantum,
-)
+from osalg import Extent, ProcedureSet, SimConfig, Trace, run
 from osalg import binding, sim
 from osalg.binding import validate
 from osalg.errors import (
@@ -24,7 +16,7 @@ from osalg.errors import (
     UnrunnableProcedureError,
 )
 from osalg.oracle import brute_schedule, replay_rr
-from osalg.sim import EventKind, TraceEvent
+from osalg.sim import EventKind, TraceEvent, class_quantum, metrics
 
 from conftest import proc, random_batch, random_arrivals, regression_runs
 

@@ -1,0 +1,72 @@
+"""The package's public surface: the names the benchmark wraps, the names
+`osalg` exports, and the README's library example that imports them."""
+
+import contextlib
+import importlib.util
+import io
+import re
+from pathlib import Path
+
+import osalg
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_bench_span_targets_resolve():
+    """Every function the traced benchmark wraps is found where its span
+    wrapper looks for it: `spans._resolve` finds the owner, and the
+    attribute is in `vars(owner)`. The benchmark file is loaded, not
+    changed, and nothing is patched."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for name, (module, path) in spans.TARGETS.items():
+        owner, attr = spans._resolve(module, path)
+        assert attr in vars(owner), f"{name}: no {path} in {module}"
+
+
+def test_exports_are_pinned():
+    """The names a run, its results, the README example and the acceptance
+    criteria use; a change here is a change of the public surface."""
+    assert sorted(osalg.__all__) == [
+        "ArrivalStream",
+        "BindingGraph",
+        "BindingLayer",
+        "Extent",
+        "Metrics",
+        "Organize",
+        "Procedure",
+        "ProcedureSet",
+        "Select",
+        "SimConfig",
+        "SortKey",
+        "Trace",
+        "TraceEvent",
+        "WorkClass",
+        "compose",
+        "errors",
+        "fcfs",
+        "legal_orderings",
+        "organize_buddy",
+        "priority_schedule",
+        "record",
+        "round_robin",
+        "run",
+        "sjf",
+        "translate",
+        "validate",
+    ]
+    for name in osalg.__all__:
+        assert hasattr(osalg, name), name
+
+
+def test_readme_library_example_runs():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue() == "5 {1: 0, 2: 3}\n"
