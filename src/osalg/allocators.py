@@ -209,9 +209,9 @@ _start = attrgetter("start")
 
 
 def _grant(m: Memory, pid: int, pieces: Sequence[int]) -> tuple[Memory, tuple[Extent, ...]]:
-    """Grant pid one extent per piece size, from the memory's own store.
-    Pieces that sum past the free total fail before the store is
-    searched."""
+    """Grant pid one extent per piece, from the memory's own store, which
+    rounds each piece to a whole unit or buddy block. Pieces that sum past
+    the free total fail before the store is searched."""
     if m.holds(pid):
         raise ParameterError(f"procedure {pid} already holds memory")
     asked = sum(pieces)
@@ -224,23 +224,19 @@ def _grant(m: Memory, pid: int, pieces: Sequence[int]) -> tuple[Memory, tuple[Ex
 def allocate(
     d: Discipline, m: Memory, p: Procedure
 ) -> tuple[Memory, tuple[Extent, ...]]:
-    """Assign an extent (or whole allocation unit, or buddy block) of total
-    size >= p.size to p, under the discipline d.
+    """Assign p the pieces d's chunk cuts its size into, each an extent,
+    or a whole allocation unit, or a buddy block, under the discipline d.
 
     The discipline must organize the set the same way the state does;
-    paging and segmentation have their own entry points
-    (:func:`build_page_table`, :func:`segment_alloc`). Under fixed
-    partitioning a procedure fits in one unit.
+    paging and segmentation have their own entry points, which also map
+    the pieces (:func:`build_page_table`, :func:`segment_alloc`). Under
+    fixed partitioning each piece fits in one unit.
     """
     if d.organize != m.organizer:
         raise ParameterError("discipline and memory are organized differently")
     if d.select.tag not in (SelectTag.FIRST_FIT, SelectTag.BUDDY_FIT):
         raise ParameterError(f"{d.select.tag.value} selection does not allocate memory")
-    if m.unit_size is not None and p.size > m.unit_size:
-        raise AllocationFailure(
-            f"demand {p.size} exceeds the {m.unit_size}-unit partitions"
-        )
-    return _grant(m, p.id, m.store.pieces(p.size))
+    return _grant(m, p.id, d.chunk.pieces(p, p.size))
 
 
 def deallocate(m: Memory, pid: int) -> Memory:
@@ -255,8 +251,7 @@ def deallocate(m: Memory, pid: int) -> Memory:
 @dataclass(frozen=True)
 class Pagination:
     """A procedure's demand of `size` units cut into pages of `page_size`
-    units: only the last page may fall short, and what it leaves unused
-    is the internal fragmentation."""
+    units: only the last page may fall short."""
 
     pid: int
     page_size: int
@@ -265,10 +260,6 @@ class Pagination:
     @property
     def page_count(self) -> int:
         return -(-self.size // self.page_size)
-
-    @property
-    def internal_fragmentation(self) -> int:
-        return self.page_count * self.page_size - self.size
 
 
 def paginate(p: Procedure, page_size: int) -> Pagination:
@@ -404,17 +395,14 @@ def translate(address: int, chain: Sequence[BindingLayer]) -> int:
 
 @dataclass(frozen=True)
 class SwapRecord:
-    """Where a swapped-out procedure's contents live in the backing store.
-
-    Swap-in regrants `size` in the pieces the primary store makes of it:
-    whole units, one buddy block, or, under the identity organization,
-    the declared `segments` (even where admission granted one extent).
-    """
+    """Where a swapped-out procedure's contents live in the backing store,
+    and the `pieces` a swap-in regrants in primary memory: the lengths of
+    the extents the procedure held there."""
 
     pid: int
     size: int
     backing_extents: tuple[Extent, ...]
-    segments: tuple[int, ...] | None = None
+    pieces: tuple[int, ...]
 
 
 def victim_key(p: Procedure) -> tuple[int, int, int, int]:
@@ -435,9 +423,10 @@ def swap_out(
     store; a full backing store fails the swap with the primary state
     unchanged.
     """
-    m.extents_of(victim.id)  # NotFoundError before the grant
+    held = m.extents_of(victim.id)  # NotFoundError before the grant
     try:
-        pieces = backing.store.pieces(victim.size)
+        # the backing store takes the victim whole
+        pieces = (victim.size,) if victim.size else ()
         backing2, granted = _grant(backing, victim.id, pieces)
     except AllocationFailure as exc:
         raise SwapFailure(f"backing store cannot hold procedure {victim.id}") from exc
@@ -445,7 +434,7 @@ def swap_out(
         pid=victim.id,
         size=victim.size,
         backing_extents=granted,
-        segments=victim.segments,
+        pieces=tuple([e.end - e.start for e in held]),
     )
     return deallocate(m, victim.id), backing2, record
 
@@ -456,12 +445,11 @@ def swap_in(
     """Restore a swapped-out procedure to primary memory.
 
     Residency may land at different addresses; the grant takes the
-    pieces described on :class:`SwapRecord`. Insufficient primary space
-    raises AllocationFailure, which is retriable once memory frees up.
-    A swap-in that fails changes neither memory.
+    record's `pieces`. Insufficient primary space raises
+    AllocationFailure, which is retriable once memory frees up. A
+    swap-in that fails changes neither memory.
     """
     backing.extents_of(record.pid)  # NotFoundError before the grant
-    pieces = m.store.pieces(record.size, record.segments)
-    m2, granted = _grant(m, record.pid, pieces)
+    m2, granted = _grant(m, record.pid, record.pieces)
     backing2 = deallocate(backing, record.pid)
     return m2, backing2, granted

@@ -105,23 +105,6 @@ def parse_workload(text: str) -> ProcedureSet:
     return ProcedureSet(tuple(ordered))
 
 
-def emit_workload(procedures: ProcedureSet) -> str:
-    """Render a procedure set back to workload text."""
-    lines = []
-    for p in procedures:
-        parts = [f"id={p.id}", f"size={p.size}", f"time={p.time}", f"arrival={p.arrival}"]
-        if p.priority is not None:
-            parts.append(f"priority={p.priority}")
-        if p.owner is not None:
-            parts.append(f"owner={p.owner}")
-        if p.io_class is not None:
-            parts.append(f"class={p.io_class.value}")
-        if p.segments is not None:
-            parts.append("segments=" + ",".join(str(s) for s in p.segments))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def _extents_text(extents: Iterable[object]) -> str:
     return "+".join(map(str, extents)) or "-"
 

@@ -7,11 +7,14 @@ buddy organizer views it as a binary tree of power-of-two blocks, a tree
 implicit in the block addresses, so that only the free blocks are kept.
 Organizing a memory, given by its capacity, gives its free store. A
 ``Select`` returns a member (or extent of members) of the organized set.
-Composing one of each yields a ``Discipline``, the executable form of a
-resource-management algorithm: first-come-first-served is identity
-selection over an identity organization, shortest-job-first is identity
-selection over a sort, buddy allocation is tree-fit selection over the
-buddy organization.
+A ``Chunk`` cuts a demand, of CPU time or of memory, into the pieces it
+is served in. Composing one of each yields a ``Discipline``, the
+executable form of a resource-management algorithm:
+first-come-first-served is identity selection over an identity
+organization, shortest-job-first is identity selection over a sort,
+buddy allocation is tree-fit selection over the buddy organization,
+round robin is first-come-first-served in fixed chunks, and paging is
+first fit over fixed partitions in chunks of the partition size.
 
 Organize always runs before select, and either half may be constructed
 first: disciplines are plain values.
@@ -57,31 +60,27 @@ class SortKey(Enum):
 class FreeRuns:
     """The free store of identity and fixed-partition organized memory:
     address-ordered maximal free runs (Wilson et al. 1995). Under a
-    `unit`, every grant piece is one whole unit and every run is unit
-    aligned, so first fit takes the lowest free unit.
+    `unit`, every grant piece is rounded up to one whole unit and every
+    run is unit aligned, so first fit takes the lowest free unit.
 
-    Like ``BuddyTree``, a store is a value with ``pieces``, ``grant``,
-    ``release`` (of the extents one grant gave), ``free_extents``,
-    ``largest`` and ``check``.
+    Like ``BuddyTree``, a store is a value with ``grant`` (of the pieces
+    a chunk cut), ``release`` (of the extents one grant gave), ``fits``,
+    ``free_extents``, ``largest`` and ``check``.
     """
 
     runs: tuple[Extent, ...]
     unit: int | None = None
 
-    def pieces(
-        self, size: int, segments: tuple[int, ...] | None = None
-    ) -> tuple[int, ...]:
-        """The piece sizes a grant of `size` units takes: whole units under
-        a unit, else the declared segments or one run."""
-        if self.unit is not None:
-            return (self.unit,) * -(-size // self.unit)
-        return (segments or (size,)) if size else ()
-
     def grant(self, pieces: Sequence[int]) -> tuple[tuple[Extent, ...], "FreeRuns"]:
-        """First fit of each piece in turn; AllocationFailure, with this
-        store unchanged, when one does not fit."""
-        runs, granted = list(self.runs), []
+        """First fit of each piece in turn, under a unit rounded up to one
+        unit; AllocationFailure, with this store unchanged, when one does
+        not fit."""
+        runs, granted, unit = list(self.runs), [], self.unit
         for q in pieces:
+            if unit is not None:
+                if q > unit:
+                    raise AllocationFailure(f"demand {q} exceeds the {unit}-unit partitions")
+                q = unit
             extent = select_first_fit(runs, q)
             i = bisect_left(runs, extent.start, key=_start)
             if extent.end < runs[i].end:
@@ -106,6 +105,14 @@ class FreeRuns:
                 end = runs[i].end
             runs[lo:hi] = (Extent(start, end),)
         return FreeRuns(tuple(runs), self.unit)
+
+    def fits(self, chunk: "Chunk", p: Procedure) -> bool:
+        """Whether this store, while empty, holds p's memory cut by chunk:
+        in whole units under a unit, else in one run."""
+        free, unit, size = sum(e.size for e in self.runs), self.unit, p.size
+        if unit is None:
+            return size <= free
+        return chunk.first(p, size) <= unit and chunk.count(p, size) * unit <= free
 
     def free_extents(self) -> tuple[Extent, ...]:
         return self.runs
@@ -199,18 +206,19 @@ class BuddyTree:
         merged = (Extent(start, start + size),)
         return BuddyTree(self.capacity, free[:lo] + merged + free[hi:])
 
-    def pieces(
-        self, size: int, segments: tuple[int, ...] | None = None
-    ) -> tuple[int, ...]:
-        """A buddy grant is one block, whatever the declared segments."""
-        return (size,) if size else ()
-
     def grant(self, pieces: Sequence[int]) -> tuple[tuple[Extent, ...], "BuddyTree"]:
+        """One block per piece, each rounded up to a power of two."""
         tree, granted = self, []
         for q in pieces:
             extent, tree = tree.allocate(q)
             granted.append(extent)
         return tuple(granted), tree
+
+    def fits(self, chunk: "Chunk", p: Procedure) -> bool:
+        """Whether this tree, while empty, holds p's memory cut by chunk,
+        no piece longer than the first."""
+        block = self.block_size_for(chunk.first(p, p.size))
+        return chunk.count(p, p.size) * block <= self.capacity
 
     def free_extents(self) -> tuple[Extent, ...]:
         return self.free_leaves
@@ -425,25 +433,109 @@ class Select:
         return select_argmax_priority(organized)
 
 
+class ChunkTag(Enum):
+    WHOLE = "whole"
+    FIXED = "fixed"
+    CLASS = "class"
+    SEGMENTS = "segments"
+
+
+Classifier = Callable[[Procedure], int]
+# a member looked up once: reading ChunkTag.SEGMENTS on every dispatch and
+# grant costs more than the rest of a whole chunk's measure
+_SEGMENTS = ChunkTag.SEGMENTS
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """A tagged chunk operation: it cuts a procedure's demand, of CPU time
+    or memory units, into pieces each >= 1 and summing to the demand.
+    Whole leaves one piece; fixed(q) cuts pieces of q, the last shorter;
+    by class cuts pieces of the length a classifier gives the procedure;
+    segments cuts its memory demand into its declared segments, if any.
+    The count and the first piece cost O(1); over CPU time the first
+    piece is how long a dispatch runs."""
+
+    tag: ChunkTag
+    size: int | None = None
+    classifier: Classifier | None = None
+
+    @staticmethod
+    def whole() -> "Chunk":
+        return Chunk(ChunkTag.WHOLE)
+
+    @staticmethod
+    def fixed(q: int) -> "Chunk":
+        if q < 1:
+            raise ParameterError(f"chunk size must be >= 1, got {q}")
+        return Chunk(ChunkTag.FIXED, size=q)
+
+    @staticmethod
+    def by_class(classifier: Classifier) -> "Chunk":
+        return Chunk(ChunkTag.CLASS, classifier=classifier)
+
+    @staticmethod
+    def segments() -> "Chunk":
+        return Chunk(ChunkTag.SEGMENTS)
+
+    def _classify(self, p: Procedure) -> int:
+        """The piece length the classifier gives p, at least 1."""
+        q = self.classifier(p)
+        if q < 1:
+            raise ParameterError(f"quantum for procedure {p.id} must be >= 1")
+        return q
+
+    def pieces(self, p: Procedure, demand: int) -> tuple[int, ...]:
+        q = self.size if self.classifier is None else self._classify(p)
+        if q is not None:
+            full, rest = divmod(demand, q)
+            return (q,) * full + ((rest,) if rest else ())
+        if p.segments is not None and self.tag is _SEGMENTS:
+            return p.segments
+        return (demand,) if demand else ()
+
+    def count(self, p: Procedure, demand: int) -> int:
+        q = self.size if self.classifier is None else self._classify(p)
+        if q is not None:
+            return -(-demand // q)
+        if p.segments is not None and self.tag is _SEGMENTS:
+            return len(p.segments)
+        return 1 if demand else 0
+
+    def first(self, p: Procedure, demand: int) -> int:
+        """The first piece; the demand itself when it is 0."""
+        q = self.size if self.classifier is None else self._classify(p)
+        if q is not None:
+            return min(q, demand)
+        if p.segments and self.tag is _SEGMENTS:
+            return p.segments[0]
+        return demand
+
+
 @dataclass(frozen=True)
 class Discipline:
-    """A composed (select, organize) pair; organize always runs first."""
+    """A composed (select, organize, chunk) triple; organize always runs
+    first, and the chunk cuts the selected member's demand."""
 
     select: Select
     organize: Organize
+    chunk: Chunk = Chunk.whole()
 
     def apply(self, x: Any, demand: int | None = None) -> Any:
         return self.select(self.organize(x), demand)
 
 
-def compose(select: Select, organize: Organize) -> Discipline:
-    """Pair a select with an organize, rejecting shape mismatches."""
+def compose(
+    select: Select, organize: Organize, chunk: Chunk = Chunk.whole()
+) -> Discipline:
+    """Compose a select with an organize, rejecting shape mismatches, and
+    with a chunk."""
     if organize.tag not in _COMPATIBLE[select.tag]:
         raise CompositionError(
             f"{select.tag.value} selection cannot consume a "
             f"{organize.tag.value} organization"
         )
-    return Discipline(select=select, organize=organize)
+    return Discipline(select, organize, chunk)
 
 
 OrderKey = Callable[[Procedure], tuple]

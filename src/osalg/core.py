@@ -45,15 +45,6 @@ class Extent:
     def size(self) -> int:
         return self.end - self.start
 
-    def contains(self, address: Address) -> bool:
-        return self.start <= address < self.end
-
-    def encloses(self, other: "Extent") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
-    def overlaps(self, other: "Extent") -> bool:
-        return self.start < other.end and other.start < self.end
-
     def __str__(self) -> str:
         # ".." rather than "," keeps extents comma-free for CSV details
         return f"[{self.start}..{self.end})"

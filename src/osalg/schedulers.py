@@ -12,11 +12,11 @@ scheduling the argmax. CPU time is not reusable, so the resulting
 schedule assigns every instant at most once; when nothing is ready the
 clock jumps to the next arrival.
 
-Fixed-size chunking of CPU demands gives round robin; variable-size
-chunking, driven by a per-procedure classifier, gives the I/O-bound
-versus CPU-bound disciplines. Both preempt only at chunk boundaries.
-Arrivals at or before a chunk's end join the rotation queue ahead of the
-preempted procedure.
+Fixed-size chunking of CPU demands (``Chunk.fixed``) gives round robin;
+variable-size chunking, driven by a per-procedure classifier
+(``Chunk.by_class``), gives the I/O-bound versus CPU-bound disciplines.
+Both preempt only at chunk boundaries. Arrivals at or before a chunk's
+end join the rotation queue ahead of the preempted procedure.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .combinators import SortKey
+from .combinators import Chunk, Classifier, Discipline, SortKey, compose
 # ArrivalStream, the source the simulator pulls arrivals from, is
 # published here next to the disciplines it feeds
 from .core import ArrivalStream, Procedure, ProcedureSet
 from .errors import ParameterError
-# Classifier and class_quantum are defined with the simulator's registry
-# and published here, next to the disciplines that take them
-from .sim import FCFS, PRIORITY, SJF, Classifier, Policy, class_quantum, dispatch_slices
+# class_quantum is defined with the simulator's registry and published
+# here, next to the disciplines that take it
+from .sim import FCFS, PRIORITY, SJF, class_quantum, dispatch_slices
 
 
 @dataclass(frozen=True)
@@ -63,28 +63,15 @@ class Schedule:
     def makespan(self) -> int:
         return max((s.end for s in self.slices), default=0)
 
-    def total_time(self, pid: int) -> int:
-        return sum(s.length for s in self.slices if s.pid == pid)
-
     def completion(self, pid: int) -> int:
         ends = [s.end for s in self.slices if s.pid == pid]
         if not ends:
             raise ParameterError(f"procedure {pid} never scheduled")
         return max(ends)
 
-    def check_disjoint(self) -> None:
-        """Assert no CPU instant is assigned twice and time never rewinds."""
-        clock = 0
-        for s in self.slices:
-            if s.start < clock:
-                raise ParameterError(
-                    f"slice for {s.pid} at {s.start} overlaps instant {clock - 1}"
-                )
-            clock = s.end
 
-
-def _project(procedures: Iterable[Procedure], policy: Policy) -> Schedule:
-    return Schedule(tuple(Slice(*s) for s in dispatch_slices(procedures, policy)))
+def _project(procedures: Iterable[Procedure], discipline: Discipline) -> Schedule:
+    return Schedule(tuple(Slice(*s) for s in dispatch_slices(procedures, discipline)))
 
 
 def fcfs(procedures: ProcedureSet | Sequence[Procedure]) -> Schedule:
@@ -107,10 +94,9 @@ def priority_schedule(procedures: ProcedureSet | Sequence[Procedure]) -> Schedul
 
 
 def round_robin(procedures: ProcedureSet | Sequence[Procedure], q: int) -> Schedule:
-    """Equal CPU-time chunks of size q, rotated in arrival order."""
-    if q < 1:
-        raise ParameterError(f"quantum must be >= 1, got {q}")
-    return _project(procedures, Policy(quantum_of=lambda p: q))
+    """Equal CPU-time chunks of size q, rotated in arrival order: first
+    come, first served in fixed chunks."""
+    return _project(procedures, compose(FCFS.select, FCFS.organize, Chunk.fixed(q)))
 
 
 def variable_quantum(
@@ -118,4 +104,6 @@ def variable_quantum(
 ) -> Schedule:
     """Round robin with a per-procedure chunk size from the classifier; a
     chunk size below 1 raises ParameterError."""
-    return _project(procedures, Policy(quantum_of=classifier))
+    return _project(
+        procedures, compose(FCFS.select, FCFS.organize, Chunk.by_class(classifier))
+    )

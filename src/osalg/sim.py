@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, TypeVar
 
 from . import binding as bindingmod
 from .allocators import (
     MemoryLedger,
     MemoryState,
-    Pagination,
     SwapRecord,
     allocate as allocate_op,
     build_page_table,
@@ -40,10 +39,14 @@ from .allocators import (
     victim_key,
 )
 from .combinators import (
+    Chunk,
+    ChunkTag,
+    Classifier,
     Discipline,
     Organize,
     OrderKey,
     Select,
+    SelectTag,
     SortKey,
     compose,
     order_key,
@@ -51,6 +54,7 @@ from .combinators import (
 from .core import ArrivalStream, Extent, Procedure, ProcedureSet, WorkClass
 from .errors import (
     AllocationFailure,
+    CompositionError,
     IncompleteRunError,
     OsAlgError,
     ParameterError,
@@ -62,6 +66,8 @@ if TYPE_CHECKING:
     from .strict import RunCheck
 
 STRICT_ENV = "OSALG_STRICT"
+
+T = TypeVar("T")
 
 
 class EventKind(Enum):
@@ -166,8 +172,9 @@ class SimConfig:
             raise ParameterError(f"unknown scheduler {self.scheduler!r}")
         if self.allocator not in ALLOCATORS:
             raise ParameterError(f"unknown allocator {self.allocator!r}")
-        SCHEDULERS[self.scheduler](self)  # building the policy checks its parameters
-        ALLOCATORS[self.allocator].check_config(self)
+        # building the entries checks their parameters
+        SCHEDULERS[self.scheduler](self)
+        ALLOCATORS[self.allocator](self)
 
     @property
     def effective_backing(self) -> int:
@@ -179,56 +186,42 @@ class SimConfig:
 
 
 class _Memory:
-    """Primary/backing memory pair under one allocator, each a ledger the
-    run updates in place.
-
-    This base class is first fit over the identity organization; each
-    other allocator is a subclass that changes its organizer, its
-    feasibility test, its grant and, for paging, the binding log it
-    derives from a trace.
-    Swap-in is the same for all: the primary state's free store regrants
-    the procedure in its own pieces. `ALLOCATORS` maps each allocator
-    name to its class.
-    """
-
-    symbol = "free-list"  # the binding-log symbol of the free store
-    select = Select.first_fit()
-
-    @staticmethod
-    def check_config(cfg: SimConfig) -> None:
-        """Raise ParameterError when cfg lacks what this allocator needs."""
-
-    def organizer(self) -> Organize:
-        return Organize.identity()
+    """Primary/backing memory pair under the allocator cfg names, each a
+    ledger the run updates in place. A grant goes through the library
+    entry point that maps its chunk's pieces: a page table for a fixed
+    chunk, a segment map for declared segments, else one allocation."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        organizer = self.organizer()
-        self.discipline: Discipline = compose(self.select, organizer)
-        self.primary = MemoryLedger(MemoryState.initial(cfg.memory_capacity, organizer))
+        self.allocator = ALLOCATORS[cfg.allocator](cfg)
+        self.discipline = d = self.allocator.discipline
+        self.primary = MemoryLedger(MemoryState.initial(cfg.memory_capacity, d.organize))
         self.backing = MemoryLedger(
             MemoryState.initial(cfg.effective_backing, Organize.identity())
         )
+        self.empty = self.primary.store  # a store is a value: the empty one stays
+        self.paged = d.chunk.tag is ChunkTag.FIXED  # a grant is a page table
+        self.segmented = d.chunk.tag is ChunkTag.SEGMENTS  # a grant is a segment map
 
     def feasible(self, p: Procedure) -> bool:
         """Could p, of non-zero size, ever be resident in an empty primary
-        memory?"""
-        return p.size <= self.cfg.memory_capacity
-
-    @staticmethod
-    def listed_pages(cfg: SimConfig, p: Procedure) -> int:
-        """How many pages a trace line that grants p lists."""
-        return 0
-
-    def grant(self, p: Procedure) -> tuple[Detail, int]:
-        """Grant memory to p; returns the allocator's own trace detail and
-        the internal fragmentation."""
-        self.primary, _ = allocate_op(self.discipline, self.primary, p)
-        return (), 0
+        memory? Its chunk's count and first piece say."""
+        return self.empty.fits(self.discipline.chunk, p)
 
     def allocate(self, p: Procedure) -> Detail:
         """Grant memory to p; returns the trace detail of the grant."""
-        extra, int_frag = self.grant(p)
+        d, free = self.discipline, self.primary.free_total
+        if self.paged:
+            page_map, self.primary = build_page_table(paginate(p, d.chunk.size), self.primary)
+            extra = (("pages", page_map.entries),) if page_map.entries else ()
+        elif self.segmented:
+            seg_map, self.primary = segment_alloc(p, d.chunk.pieces(p, p.size), d, self.primary)
+            extra = (("segments", seg_map.segments),) if seg_map.segments else ()
+        else:
+            self.primary, _ = allocate_op(d, self.primary, p)
+            extra = ()
+        granted = free - self.primary.free_total
+        int_frag = granted - p.size if self.allocator.int_frag else 0
         return (
             (("extents", self.primary.extents_of(p.id)),)
             + extra
@@ -245,6 +238,10 @@ class _Memory:
         self.primary, self.backing, record = swap_out(
             self.primary, self.backing, victim
         )
+        chunk = self.allocator.swap_chunk
+        if chunk is not None:
+            record = SwapRecord(record.pid, record.size, record.backing_extents,
+                                chunk.pieces(victim, victim.size))
         return record, freed
 
     def swap_in_record(self, record: SwapRecord) -> Extents:
@@ -253,11 +250,6 @@ class _Memory:
         )
         return granted
 
-    def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
-        """The binding log of a run whose sorted trace is `events`: the
-        free store is bound at 0."""
-        return bindingmod.record(Graph(), self.symbol, bindingmod.EventKind.BIND, 0)
-
     def frag_sample(self) -> Fraction | None:
         total = self.primary.free_size
         if total == 0:
@@ -265,88 +257,30 @@ class _Memory:
         return Fraction(self.primary.largest_free(), total)
 
 
-class _Fixed(_Memory):
-    """First fit over fixed-size units; a procedure fits in one unit."""
+@dataclass(frozen=True)
+class Allocator:
+    """A memory discipline as the simulator runs it, and the binding-log
+    symbol of its free store. `swap_chunk`, when set, cuts what a swap-in
+    regrants, in place of the pieces held; `int_frag` says whether a
+    grant reports the units its store's rounding adds."""
 
-    symbol = "frames"
+    discipline: Discipline
+    symbol: str
+    swap_chunk: Chunk | None = None
+    int_frag: bool = True
 
-    @staticmethod
-    def check_config(cfg: SimConfig) -> None:
-        if cfg.unit_size is None or cfg.unit_size < 1:
-            raise ParameterError("fixed allocator needs --unit >= 1")
-
-    def organizer(self) -> Organize:
-        return Organize.fixed_partition(self.cfg.unit_size)
-
-    def feasible(self, p: Procedure) -> bool:
-        unit = self.cfg.unit_size
-        return p.size <= unit and self.cfg.memory_capacity // unit >= 1
-
-    def grant(self, p: Procedure) -> tuple[Detail, int]:
-        super().grant(p)
-        return (), (self.cfg.unit_size - p.size if p.size else 0)
+    def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
+        """The binding log of a run whose sorted trace is `events`: the
+        free store is bound at 0."""
+        return bindingmod.record(Graph(), self.symbol, bindingmod.EventKind.BIND, 0)
 
 
-class _Buddy(_Memory):
-    """Buddy-fit selection over the binary buddy tree."""
-
-    symbol = "buddy-tree"
-    select = Select.buddy_fit()
-
-    @staticmethod
-    def check_config(cfg: SimConfig) -> None:
-        if cfg.memory_capacity & (cfg.memory_capacity - 1):
-            raise ParameterError("buddy allocator needs a power-of-two capacity")
-
-    def organizer(self) -> Organize:
-        return Organize.buddy()
-
-    def feasible(self, p: Procedure) -> bool:
-        return self.primary.store.block_size_for(p.size) <= self.cfg.memory_capacity
-
-
-class _Segmentation(_Memory):
-    """First fit per segment; an unsegmented procedure is one segment."""
-
-    def grant(self, p: Procedure) -> tuple[Detail, int]:
-        spec = p.segments if p.segments is not None else ((p.size,) if p.size else ())
-        seg_map, self.primary = segment_alloc(p, spec, self.discipline, self.primary)
-        return ((("segments", seg_map.segments),) if seg_map.segments else ()), 0
-
-
-class _Paging(_Memory):
-    """Pages of a procedure into free frames, through a page table that
-    is bound on admit and used on every dispatch."""
-
-    symbol = "frames"
-
-    @staticmethod
-    def check_config(cfg: SimConfig) -> None:
-        if cfg.page_size is None or cfg.page_size < 1:
-            raise ParameterError("paging allocator needs --page-size >= 1")
-
-    def organizer(self) -> Organize:
-        return Organize.fixed_partition(self.cfg.page_size)
-
-    def feasible(self, p: Procedure) -> bool:
-        page = self.cfg.page_size
-        return self.listed_pages(self.cfg, p) <= self.cfg.memory_capacity // page
-
-    @staticmethod
-    def listed_pages(cfg: SimConfig, p: Procedure) -> int:
-        return Pagination(p.id, cfg.page_size, p.size).page_count
-
-    def grant(self, p: Procedure) -> tuple[Detail, int]:
-        pagination = paginate(p, self.cfg.page_size)
-        page_map, self.primary = build_page_table(pagination, self.primary)
-        extra: Detail = (("pages", page_map.entries),) if page_map.entries else ()
-        return extra, pagination.internal_fragmentation
-
+class _Paging(Allocator):
     def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
         """Each Allocate or SwapIn of p binds p's pages, then p's page
         table, which depends on the frames and on those pages; each
-        Dispatch of p uses p's page table. The dependencies are gathered
-        first and the graph is built, and checked, once."""
+        Dispatch of p uses p's page table. The graph is built, and
+        checked, once."""
         graph = super().binding_log(events)
         bind, use = bindingmod.EventKind.BIND, bindingmod.EventKind.USE
         dependencies: set[tuple[str, str]] = set()
@@ -361,16 +295,41 @@ class _Paging(_Memory):
         return Graph(graph.events, graph.dependencies | dependencies)
 
 
-# Each allocator name -> its class; `check_config` checks its parameters.
-ALLOCATORS: dict[str, type[_Memory]] = {
-    "first-fit": _Memory,
-    "fixed": _Fixed,
-    "buddy": _Buddy,
-    "paging": _Paging,
-    "segmentation": _Segmentation,
-}
+def _param(value: T, ok: bool, message: str) -> T:
+    """`value`, a configured parameter, when `ok`; else ParameterError."""
+    if not ok:
+        raise ParameterError(message)
+    return value
 
-Classifier = Callable[[Procedure], int]
+
+FIRST_FIT = Select.first_fit()
+
+# Each allocator name -> its entry under a configuration; building the
+# entry checks the allocator's parameters.
+ALLOCATORS: dict[str, Callable[[SimConfig], Allocator]] = {
+    "first-fit": lambda cfg: Allocator(
+        compose(FIRST_FIT, Organize.identity(), Chunk.whole()), "free-list",
+        # swap-in regrants the declared segments, though admission granted
+        # one extent: a known fault, kept until a change of traces mends it
+        swap_chunk=Chunk.segments()),
+    "fixed": lambda cfg: Allocator(
+        compose(FIRST_FIT, Organize.fixed_partition(_param(
+            cfg.unit_size, (cfg.unit_size or 0) >= 1,
+            "fixed allocator needs --unit >= 1")), Chunk.whole()), "frames"),
+    "buddy": lambda cfg: Allocator(
+        compose(Select.buddy_fit(), _param(
+            Organize.buddy(), not cfg.memory_capacity & (cfg.memory_capacity - 1),
+            "buddy allocator needs a power-of-two capacity"), Chunk.whole()), "buddy-tree",
+        # a grant reports int_frag=0, though its block rounds the size up:
+        # a known fault, kept until a change of traces mends it
+        int_frag=False),
+    "paging": lambda cfg: _Paging(
+        compose(FIRST_FIT, Organize.fixed_partition(page := _param(
+            cfg.page_size, (cfg.page_size or 0) >= 1,
+            "paging allocator needs --page-size >= 1")), Chunk.fixed(page)), "frames"),
+    "segmentation": lambda cfg: Allocator(
+        compose(FIRST_FIT, Organize.identity(), Chunk.segments()), "free-list"),
+}
 
 
 def class_quantum(io_quantum: int = 1, cpu_quantum: int = 4) -> Classifier:
@@ -457,98 +416,68 @@ class RotatingReady:
 ReadySet = OrderedReady | RotatingReady
 
 
-@dataclass(frozen=True)
-class Policy:
-    """A CPU discipline as the simulator runs it.
-
-    Without `quantum_of`, the ready set is kept ordered by a key taken
-    from `discipline` once, when the policy is built, and the head runs
-    to completion; a discipline with no such order raises
-    CompositionError. With `quantum_of`, the head of the rotation queue
-    runs for at most `quantum_of` of it and is preempted at the end of
-    that chunk.
-    """
-
-    discipline: Discipline | None = None
-    quantum_of: Classifier | None = None
-    needs_priority: bool = False  # every procedure must carry a priority
-    key: OrderKey | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.quantum_of is None:
-            if self.discipline is None:
-                raise ParameterError("a policy needs a discipline or a quantum")
-            object.__setattr__(self, "key", order_key(self.discipline))
-
-    def ready_set(self) -> ReadySet:
-        """An empty ready set kept in this policy's order."""
-        if self.key is None:
-            return RotatingReady()
-        return OrderedReady(self.key)
-
-    def run_length(self, p: Procedure, left: int) -> int:
-        """How long p runs once dispatched with `left` time units to go."""
-        if self.quantum_of is None:
-            return left
-        quantum = self.quantum_of(p)
-        if quantum < 1:
-            raise ParameterError(f"quantum for procedure {p.id} must be >= 1")
-        return min(quantum, left)
+def ready_set(d: Discipline) -> ReadySet:
+    """An empty ready set for the CPU discipline d: ordered by
+    `order_key(d)`, the organize done once, on entry; or, for a chunked
+    first come, first served, a FIFO queue in join order."""
+    if d.chunk.tag is ChunkTag.WHOLE:
+        return OrderedReady(order_key(d))
+    if (d.select, d.organize) != (FCFS.select, FCFS.organize):
+        raise CompositionError(
+            "a chunked discipline rotates its ready set in join order, "
+            "so it selects the first of the identity organization"
+        )
+    return RotatingReady()
 
 
-FCFS = Policy(compose(Select.identity(1), Organize.identity()))
+FCFS = compose(Select.identity(1), Organize.identity(), Chunk.whole())
 SJF = {
-    key: Policy(compose(Select.identity(1), Organize.sort(key)))
+    key: compose(Select.identity(1), Organize.sort(key), Chunk.whole())
     for key in (SortKey.SIZE, SortKey.TIME)
 }
-PRIORITY = Policy(
-    compose(Select.argmax_priority(), Organize.identity()), needs_priority=True
-)
+PRIORITY = compose(Select.argmax_priority(), Organize.identity(), Chunk.whole())
 
-
-def _round_robin(cfg: SimConfig) -> Policy:
-    if cfg.quantum < 1:
-        raise ParameterError("round robin quantum must be >= 1")
-    return Policy(quantum_of=lambda p: cfg.quantum)
-
-
-# Each scheduler name -> its policy under a configuration; building the
-# policy checks the scheduler's parameters.
-SCHEDULERS: dict[str, Callable[[SimConfig], Policy]] = {
+# Each scheduler name -> its CPU discipline under a configuration;
+# building it checks the scheduler's parameters.
+SCHEDULERS: dict[str, Callable[[SimConfig], Discipline]] = {
     "fcfs": lambda cfg: FCFS,
     "sjf-size": lambda cfg: SJF[SortKey.SIZE],
     "sjf-time": lambda cfg: SJF[SortKey.TIME],
     "priority": lambda cfg: PRIORITY,
-    "rr": _round_robin,
-    "var-quantum": lambda cfg: Policy(
-        quantum_of=class_quantum(cfg.io_quantum, cfg.cpu_quantum)
-    ),
+    "rr": lambda cfg: compose(
+        Select.identity(1), Organize.identity(), Chunk.fixed(_param(
+            cfg.quantum, cfg.quantum >= 1, "round robin quantum must be >= 1"))),
+    "var-quantum": lambda cfg: compose(
+        Select.identity(1), Organize.identity(),
+        Chunk.by_class(class_quantum(cfg.io_quantum, cfg.cpu_quantum))),
 }
 
 
 class _Simulation:
-    """One run; `policy`, when given, replaces the scheduler cfg names."""
+    """One run; `discipline`, when given, replaces the scheduler cfg names."""
 
     def __init__(
         self, stream: ArrivalStream, cfg: SimConfig, strict: bool,
-        policy: Policy | None = None,
+        discipline: Discipline | None = None,
     ):
         self.cfg = cfg
         self.stream = stream
         # events in emission order; instants never decrease along it
         self.events: list[TraceEvent] = []
-        self.memory = ALLOCATORS[cfg.allocator](cfg)
+        self.memory = _Memory(cfg)
         # strict mode's observer of the events; only a strict run loads it
         self.check: RunCheck | None = None
         if strict:
             from .strict import RunCheck
 
             self.check = RunCheck(self.memory, self.events)
-        self.policy = policy or SCHEDULERS[cfg.scheduler](cfg)
+        discipline = discipline or SCHEDULERS[cfg.scheduler](cfg)
+        self.run_length = discipline.chunk.first  # of a dispatch, given what is left
+        self.needs_priority = discipline.select.tag is SelectTag.ARGMAX_PRIORITY
         self.clock = 0
         self.procs: dict[int, Procedure] = {}
         self.remaining: dict[int, int] = {}
-        self.ready = self.policy.ready_set()
+        self.ready = ready_set(discipline)
         # what a swap may evict: the ready members plus the holdover
         self.candidates = OrderedReady(victim_key)
         self.backlog: deque[Procedure] = deque()
@@ -573,7 +502,7 @@ class _Simulation:
                 f"procedure {p.id} (size {p.size}) can never be resident under "
                 f"{self.cfg.allocator} in {self.cfg.memory_capacity} units"
             )
-        if self.policy.needs_priority and p.priority is None:
+        if self.needs_priority and p.priority is None:
             raise ParameterError(f"procedure {p.id} has no priority")
         self.procs[p.id] = p
         self.remaining[p.id] = p.time
@@ -664,7 +593,7 @@ class _Simulation:
     def dispatch(self) -> None:
         chosen = self.ready.pop()
         self.candidates.discard(chosen.id)
-        run = self.policy.run_length(chosen, self.remaining[chosen.id])
+        run = self.run_length(chosen, self.remaining[chosen.id])
         self.emit(self.clock, EventKind.DISPATCH, chosen.id, (("run", run),))
         self.running = (chosen.id, self.clock, self.clock + run)
 
@@ -711,7 +640,7 @@ class _Simulation:
         # a stable sort: events of one instant keep their emission order
         # within each kind
         events = sorted(self.events, key=lambda e: (e.instant, _KIND_ORDER[e.kind]))
-        graph = self.memory.binding_log(events)
+        graph = self.memory.allocator.binding_log(events)
         if self.check is not None:
             self.check.finish(graph)
         return Trace(events=tuple(events), binding=graph)
@@ -743,22 +672,25 @@ def run(
 
 def trace_bound(procedures: Iterable[Procedure], cfg: SimConfig) -> int:
     """What the trace of a run grows with, known before the run: its
-    Dispatch lines, the CPU demand of each procedure in quanta (one
-    dispatch for a policy that runs a procedure to completion), plus,
-    under paging, each procedure's pages, which its Allocate line lists."""
-    policy, pages = SCHEDULERS[cfg.scheduler](cfg), ALLOCATORS[cfg.allocator].listed_pages
-    return sum(-(-p.time // policy.run_length(p, p.time)) + pages(cfg, p)
+    Dispatch lines, the count of the chunks the scheduler cuts each
+    procedure's CPU demand into (one for a discipline that runs a
+    procedure to completion), plus, under paging, each procedure's pages,
+    which its Allocate line lists. Counting builds no chunk."""
+    cpu = SCHEDULERS[cfg.scheduler](cfg).chunk
+    memory = ALLOCATORS[cfg.allocator](cfg).discipline.chunk
+    paged = memory.tag is ChunkTag.FIXED  # each grant lists a page table
+    return sum(cpu.count(p, p.time) + (memory.count(p, p.size) if paged else 0)
                for p in procedures)
 
 
 def dispatch_slices(
-    procedures: Iterable[Procedure], policy: Policy
+    procedures: Iterable[Procedure], discipline: Discipline
 ) -> list[tuple[int, int, int]]:
-    """(pid, start, length) of each dispatch when `policy` schedules the
-    procedures over first-fit memory that holds all of them at once."""
+    """(pid, start, length) of each dispatch when `discipline` schedules
+    the procedures over first-fit memory that holds all of them at once."""
     members = sorted(procedures, key=lambda p: (p.arrival, p.id))
     cfg = SimConfig(memory_capacity=max(1, sum(p.size for p in members)))
-    trace = _Simulation(ArrivalStream(members), cfg, False, policy).run()
+    trace = _Simulation(ArrivalStream(members), cfg, False, discipline).run()
     return [
         (e.pid, e.instant, e.value("run"))
         for e in trace.of_kind(EventKind.DISPATCH)

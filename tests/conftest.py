@@ -15,6 +15,28 @@ def proc(pid, size=1, time=1, arrival=0, priority=None, owner=None,
     )
 
 
+def emit_workload(procedures) -> str:
+    """Render a procedure set back to workload text."""
+    lines = []
+    for p in procedures:
+        parts = [f"id={p.id}", f"size={p.size}", f"time={p.time}", f"arrival={p.arrival}"]
+        if p.priority is not None:
+            parts.append(f"priority={p.priority}")
+        if p.owner is not None:
+            parts.append(f"owner={p.owner}")
+        if p.io_class is not None:
+            parts.append(f"class={p.io_class.value}")
+        if p.segments is not None:
+            parts.append("segments=" + ",".join(str(s) for s in p.segments))
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def encloses(outer, inner) -> bool:
+    """Whether extent `inner` lies inside extent `outer`."""
+    return outer.start <= inner.start and inner.end <= outer.end
+
+
 def random_batch(rng: random.Random, n: int, max_size: int = 8,
                  max_time: int = 9, with_priority: bool = False) -> ProcedureSet:
     """A batch workload: everything arrives at instant 0."""

@@ -19,10 +19,10 @@ from pathlib import Path
 
 from osalg import SortKey, fcfs, priority_schedule, round_robin, run, sjf
 from osalg.binding import BindingGraph
-from osalg.cli import emit_workload, main as cli_main, render_metrics, render_trace
+from osalg.cli import main as cli_main, render_metrics, render_trace
 from osalg.schedulers import class_quantum, variable_quantum
 
-from conftest import random_arrivals, regression_runs
+from conftest import emit_workload, random_arrivals, regression_runs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

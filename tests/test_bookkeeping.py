@@ -30,7 +30,7 @@ from osalg.allocators import (
 )
 from osalg.errors import AllocationFailure, ParameterError, SwapFailure
 
-from conftest import proc
+from conftest import encloses, proc
 
 UNIT = 4
 
@@ -94,7 +94,7 @@ def old_buddy_free(node, extent):
         return None
     for side in ("left", "right"):
         child = getattr(node, side)
-        if child.extent.encloses(extent):
+        if encloses(child.extent, extent):
             freed = old_buddy_free(child, extent)
             if freed is None:
                 return None
@@ -296,13 +296,13 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
                 assert ref_backing.grant(record.pid, record.size) == record.backing_extents
                 ref.release(record.pid)
                 resident = [q for q in resident if q.id != record.pid]
-                swapped.append(record)
+                swapped.append((record, victim))
         elif op == "swap_in" and swapped:
-            record = swapped[0]
+            record, p = swapped[0]
             if kind == "fixed":
                 shape = {"pages": -(-record.size // UNIT)}
             else:
-                shape = {"segments": record.segments}
+                shape = {"segments": p.segments}
             got, expected = expect_same(
                 lambda: swap_in(m, backing, record),
                 lambda: ref.grant(record.pid, record.size, **shape),
@@ -312,8 +312,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
                 assert granted == expected
                 ref_backing.release(record.pid)
                 swapped.pop(0)
-                resident.append(proc(record.pid, size=record.size,
-                                     segments=record.segments))
+                resident.append(p)
         assert_agrees(m, ref)
         assert_agrees(backing, ref_backing)
 

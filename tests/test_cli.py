@@ -10,25 +10,28 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from osalg import Extent, SimConfig, WorkClass, cli, run
+from osalg import Extent, Procedure, SimConfig, WorkClass, cli, run, sim
 from osalg.cli import (
     EXIT_OK,
     EXIT_UNRUNNABLE,
     EXIT_USAGE,
     EXIT_WORKLOAD,
-    emit_workload,
     main,
     parse_workload,
     render_trace,
 )
+from osalg.combinators import Chunk
 from osalg.errors import WorkloadError
 from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace, TraceEvent, trace_bound
+
+from conftest import emit_workload
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -432,6 +435,22 @@ def test_trace_bound_counts_dispatches_and_listed_pages():
                                      cpu_quantum=3)) == 1 + 2
     paging = SimConfig(allocator="paging", page_size=4)
     assert trace_bound(ps, paging) == 2 + 3
+
+
+def test_the_bound_and_feasibility_count_chunks_without_building_them(monkeypatch):
+    """`trace_bound` and paging feasibility read each chunk's O(1) count
+    and first piece: with `Chunk.pieces` out of order they still measure
+    10**21 quanta of CPU time and 10**23 one-unit pages at once."""
+    def no_pieces(chunk, p, demand):
+        raise AssertionError("pieces built")
+
+    monkeypatch.setattr(Chunk, "pieces", no_pieces)
+    huge = Procedure(id=1, size=10**23, time=10**21)
+    cfg = SimConfig(scheduler="rr", quantum=1, allocator="paging", page_size=1,
+                    memory_capacity=10**23)
+    assert trace_bound([huge], cfg) == 10**21 + 10**23
+    assert sim._Memory(cfg).feasible(huge)
+    assert not sim._Memory(replace(cfg, memory_capacity=10**23 - 1)).feasible(huge)
 
 
 def test_a_run_at_the_trace_limit_runs(tmp_path, capsys, monkeypatch):

@@ -6,10 +6,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from osalg import Extent, Organize, ProcedureSet, Select, SortKey, compose, organize_buddy
+from osalg import (
+    Extent, Organize, ProcedureSet, Select, SortKey, WorkClass, compose, organize_buddy,
+)
 from osalg.allocators import MemoryState
 from osalg.combinators import (
     BuddyTree,
+    Chunk,
+    ChunkTag,
     organize_fixed_partition,
     organize_identity,
     organize_sort,
@@ -24,8 +28,9 @@ from osalg.errors import (
     ParameterError,
 )
 from osalg.oracle import ReferenceBuddy
+from osalg.sim import class_quantum, dispatch_slices
 
-from conftest import proc, random_batch
+from conftest import encloses, proc, random_batch
 
 
 def assert_tiles(tree, granted):
@@ -377,7 +382,7 @@ class TestMembership:
                 assert all(e.size < q for e in free)
                 continue
             assert got.size == q
-            assert any(e.encloses(got) for e in free)
+            assert any(encloses(e, got) for e in free)
 
 
 def test_buddy_matches_reference_on_random_sequences():
@@ -408,3 +413,70 @@ def test_buddy_matches_reference_on_random_sequences():
                 live[key] = extent
         assert sorted((e.start, e.end) for e in tree.free_extents()) == \
             ref.free_extent_pairs()
+
+
+# -- chunk -----------------------------------------------------------------
+
+
+@st.composite
+def chunked_demands(draw):
+    """A chunk, a procedure and a demand of it: any demand for whole,
+    fixed and class chunks, the procedure's size for its declared
+    segments."""
+    chunk = draw(st.one_of(
+        st.just(Chunk.whole()),
+        st.integers(1, 7).map(Chunk.fixed),
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
+            lambda q: Chunk.by_class(class_quantum(*q))),
+        st.just(Chunk.segments()),
+    ))
+    size = draw(st.integers(0, 30))
+    cuts = draw(st.lists(st.integers(1, max(1, size - 1)), max_size=4, unique=True))
+    bounds = sorted({0, size, *(c for c in cuts if c < size)})
+    segments = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    p = proc(1, size=size, time=draw(st.integers(1, 30)),
+             io_class=draw(st.sampled_from([None, *WorkClass])),
+             segments=segments if size and draw(st.booleans()) else None)
+    demand = size if chunk.tag is ChunkTag.SEGMENTS else draw(st.integers(0, 40))
+    return chunk, p, demand
+
+
+@given(chunked_demands())
+def test_chunk_pieces_partition_the_demand(case):
+    chunk, p, demand = case
+    pieces = chunk.pieces(p, demand)
+    assert sum(pieces) == demand
+    assert all(piece >= 1 for piece in pieces)
+    assert chunk.count(p, demand) == len(pieces)
+    assert chunk.first(p, demand) == (pieces[0] if pieces else demand)
+    if chunk.tag is ChunkTag.FIXED:
+        assert all(piece == chunk.size for piece in pieces[:-1])
+
+
+@given(chunked_demands())
+def test_a_chunk_of_cpu_time_is_the_dispatches_of_a_procedure(case):
+    """Run alone under a rotation, a procedure is dispatched once per piece
+    its chunk cuts its CPU time into, each run the first piece of what is
+    left."""
+    chunk, p, _ = case
+    if chunk.tag is ChunkTag.SEGMENTS:
+        return
+    discipline = compose(Select.identity(1), Organize.identity(), chunk)
+    runs = [length for _, _, length in dispatch_slices([p], discipline)]
+    assert runs == list(chunk.pieces(p, p.time))
+
+
+def test_a_class_chunk_below_one_is_a_parameter_error():
+    chunk, p = Chunk.by_class(lambda p: 0), proc(1, time=5)
+    for measure in (chunk.pieces, chunk.count, chunk.first):
+        with pytest.raises(ParameterError, match="quantum for procedure 1"):
+            measure(p, 5)
+    with pytest.raises(ParameterError):
+        Chunk.fixed(0)
+
+
+def test_a_chunk_counts_a_huge_demand_without_its_pieces():
+    p = proc(1, size=10**23)
+    assert Chunk.fixed(1).count(p, 10**23) == 10**23
+    assert Chunk.fixed(3).first(p, 10**23) == 3
+    assert Chunk.whole().count(p, 10**23) == 1

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import proc
 from osalg import ArrivalStream, SimConfig, sim
 from osalg.allocators import victim_key
-from osalg.combinators import Organize, Select, SortKey, compose, order_key
+from osalg.combinators import Chunk, Organize, Select, SortKey, compose, order_key
 from osalg.errors import CompositionError
-from osalg.sim import FCFS, PRIORITY, SJF, Policy
+from osalg.sim import FCFS, PRIORITY, SJF, ready_set
 
 ORDERED = {
     "fcfs": FCFS,
@@ -49,12 +49,12 @@ def arrival_order(procedures):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(ORDERED)), PROCS, OPS)
 def test_every_pop_is_the_disciplines_pick(name, shapes, ops):
-    policy = ORDERED[name]
+    discipline = ORDERED[name]
     unseen = [
         proc(i + 1, size=size, time=time, arrival=arrival, priority=priority)
         for i, (arrival, size, time, priority) in enumerate(shapes)
     ]
-    ready = policy.ready_set()
+    ready = ready_set(discipline)
     live, out = {}, []  # out: popped or swapped out, free to rejoin
     for op, pick in ops:
         if op == "add" and unseen:
@@ -62,7 +62,7 @@ def test_every_pop_is_the_disciplines_pick(name, shapes, ops):
         elif op == "rejoin" and out:
             p = out.pop(pick % len(out))
         elif op == "pop" and live:
-            expected = policy.discipline.apply(arrival_order(live.values()))
+            expected = discipline.apply(arrival_order(live.values()))
             got = ready.pop()
             assert got is expected
             out.append(live.pop(got.id))
@@ -80,14 +80,14 @@ def test_every_pop_is_the_disciplines_pick(name, shapes, ops):
         assert len(ready) == len(live)
         assert {p.id for p in members(ready)} == set(live)
     while live:  # stale keys left by swap-outs never surface
-        expected = policy.discipline.apply(arrival_order(live.values()))
+        expected = discipline.apply(arrival_order(live.values()))
         assert ready.pop() is expected
         del live[expected.id]
     assert not ready
 
 
 def test_stale_keys_are_dropped_once_they_outnumber_the_members():
-    ready = FCFS.ready_set()
+    ready = ready_set(FCFS)
     ps = [proc(i, arrival=i) for i in range(1, 101)]
     for p in ps:
         ready.add(p)
@@ -99,7 +99,7 @@ def test_stale_keys_are_dropped_once_they_outnumber_the_members():
 
 
 def test_rotation_is_first_in_first_out():
-    ready = Policy(quantum_of=lambda p: 1).ready_set()
+    ready = ready_set(compose(Select.identity(1), Organize.identity(), Chunk.fixed(1)))
     a, b, c = proc(1), proc(2), proc(3)
     for p in (c, a, b):
         ready.add(p)
@@ -122,7 +122,21 @@ def test_a_discipline_without_an_order_is_rejected(discipline):
     with pytest.raises(CompositionError):
         order_key(discipline)
     with pytest.raises(CompositionError):
-        Policy(discipline)
+        ready_set(discipline)
+
+
+@pytest.mark.parametrize(
+    "discipline",
+    [
+        compose(Select.identity(1), Organize.sort(SortKey.TIME), Chunk.fixed(2)),
+        compose(Select.argmax_priority(), Organize.identity(), Chunk.fixed(2)),
+    ],
+)
+def test_a_chunked_discipline_that_does_not_rotate_is_rejected(discipline):
+    """A chunked ready set rotates in join order, which is first come,
+    first served; any other chunked composition has no ready set."""
+    with pytest.raises(CompositionError):
+        ready_set(discipline)
 
 
 

@@ -285,6 +285,41 @@ class TestSwapping:
         assert set(m.waiting) == {1, 2}
 
 
+    @pytest.mark.parametrize("allocator, extra", [
+        ("first-fit", {}),
+        ("fixed", {"unit_size": 8}),
+        ("buddy", {}),
+        ("paging", {"page_size": 4}),
+        ("segmentation", {}),
+    ])
+    def test_swap_in_regrants_the_admission_pieces_but_under_first_fit(
+        self, allocator, extra
+    ):
+        """Admission and swap-in cut a procedure's memory into the same
+        pieces under every allocator but first fit, whose registry entry
+        regrants the declared segments though admission granted one
+        extent, a known fault. Mending it flips the first-fit assertion
+        to the other one."""
+        ps = ProcedureSet.of(
+            proc(1, size=8, time=6, priority=5),
+            proc(2, size=6, time=3, priority=1, segments=(2, 4)),
+            proc(3, size=8, time=2, arrival=1, priority=9),
+        )
+        cfg = SimConfig(memory_capacity=16, backing_capacity=16,
+                        allocator=allocator, **extra)
+        trace, _ = run(ps, cfg, strict=True)
+
+        def pieces(kind):
+            (event,) = [e for e in trace.of_kind(kind) if e.pid == 2]
+            return [e.size for e in event.value("extents")]
+
+        admitted, regranted = pieces(EventKind.ALLOCATE), pieces(EventKind.SWAP_IN)
+        if allocator == "first-fit":
+            assert (admitted, regranted) == ([6], [2, 4])
+        else:
+            assert admitted == regranted
+
+
 class TestEverySchedulerAllocatorPair:
     def test_cross_product_sweep_under_memory_pressure(self):
         """Every scheduler/allocator pairing survives a tight-memory run
