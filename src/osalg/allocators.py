@@ -1,20 +1,17 @@
 """Memory disciplines: contiguous allocation, fixed units, buddy blocks,
 paging, segmentation, virtualization chains, deallocation and swapping.
 
-A ``MemoryState`` is a pure value: every operation on one returns a new
-state. A ``MemoryLedger`` holds the same fields and is updated in place,
-so that a simulation pays for what a grant or release changes and no
-more; it gives its state as a ``MemoryState`` on demand. Each operation
-is written once for both: only recording a grant and recording a
-release differ between them. At all times the allocated extents, the
-free extents, and any partition residue tile ``[0, capacity)`` exactly,
-pairwise disjoint. Extent sharing is rejected outright; temporal
-coordination of shared writes is out of scope.
+A ``MemoryState`` is one memory, updated in place: each operation changes
+what its grant or release changes and no more, and returns only what it
+produces. An operation that raises changes nothing. At all times the
+allocated extents, the free extents, and any partition residue tile
+``[0, capacity)`` exactly, pairwise disjoint. Extent sharing is rejected
+outright; temporal coordination of shared writes is out of scope.
 
-Address virtualization is a chain of injective partial maps: a resource
-set bound to an intermediate set that is in turn bound to the physical
-one. ``translate`` walks such a chain and reports the faulting hop when
-an address is unmapped.
+Address virtualization is a chain of injective partial maps: an address
+space bound to an intermediate one that is in turn bound to physical
+memory. ``translate`` walks such a chain and reports the faulting hop
+when an address is unmapped.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TypeVar
 
 from .combinators import (
     Discipline,
@@ -42,39 +38,7 @@ from .errors import (
 )
 
 
-class _MemoryReads:
-    """The reads MemoryState and MemoryLedger share, over the fields both
-    carry: `capacity`, `organizer`, `allocated`, `store`, `free_total`
-    and `residue`."""
-
-    __slots__ = ()
-
-    @property
-    def unit_size(self) -> int | None:
-        return self.organizer.unit_size
-
-    @property
-    def free(self) -> tuple[Extent, ...]:
-        return self.store.free_extents()
-
-    def holds(self, pid: int) -> bool:
-        return pid in self.allocated
-
-    def extents_of(self, pid: int) -> tuple[Extent, ...]:
-        if pid not in self.allocated:
-            raise NotFoundError(f"procedure {pid} holds no memory")
-        return self.allocated[pid]
-
-    @property
-    def free_size(self) -> int:
-        return self.free_total
-
-    def largest_free(self) -> int:
-        return self.store.largest()
-
-
-@dataclass(frozen=True)
-class MemoryState(_MemoryReads):
+class MemoryState:
     """Allocation bookkeeping for one memory of `capacity` units.
 
     `store` is the free store `organizer` shapes: free runs for the
@@ -84,16 +48,22 @@ class MemoryState(_MemoryReads):
     units, not single units. `allocated` maps procedure ids to the
     extents they hold, `free_total` is the size of `free`, and `residue`
     is a fixed-partitioned memory's tail too short for one unit. Each
-    grant and release updates the store and `free_total` by what it
-    changes, never by a rescan.
+    grant and release changes `allocated`, the `store` reference and
+    `free_total` by what it changes, never by a rescan; the free store
+    itself stays a value.
     """
 
-    capacity: int
-    organizer: Organize
-    allocated: Mapping[int, tuple[Extent, ...]]
-    store: FreeStore
-    free_total: int
-    residue: Extent | None = None
+    __slots__ = ("capacity", "organizer", "allocated", "store", "free_total",
+                 "residue")
+
+    def __init__(self, capacity: int, organizer: Organize, store: FreeStore,
+                 free_total: int, residue: Extent | None):
+        self.capacity = capacity
+        self.organizer = organizer
+        self.allocated: dict[int, tuple[Extent, ...]] = {}
+        self.store = store
+        self.free_total = free_total
+        self.residue = residue
 
     @staticmethod
     def initial(capacity: int, organizer: Organize | None = None) -> "MemoryState":
@@ -105,7 +75,23 @@ class MemoryState(_MemoryReads):
         # an empty store is one run from 0, or none; the rest is residue
         free_total = sum(e.size for e in store.free_extents())
         residue = Extent(free_total, capacity) if free_total < capacity else None
-        return MemoryState(capacity, organizer, {}, store, free_total, residue)
+        return MemoryState(capacity, organizer, store, free_total, residue)
+
+    @property
+    def unit_size(self) -> int | None:
+        return self.organizer.unit_size
+
+    @property
+    def free(self) -> tuple[Extent, ...]:
+        return self.store.free_extents()
+
+    def extents_of(self, pid: int) -> tuple[Extent, ...]:
+        if pid not in self.allocated:
+            raise NotFoundError(f"procedure {pid} holds no memory")
+        return self.allocated[pid]
+
+    def largest_free(self) -> int:
+        return self.store.largest()
 
     def check_invariants(self) -> None:
         """Conservation and disjointness, the carried free total and the
@@ -150,84 +136,30 @@ class MemoryState(_MemoryReads):
         except ParameterError as exc:
             raise InvariantViolation("store-shape", str(exc)) from exc
 
-    def _record_grant(
-        self, pid: int, granted: tuple[Extent, ...], store: FreeStore, size: int
-    ) -> "MemoryState":
-        allocated = dict(self.allocated)
-        allocated[pid] = granted
-        return MemoryState(self.capacity, self.organizer, allocated, store,
-                           self.free_total - size, self.residue)
-
-    def _record_release(self, pid: int, store: FreeStore, size: int) -> "MemoryState":
-        allocated = dict(self.allocated)
-        del allocated[pid]
-        return MemoryState(self.capacity, self.organizer, allocated, store,
-                           self.free_total + size, self.residue)
-
-
-class MemoryLedger(_MemoryReads):
-    """A memory updated in place: a MemoryState's fields, of which each
-    grant and release changes `allocated`, the `store` reference and
-    `free_total`. The free store itself stays a value. `snapshot` gives
-    the ledger's state as a MemoryState.
-    """
-
-    __slots__ = ("capacity", "organizer", "allocated", "store", "free_total",
-                 "residue")
-
-    def __init__(self, state: MemoryState):
-        self.capacity = state.capacity
-        self.organizer = state.organizer
-        self.allocated: dict[int, tuple[Extent, ...]] = dict(state.allocated)
-        self.store = state.store
-        self.free_total = state.free_total
-        self.residue = state.residue
-
-    def snapshot(self) -> MemoryState:
-        return MemoryState(self.capacity, self.organizer, dict(self.allocated),
-                           self.store, self.free_total, self.residue)
-
-    def _record_grant(
-        self, pid: int, granted: tuple[Extent, ...], store: FreeStore, size: int
-    ) -> "MemoryLedger":
-        self.allocated[pid] = granted
-        self.store = store
-        self.free_total -= size
-        return self
-
-    def _record_release(self, pid: int, store: FreeStore, size: int) -> "MemoryLedger":
-        del self.allocated[pid]
-        self.store = store
-        self.free_total += size
-        return self
-
-
-# Either kind of memory; each operation returns the kind it was given.
-Memory = TypeVar("Memory", MemoryState, MemoryLedger)
 
 _start = attrgetter("start")
 
 
-def _grant(m: Memory, pid: int, pieces: Sequence[int]) -> tuple[Memory, tuple[Extent, ...]]:
+def _grant(m: MemoryState, pid: int, pieces: Sequence[int]) -> tuple[Extent, ...]:
     """Grant pid one extent per piece, from the memory's own store, which
     rounds each piece to a whole unit or buddy block. Pieces that sum past
     the free total fail before the store is searched."""
-    if m.holds(pid):
+    if pid in m.allocated:
         raise ParameterError(f"procedure {pid} already holds memory")
     asked = sum(pieces)
     if asked > m.free_total:
         raise AllocationFailure(f"{asked} units asked, {m.free_total} free")
-    granted, store = m.store.grant(pieces)
-    return m._record_grant(pid, granted, store, sum(e.size for e in granted)), granted
+    granted, m.store = m.store.grant(pieces)
+    m.allocated[pid] = granted
+    m.free_total -= sum(e.size for e in granted)
+    return granted
 
 
-def allocate(
-    d: Discipline, m: Memory, p: Procedure
-) -> tuple[Memory, tuple[Extent, ...]]:
+def allocate(d: Discipline, m: MemoryState, p: Procedure) -> tuple[Extent, ...]:
     """Assign p the pieces d's chunk cuts its size into, each an extent,
     or a whole allocation unit, or a buddy block, under the discipline d.
 
-    The discipline must organize the set the same way the state does;
+    The discipline must organize the set the same way the memory does;
     paging and segmentation have their own entry points, which also map
     the pieces (:func:`build_page_table`, :func:`segment_alloc`). Under
     fixed partitioning each piece fits in one unit.
@@ -239,13 +171,17 @@ def allocate(
     return _grant(m, p.id, d.chunk.pieces(p, p.size))
 
 
-def deallocate(m: Memory, pid: int) -> Memory:
+def deallocate(m: MemoryState, pid: int) -> tuple[Extent, ...]:
     """Return pid's extents to the free space, merging where the
-    organization allows: adjacent runs coalesce, buddy siblings merge."""
+    organization allows: adjacent runs coalesce, buddy siblings merge.
+    Gives the extents freed."""
     extents = m.extents_of(pid)
-    # a release takes back what one grant gave: one block from a buddy tree
-    store = m.store.release(*extents) if extents else m.store
-    return m._record_release(pid, store, sum(e.size for e in extents))
+    if extents:
+        # a release takes back what one grant gave: one block from a buddy tree
+        m.store = m.store.release(*extents)
+    del m.allocated[pid]
+    m.free_total += sum(e.size for e in extents)
+    return extents
 
 
 @dataclass(frozen=True)
@@ -302,7 +238,7 @@ class PageMap:
         return self.frame_of(page) * self.page_size + offset
 
 
-def build_page_table(pages: Pagination, m: Memory) -> tuple[PageMap, Memory]:
+def build_page_table(pages: Pagination, m: MemoryState) -> PageMap:
     """Bind pages to the lowest free frames of a framed memory.
 
     Framing (fixed partitioning of memory) and pagination (fixed chunking
@@ -319,9 +255,9 @@ def build_page_table(pages: Pagination, m: Memory) -> tuple[PageMap, Memory]:
     frames = m.free_total // unit
     if pages.page_count > frames:
         raise AllocationFailure(f"{pages.page_count} frames needed, {frames} free")
-    m2, granted = _grant(m, pages.pid, (unit,) * pages.page_count)
+    granted = _grant(m, pages.pid, (unit,) * pages.page_count)
     entries = tuple((page, extent.start // unit) for page, extent in enumerate(granted))
-    return PageMap(page_size=pages.page_size, entries=entries), m2
+    return PageMap(page_size=pages.page_size, entries=entries)
 
 
 @dataclass(frozen=True)
@@ -336,8 +272,8 @@ def segment_alloc(
     p: Procedure,
     spec: Sequence[int],
     d: Discipline,
-    m: Memory,
-) -> tuple[SegmentMap, Memory]:
+    m: MemoryState,
+) -> SegmentMap:
     """Place each segment independently through d, all or nothing.
 
     Segment lengths must each be >= 1 and sum to p's size. Any segment
@@ -352,12 +288,12 @@ def segment_alloc(
         )
     if d.organize != Organize.identity() or m.organizer != Organize.identity():
         raise ParameterError("segments place into an identity-organized memory")
-    m2, granted = _grant(m, p.id, lengths)
+    granted = _grant(m, p.id, lengths)
     segments = tuple(
         (i, length, extent.start)
         for i, (length, extent) in enumerate(zip(lengths, granted))
     )
-    return SegmentMap(pid=p.id, segments=segments), m2
+    return SegmentMap(pid=p.id, segments=segments)
 
 
 @dataclass(frozen=True)
@@ -413,21 +349,19 @@ def victim_key(p: Procedure) -> tuple[int, int, int, int]:
     return (p.priority if p.priority is not None else -1, -p.size, -p.id, p.id)
 
 
-def swap_out(
-    m: Memory, backing: Memory, victim: Procedure
-) -> tuple[Memory, Memory, SwapRecord]:
+def swap_out(m: MemoryState, backing: MemoryState, victim: Procedure) -> SwapRecord:
     """Evict the victim's extents to the backing store.
 
     The caller has chosen the victim, one that holds primary memory (see
     :func:`victim_key`). Its contents are first-fit placed in the backing
-    store; a full backing store fails the swap with the primary state
+    store; a full backing store fails the swap with both memories
     unchanged.
     """
     held = m.extents_of(victim.id)  # NotFoundError before the grant
     try:
         # the backing store takes the victim whole
         pieces = (victim.size,) if victim.size else ()
-        backing2, granted = _grant(backing, victim.id, pieces)
+        granted = _grant(backing, victim.id, pieces)
     except AllocationFailure as exc:
         raise SwapFailure(f"backing store cannot hold procedure {victim.id}") from exc
     record = SwapRecord(
@@ -436,12 +370,11 @@ def swap_out(
         backing_extents=granted,
         pieces=tuple([e.end - e.start for e in held]),
     )
-    return deallocate(m, victim.id), backing2, record
+    deallocate(m, victim.id)
+    return record
 
 
-def swap_in(
-    m: Memory, backing: Memory, record: SwapRecord
-) -> tuple[Memory, Memory, tuple[Extent, ...]]:
+def swap_in(m: MemoryState, backing: MemoryState, record: SwapRecord) -> tuple[Extent, ...]:
     """Restore a swapped-out procedure to primary memory.
 
     Residency may land at different addresses; the grant takes the
@@ -450,6 +383,6 @@ def swap_in(
     swap-in that fails changes neither memory.
     """
     backing.extents_of(record.pid)  # NotFoundError before the grant
-    m2, granted = _grant(m, record.pid, record.pieces)
-    backing2 = deallocate(backing, record.pid)
-    return m2, backing2, granted
+    granted = _grant(m, record.pid, record.pieces)
+    deallocate(backing, record.pid)
+    return granted

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, TypeVar
 
 from . import binding as bindingmod
 from .allocators import (
-    MemoryLedger,
     MemoryState,
     SwapRecord,
     allocate as allocate_op,
@@ -104,7 +103,7 @@ Extents = tuple[Extent, ...]
 Graph = bindingmod.BindingGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     instant: int
     kind: EventKind
@@ -186,19 +185,17 @@ class SimConfig:
 
 
 class _Memory:
-    """Primary/backing memory pair under the allocator cfg names, each a
-    ledger the run updates in place. A grant goes through the library
-    entry point that maps its chunk's pieces: a page table for a fixed
-    chunk, a segment map for declared segments, else one allocation."""
+    """Primary/backing memory pair under the allocator cfg names, each
+    updated in place by the run. A grant goes through the library entry
+    point that maps its chunk's pieces: a page table for a fixed chunk, a
+    segment map for declared segments, else one allocation."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.allocator = ALLOCATORS[cfg.allocator](cfg)
         self.discipline = d = self.allocator.discipline
-        self.primary = MemoryLedger(MemoryState.initial(cfg.memory_capacity, d.organize))
-        self.backing = MemoryLedger(
-            MemoryState.initial(cfg.effective_backing, Organize.identity())
-        )
+        self.primary = MemoryState.initial(cfg.memory_capacity, d.organize)
+        self.backing = MemoryState.initial(cfg.effective_backing, Organize.identity())
         self.empty = self.primary.store  # a store is a value: the empty one stays
         self.paged = d.chunk.tag is ChunkTag.FIXED  # a grant is a page table
         self.segmented = d.chunk.tag is ChunkTag.SEGMENTS  # a grant is a segment map
@@ -210,48 +207,36 @@ class _Memory:
 
     def allocate(self, p: Procedure) -> Detail:
         """Grant memory to p; returns the trace detail of the grant."""
-        d, free = self.discipline, self.primary.free_total
+        d, m = self.discipline, self.primary
+        free = m.free_total
         if self.paged:
-            page_map, self.primary = build_page_table(paginate(p, d.chunk.size), self.primary)
+            page_map = build_page_table(paginate(p, d.chunk.size), m)
             extra = (("pages", page_map.entries),) if page_map.entries else ()
         elif self.segmented:
-            seg_map, self.primary = segment_alloc(p, d.chunk.pieces(p, p.size), d, self.primary)
+            seg_map = segment_alloc(p, d.chunk.pieces(p, p.size), d, m)
             extra = (("segments", seg_map.segments),) if seg_map.segments else ()
         else:
-            self.primary, _ = allocate_op(d, self.primary, p)
+            allocate_op(d, m, p)
             extra = ()
-        granted = free - self.primary.free_total
+        granted = free - m.free_total
         int_frag = granted - p.size if self.allocator.int_frag else 0
         return (
-            (("extents", self.primary.extents_of(p.id)),)
+            (("extents", m.extents_of(p.id)),)
             + extra
             + (("ext_frag", self.frag_sample()), ("int_frag", int_frag))
         )
 
-    def release(self, pid: int) -> Extents:
-        extents = self.primary.extents_of(pid)
-        self.primary = deallocate(self.primary, pid)
-        return extents
-
     def swap_out_victim(self, victim: Procedure) -> tuple[SwapRecord, Extents]:
         freed = self.primary.extents_of(victim.id)
-        self.primary, self.backing, record = swap_out(
-            self.primary, self.backing, victim
-        )
+        record = swap_out(self.primary, self.backing, victim)
         chunk = self.allocator.swap_chunk
         if chunk is not None:
             record = SwapRecord(record.pid, record.size, record.backing_extents,
                                 chunk.pieces(victim, victim.size))
         return record, freed
 
-    def swap_in_record(self, record: SwapRecord) -> Extents:
-        self.primary, self.backing, granted = swap_in(
-            self.primary, self.backing, record
-        )
-        return granted
-
     def frag_sample(self) -> Fraction | None:
-        total = self.primary.free_size
+        total = self.primary.free_total
         if total == 0:
             return None
         return Fraction(self.primary.largest_free(), total)
@@ -563,11 +548,12 @@ class _Simulation:
 
     def reclaim(self, at: int) -> None:
         """Re-admit swapped-out procedures, then the backlog, FIFO each."""
+        memory = self.memory
         while self.swapped:
             record = self.swapped[0]
             p = self.procs[record.pid]
             try:
-                granted = self.memory.swap_in_record(record)
+                granted = swap_in(memory.primary, memory.backing, record)
             except AllocationFailure:
                 break
             self.swapped.popleft()
@@ -604,7 +590,7 @@ class _Simulation:
         self.remaining[pid] -= end - start
         if self.remaining[pid] == 0:
             self.emit(end, EventKind.COMPLETE, pid)
-            freed = self.memory.release(pid)
+            freed = deallocate(self.memory.primary, pid)
             self.emit(end, EventKind.DEALLOCATE, pid, (("extents", freed),))
             self.reclaim(end)
         else:

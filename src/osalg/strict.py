@@ -7,7 +7,7 @@ Deallocate, SwapOut or SwapIn records a grant or a release of extents,
 which reaches the `MemoryCheck` of its memory as a delta. The check
 keeps its own record of that memory: the occupied extents in address
 order, and the extents each holder was granted. It shares no code with
-the free stores, so a store or ledger that goes wrong shows as a
+the free stores, so a store or memory that goes wrong shows as a
 disagreement with the record. Each delta is checked in O(log n) plus a
 list insert or delete:
 
@@ -20,7 +20,7 @@ list insert or delete:
 - the unit just before and the unit just after each granted extent, and
   each free extent a release leaves, is occupied, free or outside the
   memory, so no unit beside a change drops out of both;
-- the ledger holds the procedure after a grant and not after a release,
+- the memory holds the procedure after a grant and not after a release,
   has as many holders as the record, and carries a free total of the
   memory's size less what the record has occupied.
 
@@ -42,7 +42,7 @@ from operator import attrgetter
 from typing import NoReturn
 
 from . import binding
-from .allocators import MemoryLedger
+from .allocators import MemoryState
 from .core import Extent
 from .errors import InvariantViolation
 from .sim import EventKind, TraceEvent, _Memory
@@ -88,11 +88,11 @@ class RunCheck:
 
     def see(self, event: TraceEvent) -> None:
         """Check the change `event` records: an Admit grants what the
-        ledger holds for its procedure, a SwapIn frees what the backing
+        memory holds for its procedure, a SwapIn frees what the backing
         record holds for it."""
         kind, primary, backing = event.kind, self.primary, self.backing
         if kind is EventKind.ADMIT:
-            primary.grant(primary.ledger.allocated.get(event.pid, ()), event)
+            primary.grant(primary.memory.allocated.get(event.pid, ()), event)
         elif kind is EventKind.DEALLOCATE:
             primary.release(event.value("extents"), event)
         elif kind is EventKind.SWAP_OUT:
@@ -106,7 +106,7 @@ class RunCheck:
             if start < self.frontier:
                 raise _violation("cpu-time", f"CPU instant {start} would be assigned twice",
                                  index, event, f"CPU assigned until {self.frontier}")
-            if not primary.ledger.holds(pid):
+            if pid not in primary.memory.allocated:
                 raise _violation("residency", f"dispatch of non-resident procedure {pid}",
                                  index, event, f"{len(primary.held)} resident procedures")
             self.frontier = start + event.value("run")
@@ -123,15 +123,15 @@ class RunCheck:
 
 
 class MemoryCheck:
-    """Strict mode's record of one memory of a run, beside its ledger."""
+    """Strict mode's record of one memory of a run, beside the memory."""
 
-    def __init__(self, name: str, ledger: MemoryLedger, events: Sequence[TraceEvent]):
+    def __init__(self, name: str, memory: MemoryState, events: Sequence[TraceEvent]):
         self.name = name
-        self.ledger = ledger
+        self.memory = memory
         self.events = events
-        residue = ledger.residue
-        self.limit = ledger.capacity if residue is None else residue.start
-        self.unit = ledger.unit_size
+        residue = memory.residue
+        self.limit = memory.capacity if residue is None else residue.start
+        self.unit = memory.unit_size
         # the occupied extents, address ordered, as parallel start and end lists
         self.starts: list[int] = []
         self.ends: list[int] = []
@@ -148,7 +148,7 @@ class MemoryCheck:
             self.fail(change, "conservation",
                       f"procedure {pid} already holds {_text(self.held[pid])}")
         starts, ends, unit, limit = self.starts, self.ends, self.unit, self.limit
-        free = self.ledger.store.free_extents()
+        free = self.memory.store.free_extents()
         for e in extents:
             s, t = e.start, e.end
             if s == t:
@@ -200,7 +200,7 @@ class MemoryCheck:
                 i = bisect_left(starts, e.start)
                 del starts[i], ends[i]
                 self.occupied -= e.end - e.start
-        free = self.ledger.store.free_extents()
+        free = self.memory.store.free_extents()
         for e in extents:
             s, t = e.start, e.end
             if s == t:
@@ -231,19 +231,19 @@ class MemoryCheck:
                   f"unit {unit} beside {e} is neither occupied nor free")
 
     def settle(self, change: Change, holds: bool) -> None:
-        """The ledger's holders and free total against the record; then a
+        """The memory's holders and free total against the record; then a
         full check, once the changes since the last reach `due`."""
-        ledger, pid = self.ledger, change[2].pid
-        if (pid in ledger.allocated) != holds:
+        memory, pid = self.memory, change[2].pid
+        if (pid in memory.allocated) != holds:
             self.fail(change, "conservation",
-                      f"the ledger {'lacks' if holds else 'still holds'} procedure {pid}")
-        if len(ledger.allocated) != len(self.held):
+                      f"the memory {'lacks' if holds else 'still holds'} procedure {pid}")
+        if len(memory.allocated) != len(self.held):
             self.fail(change, "conservation",
-                      f"the ledger has {len(ledger.allocated)} holders, "
+                      f"the memory has {len(memory.allocated)} holders, "
                       f"the record {len(self.held)}")
-        if ledger.free_total != self.limit - self.occupied:
+        if memory.free_total != self.limit - self.occupied:
             self.fail(change, "free-total",
-                      f"free total {ledger.free_total}, "
+                      f"free total {memory.free_total}, "
                       f"{self.limit - self.occupied} units unoccupied")
         self.since += 1
         if self.since >= self.due:
@@ -276,7 +276,7 @@ class MemoryCheck:
     def breach(self) -> InvariantViolation | None:
         """What the full check of the memory finds broken, if anything."""
         try:
-            self.ledger.snapshot().check_invariants()
+            self.memory.check_invariants()
         except InvariantViolation as found:
             return found
         return None
@@ -289,9 +289,9 @@ class MemoryCheck:
         if change is not None:
             verb, extents, event = change
             what = f", {verb} of {_text(extents)} for procedure {event.pid}"
-        ledger = self.ledger
+        memory = self.memory
         excerpt = (f"{self.name} memory{what}: "
-                   f"{len(ledger.allocated)} holders, "
-                   f"{ledger.free_total} of {self.limit} units free")
+                   f"{len(memory.allocated)} holders, "
+                   f"{memory.free_total} of {self.limit} units free")
         return _violation(invariant, found, len(self.events), event, excerpt,
                           how, last_clean)

@@ -39,44 +39,44 @@ def first_fit_memory(capacity):
 class TestAllocate:
     def test_first_fit_carves_prefix(self):
         m = first_fit_memory(20)
-        m, _ = allocate(FIRST_FIT, m, proc(9, size=8))
-        m = deallocate(m, 9)  # leaves [0,20) coalesced again
-        m, _ = allocate(FIRST_FIT, m, proc(1, size=8))
-        m, _ = allocate(FIRST_FIT, m, proc(2, size=4))
-        m = deallocate(m, 2)  # free: [8,12) and [12,20) coalesce
-        m, _ = allocate(FIRST_FIT, m, proc(3, size=5))
+        allocate(FIRST_FIT, m, proc(9, size=8))
+        deallocate(m, 9)  # leaves [0,20) coalesced again
+        allocate(FIRST_FIT, m, proc(1, size=8))
+        allocate(FIRST_FIT, m, proc(2, size=4))
+        deallocate(m, 2)  # free: [8,12) and [12,20) coalesce
+        allocate(FIRST_FIT, m, proc(3, size=5))
         assert m.extents_of(3) == (Extent(8, 13),)
 
     def test_first_fit_free_list_update(self):
         m = first_fit_memory(20)
-        m, _ = allocate(FIRST_FIT, m, proc(1, size=8))   # [0,8)
-        m, _ = allocate(FIRST_FIT, m, proc(2, size=4))   # [8,12)
-        m = deallocate(m, 1)                             # free [0,8), [12,20)
-        m, got = allocate(FIRST_FIT, m, proc(3, size=5))
+        allocate(FIRST_FIT, m, proc(1, size=8))   # [0,8)
+        allocate(FIRST_FIT, m, proc(2, size=4))   # [8,12)
+        deallocate(m, 1)                          # free [0,8), [12,20)
+        got = allocate(FIRST_FIT, m, proc(3, size=5))
         assert got == (Extent(0, 5),)
         assert m.free == (Extent(5, 8), Extent(12, 20))
 
     def test_buddy_allocation(self):
         m = MemoryState.initial(16, Organize.buddy())
-        m, got = allocate(BUDDY_FIT, m, proc(1, size=3))
+        got = allocate(BUDDY_FIT, m, proc(1, size=3))
         assert got == (Extent(0, 4),)
 
     def test_failure_when_nothing_fits(self):
         m = first_fit_memory(8)
-        m, _ = allocate(FIRST_FIT, m, proc(1, size=6))
+        allocate(FIRST_FIT, m, proc(1, size=6))
         with pytest.raises(AllocationFailure):
             allocate(FIRST_FIT, m, proc(2, size=4))
 
     def test_zero_size_holds_no_extents(self):
         m = first_fit_memory(8)
-        m, got = allocate(FIRST_FIT, m, proc(1, size=0))
+        got = allocate(FIRST_FIT, m, proc(1, size=0))
         assert got == ()
         assert m.extents_of(1) == ()
-        assert m.free_size == 8
+        assert m.free_total == 8
 
     def test_double_allocation_rejected(self):
         m = first_fit_memory(8)
-        m, _ = allocate(FIRST_FIT, m, proc(1, size=2))
+        allocate(FIRST_FIT, m, proc(1, size=2))
         with pytest.raises(ParameterError):
             allocate(FIRST_FIT, m, proc(1, size=2))
 
@@ -89,19 +89,20 @@ class TestAllocate:
 class TestDeallocate:
     def test_adjacent_extents_coalesce(self):
         m = first_fit_memory(8)
-        m, _ = allocate(FIRST_FIT, m, proc(1, size=4))
-        m, _ = allocate(FIRST_FIT, m, proc(2, size=4))
-        m = deallocate(m, 2)
+        allocate(FIRST_FIT, m, proc(1, size=4))
+        allocate(FIRST_FIT, m, proc(2, size=4))
+        assert deallocate(m, 2) == (Extent(4, 8),)
         assert m.free == (Extent(4, 8),)
-        m = deallocate(m, 1)
+        assert deallocate(m, 1) == (Extent(0, 4),)
         assert m.free == (Extent(0, 8),)
+        assert m.allocated == {} and m.free_total == 8
 
     def test_buddy_sibling_merge(self):
         m = MemoryState.initial(16, Organize.buddy())
-        m, _ = allocate(BUDDY_FIT, m, proc(1, size=4))
-        m, _ = allocate(BUDDY_FIT, m, proc(2, size=4))
-        m = deallocate(m, 1)
-        m = deallocate(m, 2)
+        allocate(BUDDY_FIT, m, proc(1, size=4))
+        allocate(BUDDY_FIT, m, proc(2, size=4))
+        deallocate(m, 1)
+        deallocate(m, 2)
         assert m.free == (Extent(0, 16),)
 
     def test_unknown_pid(self):
@@ -113,7 +114,8 @@ class TestPaginate:
     def test_ceiling_division_and_fragmentation(self):
         pages = paginate(proc(1, size=10), 4)
         assert pages.page_count == 3
-        _, m = build_page_table(pages, MemoryState.initial(16, Organize.fixed_partition(4)))
+        m = MemoryState.initial(16, Organize.fixed_partition(4))
+        build_page_table(pages, m)
         assert sum(e.size for e in m.extents_of(1)) - 10 == 2  # the last page's unused units
 
     def test_exact_fit(self):
@@ -138,28 +140,28 @@ class TestPaginate:
 class TestPageTable:
     def test_lowest_free_frames(self):
         m = MemoryState.initial(16, Organize.fixed_partition(4))
-        table, m = build_page_table(paginate(proc(1, size=10), 4), m)
+        table = build_page_table(paginate(proc(1, size=10), 4), m)
         assert table.entries == ((0, 0), (1, 1), (2, 2))
 
     def test_uses_whatever_frames_are_free(self):
         m = MemoryState.initial(24, Organize.fixed_partition(4))
-        _, m = build_page_table(paginate(proc(1, size=8), 4), m)   # frames 0,1
-        table2, m = build_page_table(paginate(proc(2, size=8), 4), m)  # frames 2,3
-        m = deallocate(m, 1)                                       # frames 0,1 free
-        table3, m = build_page_table(paginate(proc(3, size=5), 4), m)
+        build_page_table(paginate(proc(1, size=8), 4), m)   # frames 0,1
+        table2 = build_page_table(paginate(proc(2, size=8), 4), m)  # frames 2,3
+        deallocate(m, 1)                                    # frames 0,1 free
+        table3 = build_page_table(paginate(proc(3, size=5), 4), m)
         assert table3.entries == ((0, 0), (1, 1))
         assert table2.entries == ((0, 2), (1, 3))
 
     def test_non_contiguous_free_frames(self):
         # occupy frames 0..5, then free exactly frames 2 and 5
         m = MemoryState.initial(24, Organize.fixed_partition(4))
-        _, m = build_page_table(paginate(proc(1, size=8), 4), m)    # frames 0,1
-        _, m = build_page_table(paginate(proc(2, size=4), 4), m)    # frame 2
-        _, m = build_page_table(paginate(proc(3, size=8), 4), m)    # frames 3,4
-        _, m = build_page_table(paginate(proc(4, size=4), 4), m)    # frame 5
-        m = deallocate(m, 2)
-        m = deallocate(m, 4)
-        table, m = build_page_table(paginate(proc(5, size=8), 4), m)
+        build_page_table(paginate(proc(1, size=8), 4), m)    # frames 0,1
+        build_page_table(paginate(proc(2, size=4), 4), m)    # frame 2
+        build_page_table(paginate(proc(3, size=8), 4), m)    # frames 3,4
+        build_page_table(paginate(proc(4, size=4), 4), m)    # frame 5
+        deallocate(m, 2)
+        deallocate(m, 4)
+        table = build_page_table(paginate(proc(5, size=8), 4), m)
         assert table.entries == ((0, 2), (1, 5))
 
     def test_insufficient_frames(self):
@@ -175,7 +177,7 @@ class TestPageTable:
 
     def test_translation_lands_in_owned_frames(self):
         m = MemoryState.initial(32, Organize.fixed_partition(4))
-        table, m = build_page_table(paginate(proc(1, size=11), 4), m)
+        table = build_page_table(paginate(proc(1, size=11), 4), m)
         owned = m.extents_of(1)
         for logical in range(12):
             physical = table.translate(logical)
@@ -185,7 +187,7 @@ class TestPageTable:
 class TestSegmentation:
     def test_sequential_first_fit_bases(self):
         m = first_fit_memory(16)
-        seg_map, m = segment_alloc(proc(1, size=10), [4, 6], FIRST_FIT, m)
+        seg_map = segment_alloc(proc(1, size=10), [4, 6], FIRST_FIT, m)
         assert seg_map.segments == ((0, 4, 0), (1, 6, 4))
 
     def test_length_sum_must_match(self):
@@ -195,11 +197,11 @@ class TestSegmentation:
 
     def test_rollback_on_partial_failure(self):
         m = first_fit_memory(12)
-        m, _ = allocate(FIRST_FIT, m, proc(9, size=5))  # free [5,12): 7 units
-        before = m
+        allocate(FIRST_FIT, m, proc(9, size=5))  # free [5,12): 7 units
+        before = dict(m.allocated), m.store, m.free_total
         with pytest.raises(AllocationFailure):
             segment_alloc(proc(1, size=12, segments=(4, 8)), [4, 8], FIRST_FIT, m)
-        assert m == before
+        assert (dict(m.allocated), m.store, m.free_total) == before
 
 
 class TestTranslate:
@@ -268,18 +270,18 @@ class TestSwap:
     def full_memory(self):
         m = first_fit_memory(8)
         for p in self.residents():
-            m, _ = allocate(FIRST_FIT, m, p)
+            allocate(FIRST_FIT, m, p)
         return m
 
     def test_lowest_priority_swapped_first(self):
         m = self.full_memory()
         backing = first_fit_memory(8)
-        m, backing, record = swap_out(m, backing, self.victim())
+        record = swap_out(m, backing, self.victim())
         assert record.pid == 2
         assert m.free == (Extent(4, 8),)
         assert backing.extents_of(2) == (Extent(0, 4),)
         # incoming demand now fits
-        m, got = allocate(FIRST_FIT, m, proc(3, size=4))
+        got = allocate(FIRST_FIT, m, proc(3, size=4))
         assert got == (Extent(4, 8),)
 
     def test_policy_tie_breaks(self):
@@ -294,31 +296,31 @@ class TestSwap:
     def test_swap_in_round_trip(self):
         m = self.full_memory()
         backing = first_fit_memory(8)
-        m, backing, record = swap_out(m, backing, self.victim())
-        m = deallocate(m, 1)
-        m, backing, granted = swap_in(m, backing, record)
-        assert m.holds(2)
+        record = swap_out(m, backing, self.victim())
+        deallocate(m, 1)
+        granted = swap_in(m, backing, record)
+        assert 2 in m.allocated
         assert sum(e.size for e in granted) == 4
-        assert backing.free_size == 8
+        assert backing.free_total == 8
 
     def test_backing_capacity_zero_fails(self):
         m = self.full_memory()
         backing = first_fit_memory(0)
         with pytest.raises(SwapFailure):
             swap_out(m, backing, self.victim())
-        assert m.free_size == 0 and m.extents_of(2) == (Extent(4, 8),)  # unchanged
+        assert m.free_total == 0 and m.extents_of(2) == (Extent(4, 8),)  # unchanged
 
     def test_a_victim_that_holds_no_memory_is_not_found(self):
         backing = first_fit_memory(8)
         with pytest.raises(NotFoundError):
             swap_out(first_fit_memory(8), backing, proc(1, size=4))
-        assert backing.free_size == 8
+        assert backing.free_total == 8
 
     def test_swap_in_retriable_when_tight(self):
         m = self.full_memory()
         backing = first_fit_memory(8)
-        m, backing, record = swap_out(m, backing, self.victim())
-        m, _ = allocate(FIRST_FIT, m, proc(3, size=4))
+        record = swap_out(m, backing, self.victim())
+        allocate(FIRST_FIT, m, proc(3, size=4))
         with pytest.raises(AllocationFailure):
             swap_in(m, backing, record)
 
@@ -343,12 +345,12 @@ class TestConservationRandomOps:
             for _ in range(1200):
                 if live and rng.random() < 0.45:
                     victim = live.pop(rng.randrange(len(live)))
-                    m = deallocate(m, victim)
+                    deallocate(m, victim)
                 else:
                     pid += 1
                     size = rng.randint(0, 4 if organizer.unit_size else 12)
                     try:
-                        m, _ = allocate(discipline, m, proc(pid, size=size))
+                        allocate(discipline, m, proc(pid, size=size))
                         live.append(pid)
                     except AllocationFailure:
                         pass

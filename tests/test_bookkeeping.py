@@ -204,7 +204,7 @@ OPS = st.lists(
 
 def assert_agrees(m, ref):
     assert m.free == ref.free
-    assert m.free_size == sum(e.size for e in m.free)
+    assert m.free_total == sum(e.size for e in m.free)
     largest = max((e.size for e in m.free), default=0)
     if m.unit_size is not None:  # a fixed-partition grant takes one unit
         largest = min(largest, m.unit_size)
@@ -257,8 +257,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
                     lambda: ref.grant(p.id, n, segments=p.segments),
                 )
                 if got is not None:
-                    seg_map, m = got
-                    assert tuple(base for _, _, base in seg_map.segments) == \
+                    assert tuple(base for _, _, base in got.segments) == \
                         tuple(e.start for e in expected)
             elif kind == "fixed" and flag:
                 p = proc(pid, size=n)
@@ -267,8 +266,6 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
                     lambda: build_page_table(pages, m),
                     lambda: ref.grant(p.id, n, pages=pages.page_count),
                 )
-                if got is not None:
-                    _, m = got
             else:
                 p = proc(pid, size=n if kind != "fixed" else n % (UNIT + 2))
                 got, expected = expect_same(
@@ -276,19 +273,18 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
                     lambda: ref.grant(p.id, p.size),
                 )
                 if got is not None:
-                    m, granted = got
-                    assert granted == expected  # buddy: the DFS's block
+                    assert got == expected  # buddy: the DFS's block
             if got is not None:
                 assert m.extents_of(p.id) == expected
                 resident.append(p)
         elif op == "release" and resident:
             p = resident.pop(n % len(resident))
-            m = deallocate(m, p.id)
+            assert deallocate(m, p.id) == ref.allocated[p.id]
             ref.release(p.id)
         elif op == "swap_out" and resident:
             victim = min(resident, key=victim_key)
             try:
-                m, backing, record = swap_out(m, backing, victim)
+                record = swap_out(m, backing, victim)
             except SwapFailure:
                 with pytest.raises(AllocationFailure):
                     ref_backing.grant(victim.id, victim.size)
@@ -308,8 +304,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
                 lambda: ref.grant(record.pid, record.size, **shape),
             )
             if got is not None:
-                m, backing, granted = got
-                assert granted == expected
+                assert got == expected
                 ref_backing.release(record.pid)
                 swapped.pop(0)
                 resident.append(p)
@@ -322,7 +317,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
 
 def buddy_memory_with_a_grant():
     m = MemoryState.initial(16, Organize.buddy())
-    m, _ = allocate(compose(Select.buddy_fit(), Organize.buddy()), m, proc(1, size=3))
+    allocate(compose(Select.buddy_fit(), Organize.buddy()), m, proc(1, size=3))
     return m
 
 
@@ -334,25 +329,25 @@ class TestChecksBite:
         m = buddy_memory_with_a_grant()
         # the same units, cut differently: conservation still holds
         wrong = (Extent(4, 6), Extent(6, 8), Extent(8, 16))
-        tree = replace(m.store, free_leaves=wrong)
+        m.store = replace(m.store, free_leaves=wrong)
         with pytest.raises(ParameterError, match="unmerged buddies"):
-            replace(m, store=tree).check_invariants()
+            m.check_invariants()
 
     @pytest.mark.parametrize("organizer", [
         Organize.identity(), Organize.fixed_partition(UNIT),
     ])
     def test_free_run_that_is_not_maximal(self, organizer):
         m = MemoryState.initial(16, organizer)
-        split = replace(m.store, runs=(Extent(0, 8), Extent(8, 16)))
+        m.store = replace(m.store, runs=(Extent(0, 8), Extent(8, 16)))
         with pytest.raises(ParameterError, match="not maximal"):
-            replace(m, store=split).check_invariants()
+            m.check_invariants()
 
     def test_free_run_that_is_not_unit_aligned(self):
         m = MemoryState.initial(16, Organize.fixed_partition(UNIT))
         # [0, 2) held and one free run from mid-unit: conservation and
         # the carried total both hold
-        m = replace(m, allocated={1: (Extent(0, 2),)},
-                    store=replace(m.store, runs=(Extent(2, 16),)), free_total=14)
+        m.allocated[1] = (Extent(0, 2),)
+        m.store, m.free_total = replace(m.store, runs=(Extent(2, 16),)), 14
         with pytest.raises(ParameterError, match="not aligned"):
             m.check_invariants()
 
@@ -361,5 +356,6 @@ class TestChecksBite:
     ])
     def test_wrong_carried_total(self, organizer):
         m = MemoryState.initial(16, organizer)
+        m.free_total -= 1
         with pytest.raises(ParameterError, match="carried free total"):
-            replace(m, free_total=m.free_total - 1).check_invariants()
+            m.check_invariants()

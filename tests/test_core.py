@@ -81,7 +81,7 @@ class TestAddresses:
 
     def test_memory_set_does_not_scale_with_capacity(self):
         huge = MemoryState.initial(10**18)
-        assert huge.capacity == huge.free_size == 10**18
+        assert huge.capacity == huge.free_total == 10**18
         assert huge.free == (Extent(0, 10**18),)
         with pytest.raises(ParameterError):
             MemoryState.initial(-1)

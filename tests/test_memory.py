@@ -1,0 +1,191 @@
+"""The memory, updated in place, keeps its books through any sequence of
+operations.
+
+A random sequence of grants (plain, segmented and paged), releases,
+swap-outs and swap-ins runs on a primary and a backing ``MemoryState``.
+After every step both memories pass their full check. An operation that
+raises leaves `allocated`, `store` and `free_total` of both exactly as
+they were. One that succeeds changes only the memories it touches, and
+returns what it granted or freed, which the memory then holds or no
+longer holds, with the free total moved by its size.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from osalg import Organize, Select, compose
+from osalg.allocators import (
+    MemoryState,
+    PageMap,
+    SegmentMap,
+    allocate,
+    build_page_table,
+    deallocate,
+    paginate,
+    segment_alloc,
+    swap_in,
+    swap_out,
+    victim_key,
+)
+from osalg.combinators import BuddyTree
+from osalg.errors import AllocationFailure, OsAlgError, SwapFailure
+
+from conftest import proc
+
+UNIT = 4
+BACKING = 24
+
+# organization -> (organizer, primary capacity)
+ORGANIZATIONS = {
+    "identity": (Organize.identity(), 40),
+    "fixed": (Organize.fixed_partition(UNIT), 50),  # 2 units of residue
+    "buddy": (Organize.buddy(), 64),
+    "paging": (Organize.fixed_partition(UNIT), 48),
+}
+
+# the memories, primary then backing, that a successful step changes
+TOUCHES = {
+    "grant": (True, False),
+    "regrant": (True, False),
+    "release": (True, False),
+    "swap_out": (True, True),
+    "swap_in": (True, True),
+}
+
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["grant", "grant", "regrant", "release", "swap_out", "swap_in"]),
+        st.integers(0, 20),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+def grant_step(kind, discipline, p):
+    """The step that grants p as `kind` memory does: a page table under
+    paging, declared segments when p has them, else one plain grant."""
+    if kind == "paging":
+        return lambda m, backing: build_page_table(paginate(p, UNIT), m)
+    if p.segments is not None:
+        return lambda m, backing: segment_alloc(p, p.segments, discipline, m)
+    return lambda m, backing: allocate(discipline, m, p)
+
+
+def fields(m):
+    return dict(m.allocated), m.store, m.free_total
+
+
+def units(extents):
+    return sum(e.size for e in extents)
+
+
+def check_result(op, result, pid, before, memories):
+    """What a successful step returned against what it changed."""
+    (held, _, free), (backing_held, _, backing_free) = before
+    m, backing = memories
+    if op in ("grant", "regrant"):
+        granted = m.allocated[pid]
+        if isinstance(result, PageMap):
+            assert [f for _, f in result.entries] == [e.start // UNIT for e in granted]
+        elif isinstance(result, SegmentMap):
+            assert [base for _, _, base in result.segments] == [e.start for e in granted]
+        else:
+            assert result == granted
+        assert m.free_total == free - units(granted)
+    elif op == "release":
+        assert result == held[pid] and pid not in m.allocated
+        assert m.free_total == free + units(result)
+    elif op == "swap_out":
+        assert result.backing_extents == backing.allocated[pid]
+        assert result.pieces == tuple(e.size for e in held[pid])
+        assert pid not in m.allocated and m.free_total == free + units(held[pid])
+        assert backing.free_total == backing_free - units(result.backing_extents)
+    else:
+        assert result == m.allocated[pid] and pid not in backing.allocated
+        assert m.free_total == free - units(result)
+        assert backing.free_total == backing_free + units(backing_held[pid])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(ORGANIZATIONS)), ops=OPS)
+# a swap-in of a record whose procedure is already back, and released
+@example(kind="identity", ops=[("grant", 6, True), ("grant", 4, False),
+                               ("release", 1, False), ("swap_out", 0, False),
+                               ("swap_in", 0, False), ("release", 2, False),
+                               ("swap_in", 0, False)])
+# a buddy grant past the free total fails before the tree is searched
+@example(kind="buddy", ops=[("grant", 20, False), ("grant", 20, False),
+                            ("grant", 20, False)])
+def test_a_step_changes_memory_only_when_it_succeeds(kind, ops):
+    organizer, capacity = ORGANIZATIONS[kind]
+    memories = (MemoryState.initial(capacity, organizer), MemoryState.initial(BACKING))
+    select = Select.buddy_fit() if kind == "buddy" else Select.first_fit()
+    discipline = compose(select, organizer)
+    procs, records = {}, []  # records stay listed after their swap-in
+    for op, n, flag in ops:
+        if op == "grant":
+            size = n % (UNIT + 2) if kind == "fixed" else n
+            cut = n // 2
+            segments = (cut, n - cut) if kind == "identity" and flag and n > 1 else None
+            p = proc(len(procs) + 1, size=size, segments=segments)
+            procs[p.id] = p
+            pid, step = p.id, grant_step(kind, discipline, p)
+        elif op == "regrant" and procs:
+            p = procs[sorted(procs)[n % len(procs)]]
+            pid, step = p.id, grant_step(kind, discipline, p)
+        elif op == "release":
+            pid = n % (len(procs) + 2)  # at times one that holds nothing
+
+            def step(m, backing, pid=pid):
+                return deallocate(m, pid)
+        elif op == "swap_out":
+            held = [p for p in procs.values() if p.id in memories[0].allocated]
+            victim = min(held, key=victim_key) if held else None
+            pid = None if victim is None else victim.id
+
+            def step(m, backing, victim=victim):
+                if victim is None:
+                    raise SwapFailure("no resident holds memory")
+                return swap_out(m, backing, victim)
+        elif op == "swap_in" and records:
+            record = records[n % len(records)]
+            pid = record.pid
+
+            def step(m, backing, record=record):
+                return swap_in(m, backing, record)
+        else:
+            continue
+        before = [fields(m) for m in memories]
+        try:
+            result = step(*memories)
+        except OsAlgError:
+            assert [fields(m) for m in memories] == before
+            assert all(m.store is b[1] for m, b in zip(memories, before))
+        else:
+            for m, b, touched in zip(memories, before, TOUCHES[op]):
+                assert (fields(m) != b) == touched
+            check_result(op, result, pid, before, memories)
+            if op == "swap_out":
+                records.append(result)
+        memories[0].check_invariants()
+        memories[1].check_invariants()
+
+
+def test_a_grant_past_the_free_total_fails_before_the_store(monkeypatch):
+    searched = []
+    real_grant = BuddyTree.grant
+
+    def counted_grant(tree, pieces):
+        searched.append(tuple(pieces))
+        return real_grant(tree, pieces)
+
+    monkeypatch.setattr(BuddyTree, "grant", counted_grant)
+    discipline = compose(Select.buddy_fit(), Organize.buddy())
+    m = MemoryState.initial(16, Organize.buddy())
+    allocate(discipline, m, proc(1, size=8))
+    with pytest.raises(AllocationFailure):
+        allocate(discipline, m, proc(2, size=9))
+    assert searched == [(8,)]

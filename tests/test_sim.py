@@ -495,9 +495,8 @@ class TestDeterminismAndInvariants:
         real_deallocate = sim.deallocate
 
         def leaky_deallocate(m, pid):
-            held = m.extents_of(pid)  # the simulator's ledger drops them
             freed = real_deallocate(m, pid)
-            freed.allocated[pid] = held
+            m.allocated[pid] = freed  # the freed extents stay allocated too
             return freed
 
         monkeypatch.setattr(sim, "deallocate", leaky_deallocate)
@@ -514,9 +513,9 @@ class TestDeterminismAndInvariants:
         real_allocate = sim.allocate_op
 
         def doubled_allocate(d, m, p):
-            granted_to, granted = real_allocate(d, m, p)
-            granted_to.allocated[-p.id] = granted
-            return granted_to, granted
+            granted = real_allocate(d, m, p)
+            m.allocated[-p.id] = granted
+            return granted
 
         monkeypatch.setattr(sim, "allocate_op", doubled_allocate)
         ps = [proc(1, size=4, time=2), proc(2, size=4, time=1, arrival=5)]

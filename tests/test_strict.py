@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from osalg import Extent, SimConfig, run, sim, strict
-from osalg.allocators import MemoryLedger, MemoryState
+from osalg import Extent, SimConfig, allocators, run, sim, strict
+from osalg.allocators import MemoryState
 from osalg.cli import EXIT_WORKLOAD, main, render_trace
 from osalg.errors import InvariantViolation, NotFoundError, ParameterError
 from osalg.sim import EventKind
@@ -113,7 +113,7 @@ def test_a_skipped_release_is_caught_at_its_deallocate(monkeypatch, allocator):
     real_deallocate = sim.deallocate
 
     def skipping(m, pid):
-        return m if pid == 1 else real_deallocate(m, pid)
+        return m.extents_of(pid) if pid == 1 else real_deallocate(m, pid)
 
     monkeypatch.setattr(sim, "deallocate", skipping)
     cfg = SimConfig(memory_capacity=16, allocator=allocator, **ALLOCATORS[allocator])
@@ -131,16 +131,16 @@ def test_a_skipped_release_is_caught_at_its_deallocate(monkeypatch, allocator):
 def test_a_grant_shifted_by_one_unit_is_caught_at_its_admit(
     monkeypatch, shift, invariant, words
 ):
-    """The ledger records procedure 2 one unit off the extent its store
+    """The memory records procedure 2 one unit off the extent its store
     gave: the full check, run at once, reports it in its own words."""
     real_allocate = sim.allocate_op
 
     def shifted(d, m, p):
-        m, granted = real_allocate(d, m, p)
+        granted = real_allocate(d, m, p)
         if p.id == 2:
             (e,) = granted
             m.allocated[2] = (Extent(e.start + shift, e.end + shift),)
-        return m, granted
+        return granted
 
     monkeypatch.setattr(sim, "allocate_op", shifted)
     ps = [proc(1, size=4, time=3), proc(2, size=4, time=1)]
@@ -155,12 +155,15 @@ def test_a_grant_shifted_by_one_unit_is_caught_at_its_admit(
 @pytest.mark.parametrize("allocator", sorted(ALLOCATORS))
 def test_a_free_counted_twice_is_caught_at_its_deallocate(monkeypatch, allocator):
     """Procedure 1's release adds its size to the free total twice."""
-    real_record = MemoryLedger._record_release
+    real_deallocate = sim.deallocate
 
-    def doubled(ledger, pid, store, size):
-        return real_record(ledger, pid, store, 2 * size if pid == 1 else size)
+    def doubled(m, pid):
+        freed = real_deallocate(m, pid)
+        if pid == 1:
+            m.free_total += sum(e.size for e in freed)
+        return freed
 
-    monkeypatch.setattr(MemoryLedger, "_record_release", doubled)
+    monkeypatch.setattr(sim, "deallocate", doubled)
     cfg = SimConfig(memory_capacity=16, allocator=allocator, **ALLOCATORS[allocator])
     order = lax_emissions(monkeypatch, TWO, cfg)
     found = delta_violation(TWO, cfg)
@@ -172,7 +175,7 @@ def test_a_free_counted_twice_is_caught_at_its_deallocate(monkeypatch, allocator
 def test_extents_rewritten_before_their_release_are_caught_at_its_deallocate(
     monkeypatch,
 ):
-    """Procedure 1's extents change in the ledger between its grant and
+    """Procedure 1's extents change in the memory between its grant and
     its release, so the release frees what was never granted."""
     real_emit = sim._Simulation.emit
 
@@ -195,10 +198,10 @@ def test_a_swap_in_to_the_wrong_place_is_caught_at_its_swap_in(monkeypatch):
     real_swap_in = sim.swap_in
 
     def misplaced(m, backing, record):
-        m, backing, granted = real_swap_in(m, backing, record)
+        granted = real_swap_in(m, backing, record)
         moved = tuple(Extent(e.start + 1, e.end + 1) for e in granted)
         m.allocated[record.pid] = moved
-        return m, backing, moved
+        return moved
 
     monkeypatch.setattr(sim, "swap_in", misplaced)
     ps = [proc(1, size=8, time=4, priority=5), proc(2, size=8, time=1, priority=1),
@@ -226,9 +229,8 @@ def test_a_corrupted_release_is_a_disjointness_breach_at_its_deallocate(
     real_deallocate = sim.deallocate
 
     def leaky(m, pid):
-        held = m.extents_of(pid)
         freed = real_deallocate(m, pid)
-        freed.allocated[pid] = held
+        m.allocated[pid] = freed
         return freed
 
     monkeypatch.setattr(sim, "deallocate", leaky)
@@ -247,9 +249,9 @@ def test_a_corrupted_grant_is_a_disjointness_breach_at_its_admit(monkeypatch):
     real_allocate = sim.allocate_op
 
     def doubled(d, m, p):
-        granted_to, granted = real_allocate(d, m, p)
-        granted_to.allocated[-p.id] = granted
-        return granted_to, granted
+        granted = real_allocate(d, m, p)
+        m.allocated[-p.id] = granted
+        return granted
 
     monkeypatch.setattr(sim, "allocate_op", doubled)
     cfg = SimConfig(memory_capacity=16)
@@ -275,16 +277,17 @@ def test_a_grant_that_leaks_a_unit_is_caught_at_its_admit(monkeypatch, allocator
     """The store's grant to procedure 2 also drops the free unit just
     after it, one unit off in the split: the units and every holder add
     up, but unit 8 is neither occupied nor free."""
-    real_record = MemoryLedger._record_grant
+    real_grant = allocators._grant
 
-    def leaking(ledger, pid, granted, store, size):
+    def leaking(m, pid, pieces):
+        granted = real_grant(m, pid, pieces)
         if pid == 2:
             end = granted[-1].end
-            store = with_free(store, [Extent(f.start + 1, f.end) if f.start == end
-                                      else f for f in store.free_extents()])
-        return real_record(ledger, pid, granted, store, size)
+            m.store = with_free(m.store, [Extent(f.start + 1, f.end) if f.start == end
+                                          else f for f in m.store.free_extents()])
+        return granted
 
-    monkeypatch.setattr(MemoryLedger, "_record_grant", leaking)
+    monkeypatch.setattr(allocators, "_grant", leaking)
     cfg = SimConfig(memory_capacity=16, allocator=allocator, **ALLOCATORS[allocator])
     order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
     found = delta_violation(SIDE_BY_SIDE, cfg)
@@ -300,15 +303,16 @@ def test_a_release_merged_over_a_neighbour_is_caught_at_its_deallocate(
     """The store merges procedure 1's freed [0..4) over procedure 2's
     [4..8): the freed extent is free, the holders and the carried free
     total agree, but a free extent overlaps an occupied one."""
-    real_record = MemoryLedger._record_release
+    real_deallocate = sim.deallocate
 
-    def merging(ledger, pid, store, size):
+    def merging(m, pid):
+        freed = real_deallocate(m, pid)
         if pid == 1:
-            store = with_free(store, [Extent(0, 8) if f.start == 0 else f
-                                      for f in store.free_extents()])
-        return real_record(ledger, pid, store, size)
+            m.store = with_free(m.store, [Extent(0, 8) if f.start == 0 else f
+                                          for f in m.store.free_extents()])
+        return freed
 
-    monkeypatch.setattr(MemoryLedger, "_record_release", merging)
+    monkeypatch.setattr(sim, "deallocate", merging)
     cfg = SimConfig(memory_capacity=16, allocator=allocator, **ALLOCATORS[allocator])
     if allocator == "buddy":
         # the buddy store's own release check stops a lax run at
@@ -372,25 +376,26 @@ def test_a_swapped_out_procedure_left_ready_is_a_residency_breach(monkeypatch):
     assert "dispatch of non-resident procedure 2" in str(found)
 
 
+def broken(allocated=None, runs=None, free_total=16):
+    """An empty first-fit memory of 16 units with the fields given changed."""
+    m = MemoryState.initial(16)
+    m.allocated.update(allocated or {})
+    if runs is not None:
+        m.store = replace(m.store, runs=runs)
+    m.free_total = free_total
+    return m
+
+
 def broken_states():
     """(state, invariant, words): one state for each message of the full
-    check, each over an empty first-fit memory of 16 units."""
-    m = MemoryState.initial(16)
-
-    def runs(*extents):
-        return replace(m.store, runs=extents)
-
+    check."""
     return [
-        (replace(m, allocated={1: (Extent(0, 4),)}), "disjointness", "overlaps"),
-        (replace(m, store=runs(Extent(2, 16)), free_total=14),
-         "conservation", "gap before"),
-        (replace(m, allocated={1: (Extent(16, 20),)}),
-         "conservation", "beyond capacity"),
-        (replace(m, store=runs(Extent(0, 8)), free_total=8),
-         "conservation", "conservation broken"),
-        (replace(m, free_total=15), "free-total", "carried free total"),
-        (replace(m, store=runs(Extent(0, 8), Extent(8, 16))),
-         "store-shape", "not maximal"),
+        (broken(allocated={1: (Extent(0, 4),)}), "disjointness", "overlaps"),
+        (broken(runs=(Extent(2, 16),), free_total=14), "conservation", "gap before"),
+        (broken(allocated={1: (Extent(16, 20),)}), "conservation", "beyond capacity"),
+        (broken(runs=(Extent(0, 8),), free_total=8), "conservation", "conservation broken"),
+        (broken(free_total=15), "free-total", "carried free total"),
+        (broken(runs=(Extent(0, 8), Extent(8, 16))), "store-shape", "not maximal"),
     ]
 
 
@@ -405,16 +410,16 @@ def test_the_full_check_names_the_invariant_it_finds_broken(state, invariant, wo
 # -- the store's own shape waits for a full check --------------------------
 
 
-def split_a_free_run(ledger):
-    """Cut the ledger's last free run of two units or more in two: the
+def split_a_free_run(m):
+    """Cut the memory's last free run of two units or more in two: the
     units, the totals and every holder stay as they were."""
-    runs = list(ledger.store.runs)
+    runs = list(m.store.runs)
     for i in reversed(range(len(runs))):
         e = runs[i]
         if e.size >= 2:
             mid = e.start + e.size // 2
             runs[i:i + 1] = [Extent(e.start, mid), Extent(mid, e.end)]
-            ledger.store = replace(ledger.store, runs=tuple(runs))
+            m.store = replace(m.store, runs=tuple(runs))
             return True
     return False
 
@@ -428,10 +433,10 @@ def test_a_store_shape_breach_waits_for_the_next_full_check(monkeypatch):
     real_deallocate = sim.deallocate
 
     def splitting(m, pid):
-        m = real_deallocate(m, pid)
+        freed = real_deallocate(m, pid)
         if pid == 2:
             assert split_a_free_run(m)
-        return m
+        return freed
 
     monkeypatch.setattr(sim, "deallocate", splitting)
     order = lax_emissions(monkeypatch, ps, cfg)
@@ -460,10 +465,10 @@ def test_a_store_shape_breach_made_while_memory_fills_waits_no_longer_than_the_f
     real_allocate = sim.allocate_op
 
     def splitting(d, m, p):
-        m, granted = real_allocate(d, m, p)
+        granted = real_allocate(d, m, p)
         if p.id == 5:
             assert split_a_free_run(m)
-        return m, granted
+        return granted
 
     monkeypatch.setattr(sim, "allocate_op", splitting)
     order = lax_emissions(monkeypatch, ps, cfg)
@@ -566,7 +571,8 @@ def test_a_violation_is_a_parameter_error_with_the_workload_exit_code(
 ):
     real_deallocate = sim.deallocate
     monkeypatch.setattr(
-        sim, "deallocate", lambda m, pid: m if pid == 1 else real_deallocate(m, pid)
+        sim, "deallocate",
+        lambda m, pid: m.extents_of(pid) if pid == 1 else real_deallocate(m, pid),
     )
     assert issubclass(InvariantViolation, ParameterError)
     path = tmp_path / "w.txt"
