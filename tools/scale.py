@@ -53,15 +53,18 @@ PAIRS = {
     "sjf-time/buddy": (dict(scheduler="sjf-time", allocator="buddy"), 0),
     "priority/fixed": (dict(scheduler="priority", allocator="fixed", unit_size=16), 0),
     "rr/paging": (dict(scheduler="rr", allocator="paging", page_size=4, quantum=2), 2),
+    "var-quantum/segmentation": (dict(scheduler="var-quantum", allocator="segmentation",
+                                      io_quantum=1, cpu_quantum=4), 2),
 }
 # the pairs also measured with strict mode on, as "<pair> strict"
-STRICT_PAIRS = ("fcfs/first-fit", "sjf-time/buddy", "rr/paging")
+STRICT_PAIRS = ("fcfs/first-fit", "sjf-time/buddy", "rr/paging", "var-quantum/segmentation")
 
 
 def workload(pair: str, n: int) -> list[dict]:
-    """The procedures of one cell, as Procedure keywords in arrival order."""
+    """The procedures of one cell, as Procedure keywords in arrival order;
+    under segmentation each declares one to three segments."""
     rng = random.Random(f"scale:{pair}:{n}:{SEED}")
-    _, max_gap = PAIRS[pair]
+    keywords, max_gap = PAIRS[pair]
     procedures, arrival = [], 0
     for pid in range(1, n + 1):
         procedures.append(dict(
@@ -73,6 +76,11 @@ def workload(pair: str, n: int) -> list[dict]:
             io_class=rng.choice(("IoBound", "CpuBound")),
         ))
         arrival += rng.randint(0, max_gap)
+        if keywords["allocator"] == "segmentation":
+            size = procedures[-1]["size"]
+            cuts = sorted(rng.sample(range(1, size), min(size - 1, rng.randint(0, 2))))
+            procedures[-1]["segments"] = tuple(
+                b - a for a, b in zip([0, *cuts], [*cuts, size]))
     return procedures
 
 
