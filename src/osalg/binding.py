@@ -181,7 +181,7 @@ def _topological_orders(
         bisect.insort(ready, n)
 
     # iterative, so chains of any length fit in a constant Python stack:
-    # one iterator per position of the prefix, over a snapshot of the
+    # one iterator per position of the prefix, over a copy of the
     # candidates for it, in sorted order
     pending = [iter(tuple(ready))]
     while pending:
