@@ -26,22 +26,16 @@ from .core import Procedure, ProcedureSet, WorkClass
 from .errors import (
     OsAlgError,
     ParameterError,
+    TraceLimitError,
     UnrunnableProcedureError,
     WorkloadError,
 )
-from .sim import ALLOCATORS, SCHEDULERS, Metrics, SimConfig, Trace, run, trace_bound
+from .sim import ALLOCATORS, SCHEDULERS, Metrics, SimConfig, Trace, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_WORKLOAD = 2
 EXIT_UNRUNNABLE = 3
-
-# The largest `sim.trace_bound` a run may have: dispatches plus listed
-# pages. One dispatch costs about 14 us and 0.9 KB of peak memory (rr with
-# quantum 1 on Python 3.11, a 2-core host), so a run within the limit
-# ends in seconds and under 200 MB; a larger workload is refused before
-# the run starts.
-MAX_TRACE = 200_000
 
 _REQUIRED_KEYS = ("id", "size", "time")
 _ALL_KEYS = ("id", "size", "time", "arrival", "priority", "owner", "class", "segments")
@@ -95,11 +89,7 @@ def parse_workload(text: str) -> ProcedureSet:
                     segments=segments,
                 )
             )
-        except WorkloadError:
-            raise
-        except ParameterError as exc:
-            raise WorkloadError(str(exc), lineno) from exc
-        except ValueError as exc:
+        except ValueError as exc:  # a ParameterError among them
             raise WorkloadError(str(exc), lineno) from exc
     ordered = sorted(procedures, key=lambda p: (p.arrival, p.id))
     return ProcedureSet(tuple(ordered))
@@ -219,10 +209,6 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     except ParameterError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE
-    if trace_bound(workload, cfg) > MAX_TRACE:
-        print(f"usage error: the trace would hold more than {MAX_TRACE} "
-              "dispatches and listed pages", file=err)
-        return EXIT_USAGE
     try:
         for path in filter(None, (args.trace, args.metrics)):
             _check_writable(path)
@@ -234,9 +220,9 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     except UnrunnableProcedureError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_UNRUNNABLE
-    except (ParameterError, WorkloadError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_WORKLOAD
+    except TraceLimitError as exc:
+        print(f"usage error: {exc}", file=err)
+        return EXIT_USAGE
     outputs = (
         (args.trace, render_trace(trace)), (args.metrics, render_metrics(measured))
     )

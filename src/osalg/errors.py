@@ -107,6 +107,16 @@ class TranslationFault(OsAlgError):
         super().__init__(f"address {address} unmapped at layer {layer}")
 
 
+class TraceLimitError(OsAlgError):
+    """A run's trace would list more than `limit` dispatches and pages
+    (``sim.MAX_TRACE``): known before the run, or once a swap lists
+    extents again."""
+
+    def __init__(self, limit: int):
+        super().__init__(
+            f"the trace would hold more than {limit} dispatches and listed pages")
+
+
 class UnrunnableProcedureError(OsAlgError):
     """Procedure can never be made resident under the configured memory."""
 

@@ -50,7 +50,7 @@ from .combinators import (
     compose,
     order_key,
 )
-from .core import ArrivalStream, Extent, Procedure, ProcedureSet, WorkClass
+from .core import ArrivalStream, Procedure, ProcedureSet, WorkClass
 from .errors import (
     AllocationFailure,
     CompositionError,
@@ -58,6 +58,7 @@ from .errors import (
     OsAlgError,
     ParameterError,
     SwapFailure,
+    TraceLimitError,
     UnrunnableProcedureError,
 )
 
@@ -99,7 +100,6 @@ _KIND_ORDER = {
 # tuples of Extent, SegmentMap.segments, PageMap.entries, the WorkClass, and
 # a Fraction, or None, for ext_frag. Only the CLI renders them as text.
 Detail = tuple[tuple[str, object], ...]
-Extents = tuple[Extent, ...]
 Graph = bindingmod.BindingGraph
 
 
@@ -175,72 +175,6 @@ class SimConfig:
         SCHEDULERS[self.scheduler](self)
         ALLOCATORS[self.allocator](self)
 
-    @property
-    def effective_backing(self) -> int:
-        return (
-            self.memory_capacity
-            if self.backing_capacity is None
-            else self.backing_capacity
-        )
-
-
-class _Memory:
-    """Primary/backing memory pair under the allocator cfg names, each
-    updated in place by the run. A grant goes through the library entry
-    point that maps its chunk's pieces: a page table for a fixed chunk, a
-    segment map for declared segments, else one allocation."""
-
-    def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        self.allocator = ALLOCATORS[cfg.allocator](cfg)
-        self.discipline = d = self.allocator.discipline
-        self.primary = MemoryState.initial(cfg.memory_capacity, d.organize)
-        self.backing = MemoryState.initial(cfg.effective_backing, Organize.identity())
-        self.empty = self.primary.store  # a store is a value: the empty one stays
-        self.paged = d.chunk.tag is ChunkTag.FIXED  # a grant is a page table
-        self.segmented = d.chunk.tag is ChunkTag.SEGMENTS  # a grant is a segment map
-
-    def feasible(self, p: Procedure) -> bool:
-        """Could p, of non-zero size, ever be resident in an empty primary
-        memory? Its chunk's count and first piece say."""
-        return self.empty.fits(self.discipline.chunk, p)
-
-    def allocate(self, p: Procedure) -> Detail:
-        """Grant memory to p; returns the trace detail of the grant."""
-        d, m = self.discipline, self.primary
-        free = m.free_total
-        if self.paged:
-            page_map = build_page_table(paginate(p, d.chunk.size), m)
-            extra = (("pages", page_map.entries),) if page_map.entries else ()
-        elif self.segmented:
-            seg_map = segment_alloc(p, d.chunk.pieces(p, p.size), d, m)
-            extra = (("segments", seg_map.segments),) if seg_map.segments else ()
-        else:
-            allocate_op(d, m, p)
-            extra = ()
-        granted = free - m.free_total
-        int_frag = granted - p.size if self.allocator.int_frag else 0
-        return (
-            (("extents", m.extents_of(p.id)),)
-            + extra
-            + (("ext_frag", self.frag_sample()), ("int_frag", int_frag))
-        )
-
-    def swap_out_victim(self, victim: Procedure) -> tuple[SwapRecord, Extents]:
-        freed = self.primary.extents_of(victim.id)
-        record = swap_out(self.primary, self.backing, victim)
-        chunk = self.allocator.swap_chunk
-        if chunk is not None:
-            record = SwapRecord(record.pid, record.size, record.backing_extents,
-                                chunk.pieces(victim, victim.size))
-        return record, freed
-
-    def frag_sample(self) -> Fraction | None:
-        total = self.primary.free_total
-        if total == 0:
-            return None
-        return Fraction(self.primary.largest_free(), total)
-
 
 @dataclass(frozen=True)
 class Allocator:
@@ -254,19 +188,21 @@ class Allocator:
     swap_chunk: Chunk | None = None
     int_frag: bool = True
 
+    @property
+    def paged(self) -> bool:
+        """Whether the chunk is fixed: then a grant is a page table, its
+        Allocate line lists the pages, and the binding log binds them."""
+        return self.discipline.chunk.tag is ChunkTag.FIXED
+
     def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
         """The binding log of a run whose sorted trace is `events`: the
-        free store is bound at 0."""
-        return bindingmod.record(Graph(), self.symbol, bindingmod.EventKind.BIND, 0)
-
-
-class _Paging(Allocator):
-    def binding_log(self, events: Iterable[TraceEvent]) -> Graph:
-        """Each Allocate or SwapIn of p binds p's pages, then p's page
-        table, which depends on the frames and on those pages; each
-        Dispatch of p uses p's page table. The graph is built, and
-        checked, once."""
-        graph = super().binding_log(events)
+        free store is bound at 0. When paged, each Allocate or SwapIn of
+        p binds p's pages, then p's page table, which depends on the
+        frames and on those pages; each Dispatch of p uses p's page
+        table. The graph is built, and checked, once."""
+        graph = bindingmod.record(Graph(), self.symbol, bindingmod.EventKind.BIND, 0)
+        if not self.paged:
+            return graph
         bind, use = bindingmod.EventKind.BIND, bindingmod.EventKind.USE
         dependencies: set[tuple[str, str]] = set()
         for e in events:
@@ -308,7 +244,7 @@ ALLOCATORS: dict[str, Callable[[SimConfig], Allocator]] = {
         # a grant reports int_frag=0, though its block rounds the size up:
         # a known fault, kept until a change of traces mends it
         int_frag=False),
-    "paging": lambda cfg: _Paging(
+    "paging": lambda cfg: Allocator(
         compose(FIRST_FIT, Organize.fixed_partition(page := _param(
             cfg.page_size, (cfg.page_size or 0) >= 1,
             "paging allocator needs --page-size >= 1")), Chunk.fixed(page)), "frames"),
@@ -439,23 +375,38 @@ SCHEDULERS: dict[str, Callable[[SimConfig], Discipline]] = {
 
 
 class _Simulation:
-    """One run; `discipline`, when given, replaces the scheduler cfg names."""
+    """One run; `discipline`, when given, replaces the scheduler cfg names.
+    The run updates its primary and backing memories in place, under the
+    allocator cfg names. `listed` counts what the trace lists toward
+    MAX_TRACE: what `trace_bound` knows before the run, when the run
+    counts it, and the extents each swap lists again."""
 
     def __init__(
         self, stream: ArrivalStream, cfg: SimConfig, strict: bool,
         discipline: Discipline | None = None,
     ):
+        self.listed = 0
         self.cfg = cfg
         self.stream = stream
         # events in emission order; instants never decrease along it
         self.events: list[TraceEvent] = []
-        self.memory = _Memory(cfg)
+        self.allocator = allocator = ALLOCATORS[cfg.allocator](cfg)
+        self.placement = d = allocator.discipline
+        backing = cfg.backing_capacity
+        self.primary = MemoryState.initial(cfg.memory_capacity, d.organize)
+        self.backing = MemoryState.initial(
+            cfg.memory_capacity if backing is None else backing, Organize.identity())
+        self.empty = self.primary.store  # a store is a value: the empty one stays
+        # the shape of a grant, decided once: a page table, a segment map or
+        # a plain grant
+        self.paged = allocator.paged
+        self.segmented = d.chunk.tag is ChunkTag.SEGMENTS
         # strict mode's observer of the events; only a strict run loads it
         self.check: RunCheck | None = None
         if strict:
             from .strict import RunCheck
 
-            self.check = RunCheck(self.memory, self.events)
+            self.check = RunCheck(self.primary, self.backing, self.events)
         discipline = discipline or SCHEDULERS[cfg.scheduler](cfg)
         self.run_length = discipline.chunk.first  # of a dispatch, given what is left
         self.needs_priority = discipline.select.tag is SelectTag.ARGMAX_PRIORITY
@@ -479,10 +430,39 @@ class _Simulation:
             self.check.see(event)
         self.events.append(event)
 
+    def count_listed(self, listed: int) -> None:
+        """Count what the trace lists; past MAX_TRACE the run stops."""
+        self.listed += listed
+        if self.listed > MAX_TRACE:
+            raise TraceLimitError(MAX_TRACE)
+
+    # -- memory ------------------------------------------------------
+
+    def allocate(self, p: Procedure) -> Detail:
+        """Grant memory to p; returns the trace detail of the grant."""
+        d, m = self.placement, self.primary
+        free = m.free_total
+        if self.paged:
+            page_map = build_page_table(paginate(p, d.chunk.size), m)
+            extra = (("pages", page_map.entries),) if page_map.entries else ()
+        elif self.segmented:
+            seg_map = segment_alloc(p, d.chunk.pieces(p, p.size), d, m)
+            extra = (("segments", seg_map.segments),) if seg_map.segments else ()
+        else:
+            allocate_op(d, m, p)
+            extra = ()
+        int_frag = free - m.free_total - p.size if self.allocator.int_frag else 0
+        total = m.free_total
+        frag = Fraction(m.largest_free(), total) if total else None
+        return (("extents", m.extents_of(p.id)),) + extra + (
+            ("ext_frag", frag), ("int_frag", int_frag))
+
     # -- admission ---------------------------------------------------
 
     def arrive(self, p: Procedure) -> None:
-        if p.size and not self.memory.feasible(p):
+        # could p ever be resident in the empty primary memory? Its chunk's
+        # count and first piece say
+        if p.size and not self.empty.fits(self.placement.chunk, p):
             raise UnrunnableProcedureError(
                 f"procedure {p.id} (size {p.size}) can never be resident under "
                 f"{self.cfg.allocator} in {self.cfg.memory_capacity} units"
@@ -504,12 +484,12 @@ class _Simulation:
 
     def try_admit(self, p: Procedure, at: int) -> bool:
         try:
-            detail = self.memory.allocate(p)
+            detail = self.allocate(p)
         except AllocationFailure:
             if not self.swap_attempt(at):
                 return False
             try:
-                detail = self.memory.allocate(p)
+                detail = self.allocate(p)
             except AllocationFailure:
                 return False
         self.emit(at, EventKind.ADMIT, p.id)
@@ -527,10 +507,16 @@ class _Simulation:
         victim = self.candidates.head()
         if victim is None:
             return False
+        freed = self.primary.extents_of(victim.id)
         try:
-            record, freed = self.memory.swap_out_victim(victim)
+            record = swap_out(self.primary, self.backing, victim)
         except SwapFailure:
             return False
+        chunk = self.allocator.swap_chunk
+        if chunk is not None:
+            record = SwapRecord(record.pid, record.size, record.backing_extents,
+                                chunk.pieces(victim, victim.size))
+        self.count_listed(len(freed) + len(record.backing_extents))
         self.swapped.append(record)
         self.candidates.discard(record.pid)
         self.ready.discard(record.pid)
@@ -548,14 +534,14 @@ class _Simulation:
 
     def reclaim(self, at: int) -> None:
         """Re-admit swapped-out procedures, then the backlog, FIFO each."""
-        memory = self.memory
         while self.swapped:
             record = self.swapped[0]
             p = self.procs[record.pid]
             try:
-                granted = swap_in(memory.primary, memory.backing, record)
+                granted = swap_in(self.primary, self.backing, record)
             except AllocationFailure:
                 break
+            self.count_listed(len(granted))
             self.swapped.popleft()
             self.emit(at, EventKind.SWAP_IN, p.id, (("extents", granted),))
             self.make_ready(p)
@@ -566,14 +552,11 @@ class _Simulation:
 
     # -- dispatch ----------------------------------------------------
 
-    def pump_arrivals(self, limit: int, inclusive: bool) -> None:
-        while True:
-            head = self.stream.peek()
-            if head is None:
-                return
-            if head.arrival > limit or (head.arrival == limit and not inclusive):
-                return
-            for p in self.stream.take_until(head.arrival):
+    def pump_arrivals(self, until: int) -> None:
+        """Let in every arrival at or before `until`, in stream order."""
+        head = self.stream.peek()
+        if head is not None and head.arrival <= until:
+            for p in self.stream.take_until(until):
                 self.arrive(p)
 
     def dispatch(self) -> None:
@@ -590,7 +573,7 @@ class _Simulation:
         self.remaining[pid] -= end - start
         if self.remaining[pid] == 0:
             self.emit(end, EventKind.COMPLETE, pid)
-            freed = deallocate(self.memory.primary, pid)
+            freed = deallocate(self.primary, pid)
             self.emit(end, EventKind.DEALLOCATE, pid, (("extents", freed),))
             self.reclaim(end)
         else:
@@ -602,11 +585,11 @@ class _Simulation:
         while True:
             if self.running is not None:
                 _, _, end = self.running
-                self.pump_arrivals(end, inclusive=False)
+                self.pump_arrivals(end - 1)
                 self.clock = end
                 self.finish_slice()
                 continue
-            self.pump_arrivals(self.clock, inclusive=True)
+            self.pump_arrivals(self.clock)
             if self.holdover is not None:
                 self.ready.add(self.holdover)  # arrivals joined first
                 self.holdover = None
@@ -626,7 +609,7 @@ class _Simulation:
         # a stable sort: events of one instant keep their emission order
         # within each kind
         events = sorted(self.events, key=lambda e: (e.instant, _KIND_ORDER[e.kind]))
-        graph = self.memory.allocator.binding_log(events)
+        graph = self.allocator.binding_log(events)
         if self.check is not None:
             self.check.finish(graph)
         return Trace(events=tuple(events), binding=graph)
@@ -643,28 +626,42 @@ def run(
     full checks of memory spread over the run and run again at its end,
     and each dispatch; then the binding log, once. Unset, it follows the
     OSALG_STRICT environment variable.
+
+    A run whose trace would list more than MAX_TRACE dispatches, pages
+    and extents raises TraceLimitError: before it starts, when
+    `trace_bound` is over the limit, or at the swap whose extents take it
+    over. A run from an ArrivalStream, which may not end, is bounded by
+    its swaps alone.
     """
     if strict is None:
         strict = os.environ.get(STRICT_ENV, "") == "1"
     if isinstance(workload, ArrivalStream):
-        stream = workload
+        sim = _Simulation(workload, cfg, strict)
     else:
         members = sorted(workload, key=lambda p: (p.arrival, p.id))
-        stream = ArrivalStream(members)
-    sim = _Simulation(stream, cfg, strict)
+        sim = _Simulation(ArrivalStream(members), cfg, strict)
+        sim.count_listed(trace_bound(members, cfg))
     trace = sim.run()
     return trace, metrics(trace)
+
+
+# The largest count of dispatches, listed pages and relisted extents a
+# run's trace may hold. One dispatch costs about 14 us and 0.9 KB of peak
+# memory (rr with quantum 1 on Python 3.11, a 2-core host), so a run
+# within the limit ends in seconds and under 200 MB.
+MAX_TRACE = 200_000
 
 
 def trace_bound(procedures: Iterable[Procedure], cfg: SimConfig) -> int:
     """What the trace of a run grows with, known before the run: its
     Dispatch lines, the count of the chunks the scheduler cuts each
     procedure's CPU demand into (one for a discipline that runs a
-    procedure to completion), plus, under paging, each procedure's pages,
-    which its Allocate line lists. Counting builds no chunk."""
+    procedure to completion), plus, when the allocator is paged, each
+    procedure's pages, which its Allocate line lists. Counting builds no
+    chunk. A swap lists extents again, which the run counts as it goes."""
     cpu = SCHEDULERS[cfg.scheduler](cfg).chunk
-    memory = ALLOCATORS[cfg.allocator](cfg).discipline.chunk
-    paged = memory.tag is ChunkTag.FIXED  # each grant lists a page table
+    allocator = ALLOCATORS[cfg.allocator](cfg)
+    memory, paged = allocator.discipline.chunk, allocator.paged
     return sum(cpu.count(p, p.time) + (memory.count(p, p.size) if paged else 0)
                for p in procedures)
 

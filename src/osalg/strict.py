@@ -45,7 +45,7 @@ from . import binding
 from .allocators import MemoryState
 from .core import Extent
 from .errors import InvariantViolation
-from .sim import EventKind, TraceEvent, _Memory
+from .sim import EventKind, TraceEvent
 
 _start = attrgetter("start")
 
@@ -77,13 +77,15 @@ def _violation(
 
 
 class RunCheck:
-    """Strict mode's observer of one run: `see` is given each event before
-    it joins `events`, so a breach is found at that event's index."""
+    """Strict mode's observer of one run over its primary and backing
+    memories: `see` is given each event before it joins `events`, so a
+    breach is found at that event's index."""
 
-    def __init__(self, memory: _Memory, events: Sequence[TraceEvent]):
+    def __init__(self, primary: MemoryState, backing: MemoryState,
+                 events: Sequence[TraceEvent]):
         self.events = events
-        self.primary = MemoryCheck("primary", memory.primary, events)
-        self.backing = MemoryCheck("backing", memory.backing, events)
+        self.primary = MemoryCheck("primary", primary, events)
+        self.backing = MemoryCheck("backing", backing, events)
         self.frontier = 0  # the first CPU instant not yet assigned
 
     def see(self, event: TraceEvent) -> None:

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +26,8 @@ from osalg.cli import (
     parse_workload,
     render_trace,
 )
-from osalg.combinators import Chunk
-from osalg.errors import WorkloadError
+from osalg.combinators import Chunk, free_store
+from osalg.errors import TraceLimitError, WorkloadError
 from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace, TraceEvent, trace_bound
 
 from conftest import emit_workload
@@ -423,7 +422,7 @@ def test_a_run_past_the_trace_limit_is_a_usage_error(tmp_path, record, flags):
     assert time.monotonic() - started < 2
     assert child.returncode == EXIT_USAGE
     assert "Traceback" not in child.stderr
-    assert child.stderr == (f"usage error: the trace would hold more than {cli.MAX_TRACE} "
+    assert child.stderr == (f"usage error: the trace would hold more than {sim.MAX_TRACE} "
                             "dispatches and listed pages\n")
 
 
@@ -449,8 +448,9 @@ def test_the_bound_and_feasibility_count_chunks_without_building_them(monkeypatc
     cfg = SimConfig(scheduler="rr", quantum=1, allocator="paging", page_size=1,
                     memory_capacity=10**23)
     assert trace_bound([huge], cfg) == 10**21 + 10**23
-    assert sim._Memory(cfg).feasible(huge)
-    assert not sim._Memory(replace(cfg, memory_capacity=10**23 - 1)).feasible(huge)
+    paging = ALLOCATORS["paging"](cfg).discipline
+    assert free_store(paging.organize, 10**23).fits(paging.chunk, huge)
+    assert not free_store(paging.organize, 10**23 - 1).fits(paging.chunk, huge)
 
 
 def test_a_run_at_the_trace_limit_runs(tmp_path, capsys, monkeypatch):
@@ -458,11 +458,74 @@ def test_a_run_at_the_trace_limit_runs(tmp_path, capsys, monkeypatch):
     wpath.write_text("id=1 size=4 time=5\n")
     argv = ["run", "--workload", str(wpath), "--scheduler", "rr", "--quantum", "1",
             "--allocator", "first-fit"]
-    monkeypatch.setattr(cli, "MAX_TRACE", 5)
+    monkeypatch.setattr(sim, "MAX_TRACE", 5)
     assert main(argv) == EXIT_OK
-    monkeypatch.setattr(cli, "MAX_TRACE", 4)
+    monkeypatch.setattr(sim, "MAX_TRACE", 4)
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: the trace would hold")
+
+
+def swapping_text(n, size):
+    """Procedure 1, of `size` one-unit pages and 4n units of time, and n
+    procedures of one unit, each arriving an instant after the last with a
+    priority: in a memory of `size` units, each of them swaps procedure 1
+    out, and its completion swaps it back in."""
+    return "".join([f"id=1 size={size} time={4 * n}\n"] + [
+        f"id={i} size=1 time=1 arrival={i - 1} priority=5\n" for i in range(2, n + 2)])
+
+
+def swapping_flags(size):
+    return ["--scheduler", "rr", "--quantum", "1", "--allocator", "paging",
+            "--page-size", "1", "--memory", str(size), "--backing", str(size)]
+
+
+def test_the_extents_each_swap_lists_count_toward_the_limit(tmp_path, capsys, monkeypatch):
+    """`trace_bound` counts procedure 1's pages once, but each SwapOut and
+    SwapIn lists its extents again, so its trace holds 50 times the bound.
+    The run counts what each swap lists: at exactly the limit it runs, one
+    below it stops at a swap with the usage error."""
+    ps = parse_workload(swapping_text(50, 200))
+    cfg = SimConfig(memory_capacity=200, backing_capacity=200, scheduler="rr",
+                    quantum=1, allocator="paging", page_size=1)
+    trace, _ = run(ps, cfg)
+    relisted = sum(len(e.value("extents")) + len(e.value("backing") or ())
+                   for e in trace if e.kind in (EventKind.SWAP_OUT, EventKind.SWAP_IN))
+    assert trace_bound(ps, cfg) == 500 and relisted > 40 * 500
+    monkeypatch.setattr(sim, "MAX_TRACE", 500 + relisted)
+    assert run(ps, cfg)[0] == trace
+    monkeypatch.setattr(sim, "MAX_TRACE", 500 + relisted - 1)
+    with pytest.raises(TraceLimitError):
+        run(ps, cfg)
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(swapping_text(50, 200))
+    assert main(["run", "--workload", str(wpath), *swapping_flags(200)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: the trace would hold more than "
+                                       f"{500 + relisted - 1} dispatches and listed pages\n")
+
+
+def test_a_run_that_swaps_past_the_trace_limit_is_a_usage_error(tmp_path):
+    """16 000 small procedures each swap a 20 000-page procedure out and
+    in: the bound known before the run is 116 000, but the swaps would
+    list 640 million extents. The run stops at its third SwapOut: exit 1
+    within 2 s and 600 MB of address space, and no traceback."""
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(swapping_text(16_000, 20_000))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+    started = time.monotonic()
+    child = subprocess.run(
+        [sys.executable, "-m", "osalg.cli", "run", "--workload", str(wpath),
+         *swapping_flags(20_000)],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert time.monotonic() - started < 2
+    assert child.returncode == EXIT_USAGE
+    assert child.stdout == ""
+    assert child.stderr == (f"usage error: the trace would hold more than {sim.MAX_TRACE} "
+                            "dispatches and listed pages\n")
 
 
 def test_one_parser_serves_every_main_call(tmp_path):

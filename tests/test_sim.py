@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from osalg import Extent, ProcedureSet, SimConfig, Trace, run
 from osalg import binding, sim
 from osalg.binding import validate
+from osalg.combinators import Chunk, Organize, Select, compose
 from osalg.errors import (
     IncompleteRunError,
     OsAlgError,
@@ -444,13 +445,29 @@ class TestDeterminismAndInvariants:
         first = trace.binding.events[0]
         assert (first.symbol, first.kind.value, first.instant) == (symbol, "Bind", 0)
 
+    def test_the_binding_log_follows_the_composition(self):
+        """An allocator built directly from the paging composition logs the
+        same page-table binds as the registry's paging entry: its fixed
+        chunk, not the entry, decides the log."""
+        direct = sim.Allocator(
+            compose(Select.first_fit(), Organize.fixed_partition(4), Chunk.fixed(4)),
+            "frames")
+        paging = [(w, cfg) for _, w, cfg in regression_runs() if cfg.allocator == "paging"]
+        swapped = 0
+        for workload, cfg in paging:
+            trace, _ = run(workload, cfg)
+            swapped += len(trace.of_kind(EventKind.SWAP_IN))
+            assert direct.binding_log(trace.events) == trace.binding
+            assert sim.ALLOCATORS["paging"](cfg).binding_log(trace.events) == trace.binding
+        assert len(paging) >= 2 and swapped > 0
+
     def test_strict_mode_reports_binding_violation(self, monkeypatch):
         """With the page-table binds left out, the dispatch's Use precedes
         any binding: a strict run stops on it, a lax one completes."""
-        real_log = sim._Paging.binding_log
+        real_log = sim.Allocator.binding_log
 
-        def log_without_table_binds(memory, events):
-            g = real_log(memory, events)
+        def log_without_table_binds(allocator, events):
+            g = real_log(allocator, events)
             kept = tuple(
                 e for e in g.events
                 if e.kind is not binding.EventKind.BIND
@@ -458,7 +475,7 @@ class TestDeterminismAndInvariants:
             )
             return binding.BindingGraph(kept, g.dependencies)
 
-        monkeypatch.setattr(sim._Paging, "binding_log", log_without_table_binds)
+        monkeypatch.setattr(sim.Allocator, "binding_log", log_without_table_binds)
         cfg = SimConfig(memory_capacity=32, allocator="paging", page_size=4)
         ps = [proc(1, size=10, time=2)]
         trace, _ = run(ps, cfg, strict=False)

@@ -182,7 +182,7 @@ def test_extents_rewritten_before_their_release_are_caught_at_its_deallocate(
     def rewriting(self, instant, kind, pid, detail=()):
         real_emit(self, instant, kind, pid, detail)
         if kind is EventKind.COMPLETE and pid == 1:
-            self.memory.primary.allocated[1] = (Extent(1, 5),)
+            self.primary.allocated[1] = (Extent(1, 5),)
 
     cfg = SimConfig(memory_capacity=16)
     order = lax_emissions(monkeypatch, TWO, cfg)
@@ -490,8 +490,8 @@ def test_a_store_shape_breach_after_the_last_change_is_caught_at_the_end(
 
     def splitting_at_the_end(self, instant, kind, pid, detail=()):
         real_emit(self, instant, kind, pid, detail)
-        if kind is EventKind.DEALLOCATE and not self.memory.primary.allocated:
-            assert split_a_free_run(self.memory.primary)
+        if kind is EventKind.DEALLOCATE and not self.primary.allocated:
+            assert split_a_free_run(self.primary)
 
     ps = [proc(1, size=4, time=2)]
     cfg = SimConfig(memory_capacity=16)
