@@ -481,7 +481,7 @@ def swapping_flags(size):
 
 def test_the_extents_each_swap_lists_count_toward_the_limit(tmp_path, capsys, monkeypatch):
     """`trace_bound` counts procedure 1's pages once, but each SwapOut and
-    SwapIn lists its extents again, so its trace holds 50 times the bound.
+    SwapIn lists its extents again, so its trace holds over 40 times the bound.
     The run counts what each swap lists: at exactly the limit it runs, one
     below it stops at a swap with the usage error."""
     ps = parse_workload(swapping_text(50, 200))
