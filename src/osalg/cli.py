@@ -215,6 +215,11 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     except OSError as exc:
         print(f"usage error: cannot write {path}: {exc.strerror}", file=err)
         return EXIT_USAGE
+    if args.trace and args.metrics:
+        target = os.path.realpath(args.trace)
+        if target == os.path.realpath(args.metrics) and not _is_special(target):
+            print(f"usage error: --trace and --metrics both name {target}", file=err)
+            return EXIT_USAGE
     try:
         trace, measured = run(workload, cfg)
     except UnrunnableProcedureError as exc:
@@ -320,11 +325,11 @@ def _cmd_orderings(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
         pair = pair.strip()
         if not pair:
             continue
-        if "<" not in pair:
+        sides = [side.strip() for side in pair.split("<")]
+        if len(sides) != 2 or not all(sides):
             print(f"usage error: dependency {pair!r} is not of the form a<b", file=err)
             return EXIT_USAGE
-        first, then = pair.split("<", 1)
-        deps.append((first.strip(), then.strip()))
+        deps.append((sides[0], sides[1]))
     # a cycle raises CycleError before the first order; main reports it
     for order in _topological_orders(tuple(symbols), frozenset(deps)):
         out.write(",".join(order) + "\n")

@@ -284,6 +284,9 @@ class OrderedReady:
     def __len__(self) -> int:
         return len(self.live)
 
+    def __contains__(self, p: Procedure) -> bool:
+        return p.id in self.live
+
     def add(self, p: Procedure) -> None:
         self.live[p.id] = p
         heappush(self.heap, self.key(p))
@@ -411,15 +414,14 @@ class _Simulation:
         self.run_length = discipline.chunk.first  # of a dispatch, given what is left
         self.needs_priority = discipline.select.tag is SelectTag.ARGMAX_PRIORITY
         self.clock = 0
-        self.procs: dict[int, Procedure] = {}
         self.remaining: dict[int, int] = {}
         self.ready = ready_set(discipline)
-        # what a swap may evict: the ready members plus the holdover
+        # what a swap may evict: every resident procedure but the running
+        # one; a preempted procedure is one from its Preempt on, while the
+        # arrivals of that instant come in ahead of its rejoining
         self.candidates = OrderedReady(victim_key)
         self.backlog: deque[Procedure] = deque()
-        self.swapped: deque[SwapRecord] = deque()
-        self.running: tuple[int, int, int] | None = None  # pid, start, end
-        self.holdover: Procedure | None = None  # preempted, rejoins after arrivals
+        self.swapped: deque[tuple[Procedure, SwapRecord]] = deque()
 
     def emit(self, instant: int, kind: EventKind, pid: int, detail: Detail = ()) -> None:
         last = self.events[-1].instant if self.events else instant
@@ -469,7 +471,6 @@ class _Simulation:
             )
         if self.needs_priority and p.priority is None:
             raise ParameterError(f"procedure {p.id} has no priority")
-        self.procs[p.id] = p
         self.remaining[p.id] = p.time
         detail: list[tuple[str, object]] = [("size", p.size), ("time", p.time)]
         if p.priority is not None:
@@ -502,8 +503,6 @@ class _Simulation:
         self.candidates.add(p)
 
     def swap_attempt(self, at: int) -> bool:
-        # the running procedure stays resident; a just-preempted one is an
-        # ordinary candidate even before it rejoins the queue
         victim = self.candidates.head()
         if victim is None:
             return False
@@ -517,11 +516,9 @@ class _Simulation:
             record = SwapRecord(record.pid, record.size, record.backing_extents,
                                 chunk.pieces(victim, victim.size))
         self.count_listed(len(freed) + len(record.backing_extents))
-        self.swapped.append(record)
+        self.swapped.append((victim, record))
         self.candidates.discard(record.pid)
         self.ready.discard(record.pid)
-        if self.holdover is not None and self.holdover.id == record.pid:
-            self.holdover = None
         self.emit(
             at,
             EventKind.SWAP_OUT,
@@ -535,8 +532,7 @@ class _Simulation:
     def reclaim(self, at: int) -> None:
         """Re-admit swapped-out procedures, then the backlog, FIFO each."""
         while self.swapped:
-            record = self.swapped[0]
-            p = self.procs[record.pid]
+            p, record = self.swapped[0]
             try:
                 granted = swap_in(self.primary, self.backing, record)
             except AllocationFailure:
@@ -560,45 +556,41 @@ class _Simulation:
                 self.arrive(p)
 
     def dispatch(self) -> None:
-        chosen = self.ready.pop()
-        self.candidates.discard(chosen.id)
-        run = self.run_length(chosen, self.remaining[chosen.id])
-        self.emit(self.clock, EventKind.DISPATCH, chosen.id, (("run", run),))
-        self.running = (chosen.id, self.clock, self.clock + run)
-
-    def finish_slice(self) -> None:
-        assert self.running is not None
-        pid, start, end = self.running
-        self.running = None
-        self.remaining[pid] -= end - start
-        if self.remaining[pid] == 0:
-            self.emit(end, EventKind.COMPLETE, pid)
-            freed = deallocate(self.primary, pid)
-            self.emit(end, EventKind.DEALLOCATE, pid, (("extents", freed),))
+        """Run the head of the ready set for one slice, to its end. The
+        arrivals strictly inside the slice come in before it ends. At its
+        end a completion frees memory and reclaims before that instant's
+        arrivals; a preemption lets them in first, the preempted procedure
+        a swap candidate throughout, and it rejoins unless swapped out."""
+        p = self.ready.pop()
+        self.candidates.discard(p.id)
+        left = self.remaining[p.id]
+        run = self.run_length(p, left)
+        self.emit(self.clock, EventKind.DISPATCH, p.id, (("run", run),))
+        end = self.clock + run
+        self.pump_arrivals(end - 1)
+        self.clock = end
+        self.remaining[p.id] = left = left - run
+        if left == 0:
+            self.emit(end, EventKind.COMPLETE, p.id)
+            freed = deallocate(self.primary, p.id)
+            self.emit(end, EventKind.DEALLOCATE, p.id, (("extents", freed),))
             self.reclaim(end)
         else:
-            self.emit(end, EventKind.PREEMPT, pid, (("left", self.remaining[pid]),))
-            self.holdover = self.procs[pid]
-            self.candidates.add(self.holdover)
+            self.emit(end, EventKind.PREEMPT, p.id, (("left", left),))
+            self.candidates.add(p)
+            self.pump_arrivals(end)
+            if p in self.candidates:
+                self.ready.add(p)
 
     def run(self) -> Trace:
         while True:
-            if self.running is not None:
-                _, _, end = self.running
-                self.pump_arrivals(end - 1)
-                self.clock = end
-                self.finish_slice()
-                continue
             self.pump_arrivals(self.clock)
-            if self.holdover is not None:
-                self.ready.add(self.holdover)  # arrivals joined first
-                self.holdover = None
             if self.ready:
                 self.dispatch()
                 continue
             head = self.stream.peek()
             if head is not None:
-                self.clock = max(self.clock, head.arrival)
+                self.clock = head.arrival  # later than the clock, once pumped
                 continue
             if self.swapped or self.backlog:
                 self.reclaim(self.clock)

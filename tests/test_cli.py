@@ -595,9 +595,13 @@ class TestMainOrderings:
         assert code == EXIT_OK
         assert capsys.readouterr().out == ",".join(reversed(names)) + "\n"
 
-    def test_bad_dep_syntax_is_usage_error(self, capsys):
-        code = main(["orderings", "--symbols", "a,b", "--deps", "a-b"])
+    @pytest.mark.parametrize("deps", ["a-b", "<b", "a<", "<", " < b", "a<b<c", "a<<b"])
+    def test_bad_dep_syntax_is_usage_error(self, capsys, deps):
+        code = main(["orderings", "--symbols", "a,b", "--deps", deps])
         assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"dependency {deps.strip()!r} is not of the form a<b" in captured.err
 
 
 @pytest.mark.parametrize("command, lines_read", [

@@ -133,3 +133,39 @@ def test_bad_path_is_reported_before_the_run(tmp_path, capsys, no_simulation, ba
     assert code == EXIT_USAGE
     assert f"usage error: cannot write {metrics}: " in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+def symlink_to_it(tmp_path):
+    if not hasattr(os, "symlink"):
+        pytest.skip("no symlinks")
+    link = tmp_path / "link.txt"
+    link.symlink_to(tmp_path / "out.txt")
+    return link
+
+
+@pytest.mark.parametrize("metrics", [
+    pytest.param(lambda tmp: tmp / "out.txt", id="same-path"),
+    pytest.param(lambda tmp: tmp / "." / "out.txt", id="same-file-other-spelling"),
+    pytest.param(symlink_to_it, id="symlink"),
+])
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+def test_one_file_for_both_outputs_is_a_usage_error(
+        tmp_path, capsys, no_simulation, metrics, existing):
+    """Both outputs would replace one file, which would then hold only the
+    metrics: the run is refused before it starts and the file is left."""
+    out = tmp_path / "out.txt"
+    if existing:
+        out.write_text("earlier output\n")
+    code = run_to(tmp_path, out, metrics(tmp_path))
+    assert code == EXIT_USAGE
+    assert "usage error: --trace and --metrics both name " in capsys.readouterr().err
+    if existing:
+        assert out.read_text() == "earlier output\n"
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_one_device_for_both_outputs_is_written_in_place(tmp_path, capsys):
+    assert run_to(tmp_path, os.devnull, os.devnull) == EXIT_OK
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)

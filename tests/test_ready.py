@@ -143,18 +143,28 @@ def test_a_chunked_discipline_that_does_not_rotate_is_rejected(discipline):
 class WatchedSimulation(sim._Simulation):
     """A run that, after every event, compares the head of its swap
     candidates with the candidate of least `victim_key` among the ready
-    members plus the holdover; `swaps` counts the swap-outs."""
+    members plus the procedure just preempted, which the events name: from
+    its Preempt on, until it is seen among the ready members or its next
+    Dispatch or SwapOut. `swaps` counts the swap-outs."""
 
     swaps = 0
+    preempted = None
 
     def emit(self, instant, kind, pid, detail=()):
         super().emit(instant, kind, pid, detail)
         self.swaps += kind is sim.EventKind.SWAP_OUT
         candidates = members(self.ready)
-        if self.holdover is not None:
-            candidates.append(self.holdover)
+        if self.preempted is not None and (
+            self.preempted in candidates or (
+                pid == self.preempted.id
+                and kind in (sim.EventKind.DISPATCH, sim.EventKind.SWAP_OUT))):
+            self.preempted = None
+        if self.preempted is not None:
+            candidates.append(self.preempted)
         expected = min(candidates, key=victim_key) if candidates else None
         assert self.candidates.head() is expected
+        if kind is sim.EventKind.PREEMPT:
+            self.preempted = self.procedures[pid]
 
 
 def watched_run(scheduler, shapes):
@@ -166,6 +176,7 @@ def watched_run(scheduler, shapes):
     cfg = SimConfig(memory_capacity=12, backing_capacity=16, scheduler=scheduler,
                     quantum=2)
     simulation = WatchedSimulation(ArrivalStream(members), cfg, strict=False)
+    simulation.procedures = {p.id: p for p in members}
     simulation.run()
     return simulation
 
@@ -183,7 +194,7 @@ def watched_run(scheduler, shapes):
 def test_victim_heap_head_is_the_default_victim(scheduler, shapes):
     """Admits, dispatches, preemptions and swaps keep the head of the
     swap candidates equal to the least `victim_key` over the ready members
-    plus the holdover."""
+    plus the procedure just preempted."""
     watched_run(scheduler, shapes)
 
 
