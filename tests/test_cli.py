@@ -595,13 +595,14 @@ class TestMainOrderings:
         assert code == EXIT_OK
         assert capsys.readouterr().out == ",".join(reversed(names)) + "\n"
 
-    @pytest.mark.parametrize("deps", ["a-b", "<b", "a<", "<", " < b", "a<b<c", "a<<b"])
-    def test_bad_dep_syntax_is_usage_error(self, capsys, deps):
-        code = main(["orderings", "--symbols", "a,b", "--deps", deps])
-        assert code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"dependency {deps.strip()!r} is not of the form a<b" in captured.err
+    def test_bad_dep_syntax_is_usage_error(self, capsys):
+        """A pair needs exactly one `<`, with a symbol on each side."""
+        for deps in ["a-b", "<b", "a<", "<", " < b", "a<b<c", "a<<b"]:
+            code = main(["orderings", "--symbols", "a,b", "--deps", deps])
+            assert code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"dependency {deps.strip()!r} is not of the form a<b" in captured.err
 
 
 @pytest.mark.parametrize("command, lines_read", [
