@@ -319,7 +319,7 @@ def _stage(target: str, text: str) -> str:
 
 
 def _cmd_orderings(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
-    symbols = [s for s in args.symbols.split(",") if s]
+    symbols = [s for s in map(str.strip, args.symbols.split(",")) if s]
     deps: list[tuple[str, str]] = []
     for pair in args.deps.split(","):
         pair = pair.strip()

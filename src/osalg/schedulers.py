@@ -15,8 +15,11 @@ clock jumps to the next arrival.
 Fixed-size chunking of CPU demands (``Chunk.fixed``) gives round robin;
 variable-size chunking, driven by a per-procedure classifier
 (``Chunk.by_class``), gives the I/O-bound versus CPU-bound disciplines.
-Both preempt only at chunk boundaries. Arrivals at or before a chunk's
-end join the rotation queue ahead of the preempted procedure.
+Both preempt only at chunk boundaries. Each rotates: the ready set's key
+is join order, and arrivals at or before a chunk's end join ahead of the
+preempted procedure. A chunk composes with the other selects too: a
+chunked sort or argmax priority keeps its key, of the declared time or
+priority, so a preempted procedure rejoins by it.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import TYPE_CHECKING, Iterable, Mapping, TypeVar
 
 from . import binding as bindingmod
@@ -53,7 +54,6 @@ from .combinators import (
 from .core import ArrivalStream, Procedure, ProcedureSet, WorkClass
 from .errors import (
     AllocationFailure,
-    CompositionError,
     IncompleteRunError,
     OsAlgError,
     ParameterError,
@@ -266,20 +266,20 @@ def class_quantum(io_quantum: int = 1, cpu_quantum: int = 4) -> Classifier:
 
 
 class OrderedReady:
-    """The ready set of a non-rotating policy, organized on entry: a heap
-    of order keys, each ending in its procedure's id, plus the live
-    members by id. A discarded member's key stays in the heap until a pop
-    or a look at the head meets it and skips it; every key of one
-    procedure is the same, so a procedure that rejoins while a stale key
-    is left is popped once. Once stale keys outnumber the live members
-    the heap is rebuilt from them, so it stays O(live) in size. Keyed by
-    `victim_key`, the same structure holds a run's swap candidates,
-    whose head is read but seldom popped."""
+    """A ready set organized on entry: a heap of order keys, each ending
+    in its procedure's id, plus each live member's key and the member by
+    id. A key counts only while it is the one its member last joined
+    with, so a key left by a discard, or by a join since replaced, is
+    skipped when a pop or a look at the head meets it. Once the heap
+    holds more than twice the live members it is rebuilt from their
+    keys, so it stays O(live) in size. Keyed by `victim_key`, the same
+    structure holds a run's swap candidates, whose head is read but
+    seldom popped."""
 
     def __init__(self, key: OrderKey):
         self.key = key
         self.heap: list[tuple] = []
-        self.live: dict[int, Procedure] = {}
+        self.live: dict[int, tuple[tuple, Procedure]] = {}
 
     def __len__(self) -> int:
         return len(self.live)
@@ -288,70 +288,50 @@ class OrderedReady:
         return p.id in self.live
 
     def add(self, p: Procedure) -> None:
-        self.live[p.id] = p
-        heappush(self.heap, self.key(p))
+        key = self.key(p)
+        self.live[p.id] = (key, p)
+        heappush(self.heap, key)
 
     def pop(self) -> Procedure:
         """The member of least key, taken out of the set."""
+        heap, live = self.heap, self.live
         while True:
-            p = self.live.pop(heappop(self.heap)[-1], None)
-            if p is not None:
-                return p
+            key = heappop(heap)
+            entry = live.get(key[-1])
+            if entry is not None and entry[0] is key:
+                del live[key[-1]]
+                return entry[1]
 
     def head(self) -> Procedure | None:
         """The member of least key, left in the set; None when empty."""
         heap, live = self.heap, self.live
         while heap:
-            p = live.get(heap[0][-1])
-            if p is not None:
-                return p
+            key = heap[0]
+            entry = live.get(key[-1])
+            if entry is not None and entry[0] is key:
+                return entry[1]
             heappop(heap)
         return None
 
     def discard(self, pid: int) -> None:
         self.live.pop(pid, None)
         if len(self.heap) > 2 * len(self.live) + 32:
-            self.heap = [self.key(p) for p in self.live.values()]
+            self.heap = [key for key, _ in self.live.values()]
             heapify(self.heap)
 
 
-class RotatingReady:
-    """The ready set of a rotating policy: a FIFO queue."""
-
-    def __init__(self) -> None:
-        self.queue: deque[Procedure] = deque()
-
-    def __len__(self) -> int:
-        return len(self.queue)
-
-    def add(self, p: Procedure) -> None:
-        self.queue.append(p)
-
-    def pop(self) -> Procedure:
-        return self.queue.popleft()
-
-    def discard(self, pid: int) -> None:
-        for i, q in enumerate(self.queue):
-            if q.id == pid:
-                del self.queue[i]
-                return
-
-
-ReadySet = OrderedReady | RotatingReady
-
-
-def ready_set(d: Discipline) -> ReadySet:
-    """An empty ready set for the CPU discipline d: ordered by
-    `order_key(d)`, the organize done once, on entry; or, for a chunked
-    first come, first served, a FIFO queue in join order."""
-    if d.chunk.tag is ChunkTag.WHOLE:
-        return OrderedReady(order_key(d))
-    if (d.select, d.organize) != (FCFS.select, FCFS.organize):
-        raise CompositionError(
-            "a chunked discipline rotates its ready set in join order, "
-            "so it selects the first of the identity organization"
-        )
-    return RotatingReady()
+def ready_set(d: Discipline) -> OrderedReady:
+    """An empty ready set for the CPU discipline d, ordered by
+    `order_key(d)`: the organize done once, on entry. A chunked first
+    come, first served rotates: its key is (joins, id), joins counting
+    the joins to the set before this one, so each join goes to the back.
+    Any other chunked discipline keeps its order key, of the declared
+    time or priority, so a preempted procedure rejoins by it."""
+    if d.chunk.tag is not ChunkTag.WHOLE and (d.select, d.organize) == (
+            FCFS.select, FCFS.organize):
+        joins = count()
+        return OrderedReady(lambda p: (next(joins), p.id))
+    return OrderedReady(order_key(d))
 
 
 FCFS = compose(Select.identity(1), Organize.identity(), Chunk.whole())

@@ -595,6 +595,12 @@ class TestMainOrderings:
         assert code == EXIT_OK
         assert capsys.readouterr().out == ",".join(reversed(names)) + "\n"
 
+    def test_symbols_are_stripped_like_the_deps(self, capsys):
+        """Spaces around a symbol, and empty entries, name no symbol."""
+        code = main(["orderings", "--symbols", "a, b,, ", "--deps", "a<b"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "a,b\n"
+
     def test_bad_dep_syntax_is_usage_error(self, capsys):
         """A pair needs exactly one `<`, with a symbol on each side."""
         for deps in ["a-b", "<b", "a<", "<", " < b", "a<b<c", "a<<b"]:

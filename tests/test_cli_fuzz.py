@@ -3,9 +3,10 @@
 `cli.main` runs in process on arbitrary workload bytes, and on workload
 text of well-formed fields with arbitrary integers, under every scheduler
 and allocator name and integer flags that are negative, zero, small or at
-least 2**63. Each case must return 0, 1, 2 or 3, print no traceback, and
-end within a second: an interval timer raises in the case when it runs
-longer.
+least 2**63. Each case must return 0, 1, 2 or 3, print no traceback,
+end within a second, and allocate at most CASE_BYTES at its peak: an
+interval timer raises in the case when it runs longer, and `tracemalloc`
+measures the peak of what the case allocates.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import os
 import signal
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,6 +25,8 @@ from osalg.cli import EXIT_OK, EXIT_UNRUNNABLE, EXIT_USAGE, EXIT_WORKLOAD, main
 from osalg.sim import ALLOCATORS, SCHEDULERS, STRICT_ENV
 
 CASE_SECONDS = 1.0
+# the cases peak near 1 MB; a second of dispatches keeps about 60 MB
+CASE_BYTES = 16 * 2**20
 
 pytestmark = pytest.mark.skipif(not hasattr(signal, "setitimer"),
                                 reason="no interval timer")
@@ -122,12 +126,15 @@ def test_hostile_input_ends_in_a_documented_exit_code(workload_path, case, stric
     saved_strict = os.environ.get(STRICT_ENV)
     os.environ[STRICT_ENV] = "1" if strict else "0"
     previous = signal.signal(signal.SIGALRM, too_long)
+    tracemalloc.start()
     signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
         signal.signal(signal.SIGALRM, previous)
         if saved_strict is None:
             del os.environ[STRICT_ENV]
@@ -136,3 +143,4 @@ def test_hostile_input_ends_in_a_documented_exit_code(workload_path, case, stric
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_WORKLOAD, EXIT_UNRUNNABLE), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert (code == EXIT_OK) == (err.getvalue() == ""), err.getvalue()
+    assert peak <= CASE_BYTES, f"a case allocated {peak} bytes at its peak"

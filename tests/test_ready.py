@@ -1,6 +1,7 @@
-"""The simulator's ready set against its specification, the discipline
-applied to the live members in (arrival, id) order, and its swap
-candidates against the candidate of least `victim_key`."""
+"""The simulator's ready set against its specification: the discipline
+applied to the live members in (arrival, id) order, or, for a rotating
+discipline, the earliest live join; and its swap candidates against the
+candidate of least `victim_key`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +13,17 @@ from osalg.combinators import Chunk, Organize, Select, SortKey, compose, order_k
 from osalg.errors import CompositionError
 from osalg.sim import FCFS, PRIORITY, SJF, ready_set
 
+CHUNKED_SJF = compose(Select.identity(1), Organize.sort(SortKey.TIME), Chunk.fixed(2))
+CHUNKED_PRIORITY = compose(Select.argmax_priority(), Organize.identity(), Chunk.fixed(2))
+ROTATING = compose(Select.identity(1), Organize.identity(), Chunk.fixed(1))
+
 ORDERED = {
     "fcfs": FCFS,
     "sjf-size": SJF[SortKey.SIZE],
     "sjf-time": SJF[SortKey.TIME],
     "priority": PRIORITY,
+    "chunked sjf-time": CHUNKED_SJF,
+    "chunked priority": CHUNKED_PRIORITY,
 }
 
 PROCS = st.lists(
@@ -37,9 +44,7 @@ OPS = st.lists(
 
 def members(ready):
     """The procedures in a ready set, in its own order of keeping."""
-    if isinstance(ready, sim.RotatingReady):
-        return list(ready.queue)
-    return list(ready.live.values())
+    return [p for _, p in ready.live.values()]
 
 
 def arrival_order(procedures):
@@ -99,7 +104,7 @@ def test_stale_keys_are_dropped_once_they_outnumber_the_members():
 
 
 def test_rotation_is_first_in_first_out():
-    ready = ready_set(compose(Select.identity(1), Organize.identity(), Chunk.fixed(1)))
+    ready = ready_set(ROTATING)
     a, b, c = proc(1), proc(2), proc(3)
     for p in (c, a, b):
         ready.add(p)
@@ -108,6 +113,39 @@ def test_rotation_is_first_in_first_out():
     assert ready.pop() is c
     ready.add(c)
     assert [ready.pop(), ready.pop()] == [b, c]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), OPS)
+def test_every_rotating_pop_is_the_earliest_live_join(n, ops):
+    """A rotating set against a model of its joins: a list in join order.
+    A procedure that is swapped out and rejoins, or that rejoins after a
+    pop, joins at the end, whatever it left behind in the set."""
+    unseen = [proc(i, arrival=n - i) for i in range(1, n + 1)]
+    ready = ready_set(ROTATING)
+    joined, out = [], []  # joined: the live members, earliest join first
+    for op, pick in ops:
+        if op == "add" and unseen:
+            p = unseen.pop(pick % len(unseen))
+        elif op == "rejoin" and out:
+            p = out.pop(pick % len(out))
+        elif op == "pop" and joined:
+            assert ready.pop() is joined[0]
+            out.append(joined.pop(0))
+            continue
+        elif op == "swap-out" and joined:
+            p = joined.pop(pick % len(joined))
+            ready.discard(p.id)
+            out.append(p)
+            continue
+        else:
+            continue
+        ready.add(p)
+        joined.append(p)
+        assert len(ready) == len(joined)
+    while joined:
+        assert ready.pop() is joined.pop(0)
+    assert not ready
 
 
 @pytest.mark.parametrize(
@@ -125,19 +163,28 @@ def test_a_discipline_without_an_order_is_rejected(discipline):
         ready_set(discipline)
 
 
-@pytest.mark.parametrize(
-    "discipline",
-    [
-        compose(Select.identity(1), Organize.sort(SortKey.TIME), Chunk.fixed(2)),
-        compose(Select.argmax_priority(), Organize.identity(), Chunk.fixed(2)),
-    ],
-)
-def test_a_chunked_discipline_that_does_not_rotate_is_rejected(discipline):
-    """A chunked ready set rotates in join order, which is first come,
-    first served; any other chunked composition has no ready set."""
-    with pytest.raises(CompositionError):
-        ready_set(discipline)
+# (id, time, arrival, priority), each of size 2. Procedure 1 runs alone
+# for its first chunk, then 2 and 3 come first by time and by priority
+# alike, and 3, preempted, rejoins ahead of 1 by its declared key.
+CHUNKED_PROCS = [proc(1, size=2, time=5, arrival=0, priority=1),
+                 proc(2, size=2, time=2, arrival=1, priority=7),
+                 proc(3, size=2, time=3, arrival=2, priority=3)]
+CHUNKED_SLICES = [(1, 0, 2), (2, 2, 2), (3, 4, 2), (3, 6, 1), (1, 7, 2), (1, 9, 1)]
 
+
+@pytest.mark.parametrize("discipline", [CHUNKED_SJF, CHUNKED_PRIORITY],
+                         ids=["sjf-time", "priority"])
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+def test_a_chunked_discipline_rejoins_by_its_declared_key(discipline, strict):
+    """Chunked shortest job first and chunked priority preempt at chunk
+    boundaries, and a preempted procedure rejoins by the key it declared,
+    not by the time it has left."""
+    cfg = SimConfig(memory_capacity=6)
+    trace = sim._Simulation(ArrivalStream(CHUNKED_PROCS), cfg, strict, discipline).run()
+    slices = [(e.pid, e.instant, e.value("run"))
+              for e in trace.of_kind(sim.EventKind.DISPATCH)]
+    assert slices == CHUNKED_SLICES
+    assert sim.dispatch_slices(CHUNKED_PROCS, discipline) == CHUNKED_SLICES
 
 
 class WatchedSimulation(sim._Simulation):
