@@ -103,6 +103,20 @@ def test_stale_keys_are_dropped_once_they_outnumber_the_members():
     assert [ready.pop().id for _ in range(11)] == [1, *range(91, 101)]
 
 
+def test_a_rebuilt_rotation_keeps_join_order():
+    """The heap is rebuilt from the keys the members joined with, so the
+    rotation order, here the reverse of arrival order, survives it."""
+    ready = ready_set(ROTATING)
+    ps = [proc(i, arrival=100 - i) for i in range(1, 101)]
+    for p in ps:
+        ready.add(p)
+    for p in ps[:90]:
+        ready.discard(p.id)
+    assert len(ready.heap) <= 2 * len(ready) + 32
+    ready.add(ps[0])
+    assert [ready.pop().id for _ in range(11)] == [*range(91, 101), 1]
+
+
 def test_rotation_is_first_in_first_out():
     ready = ready_set(ROTATING)
     a, b, c = proc(1), proc(2), proc(3)
