@@ -6,7 +6,9 @@ what its grant or release changes and no more, and returns only what it
 produces. An operation that raises changes nothing. At all times the
 allocated extents, the free extents, and any partition residue tile
 ``[0, capacity)`` exactly, pairwise disjoint. Extent sharing is rejected
-outright; temporal coordination of shared writes is out of scope.
+outright; temporal coordination of shared writes is out of scope. Every
+grant, plain, segmented or paged, is the memory's own store granting the
+pieces a chunk cuts, and every release gives it back what one grant gave.
 
 Address virtualization is a chain of injective partial maps: an address
 space bound to an intermediate one that is in turn bound to physical
@@ -157,11 +159,12 @@ def _grant(m: MemoryState, pid: int, pieces: Sequence[int]) -> tuple[Extent, ...
 
 def allocate(d: Discipline, m: MemoryState, p: Procedure) -> tuple[Extent, ...]:
     """Assign p the pieces d's chunk cuts its size into, each an extent,
-    or a whole allocation unit, or a buddy block, under the discipline d.
+    or a whole allocation unit, or a buddy block, under the discipline d:
+    the memory's own store grants them.
 
-    The discipline must organize the set the same way the memory does;
-    paging and segmentation have their own entry points, which also map
-    the pieces (:func:`build_page_table`, :func:`segment_alloc`). Under
+    The discipline must organize the set the same way the memory does.
+    :func:`segment_alloc` is this grant with its pieces mapped to their
+    bases; :func:`build_page_table` grants a page table's frames. Under
     fixed partitioning each piece fits in one unit.
     """
     if d.organize != m.organizer:
@@ -177,7 +180,6 @@ def deallocate(m: MemoryState, pid: int) -> tuple[Extent, ...]:
     Gives the extents freed."""
     extents = m.extents_of(pid)
     if extents:
-        # a release takes back what one grant gave: one block from a buddy tree
         m.store = m.store.release(*extents)
     del m.allocated[pid]
     m.free_total += sum(e.size for e in extents)
@@ -268,30 +270,14 @@ class SegmentMap:
     segments: tuple[tuple[int, int, int], ...]  # (segment id, length, base)
 
 
-def segment_alloc(
-    p: Procedure,
-    spec: Sequence[int],
-    d: Discipline,
-    m: MemoryState,
-) -> SegmentMap:
-    """Place each segment independently through d, all or nothing.
-
-    Segment lengths must each be >= 1 and sum to p's size. Any segment
-    failing to fit rolls the whole operation back.
-    """
-    lengths = tuple(spec)
-    if any(s < 1 for s in lengths):
-        raise ParameterError("segment lengths must each be >= 1")
-    if sum(lengths) != p.size:
-        raise ParameterError(
-            f"segments sum to {sum(lengths)}, procedure size is {p.size}"
-        )
-    if d.organize != Organize.identity() or m.organizer != Organize.identity():
-        raise ParameterError("segments place into an identity-organized memory")
-    granted = _grant(m, p.id, lengths)
+def segment_alloc(d: Discipline, m: MemoryState, p: Procedure) -> SegmentMap:
+    """Grant p as :func:`allocate` does, all or nothing, and map each piece
+    d's chunk cuts, a declared segment under a segment chunk, to the base
+    of the extent granted for it."""
+    granted = allocate(d, m, p)
     segments = tuple(
         (i, length, extent.start)
-        for i, (length, extent) in enumerate(zip(lengths, granted))
+        for i, (length, extent) in enumerate(zip(d.chunk.pieces(p, p.size), granted))
     )
     return SegmentMap(pid=p.id, segments=segments)
 

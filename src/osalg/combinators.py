@@ -6,7 +6,8 @@ fixed-size partitioning cuts memory into equal allocation units, and the
 buddy organizer views it as a binary tree of power-of-two blocks, a tree
 implicit in the block addresses, so that only the free blocks are kept.
 Organizing a memory, given by its capacity, gives its free store. A
-``Select`` returns a member (or extent of members) of the organized set.
+``Select`` returns a member of the organized set, or, over a free store,
+the one extent the store's own grant gives for the demand.
 A ``Chunk`` cuts a demand, of CPU time or of memory, into the pieces it
 is served in. Composing one of each yields a ``Discipline``, the
 executable form of a resource-management algorithm:
@@ -180,31 +181,34 @@ class BuddyTree:
         free = self.free_leaves[:i] + tuple(halves) + self.free_leaves[i + 1:]
         return Extent(start, start + block), BuddyTree(self.capacity, free)
 
-    def release(self, extent: Extent) -> "BuddyTree":
-        """Free a granted block, merging it with its free buddy all the way
-        up; NotFoundError unless it is an aligned power-of-two block inside
-        the memory that overlaps no free block."""
-        start, size, free = extent.start, extent.size, self.free_leaves
-        i = bisect_left(free, start, key=_start)
-        if (size < 1 or size & (size - 1) or start % size
-                or extent.end > self.capacity
-                or (i < len(free) and free[i].start < extent.end)
-                or (i > 0 and free[i - 1].end > start)):
-            raise NotFoundError(f"no allocated block {extent}")
-        lo, hi = i, i
-        while size < self.capacity:
-            if start & size:  # a right half: its buddy ends where it starts
-                if lo == 0 or free[lo - 1] != Extent(start - size, start):
+    def release(self, *extents: Extent) -> "BuddyTree":
+        """Free the blocks one grant gave, each merged with its free buddy
+        all the way up; NotFoundError, with this tree unchanged, unless
+        each is an aligned power-of-two block inside the memory that
+        overlaps no free block."""
+        free = self.free_leaves
+        for extent in extents:
+            start, size = extent.start, extent.size
+            i = bisect_left(free, start, key=_start)
+            if (size < 1 or size & (size - 1) or start % size
+                    or extent.end > self.capacity
+                    or (i < len(free) and free[i].start < extent.end)
+                    or (i > 0 and free[i - 1].end > start)):
+                raise NotFoundError(f"no allocated block {extent}")
+            lo, hi = i, i
+            while size < self.capacity:
+                if start & size:  # a right half: its buddy ends where it starts
+                    if lo == 0 or free[lo - 1] != Extent(start - size, start):
+                        break
+                    lo -= 1
+                    start -= size
+                elif hi == len(free) or free[hi] != Extent(start + size, start + 2 * size):
                     break
-                lo -= 1
-                start -= size
-            elif hi == len(free) or free[hi] != Extent(start + size, start + 2 * size):
-                break
-            else:
-                hi += 1
-            size *= 2
-        merged = (Extent(start, start + size),)
-        return BuddyTree(self.capacity, free[:lo] + merged + free[hi:])
+                else:
+                    hi += 1
+                size *= 2
+            free = free[:lo] + (Extent(start, start + size),) + free[hi:]
+        return BuddyTree(self.capacity, free)
 
     def grant(self, pieces: Sequence[int]) -> tuple[tuple[Extent, ...], "BuddyTree"]:
         """One block per piece, each rounded up to a power of two."""
@@ -265,19 +269,6 @@ def organize_sort(procedures: Any, key: SortKey | str) -> tuple[Procedure, ...]:
     key = SortKey(key) if not isinstance(key, SortKey) else key
     members = _members(procedures)
     return tuple(sorted(members, key=lambda p: (key.value_of(p), p.id)))
-
-
-def organize_fixed_partition(capacity: int, unit_size: int) -> FreeRuns:
-    """Cut a memory of `capacity` units into equal allocation units, in
-    O(1): the free store of one run of every whole unit, address ordered.
-
-    A trailing remainder smaller than one unit is left out of the store,
-    as unusable residue, rather than becoming an odd-sized unit.
-    """
-    if unit_size < 1:
-        raise ParameterError(f"unit size must be >= 1, got {unit_size}")
-    usable = capacity - capacity % unit_size
-    return FreeRuns((Extent(0, usable),) if usable else (), unit_size)
 
 
 def organize_buddy(capacity: int) -> BuddyTree:
@@ -383,11 +374,15 @@ FreeStore = FreeRuns | BuddyTree
 def free_store(organize: Organize, capacity: int) -> FreeStore:
     """The free store of an empty memory of `capacity` units shaped by
     `organize`, in O(1): the buddy tree, or one free run of every whole
-    unit."""
+    unit. Fixed partitioning leaves a trailing remainder smaller than one
+    unit out of the store, as unusable residue, rather than making it an
+    odd-sized unit."""
     if organize.tag is OrganizeTag.BUDDY_TREE:
         return organize_buddy(capacity)
     if organize.tag is OrganizeTag.FIXED_PARTITION:
-        return organize_fixed_partition(capacity, organize.unit_size)
+        unit = organize.unit_size
+        usable = capacity - capacity % unit
+        return FreeRuns((Extent(0, usable),) if usable else (), unit)
     if organize.tag is not OrganizeTag.IDENTITY:
         raise ParameterError(f"memory cannot be organized by {organize.tag.value}")
     return FreeRuns((Extent(0, capacity),) if capacity else ())
@@ -419,18 +414,18 @@ class Select:
         return Select(SelectTag.ARGMAX_PRIORITY)
 
     def __call__(self, organized: Any, demand: int | None = None) -> Any:
+        """The selected member; over a free store, the one extent its
+        grant of the demand gives, the store itself unchanged."""
         if self.tag is SelectTag.IDENTITY:
             assert self.index is not None
             return select_identity(organized, self.index)
-        if self.tag is SelectTag.FIRST_FIT:
-            if demand is None:
-                raise ParameterError("first-fit selection needs a demand")
-            return select_first_fit(organized.free_extents(), demand)
-        if self.tag is SelectTag.BUDDY_FIT:
-            if demand is None:
-                raise ParameterError("buddy selection needs a demand")
-            return organized.allocate(demand)
-        return select_argmax_priority(organized)
+        if self.tag is SelectTag.ARGMAX_PRIORITY:
+            return select_argmax_priority(organized)
+        # a store under a unit grants a whole unit even for a demand below 1
+        if demand is None or demand < 1:
+            raise ParameterError(f"{self.tag.value} selection needs a demand >= 1, got {demand}")
+        (extent,), _ = organized.grant((demand,))
+        return extent
 
 
 class ChunkTag(Enum):

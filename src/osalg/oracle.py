@@ -42,16 +42,12 @@ def _replay(order: Sequence[Procedure]) -> tuple[tuple[tuple[int, int, int], ...
     return tuple(slices), total_wait
 
 
-def brute_schedule(
-    procedures: ProcedureSet | Sequence[Procedure], objective: str = "total-wait"
-) -> OracleResult:
+def brute_schedule(procedures: ProcedureSet | Sequence[Procedure]) -> OracleResult:
     """Enumerate every dispatch order and return a minimum total-wait one.
 
     Ties resolve to the lexicographically smallest id order. Limited to
     8 procedures.
     """
-    if objective != "total-wait":
-        raise ParameterError(f"unknown objective {objective!r}")
     members = tuple(procedures)
     if len(members) > MAX_ENUMERATION:
         raise ParameterError(

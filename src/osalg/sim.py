@@ -428,7 +428,7 @@ class _Simulation:
             page_map = build_page_table(paginate(p, d.chunk.size), m)
             extra = (("pages", page_map.entries),) if page_map.entries else ()
         elif self.segmented:
-            seg_map = segment_alloc(p, d.chunk.pieces(p, p.size), d, m)
+            seg_map = segment_alloc(d, m, p)
             extra = (("segments", seg_map.segments),) if seg_map.segments else ()
         else:
             allocate_op(d, m, p)

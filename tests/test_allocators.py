@@ -18,6 +18,7 @@ from osalg.allocators import (
     swap_out,
     victim_key,
 )
+from osalg.combinators import Chunk
 from osalg.errors import (
     AllocationFailure,
     NotFoundError,
@@ -184,23 +185,31 @@ class TestPageTable:
             assert any(e.start <= physical < e.end for e in owned)
 
 
+SEGMENTED = compose(Select.first_fit(), Organize.identity(), Chunk.segments())
+
+
 class TestSegmentation:
     def test_sequential_first_fit_bases(self):
         m = first_fit_memory(16)
-        seg_map = segment_alloc(proc(1, size=10), [4, 6], FIRST_FIT, m)
+        seg_map = segment_alloc(SEGMENTED, m, proc(1, size=10, segments=(4, 6)))
         assert seg_map.segments == ((0, 4, 0), (1, 6, 4))
 
-    def test_length_sum_must_match(self):
-        m = first_fit_memory(16)
-        with pytest.raises(ParameterError):
-            segment_alloc(proc(1, size=10), [4, 5], FIRST_FIT, m)
+    def test_segments_over_fixed_partitions(self):
+        """A segment grant is the store's grant, mapped: each segment
+        takes one whole unit, and the map keeps the declared lengths."""
+        fixed = Organize.fixed_partition(4)
+        m = MemoryState.initial(16, fixed)
+        d = compose(Select.first_fit(), fixed, Chunk.segments())
+        seg_map = segment_alloc(d, m, proc(1, size=6, segments=(2, 4)))
+        assert seg_map.segments == ((0, 2, 0), (1, 4, 4))
+        assert m.extents_of(1) == (Extent(0, 4), Extent(4, 8)) and m.free_total == 8
 
     def test_rollback_on_partial_failure(self):
         m = first_fit_memory(12)
         allocate(FIRST_FIT, m, proc(9, size=5))  # free [5,12): 7 units
         before = dict(m.allocated), m.store, m.free_total
         with pytest.raises(AllocationFailure):
-            segment_alloc(proc(1, size=12, segments=(4, 8)), [4, 8], FIRST_FIT, m)
+            segment_alloc(SEGMENTED, m, proc(1, size=12, segments=(4, 8)))
         assert (dict(m.allocated), m.store, m.free_total) == before
 
 
@@ -315,6 +324,20 @@ class TestSwap:
         with pytest.raises(NotFoundError):
             swap_out(first_fit_memory(8), backing, proc(1, size=4))
         assert backing.free_total == 8
+
+    def test_a_multi_block_buddy_grant_swaps_and_releases_whole(self):
+        """Buddy in chunks of 2 grants size 5 as three blocks; a swap-out,
+        a swap-in and a release each take all three."""
+        chunked = compose(Select.buddy_fit(), Organize.buddy(), Chunk.fixed(2))
+        m, backing = MemoryState.initial(16, Organize.buddy()), first_fit_memory(16)
+        p, blocks = proc(1, size=5), (Extent(0, 2), Extent(2, 4), Extent(4, 5))
+        assert allocate(chunked, m, p) == blocks and m.free_total == 11
+        record = swap_out(m, backing, p)
+        assert record.pieces == (2, 2, 1) and backing.extents_of(1) == (Extent(0, 5),)
+        assert m.free == (Extent(0, 16),) and 1 not in m.allocated
+        assert swap_in(m, backing, record) == blocks and backing.free_total == 16
+        assert deallocate(m, 1) == blocks
+        assert m.free == (Extent(0, 16),) and m.free_total == 16
 
     def test_swap_in_retriable_when_tight(self):
         m = self.full_memory()

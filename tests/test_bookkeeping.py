@@ -28,6 +28,7 @@ from osalg.allocators import (
     swap_out,
     victim_key,
 )
+from osalg.combinators import Chunk
 from osalg.errors import AllocationFailure, ParameterError, SwapFailure
 
 from conftest import encloses, proc
@@ -244,6 +245,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
     ref, ref_backing = ReferenceMemory(kind, capacity), ReferenceMemory("identity", BACKING)
     select = Select.buddy_fit() if kind == "buddy" else Select.first_fit()
     discipline = compose(select, organizer)
+    segmented = compose(select, organizer, Chunk.segments())
     resident, swapped = [], []
     pid = 0
     for op, n, flag in ops:
@@ -253,7 +255,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
                 cut = n // 2
                 p = proc(pid, size=n, segments=(cut, n - cut))
                 got, expected = expect_same(
-                    lambda: segment_alloc(p, p.segments, discipline, m),
+                    lambda: segment_alloc(segmented, m, p),
                     lambda: ref.grant(p.id, n, segments=p.segments),
                 )
                 if got is not None:

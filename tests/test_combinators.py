@@ -14,7 +14,7 @@ from osalg.combinators import (
     BuddyTree,
     Chunk,
     ChunkTag,
-    organize_fixed_partition,
+    FreeRuns,
     organize_identity,
     organize_sort,
     select_first_fit,
@@ -93,7 +93,7 @@ class TestOrganizeSort:
 
 class TestFixedPartition:
     def test_exact_division(self):
-        store = organize_fixed_partition(16, 4)
+        store = Organize.fixed_partition(4)(16)
         assert store.free_extents() == (Extent(0, 16),)
         assert whole_units(store) == (
             Extent(0, 4), Extent(4, 8), Extent(8, 12), Extent(12, 16),
@@ -101,16 +101,16 @@ class TestFixedPartition:
         assert MemoryState.initial(16, Organize.fixed_partition(4)).residue is None
 
     def test_remainder_becomes_residue(self):
-        assert whole_units(organize_fixed_partition(10, 4)) == (Extent(0, 4), Extent(4, 8))
+        assert whole_units(Organize.fixed_partition(4)(10)) == (Extent(0, 4), Extent(4, 8))
         assert MemoryState.initial(10, Organize.fixed_partition(4)).residue == Extent(8, 10)
 
     def test_degenerate_all_residue(self):
-        assert organize_fixed_partition(3, 4).free_extents() == ()
+        assert Organize.fixed_partition(4)(3).free_extents() == ()
         assert MemoryState.initial(3, Organize.fixed_partition(4)).residue == Extent(0, 3)
 
     def test_zero_unit_rejected(self):
         with pytest.raises(ParameterError):
-            organize_fixed_partition(8, 0)
+            Organize.fixed_partition(0)
 
     @pytest.mark.parametrize("capacity", range(0, 14))
     @pytest.mark.parametrize("unit", [1, 3, 4])
@@ -121,7 +121,7 @@ class TestFixedPartition:
         count = capacity // unit
         eager = tuple(Extent(i * unit, (i + 1) * unit) for i in range(count))
         assert whole_units(store) == eager
-        assert store == organize_fixed_partition(capacity, unit)
+        assert store == FreeRuns((Extent(0, count * unit),) if count else (), unit)
 
     def test_a_huge_memory_partitions_in_constant_space(self):
         capacity = 1 << 30
@@ -289,16 +289,26 @@ class TestCompose:
 
     def test_buddy_discipline_applies(self):
         d = compose(Select.buddy_fit(), Organize.buddy())
-        extent, _ = d.apply(16, demand=3)
-        assert extent == Extent(0, 4)
+        assert d.apply(16, demand=3) == Extent(0, 4)
 
     def test_first_fit_discipline_applies(self):
+        """A memory select is the extent its store grants: under a fixed
+        partition, one whole unit, and never a piece past one unit."""
         d = compose(Select.first_fit(), Organize.identity())
         assert d.apply(16, demand=3) == Extent(0, 3)
         d = compose(Select.first_fit(), Organize.fixed_partition(4))
-        assert d.apply(10, demand=8) == Extent(0, 8)  # [8, 10) is residue
+        assert d.apply(10, demand=3) == Extent(0, 4)
         with pytest.raises(AllocationFailure):
-            d.apply(10, demand=9)
+            d.apply(10, demand=8)
+
+    @pytest.mark.parametrize("organize", [
+        Organize.identity(), Organize.fixed_partition(4), Organize.buddy(),
+    ], ids=["identity", "fixed", "buddy"])
+    @pytest.mark.parametrize("demand", [0, -1, None])
+    def test_a_memory_select_needs_a_demand_of_at_least_one(self, organize, demand):
+        select = Select.buddy_fit() if organize == Organize.buddy() else Select.first_fit()
+        with pytest.raises(ParameterError):
+            compose(select, organize).apply(16, demand=demand)
 
     def test_composition_law_randomized(self):
         rng = random.Random(11)

@@ -1,8 +1,9 @@
 """The memory, updated in place, keeps its books through any sequence of
 operations.
 
-A random sequence of grants (plain, segmented and paged), releases,
-swap-outs and swap-ins runs on a primary and a backing ``MemoryState``.
+A random sequence of grants (plain, chunked, segmented and paged),
+releases, swap-outs and swap-ins runs on a primary and a backing
+``MemoryState``.
 After every step both memories pass their full check. An operation that
 raises leaves `allocated`, `store` and `free_total` of both exactly as
 they were. One that succeeds changes only the memories it touches, and
@@ -11,6 +12,8 @@ longer holds, with the free total moved by its size.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +32,7 @@ from osalg.allocators import (
     swap_out,
     victim_key,
 )
-from osalg.combinators import BuddyTree
+from osalg.combinators import BuddyTree, Chunk
 from osalg.errors import AllocationFailure, OsAlgError, SwapFailure
 
 from conftest import proc
@@ -37,13 +40,16 @@ from conftest import proc
 UNIT = 4
 BACKING = 24
 
-# organization -> (organizer, primary capacity)
+# organization -> (organizer, primary capacity, chunk of a plain grant)
 ORGANIZATIONS = {
-    "identity": (Organize.identity(), 40),
-    "fixed": (Organize.fixed_partition(UNIT), 50),  # 2 units of residue
-    "buddy": (Organize.buddy(), 64),
-    "paging": (Organize.fixed_partition(UNIT), 48),
+    "identity": (Organize.identity(), 40, Chunk.whole()),
+    "fixed": (Organize.fixed_partition(UNIT), 50, Chunk.whole()),  # 2 units of residue
+    "buddy": (Organize.buddy(), 64, Chunk.whole()),
+    "buddy-chunked": (Organize.buddy(), 64, Chunk.fixed(UNIT)),  # a block per piece
+    "paging": (Organize.fixed_partition(UNIT), 48, Chunk.whole()),
 }
+# the organizations whose procedures may declare segments
+SEGMENTED = ("identity", "fixed", "buddy")
 
 # the memories, primary then backing, that a successful step changes
 TOUCHES = {
@@ -70,7 +76,8 @@ def grant_step(kind, discipline, p):
     if kind == "paging":
         return lambda m, backing: build_page_table(paginate(p, UNIT), m)
     if p.segments is not None:
-        return lambda m, backing: segment_alloc(p, p.segments, discipline, m)
+        segmented = replace(discipline, chunk=Chunk.segments())
+        return lambda m, backing: segment_alloc(segmented, m, p)
     return lambda m, backing: allocate(discipline, m, p)
 
 
@@ -119,17 +126,20 @@ def check_result(op, result, pid, before, memories):
 # a buddy grant past the free total fails before the tree is searched
 @example(kind="buddy", ops=[("grant", 20, False), ("grant", 20, False),
                             ("grant", 20, False)])
+# a grant of several blocks, swapped out, swapped in and released
+@example(kind="buddy-chunked", ops=[("grant", 6, False), ("swap_out", 0, False),
+                                    ("swap_in", 0, False), ("release", 1, False)])
 def test_a_step_changes_memory_only_when_it_succeeds(kind, ops):
-    organizer, capacity = ORGANIZATIONS[kind]
+    organizer, capacity, chunk = ORGANIZATIONS[kind]
     memories = (MemoryState.initial(capacity, organizer), MemoryState.initial(BACKING))
-    select = Select.buddy_fit() if kind == "buddy" else Select.first_fit()
-    discipline = compose(select, organizer)
+    select = Select.buddy_fit() if organizer == Organize.buddy() else Select.first_fit()
+    discipline = compose(select, organizer, chunk)
     procs, records = {}, []  # records stay listed after their swap-in
     for op, n, flag in ops:
         if op == "grant":
             size = n % (UNIT + 2) if kind == "fixed" else n
-            cut = n // 2
-            segments = (cut, n - cut) if kind == "identity" and flag and n > 1 else None
+            cut = size // 2
+            segments = (cut, size - cut) if kind in SEGMENTED and flag and size > 1 else None
             p = proc(len(procs) + 1, size=size, segments=segments)
             procs[p.id] = p
             pid, step = p.id, grant_step(kind, discipline, p)
