@@ -72,7 +72,7 @@ class BindingGraph:
         if any(b < a for a, b in zip(instants, instants[1:])):
             raise ClockError("event instants must be non-decreasing")
         successors = _successor_index(self.dependencies)
-        _find_cycle(successors, successors)
+        _find_cycle(successors)
 
     @classmethod
     def _extend(
@@ -154,7 +154,7 @@ def _topological_orders(
     cycle raises CycleError before the first."""
     nodes = sorted(set(symbols) | {s for pair in dependencies for s in pair})
     successors = _successor_index(dependencies)
-    _find_cycle(successors, successors)
+    _find_cycle(successors)
     # blockers not yet placed, per symbol; `ready` holds, sorted, the
     # unplaced symbols with none left, which are the candidates for the
     # next position of the prefix
@@ -208,19 +208,17 @@ def _successor_index(
     return {first: tuple(thens) for first, thens in successors.items()}
 
 
-def _find_cycle(
-    roots: Iterable[str], successors: Mapping[str, tuple[str, ...]]
-) -> None:
-    """Depth-first search from each root in turn; raises CycleError naming
-    the first cycle met, from the node it re-enters to the last node on
-    the current path.
+def _find_cycle(successors: Mapping[str, tuple[str, ...]]) -> None:
+    """Depth-first search from each node of the index in turn; raises
+    CycleError naming the first cycle met, from the node it re-enters to
+    the last node on the current path.
 
     Iterative, so chains of any length fit in a constant Python stack.
     Nodes without successors cannot start a cycle, so searching from every
     node of the index, in index order, covers the whole graph.
     """
     state: dict[str, int] = {}  # 1 = on the current path, 2 = done
-    for root in roots:
+    for root in successors:
         if root in state:
             continue
         state[root] = 1

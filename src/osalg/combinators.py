@@ -74,11 +74,13 @@ class FreeRuns:
 
     def grant(self, pieces: Sequence[int]) -> tuple[tuple[Extent, ...], "FreeRuns"]:
         """First fit of each piece in turn, under a unit rounded up to one
-        unit; AllocationFailure, with this store unchanged, when one does
-        not fit."""
+        unit; with this store unchanged, ParameterError when a piece is
+        below 1 and AllocationFailure when one does not fit."""
         runs, granted, unit = list(self.runs), [], self.unit
         for q in pieces:
             if unit is not None:
+                if q < 1:
+                    raise ParameterError(f"demand must be >= 1, got {q}")
                 if q > unit:
                     raise AllocationFailure(f"demand {q} exceeds the {unit}-unit partitions")
                 q = unit
@@ -421,9 +423,8 @@ class Select:
             return select_identity(organized, self.index)
         if self.tag is SelectTag.ARGMAX_PRIORITY:
             return select_argmax_priority(organized)
-        # a store under a unit grants a whole unit even for a demand below 1
-        if demand is None or demand < 1:
-            raise ParameterError(f"{self.tag.value} selection needs a demand >= 1, got {demand}")
+        if demand is None:
+            raise ParameterError(f"{self.tag.value} selection needs a demand")
         (extent,), _ = organized.grant((demand,))
         return extent
 

@@ -3,9 +3,11 @@
 Everything here is deliberately independent of the combinator machinery
 and of the simulator: schedules come from exhaustive permutation
 enumeration or a round robin stepped one instant at a time, buddy
-placements from a textbook free-list allocator. Results are plain tuples
-over core types so nothing leaks back from the code paths they are meant
-to check.
+placements from a textbook free-list allocator. Nothing is imported from
+`osalg`: procedures are read by their `id`, `arrival` and `time`
+attributes, failures are built-in exceptions or `NoFreeBlock`, and
+results are plain tuples, so nothing leaks back from the code paths they
+are meant to check.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
-
-from .core import Procedure, ProcedureSet
-from .errors import AllocationFailure, NotFoundError, ParameterError
+from typing import Any, Callable, Iterable, Sequence
 
 MAX_ENUMERATION = 8  # factorial enumeration stays under a second
+
+
+class NoFreeBlock(Exception):
+    """The reference buddy allocator has no free block for a demand."""
 
 
 @dataclass(frozen=True)
@@ -30,7 +33,7 @@ class OracleResult:
     cost: int
 
 
-def _replay(order: Sequence[Procedure]) -> tuple[tuple[tuple[int, int, int], ...], int]:
+def _replay(order: Sequence[Any]) -> tuple[tuple[tuple[int, int, int], ...], int]:
     clock = 0
     slices = []
     total_wait = 0
@@ -42,15 +45,15 @@ def _replay(order: Sequence[Procedure]) -> tuple[tuple[tuple[int, int, int], ...
     return tuple(slices), total_wait
 
 
-def brute_schedule(procedures: ProcedureSet | Sequence[Procedure]) -> OracleResult:
+def brute_schedule(procedures: Iterable[Any]) -> OracleResult:
     """Enumerate every dispatch order and return a minimum total-wait one.
 
     Ties resolve to the lexicographically smallest id order. Limited to
-    8 procedures.
+    8 procedures; an empty set has the one empty order.
     """
     members = tuple(procedures)
     if len(members) > MAX_ENUMERATION:
-        raise ParameterError(
+        raise ValueError(
             f"enumeration limited to {MAX_ENUMERATION} procedures, got {len(members)}"
         )
     best: OracleResult | None = None
@@ -59,8 +62,6 @@ def brute_schedule(procedures: ProcedureSet | Sequence[Procedure]) -> OracleResu
         ids = tuple(p.id for p in perm)
         if best is None or cost < best.cost or (cost == best.cost and ids < best.order):
             best = OracleResult(order=ids, slices=slices, cost=cost)
-    if best is None:
-        return OracleResult(order=(), slices=(), cost=0)
     return best
 
 
@@ -79,7 +80,7 @@ def reference_buddy(
         elif op[0] == "free":
             allocator.free(op[1])
         else:
-            raise ParameterError(f"unknown op {op[0]!r}")
+            raise ValueError(f"unknown op {op[0]!r}")
     return allocator
 
 
@@ -92,18 +93,18 @@ class ReferenceBuddy:
 
     def __init__(self, capacity: int):
         if capacity < 1 or capacity & (capacity - 1):
-            raise ParameterError(f"capacity must be a power of two, got {capacity}")
+            raise ValueError(f"capacity must be a power of two, got {capacity}")
         self.capacity = capacity
         self.free_blocks: list[tuple[int, int]] = [(0, capacity)]
         self.placements: dict[object, tuple[int, int]] = {}
 
     def alloc(self, key: object, size: int) -> tuple[int, int]:
         if size < 1:
-            raise ParameterError(f"size must be >= 1, got {size}")
+            raise ValueError(f"size must be >= 1, got {size}")
         block_size = 1 << (size - 1).bit_length()
         candidates = [b for b in self.free_blocks if b[1] >= block_size]
         if not candidates:
-            raise AllocationFailure(f"no free block of {block_size} units")
+            raise NoFreeBlock(f"no free block of {block_size} units")
         start, have = min(candidates)
         self.free_blocks.remove((start, have))
         while have > block_size:
@@ -115,7 +116,7 @@ class ReferenceBuddy:
 
     def free(self, key: object) -> None:
         if key not in self.placements:
-            raise NotFoundError(f"unknown placement {key!r}")
+            raise KeyError(f"unknown placement {key!r}")
         start, size = self.placements.pop(key)
         while size < self.capacity:
             buddy = (start ^ size, size)
@@ -133,8 +134,8 @@ class ReferenceBuddy:
 
 
 def replay_rr(
-    procedures: ProcedureSet | Sequence[Procedure],
-    quantum: int | Callable[[Procedure], int],
+    procedures: Iterable[Any],
+    quantum: int | Callable[[Any], int],
 ) -> tuple[tuple[int, int, int], ...]:
     """Round robin stepped one CPU instant at a time, one slice tuple per
     turn.
@@ -150,10 +151,10 @@ def replay_rr(
     pending = deque(sorted(procedures, key=lambda p: (p.arrival, p.id)))
     for p in pending:
         if quantum_of(p) < 1:
-            raise ParameterError(f"quantum must be >= 1 for procedure {p.id}")
+            raise ValueError(f"quantum must be >= 1 for procedure {p.id}")
     left = {p.id: p.time for p in pending}
-    queue: deque[Procedure] = deque()
-    turn: tuple[Procedure, int] | None = None  # running procedure, turn start
+    queue: deque[Any] = deque()
+    turn: tuple[Any, int] | None = None  # running procedure, turn start
     slices: list[tuple[int, int, int]] = []
     now = 0
     while pending or queue or turn is not None:

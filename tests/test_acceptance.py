@@ -26,10 +26,10 @@ from osalg import (
 )
 from osalg.cli import render_trace
 from osalg.errors import AllocationFailure, TranslationFault
-from osalg.oracle import ReferenceBuddy, brute_schedule
 from osalg.sim import EventKind
 
 from conftest import proc, random_batch, regression_runs
+from oracle import NoFreeBlock, ReferenceBuddy, brute_schedule
 
 
 def report(number: int, name: str, ok: bool) -> None:
@@ -95,7 +95,7 @@ def test_criterion_3_buddy_equivalence():
                     try:
                         ref.alloc(key, q)
                         ok = False
-                    except AllocationFailure:
+                    except NoFreeBlock:
                         pass
                     continue
                 start, size = ref.alloc(key, q)

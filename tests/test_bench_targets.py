@@ -6,16 +6,33 @@ the caller reads (`osalg.sim.allocate_op`, `segment_alloc`,
 `build_page_table`, `paginate`, `swap_in`, ...), a method on its own class
 (`Discipline.apply`). A refactor that moves one of them breaks the
 benchmark, which this suite does not collect, so the targets are checked
-here. The module is standard library only and is loaded by its path.
+here. The module is standard library only and is loaded by its path. The
+benchmark's own tests, whose `conftest.py` would shadow this suite's, run
+in a subprocess.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from osalg import cli
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+REPO = Path(__file__).resolve().parents[1]
+SPANS = REPO / "perfbench" / "spans.py"
+
+
+def test_the_benchmark_tests_pass():
+    """`perfbench/tests`, run as its own pytest session from the repository
+    root, writing no cache or bytecode into the benchmark's tree."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def load_spans():

@@ -27,10 +27,10 @@ from osalg.errors import (
     NotFoundError,
     ParameterError,
 )
-from osalg.oracle import ReferenceBuddy
 from osalg.sim import class_quantum, dispatch_slices
 
 from conftest import encloses, proc, random_batch
+from oracle import NoFreeBlock, ReferenceBuddy
 
 
 def assert_tiles(tree, granted):
@@ -310,6 +310,18 @@ class TestCompose:
         with pytest.raises(ParameterError):
             compose(select, organize).apply(16, demand=demand)
 
+    @pytest.mark.parametrize("organize", [
+        Organize.identity(), Organize.fixed_partition(4), Organize.buddy(),
+    ], ids=["identity", "fixed", "buddy"])
+    @pytest.mark.parametrize("piece", [0, -1])
+    def test_a_store_refuses_a_piece_below_one(self, organize, piece):
+        """Every organization refuses the piece before it rounds it up, so
+        a fixed partition grants no whole unit for it."""
+        store = organize(16)
+        with pytest.raises(ParameterError):
+            store.grant((2, piece))
+        assert store == organize(16)
+
     def test_composition_law_randomized(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -415,7 +427,7 @@ def test_buddy_matches_reference_on_random_sequences():
                 try:
                     extent, tree = tree.allocate(q)
                 except AllocationFailure:
-                    with pytest.raises(AllocationFailure):
+                    with pytest.raises(NoFreeBlock):
                         ref.alloc(key, q)
                     continue
                 start, size = ref.alloc(key, q)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from osalg.errors import AllocationFailure, NotFoundError, ParameterError
-from osalg.oracle import ReferenceBuddy, brute_schedule, reference_buddy, replay_rr
-
 from conftest import proc
+from oracle import (
+    NoFreeBlock, OracleResult, ReferenceBuddy, brute_schedule, reference_buddy, replay_rr,
+)
 
 
 class TestBruteSchedule:
@@ -14,6 +14,9 @@ class TestBruteSchedule:
         best = brute_schedule(jobs)
         assert best.order == (2, 3, 1)
         assert best.cost == 4  # waits 0, 1, 3
+
+    def test_empty_set_has_the_empty_order(self):
+        assert brute_schedule([]) == OracleResult(order=(), slices=(), cost=0)
 
     def test_single_job(self):
         best = brute_schedule([proc(1, time=5)])
@@ -26,7 +29,7 @@ class TestBruteSchedule:
 
     def test_enumeration_cap(self):
         jobs = [proc(i, time=1) for i in range(1, 10)]
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             brute_schedule(jobs)
 
     def test_exhaustive_agreement_with_manual_check(self):
@@ -59,7 +62,7 @@ class TestReferenceBuddy:
 
     def test_demand_beyond_capacity_fails(self):
         b = ReferenceBuddy(8)
-        with pytest.raises(AllocationFailure):
+        with pytest.raises(NoFreeBlock):
             b.alloc("a", 9)
 
     def test_free_merges_back_to_root(self):
@@ -69,11 +72,11 @@ class TestReferenceBuddy:
         assert b.free_blocks == [(0, 16)]
 
     def test_unknown_free_rejected(self):
-        with pytest.raises(NotFoundError):
+        with pytest.raises(KeyError):
             ReferenceBuddy(8).free("nope")
 
     def test_capacity_must_be_power_of_two(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             ReferenceBuddy(12)
 
 
@@ -100,7 +103,7 @@ class TestReplayRR:
         assert slices == ((1, 0, 1), (2, 1, 3), (1, 4, 1))
 
     def test_zero_quantum_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError):
             replay_rr([proc(1)], 0)
 
     def test_arrival_at_turn_end_goes_ahead_of_the_preempted(self):

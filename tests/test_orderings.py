@@ -21,7 +21,7 @@ def reference_orders(symbols, dependencies):
     dependencies = frozenset(dependencies)
     nodes = sorted(set(symbols) | {s for pair in dependencies for s in pair})
     successors = _successor_index(dependencies)
-    _find_cycle(successors, successors)
+    _find_cycle(successors)
     blockers = {n: set() for n in nodes}
     for first, then in dependencies:
         blockers[then].add(first)

@@ -16,9 +16,9 @@ from osalg import (
 )
 from osalg.schedulers import class_quantum, variable_quantum
 from osalg.errors import ParameterError, StreamOrderError
-from osalg.oracle import brute_schedule, replay_rr
 
 from conftest import proc, random_arrivals, random_batch
+from oracle import brute_schedule, replay_rr
 
 
 def ids_of(schedule):

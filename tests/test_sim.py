@@ -16,10 +16,10 @@ from osalg.errors import (
     ParameterError,
     UnrunnableProcedureError,
 )
-from osalg.oracle import brute_schedule, replay_rr
 from osalg.sim import EventKind, TraceEvent, class_quantum, metrics
 
 from conftest import proc, random_batch, random_arrivals, regression_runs
+from oracle import brute_schedule, replay_rr
 
 
 def dispatch_slices(trace):

@@ -1,9 +1,12 @@
 """The package's public surface: the names the benchmark wraps, the names
-`osalg` exports, and the README's library example that imports them."""
+`osalg` exports, the modules it ships, and the README's library example
+that imports them."""
 
+import ast
 import contextlib
 import importlib.util
 import io
+import pkgutil
 import re
 from pathlib import Path
 
@@ -60,6 +63,38 @@ def test_exports_are_pinned():
     ]
     for name in osalg.__all__:
         assert hasattr(osalg, name), name
+
+
+def test_modules_are_pinned():
+    """The package holds the library and nothing else: the test oracles
+    live under tests/."""
+    assert sorted(m.name for m in pkgutil.iter_modules(osalg.__path__)) == [
+        "allocators",
+        "binding",
+        "cli",
+        "combinators",
+        "core",
+        "errors",
+        "schedulers",
+        "sim",
+        "strict",
+    ]
+
+
+def test_oracles_import_nothing_from_the_package():
+    """An oracle that shares code with what it checks cannot catch a fault
+    in that code."""
+    tree = ast.parse((REPO / "tests" / "oracle.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        "." * node.level + (node.module or "") for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert imported
+    for name in imported:
+        assert not name.startswith(".") and name.split(".")[0] != "osalg", name
 
 
 def test_readme_library_example_runs():
