@@ -254,9 +254,6 @@ def build_page_table(pages: Pagination, m: MemoryState) -> PageMap:
         raise ParameterError(
             f"page size {pages.page_size} does not match frame size {unit}"
         )
-    frames = m.free_total // unit
-    if pages.page_count > frames:
-        raise AllocationFailure(f"{pages.page_count} frames needed, {frames} free")
     granted = _grant(m, pages.pid, (unit,) * pages.page_count)
     entries = tuple((page, extent.start // unit) for page, extent in enumerate(granted))
     return PageMap(page_size=pages.page_size, entries=entries)

@@ -3,7 +3,8 @@
 Each function runs one scheduling policy of the simulator (`osalg.sim`)
 over first-fit memory large enough to hold every procedure at once, and
 returns the simulator's dispatches as slices; the disciplines themselves
-are written once, as the simulator's policies.
+are written once, as the simulator's policies, and a schedule is bounded
+as a simulator run is.
 
 Each discipline repeatedly draws the next procedure from the ready set:
 first-come-first-served selects the first member of the identity

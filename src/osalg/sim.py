@@ -224,15 +224,16 @@ def _param(value: T, ok: bool, message: str) -> T:
 
 
 FIRST_FIT = Select.first_fit()
+FIRST_FIT_MEMORY = Allocator(
+    compose(FIRST_FIT, Organize.identity(), Chunk.whole()), "free-list",
+    # swap-in regrants the declared segments, though admission granted
+    # one extent: a known fault, kept until a change of traces mends it
+    swap_chunk=Chunk.segments())
 
 # Each allocator name -> its entry under a configuration; building the
 # entry checks the allocator's parameters.
 ALLOCATORS: dict[str, Callable[[SimConfig], Allocator]] = {
-    "first-fit": lambda cfg: Allocator(
-        compose(FIRST_FIT, Organize.identity(), Chunk.whole()), "free-list",
-        # swap-in regrants the declared segments, though admission granted
-        # one extent: a known fault, kept until a change of traces mends it
-        swap_chunk=Chunk.segments()),
+    "first-fit": lambda cfg: FIRST_FIT_MEMORY,
     "fixed": lambda cfg: Allocator(
         compose(FIRST_FIT, Organize.fixed_partition(_param(
             cfg.unit_size, (cfg.unit_size or 0) >= 1,
@@ -358,27 +359,27 @@ SCHEDULERS: dict[str, Callable[[SimConfig], Discipline]] = {
 
 
 class _Simulation:
-    """One run; `discipline`, when given, replaces the scheduler cfg names.
-    The run updates its primary and backing memories in place, under the
-    allocator cfg names. `listed` counts what the trace lists toward
-    MAX_TRACE: what `trace_bound` knows before the run, when the run
-    counts it, and the extents each swap lists again."""
+    """One run of the CPU discipline `cpu` and the memory discipline of
+    `allocator` over the procedures, taken in arrival order, in primary
+    and backing memories of the given capacities, which the run updates
+    in place. `listed` counts what the trace lists toward MAX_TRACE:
+    what `trace_bound` knows, counted before the first event, and the
+    extents each swap lists again."""
 
     def __init__(
-        self, stream: ArrivalStream, cfg: SimConfig, strict: bool,
-        discipline: Discipline | None = None,
+        self, procedures: Iterable[Procedure], cpu: Discipline, allocator: Allocator,
+        memory_capacity: int, backing_capacity: int, strict: bool,
     ):
+        members = sorted(procedures, key=lambda p: (p.arrival, p.id))
         self.listed = 0
-        self.cfg = cfg
-        self.stream = stream
+        self.count_listed(trace_bound(members, cpu, allocator))
+        self.stream = ArrivalStream(members)
         # events in emission order; instants never decrease along it
         self.events: list[TraceEvent] = []
-        self.allocator = allocator = ALLOCATORS[cfg.allocator](cfg)
+        self.allocator = allocator
         self.placement = d = allocator.discipline
-        backing = cfg.backing_capacity
-        self.primary = MemoryState.initial(cfg.memory_capacity, d.organize)
-        self.backing = MemoryState.initial(
-            cfg.memory_capacity if backing is None else backing, Organize.identity())
+        self.primary = MemoryState.initial(memory_capacity, d.organize)
+        self.backing = MemoryState.initial(backing_capacity, Organize.identity())
         self.empty = self.primary.store  # a store is a value: the empty one stays
         # the shape of a grant, decided once: a page table, a segment map or
         # a plain grant
@@ -390,12 +391,11 @@ class _Simulation:
             from .strict import RunCheck
 
             self.check = RunCheck(self.primary, self.backing, self.events)
-        discipline = discipline or SCHEDULERS[cfg.scheduler](cfg)
-        self.run_length = discipline.chunk.first  # of a dispatch, given what is left
-        self.needs_priority = discipline.select.tag is SelectTag.ARGMAX_PRIORITY
+        self.run_length = cpu.chunk.first  # of a dispatch, given what is left
+        self.needs_priority = cpu.select.tag is SelectTag.ARGMAX_PRIORITY
         self.clock = 0
         self.remaining: dict[int, int] = {}
-        self.ready = ready_set(discipline)
+        self.ready = ready_set(cpu)
         # what a swap may evict: every resident procedure but the running
         # one; a preempted procedure is one from its Preempt on, while the
         # arrivals of that instant come in ahead of its rejoining
@@ -447,7 +447,7 @@ class _Simulation:
         if p.size and not self.empty.fits(self.placement.chunk, p):
             raise UnrunnableProcedureError(
                 f"procedure {p.id} (size {p.size}) can never be resident under "
-                f"{self.cfg.allocator} in {self.cfg.memory_capacity} units"
+                f"{self.allocator.symbol} in {self.primary.capacity} units"
             )
         if self.needs_priority and p.priority is None:
             raise ParameterError(f"procedure {p.id} has no priority")
@@ -573,9 +573,8 @@ class _Simulation:
                 self.clock = head.arrival  # later than the clock, once pumped
                 continue
             if self.swapped or self.backlog:
-                self.reclaim(self.clock)
-                if self.ready:
-                    continue
+                # nothing is resident, and the last completion reclaimed
+                # into empty memory, which grants whatever `fits` admitted
                 raise OsAlgError("simulation stuck: nothing ready, memory idle")
             break
         # a stable sort: events of one instant keep their emission order
@@ -588,11 +587,12 @@ class _Simulation:
 
 
 def run(
-    workload: ProcedureSet | Iterable[Procedure] | ArrivalStream,
+    workload: ProcedureSet | Iterable[Procedure],
     cfg: SimConfig,
     strict: bool | None = None,
 ) -> tuple[Trace, Metrics]:
-    """Simulate the workload under the configuration.
+    """Simulate the workload under the configuration: the scheduler and
+    allocator it names, over its memory and backing capacities.
 
     `strict` checks each event as it is emitted: each memory change, with
     full checks of memory spread over the run and run again at its end,
@@ -600,20 +600,17 @@ def run(
     OSALG_STRICT environment variable.
 
     A run whose trace would list more than MAX_TRACE dispatches, pages
-    and extents raises TraceLimitError: before it starts, when
+    and extents raises TraceLimitError: before its first event, when
     `trace_bound` is over the limit, or at the swap whose extents take it
-    over. A run from an ArrivalStream, which may not end, is bounded by
-    its swaps alone.
+    over.
     """
     if strict is None:
         strict = os.environ.get(STRICT_ENV, "") == "1"
-    if isinstance(workload, ArrivalStream):
-        sim = _Simulation(workload, cfg, strict)
-    else:
-        members = sorted(workload, key=lambda p: (p.arrival, p.id))
-        sim = _Simulation(ArrivalStream(members), cfg, strict)
-        sim.count_listed(trace_bound(members, cfg))
-    trace = sim.run()
+    backing = cfg.backing_capacity
+    trace = _Simulation(
+        workload, SCHEDULERS[cfg.scheduler](cfg), ALLOCATORS[cfg.allocator](cfg),
+        cfg.memory_capacity, cfg.memory_capacity if backing is None else backing, strict,
+    ).run()
     return trace, metrics(trace)
 
 
@@ -624,17 +621,15 @@ def run(
 MAX_TRACE = 200_000
 
 
-def trace_bound(procedures: Iterable[Procedure], cfg: SimConfig) -> int:
+def trace_bound(procedures: Iterable[Procedure], cpu: Discipline, allocator: Allocator) -> int:
     """What the trace of a run grows with, known before the run: its
-    Dispatch lines, the count of the chunks the scheduler cuts each
-    procedure's CPU demand into (one for a discipline that runs a
+    Dispatch lines, the count of the chunks the CPU discipline `cpu` cuts
+    each procedure's CPU demand into (one for a discipline that runs a
     procedure to completion), plus, when the allocator is paged, each
     procedure's pages, which its Allocate line lists. Counting builds no
     chunk. A swap lists extents again, which the run counts as it goes."""
-    cpu = SCHEDULERS[cfg.scheduler](cfg).chunk
-    allocator = ALLOCATORS[cfg.allocator](cfg)
     memory, paged = allocator.discipline.chunk, allocator.paged
-    return sum(cpu.count(p, p.time) + (memory.count(p, p.size) if paged else 0)
+    return sum(cpu.chunk.count(p, p.time) + (memory.count(p, p.size) if paged else 0)
                for p in procedures)
 
 
@@ -642,10 +637,12 @@ def dispatch_slices(
     procedures: Iterable[Procedure], discipline: Discipline
 ) -> list[tuple[int, int, int]]:
     """(pid, start, length) of each dispatch when `discipline` schedules
-    the procedures over first-fit memory that holds all of them at once."""
-    members = sorted(procedures, key=lambda p: (p.arrival, p.id))
-    cfg = SimConfig(memory_capacity=max(1, sum(p.size for p in members)))
-    trace = _Simulation(ArrivalStream(members), cfg, False, discipline).run()
+    the procedures over first-fit memory that holds all of them at once;
+    the run is bounded as `run`'s is."""
+    members = list(procedures)
+    capacity = max(1, sum(p.size for p in members))
+    trace = _Simulation(members, discipline, FIRST_FIT_MEMORY, capacity, capacity,
+                        False).run()
     return [
         (e.pid, e.instant, e.value("run"))
         for e in trace.of_kind(EventKind.DISPATCH)

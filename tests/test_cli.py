@@ -28,7 +28,7 @@ from osalg.cli import (
 )
 from osalg.combinators import Chunk, free_store
 from osalg.errors import TraceLimitError, WorkloadError
-from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace, TraceEvent, trace_bound
+from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace, TraceEvent
 
 from conftest import emit_workload
 
@@ -424,6 +424,12 @@ def test_a_run_past_the_trace_limit_is_a_usage_error(tmp_path, record, flags):
     assert "Traceback" not in child.stderr
     assert child.stderr == (f"usage error: the trace would hold more than {sim.MAX_TRACE} "
                             "dispatches and listed pages\n")
+
+
+def trace_bound(procedures, cfg):
+    """`sim.trace_bound` under the scheduler and allocator cfg names."""
+    return sim.trace_bound(procedures, SCHEDULERS[cfg.scheduler](cfg),
+                           ALLOCATORS[cfg.allocator](cfg))
 
 
 def test_trace_bound_counts_dispatches_and_listed_pages():

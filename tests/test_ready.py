@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import proc
-from osalg import ArrivalStream, SimConfig, sim
+from osalg import SimConfig, sim
 from osalg.allocators import victim_key
 from osalg.combinators import Chunk, Organize, Select, SortKey, compose, order_key
 from osalg.errors import CompositionError
@@ -193,8 +193,8 @@ def test_a_chunked_discipline_rejoins_by_its_declared_key(discipline, strict):
     """Chunked shortest job first and chunked priority preempt at chunk
     boundaries, and a preempted procedure rejoins by the key it declared,
     not by the time it has left."""
-    cfg = SimConfig(memory_capacity=6)
-    trace = sim._Simulation(ArrivalStream(CHUNKED_PROCS), cfg, strict, discipline).run()
+    trace = sim._Simulation(CHUNKED_PROCS, discipline, sim.FIRST_FIT_MEMORY, 6, 6,
+                            strict).run()
     slices = [(e.pid, e.instant, e.value("run"))
               for e in trace.of_kind(sim.EventKind.DISPATCH)]
     assert slices == CHUNKED_SLICES
@@ -233,10 +233,9 @@ def watched_run(scheduler, shapes):
         proc(i + 1, size=size, time=time, arrival=arrival, priority=priority)
         for i, (arrival, size, time, priority) in enumerate(shapes)
     ]
-    members.sort(key=lambda p: (p.arrival, p.id))
-    cfg = SimConfig(memory_capacity=12, backing_capacity=16, scheduler=scheduler,
-                    quantum=2)
-    simulation = WatchedSimulation(ArrivalStream(members), cfg, strict=False)
+    cfg = SimConfig(scheduler=scheduler, quantum=2)
+    simulation = WatchedSimulation(members, sim.SCHEDULERS[scheduler](cfg),
+                                   sim.FIRST_FIT_MEMORY, 12, 16, strict=False)
     simulation.procedures = {p.id: p for p in members}
     simulation.run()
     return simulation

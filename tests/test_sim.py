@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osalg import Extent, ProcedureSet, SimConfig, Trace, run
-from osalg import binding, sim
+from osalg import Extent, ProcedureSet, SimConfig, Trace, WorkClass, run
+from osalg import binding, schedulers, sim
 from osalg.binding import validate
 from osalg.combinators import Chunk, Organize, Select, compose
 from osalg.errors import (
     IncompleteRunError,
     OsAlgError,
     ParameterError,
+    TraceLimitError,
     UnrunnableProcedureError,
 )
 from osalg.sim import EventKind, TraceEvent, class_quantum, metrics
@@ -561,3 +562,43 @@ class TestDeterminismAndInvariants:
             SimConfig(allocator="paging")  # needs page size
         with pytest.raises(ParameterError):
             SimConfig(allocator="buddy", memory_capacity=48)
+
+
+# (id, size, time, arrival, priority, class): procedure 1 is I/O-bound,
+# procedure 3 untagged, so it counts as CPU-bound
+BOUNDED = [proc(1, size=2, time=5, priority=1, io_class=WorkClass.IO_BOUND),
+           proc(2, size=3, time=3, arrival=1, priority=4, io_class=WorkClass.CPU_BOUND),
+           proc(3, size=1, time=2, arrival=2, priority=2)]
+
+
+@pytest.mark.parametrize("entry, bound", [
+    (lambda ps: run(ps, SimConfig()), 3),
+    (lambda ps: run(ps, SimConfig(scheduler="rr", quantum=2, allocator="paging",
+                                  page_size=1)), 6 + 6),
+    (lambda ps: sim.dispatch_slices(ps, sim.FCFS), 3),
+    (schedulers.fcfs, 3),
+    (lambda ps: schedulers.sjf(ps, "time"), 3),
+    (schedulers.priority_schedule, 3),
+    (lambda ps: schedulers.round_robin(ps, 2), 3 + 2 + 1),
+    (lambda ps: schedulers.variable_quantum(ps, class_quantum(1, 2)), 5 + 2 + 1),
+], ids=["run", "run-rr-paging", "dispatch_slices", "fcfs", "sjf", "priority_schedule",
+        "round_robin", "variable_quantum"])
+def test_every_entry_counts_the_bound_before_its_first_event(monkeypatch, entry, bound):
+    """Every way into the simulator counts `trace_bound` against
+    MAX_TRACE before it emits an event: one below the bound raises
+    TraceLimitError with no event emitted, at the bound the run runs."""
+    emitted = []
+    real_emit = sim._Simulation.emit
+
+    def recording(self, *event):
+        emitted.append(event)
+        real_emit(self, *event)
+
+    monkeypatch.setattr(sim._Simulation, "emit", recording)
+    monkeypatch.setattr(sim, "MAX_TRACE", bound - 1)
+    with pytest.raises(TraceLimitError):
+        entry(BOUNDED)
+    assert emitted == []
+    monkeypatch.setattr(sim, "MAX_TRACE", bound)
+    entry(BOUNDED)
+    assert emitted
