@@ -6,7 +6,7 @@ The package exports what a run, its results, the README example and the
 acceptance criteria use; everything else is reached through its module.
 """
 
-from .core import ArrivalStream, Extent, Procedure, ProcedureSet, WorkClass
+from .core import Extent, Procedure, ProcedureSet, WorkClass
 from .combinators import Organize, Select, SortKey, compose, organize_buddy
 from .schedulers import fcfs, priority_schedule, round_robin, sjf
 from .allocators import BindingLayer, translate
@@ -17,7 +17,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrivalStream",
     "BindingGraph",
     "BindingLayer",
     "Extent",

@@ -10,17 +10,20 @@ A ``Procedure`` is the unit every discipline manipulates: it records a
 memory demand and a CPU demand. Procedure values are ordinary data: sets
 hold them, disciplines take them as arguments and hand them back as
 results. All types here are immutable values. The one exception is
-``ArrivalStream``, the cursor that hands procedures to schedulers in
-arrival order.
+``ArrivalStream``, a run's cursor over its procedures: it sorts them
+into arrival order once, checks their ids, and hands them out as the
+clock reaches their arrivals.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .errors import MalformedExtentError, ParameterError, StreamOrderError
+from .errors import MalformedExtentError, ParameterError
 
 # Addresses are consecutive naturals from 0 within one memory; any unique
 # monotone numbering would do, consecutiveness keeps extent arithmetic
@@ -125,40 +128,21 @@ class ProcedureSet:
 
 
 class ArrivalStream:
-    """Pull-based arrival source; arrivals must be non-decreasing.
-
-    Works over any iterable, including unbounded generators, pulling only
-    as far as the requested instant.
-    """
+    """A run's arrivals: the procedures sorted by (arrival, id) into
+    `members`, which must be a ProcedureSet (ids unique), taken in
+    slices as the clock reaches them."""
 
     def __init__(self, procedures: Iterable[Procedure]):
-        self._source = iter(procedures)
-        self._peeked: Procedure | None = None
-        self._last_arrival = 0
-        self._exhausted = False
+        self.members = ProcedureSet(
+            tuple(sorted(procedures, key=lambda p: (p.arrival, p.id)))).members
+        self._next = 0
 
     def peek(self) -> Procedure | None:
-        if self._peeked is None and not self._exhausted:
-            try:
-                candidate = next(self._source)
-            except StopIteration:
-                self._exhausted = True
-                return None
-            if candidate.arrival < self._last_arrival:
-                raise StreamOrderError(
-                    f"arrival {candidate.arrival} after {self._last_arrival}"
-                )
-            self._last_arrival = candidate.arrival
-            self._peeked = candidate
-        return self._peeked
+        """The next procedure to arrive, or None once all have."""
+        return self.members[self._next] if self._next < len(self.members) else None
 
     def take_until(self, now: int) -> tuple[Procedure, ...]:
-        """Pull every procedure with arrival <= now, in stream order."""
-        taken: list[Procedure] = []
-        while True:
-            head = self.peek()
-            if head is None or head.arrival > now:
-                break
-            taken.append(head)
-            self._peeked = None
-        return tuple(taken)
+        """Take every procedure not yet taken with arrival <= now."""
+        start = self._next
+        self._next = bisect_right(self.members, now, start, key=attrgetter("arrival"))
+        return self.members[start:self._next]

@@ -82,10 +82,6 @@ class NotFoundError(OsAlgError, KeyError):
     """Referenced procedure id or block is not present."""
 
 
-class StreamOrderError(OsAlgError):
-    """Arrival stream yielded a procedure with a decreasing arrival."""
-
-
 class ClockError(OsAlgError):
     """Event recorded with an instant earlier than the log's last one."""
 

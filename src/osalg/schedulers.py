@@ -29,8 +29,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .combinators import Chunk, Classifier, Discipline, SortKey, compose
-# ArrivalStream, the source the simulator pulls arrivals from, is
-# published here next to the disciplines it feeds
+# ArrivalStream is imported for the benchmark's span over
+# `schedulers.ArrivalStream.take_until`, which wraps it here
 from .core import ArrivalStream, Procedure, ProcedureSet
 from .errors import ParameterError
 # class_quantum is defined with the simulator's registry and published
@@ -62,10 +62,6 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.slices)
-
-    @property
-    def makespan(self) -> int:
-        return max((s.end for s in self.slices), default=0)
 
     def completion(self, pid: int) -> int:
         ends = [s.end for s in self.slices if s.pid == pid]

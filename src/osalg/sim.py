@@ -370,10 +370,9 @@ class _Simulation:
         self, procedures: Iterable[Procedure], cpu: Discipline, allocator: Allocator,
         memory_capacity: int, backing_capacity: int, strict: bool,
     ):
-        members = sorted(procedures, key=lambda p: (p.arrival, p.id))
+        self.stream = ArrivalStream(procedures)
         self.listed = 0
-        self.count_listed(trace_bound(members, cpu, allocator))
-        self.stream = ArrivalStream(members)
+        self.count_listed(trace_bound(self.stream.members, cpu, allocator))
         # events in emission order; instants never decrease along it
         self.events: list[TraceEvent] = []
         self.allocator = allocator
@@ -602,7 +601,7 @@ def run(
     A run whose trace would list more than MAX_TRACE dispatches, pages
     and extents raises TraceLimitError: before its first event, when
     `trace_bound` is over the limit, or at the swap whose extents take it
-    over.
+    over. Two procedures of one id raise ParameterError.
     """
     if strict is None:
         strict = os.environ.get(STRICT_ENV, "") == "1"
@@ -638,7 +637,7 @@ def dispatch_slices(
 ) -> list[tuple[int, int, int]]:
     """(pid, start, length) of each dispatch when `discipline` schedules
     the procedures over first-fit memory that holds all of them at once;
-    the run is bounded as `run`'s is."""
+    the run is bounded, and its ids checked, as `run`'s are."""
     members = list(procedures)
     capacity = max(1, sum(p.size for p in members))
     trace = _Simulation(members, discipline, FIRST_FIT_MEMORY, capacity, capacity,

@@ -120,7 +120,8 @@ class RunCheck:
         violations = binding.validate(graph)
         if violations:
             raise InvariantViolation(
-                "binding", f"binding violations: {violations}", len(self.events)
+                "binding", "binding violations: " + "; ".join(map(str, violations)),
+                len(self.events),
             )
 
 

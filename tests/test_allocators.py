@@ -170,6 +170,16 @@ class TestPageTable:
         with pytest.raises(AllocationFailure):
             build_page_table(paginate(proc(1, size=16), 4), m)
 
+    @pytest.mark.parametrize("memory, message", [
+        (lambda: MemoryState.initial(16, Organize.identity()),
+         "page tables need a fixed-partitioned memory"),
+        (lambda: MemoryState.initial(16, Organize.fixed_partition(2)),
+         "page size 4 does not match frame size 2"),
+    ], ids=["unframed", "frame-size"])
+    def test_memory_that_cannot_hold_the_pages_refused(self, memory, message):
+        with pytest.raises(ParameterError, match=message):
+            build_page_table(paginate(proc(1, size=8), 4), memory())
+
     def test_injectivity_enforced(self):
         with pytest.raises(ParameterError):
             PageMap(page_size=4, entries=((0, 1), (1, 1)))

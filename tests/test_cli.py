@@ -175,6 +175,19 @@ class TestMainRun:
         assert code == EXIT_WORKLOAD
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("id=1 size=1\n", "missing field 'time'"),
+        ("id=1 size=1 size=2 time=1\n", "field 'size' repeated"),
+    ], ids=["missing", "repeated"])
+    def test_malformed_record_fields_report_line(self, tmp_path, capsys, text, message):
+        wpath = self.workload_path(tmp_path, text)
+        code = main([
+            "run", "--workload", wpath, "--scheduler", "fcfs",
+            "--allocator", "first-fit",
+        ])
+        assert code == EXIT_WORKLOAD
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
+
     def test_missing_file_is_workload_error(self, tmp_path):
         code = main([
             "run", "--workload", str(tmp_path / "absent.txt"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osalg import SimConfig, WorkClass, run
-from osalg.sim import ALLOCATORS, SCHEDULERS
+from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind
 
 from conftest import proc
 
@@ -69,3 +69,42 @@ def test_one_quantum_for_every_class_is_round_robin(allocator, strict, shapes, q
                                   cpu_quantum=q)
     ps = procedures(shapes)
     assert run(ps, classes, strict)[0] == run(ps, rr, strict)[0]
+
+
+@STRICT
+@pytest.mark.parametrize("allocator", ALLOCATORS)
+@settings(max_examples=10, deadline=None)
+@given(WORKLOADS, st.integers(8, 12))
+def test_rr_past_every_time_is_fcfs_while_memory_holds_everything(allocator, strict,
+                                                                  shapes, q):
+    """Round robin whose quantum is at least every CPU demand cuts each
+    procedure into one chunk; when memory holds every procedure, each
+    joins the ready set on arrival, so join order is arrival order and
+    the run is fcfs's, event for event."""
+    fcfs = SimConfig(scheduler="fcfs", allocator=allocator,
+                     **{**MEMORY, "memory_capacity": 256})
+    rr = dataclasses.replace(fcfs, scheduler="rr", quantum=q)
+    ps = procedures(shapes)
+    assert run(ps, rr, strict)[0] == run(ps, fcfs, strict)[0]
+
+
+def test_rr_past_every_time_is_not_fcfs_once_joins_leave_arrival_order():
+    """The law above fails as soon as admission reorders the joins, even
+    with no swap: procedure 2 waits in the backlog while 3, which fits,
+    is admitted at instant 2, and 2 only at 3. fcfs keys its ready set
+    by arrival and dispatches 2 at instant 3; a chunked identity rotates
+    by join order and dispatches 3."""
+    ps = [proc(1, size=6, time=3), proc(2, size=6, time=3, arrival=1),
+          proc(3, size=1, time=4, arrival=2)]
+    fcfs = SimConfig(scheduler="fcfs", allocator="first-fit", memory_capacity=8,
+                     backing_capacity=32)
+    rr = dataclasses.replace(fcfs, scheduler="rr", quantum=4)
+    dispatches = {}
+    for cfg in (fcfs, rr):
+        trace, _ = run(ps, cfg)
+        assert [e.pid for e in trace.of_kind(EventKind.ADMIT)] == [1, 3, 2]
+        assert not trace.of_kind(EventKind.SWAP_OUT)
+        dispatches[cfg.scheduler] = [(e.instant, e.pid, e.value("run"))
+                                     for e in trace.of_kind(EventKind.DISPATCH)]
+    assert dispatches == {"fcfs": [(0, 1, 3), (3, 2, 3), (6, 3, 4)],
+                          "rr": [(0, 1, 3), (3, 3, 4), (7, 2, 3)]}

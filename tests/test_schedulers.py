@@ -6,7 +6,6 @@ from itertools import permutations
 import pytest
 
 from osalg import (
-    ArrivalStream,
     SortKey,
     WorkClass,
     fcfs,
@@ -15,7 +14,8 @@ from osalg import (
     sjf,
 )
 from osalg.schedulers import class_quantum, variable_quantum
-from osalg.errors import ParameterError, StreamOrderError
+from osalg.core import ArrivalStream
+from osalg.errors import ParameterError
 
 from conftest import proc, random_arrivals, random_batch
 from oracle import brute_schedule, replay_rr
@@ -185,27 +185,11 @@ class TestAdmit:
         ready = ArrivalStream([proc(1, arrival=3)]).take_until(0)
         assert len(ready) == 0
 
-    def test_out_of_order_stream_rejected(self):
-        stream = ArrivalStream([proc(1, arrival=4), proc(2, arrival=2)])
-        with pytest.raises(StreamOrderError):
-            stream.take_until(10)
-
     def test_incremental_pulls(self):
         stream = ArrivalStream([proc(1, arrival=0), proc(2, arrival=5)])
         assert [p.id for p in stream.take_until(0)] == [1]
         assert [p.id for p in stream.take_until(5)] == [2]
         assert stream.peek() is None
-
-    def test_unbounded_stream_pulled_lazily(self):
-        import itertools
-
-        def endless():
-            for i in itertools.count(1):
-                yield proc(i, arrival=i)
-
-        stream = ArrivalStream(endless())
-        assert [p.id for p in stream.take_until(3)] == [1, 2, 3]
-        assert stream.peek().id == 4
 
 
 class TestNonReusability:

@@ -484,7 +484,8 @@ class TestDeterminismAndInvariants:
         assert [v.kind for v in violations] == ["use-before-bind"]
         with pytest.raises(OsAlgError) as exc:
             run(ps, cfg, strict=True)
-        assert str(exc.value) == f"binding violations: {violations}"
+        assert str(exc.value) == (
+            "binding violations: page-table:1 used at 0 with no prior binding")
         assert exc.value.invariant == "binding"
         assert (exc.value.event, exc.value.at) == (len(trace), None)
 
@@ -602,3 +603,16 @@ def test_every_entry_counts_the_bound_before_its_first_event(monkeypatch, entry,
     monkeypatch.setattr(sim, "MAX_TRACE", bound)
     entry(BOUNDED)
     assert emitted
+
+
+@pytest.mark.parametrize("entry", [
+    lambda ps: run(ps, SimConfig(memory_capacity=8)),
+    lambda ps: sim.dispatch_slices(ps, sim.FCFS),
+    schedulers.fcfs,
+    lambda ps: schedulers.round_robin(ps, 1),
+], ids=["run", "dispatch_slices", "fcfs", "round_robin"])
+def test_every_entry_refuses_a_duplicate_id(entry):
+    """Two procedures of one id are refused even when their lifetimes do
+    not overlap: each would overwrite the other's waiting time."""
+    with pytest.raises(ParameterError, match=r"\bid 1\b"):
+        entry([proc(1, size=4, time=1), proc(1, size=4, time=3, arrival=5)])

@@ -34,7 +34,6 @@ def test_exports_are_pinned():
     """The names a run, its results, the README example and the acceptance
     criteria use; a change here is a change of the public surface."""
     assert sorted(osalg.__all__) == [
-        "ArrivalStream",
         "BindingGraph",
         "BindingLayer",
         "Extent",
