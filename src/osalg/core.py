@@ -18,6 +18,7 @@ clock reaches their arrivals.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -108,9 +109,9 @@ class ProcedureSet:
     members: tuple[Procedure, ...] = ()
 
     def __post_init__(self) -> None:
-        ids = [p.id for p in self.members]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
+        counts = Counter(p.id for p in self.members)
+        if len(counts) != len(self.members):
+            dup = next(i for i, n in counts.items() if n > 1)
             raise ParameterError(f"duplicate procedure id {dup}")
 
     @staticmethod

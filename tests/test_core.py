@@ -4,6 +4,7 @@ procedure lifecycle as a run's trace records it."""
 import gc
 import importlib
 import sys
+import time
 import weakref
 
 import pytest
@@ -172,6 +173,16 @@ class TestProcedureInvariants:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ParameterError):
             ProcedureSet.of(proc(1), proc(1))
+
+    def test_a_late_duplicate_is_found_in_linear_time(self):
+        """A repeated id is found in one count of the ids: 50 000
+        procedures with the last one repeated are refused at once (a scan
+        that counted the ids again for each id took 1.2 s at 8 000)."""
+        members = [proc(i) for i in range(50_000)]
+        started = time.perf_counter()
+        with pytest.raises(ParameterError, match="duplicate procedure id 49999$"):
+            ProcedureSet(tuple(members + [proc(49_999)]))
+        assert time.perf_counter() - started < 1
 
 
 def test_first_classness_thread_through_positions():
