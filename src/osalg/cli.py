@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import functools
 import os
@@ -164,13 +165,17 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--workload", required=True, help="workload file path")
     runp.add_argument("--scheduler", required=True, choices=list(SCHEDULERS))
     runp.add_argument("--allocator", required=True, choices=list(ALLOCATORS))
-    runp.add_argument("--quantum", type=int, default=1, help="round robin quantum")
-    runp.add_argument("--io-quantum", type=int, default=1)
-    runp.add_argument("--cpu-quantum", type=int, default=4)
-    runp.add_argument("--unit", type=int, help="fixed partition unit size")
-    runp.add_argument("--page-size", type=int, help="page/frame size")
-    runp.add_argument("--memory", type=int, default=64, help="primary capacity")
-    runp.add_argument("--backing", type=int, help="backing capacity (default: memory)")
+    # each option below sets the SimConfig field its dest names, and one
+    # not given leaves that field's default
+    setting = functools.partial(runp.add_argument, type=int, default=argparse.SUPPRESS)
+    setting("--quantum", help="round robin quantum")
+    setting("--io-quantum")
+    setting("--cpu-quantum")
+    setting("--unit", dest="unit_size", metavar="UNIT", help="fixed partition unit size")
+    setting("--page-size", help="page/frame size")
+    setting("--memory", dest="memory_capacity", metavar="MEMORY", help="primary capacity")
+    setting("--backing", dest="backing_capacity", metavar="BACKING",
+            help="backing capacity (default: memory)")
     runp.add_argument("--trace", help="trace CSV path (default: stdout)")
     runp.add_argument("--metrics", help="metrics path (default: stdout)")
 
@@ -189,23 +194,10 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read workload: {exc}", file=err)
         return EXIT_WORKLOAD
+    workload = parse_workload(text)  # a WorkloadError reaches main
+    settings = {f.name for f in dataclasses.fields(SimConfig)}
     try:
-        workload = parse_workload(text)
-    except WorkloadError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_WORKLOAD
-    try:
-        cfg = SimConfig(
-            memory_capacity=args.memory,
-            backing_capacity=args.backing,
-            scheduler=args.scheduler,
-            quantum=args.quantum,
-            io_quantum=args.io_quantum,
-            cpu_quantum=args.cpu_quantum,
-            allocator=args.allocator,
-            unit_size=args.unit,
-            page_size=args.page_size,
-        )
+        cfg = SimConfig(**{k: v for k, v in vars(args).items() if k in settings})
     except ParameterError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE

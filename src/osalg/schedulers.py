@@ -28,14 +28,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .combinators import Chunk, Classifier, Discipline, SortKey, compose
+from .combinators import Chunk, Classifier, Discipline, SortKey
 # ArrivalStream is imported for the benchmark's span over
 # `schedulers.ArrivalStream.take_until`, which wraps it here
 from .core import ArrivalStream, Procedure, ProcedureSet
 from .errors import ParameterError
 # class_quantum is defined with the simulator's registry and published
 # here, next to the disciplines that take it
-from .sim import FCFS, PRIORITY, SJF, class_quantum, dispatch_slices
+from .sim import FCFS, PRIORITY, SJF, class_quantum, dispatch_slices, rotating
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def priority_schedule(procedures: ProcedureSet | Sequence[Procedure]) -> Schedul
 def round_robin(procedures: ProcedureSet | Sequence[Procedure], q: int) -> Schedule:
     """Equal CPU-time chunks of size q, rotated in arrival order: first
     come, first served in fixed chunks."""
-    return _project(procedures, compose(FCFS.select, FCFS.organize, Chunk.fixed(q)))
+    return _project(procedures, rotating(Chunk.fixed(q)))
 
 
 def variable_quantum(
@@ -104,6 +104,4 @@ def variable_quantum(
 ) -> Schedule:
     """Round robin with a per-procedure chunk size from the classifier; a
     chunk size below 1 raises ParameterError."""
-    return _project(
-        procedures, compose(FCFS.select, FCFS.organize, Chunk.by_class(classifier))
-    )
+    return _project(procedures, rotating(Chunk.by_class(classifier)))

@@ -342,6 +342,13 @@ SJF = {
 }
 PRIORITY = compose(Select.argmax_priority(), Organize.identity(), Chunk.whole())
 
+
+def rotating(chunk: Chunk) -> Discipline:
+    """First come, first served in chunks: each chunk rejoins the ready
+    set at its back, as `ready_set` orders it."""
+    return compose(FCFS.select, FCFS.organize, chunk)
+
+
 # Each scheduler name -> its CPU discipline under a configuration;
 # building it checks the scheduler's parameters.
 SCHEDULERS: dict[str, Callable[[SimConfig], Discipline]] = {
@@ -349,11 +356,9 @@ SCHEDULERS: dict[str, Callable[[SimConfig], Discipline]] = {
     "sjf-size": lambda cfg: SJF[SortKey.SIZE],
     "sjf-time": lambda cfg: SJF[SortKey.TIME],
     "priority": lambda cfg: PRIORITY,
-    "rr": lambda cfg: compose(
-        Select.identity(1), Organize.identity(), Chunk.fixed(_param(
-            cfg.quantum, cfg.quantum >= 1, "round robin quantum must be >= 1"))),
-    "var-quantum": lambda cfg: compose(
-        Select.identity(1), Organize.identity(),
+    "rr": lambda cfg: rotating(Chunk.fixed(_param(
+        cfg.quantum, cfg.quantum >= 1, "round robin quantum must be >= 1"))),
+    "var-quantum": lambda cfg: rotating(
         Chunk.by_class(class_quantum(cfg.io_quantum, cfg.cpu_quantum))),
 }
 
