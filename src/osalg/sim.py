@@ -295,13 +295,10 @@ class OrderedReady:
 
     def pop(self) -> Procedure:
         """The member of least key, taken out of the set."""
-        heap, live = self.heap, self.live
-        while True:
-            key = heappop(heap)
-            entry = live.get(key[-1])
-            if entry is not None and entry[0] is key:
-                del live[key[-1]]
-                return entry[1]
+        p = self.head()
+        heappop(self.heap)
+        del self.live[p.id]
+        return p
 
     def head(self) -> Procedure | None:
         """The member of least key, left in the set; None when empty."""
