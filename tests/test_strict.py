@@ -330,6 +330,113 @@ def test_a_release_merged_over_a_neighbour_is_caught_at_its_deallocate(
     assert "[4..8) overlaps a previous one" in str(found)
 
 
+# a swap: procedure 3 arrives at 1, outranks 1 and 2 in 16 units, and
+# procedure 2 is swapped out for it, then swapped back in
+SWAP = [proc(1, size=8, time=4, priority=5), proc(2, size=8, time=1, priority=1),
+        proc(3, size=8, time=1, arrival=1, priority=9)]
+
+
+def test_a_second_admit_of_a_held_procedure_is_caught_at_it(monkeypatch):
+    """The simulator emits procedure 1's Admit twice, so the record is
+    asked to grant to a procedure it already holds."""
+    real_emit = sim._Simulation.emit
+
+    def doubled(self, instant, kind, pid, detail=()):
+        real_emit(self, instant, kind, pid, detail)
+        if kind is EventKind.ADMIT and pid == 1:
+            real_emit(self, instant, kind, pid, detail)
+
+    cfg = SimConfig(memory_capacity=16)
+    order = lax_emissions(monkeypatch, TWO, cfg)
+    monkeypatch.setattr(sim._Simulation, "emit", doubled)
+    found = delta_violation(TWO, cfg)
+    assert found.invariant == "conservation"
+    assert found.event == index_of(order, EventKind.ADMIT, 1) + 1
+    assert found.at == (0, "Admit", 1)
+    assert "procedure 1 already holds [0..4)" in str(found)
+
+
+@pytest.mark.parametrize("allocator, moved, invariant, words", [
+    ("first-fit", lambda e: Extent(16, 16 + e.size), "conservation",
+     "extent [16..24) beyond the 16 units of the memory"),
+    ("paging", lambda e: Extent(e.start + 1, e.end + 1), "store-shape",
+     "is not whole units of 4"),
+], ids=["past-the-memory", "off-the-frames"])
+def test_a_swap_in_that_misreports_its_grant_is_caught_at_its_swap_in(
+    monkeypatch, allocator, moved, invariant, words
+):
+    """The swap-in grants what its store gives, but its SwapIn reports
+    other extents: past the end of the memory, or off the frames of a
+    paged memory. The memory itself stays consistent, so the delta
+    reports the breach in its own words."""
+    real_swap_in = sim.swap_in
+    monkeypatch.setattr(sim, "swap_in", lambda m, backing, record: tuple(
+        map(moved, real_swap_in(m, backing, record))))
+    cfg = SimConfig(memory_capacity=16, scheduler="priority", allocator=allocator,
+                    **ALLOCATORS[allocator])
+    order = lax_emissions(monkeypatch, SWAP, cfg)
+    found = delta_violation(SWAP, cfg)
+    assert found.invariant == invariant
+    assert_found_at(found, order, EventKind.SWAP_IN, 2)
+    assert words in str(found)
+
+
+def test_a_grant_recorded_a_unit_short_is_caught_at_its_admit(monkeypatch):
+    """The memory records procedure 2 in [5..8), one unit short of the
+    [4..8) its store gave, and carries that unit as free: the totals
+    agree with the record, but unit 4, just before the grant, is neither
+    occupied nor free."""
+    real_allocate = sim.allocate_op
+
+    def short(d, m, p):
+        granted = real_allocate(d, m, p)
+        if p.id == 2:
+            m.allocated[2] = (Extent(5, 8),)
+            m.free_total += 1
+        return granted
+
+    monkeypatch.setattr(sim, "allocate_op", short)
+    cfg = SimConfig(memory_capacity=16)
+    order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
+    found = delta_violation(SIDE_BY_SIDE, cfg)
+    assert found.invariant == "conservation"
+    assert_found_at(found, order, EventKind.ADMIT, 2)
+    assert "gap before [5..8)" in str(found)
+
+
+@pytest.mark.parametrize("free, words", [
+    # the free extent around the release runs past the memory
+    ([Extent(0, 20), Extent(20, 24)], "extent [0..20) beyond capacity 16"),
+    # unit 0, before the free extent, drops out of the store
+    ([Extent(1, 16)], "gap before [1..16)"),
+    # unit 15, after the free extent, drops out of the store
+    ([Extent(0, 15)], "covered 15 of 16 units"),
+], ids=["past-the-memory", "unit-before", "unit-after"])
+def test_a_last_release_that_misshapes_the_store_is_caught_at_its_deallocate(
+    monkeypatch, free, words
+):
+    """Procedure 2's release, the last, leaves the store's free extents
+    other than the whole memory, though the free total stays 16: the
+    delta finds the free extent around the release past the memory, or
+    a unit beside it neither occupied nor free, and the full check that
+    it runs at once reports the breach in its words."""
+    real_deallocate = sim.deallocate
+
+    def misshaping(m, pid):
+        freed = real_deallocate(m, pid)
+        if pid == 2:
+            m.store = with_free(m.store, free)
+        return freed
+
+    monkeypatch.setattr(sim, "deallocate", misshaping)
+    cfg = SimConfig(memory_capacity=16)
+    order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
+    found = delta_violation(SIDE_BY_SIDE, cfg)
+    assert found.invariant == "conservation"
+    assert_found_at(found, order, EventKind.DEALLOCATE, 2)
+    assert words in str(found)
+
+
 # -- each dispatch check bites, at the dispatch ----------------------------
 
 
