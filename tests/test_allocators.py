@@ -86,6 +86,11 @@ class TestAllocate:
         with pytest.raises(ParameterError):
             allocate(FIRST_FIT, m, proc(1, size=2))
 
+    def test_a_select_that_allocates_no_memory_rejected(self):
+        by_index = compose(Select.identity(1), Organize.identity())
+        with pytest.raises(ParameterError, match="identity selection does not allocate"):
+            allocate(by_index, first_fit_memory(8), proc(1, size=2))
+
 
 class TestDeallocate:
     def test_adjacent_extents_coalesce(self):
@@ -185,6 +190,17 @@ class TestPageTable:
             PageMap(page_size=4, entries=((0, 1), (1, 1)))
         with pytest.raises(ParameterError):
             PageMap(page_size=4, entries=((0, 0), (2, 1)))
+
+    @pytest.mark.parametrize("lookup, address", [
+        (lambda table: table.frame_of(2), 2),
+        (lambda table: table.translate(8), 8),
+        (lambda table: table.translate(-1), -1),
+    ], ids=["unmapped-page", "past-the-table", "negative"])
+    def test_an_address_outside_the_table_faults(self, lookup, address):
+        table = PageMap(page_size=4, entries=((0, 2), (1, 0)))
+        with pytest.raises(TranslationFault) as exc:
+            lookup(table)
+        assert (exc.value.address, exc.value.layer) == (address, 1)
 
     def test_translation_lands_in_owned_frames(self):
         m = MemoryState.initial(32, Organize.fixed_partition(4))

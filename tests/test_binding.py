@@ -75,6 +75,10 @@ class TestValidate:
         )
         violations = validate(g)
         assert {v.required for v in violations} == {"frames", "pages"}
+        assert sorted(map(str, violations)) == [
+            "frames must be bound before page-table",
+            "pages must be bound before page-table",
+        ]
 
     def test_dependency_with_unbound_prerequisite(self):
         g = build([("page-table", "Bind", 1)], deps=PAGE_DEPS)

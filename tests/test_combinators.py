@@ -15,8 +15,10 @@ from osalg.combinators import (
     Chunk,
     ChunkTag,
     FreeRuns,
+    free_store,
     organize_identity,
     organize_sort,
+    select_argmax_priority,
     select_first_fit,
     select_identity,
 )
@@ -89,6 +91,10 @@ class TestOrganizeSort:
     def test_sort_by_priority_requires_priorities(self):
         with pytest.raises(ParameterError):
             organize_sort([proc(1)], SortKey.PRIORITY)
+
+    def test_sort_by_priority(self):
+        p1, p2 = proc(1, priority=4), proc(2, priority=2)
+        assert organize_sort([p1, p2], SortKey.PRIORITY) == (p2, p1)
 
 
 class TestFixedPartition:
@@ -174,6 +180,22 @@ class TestSelectIdentity:
     def test_out_of_range(self):
         with pytest.raises(BoundsError):
             select_identity(["a", "b"], 3)
+
+
+@pytest.mark.parametrize("operation, error, message", [
+    (lambda: SortKey.SIZE.value_of("a"), ParameterError,
+     "sort keys apply to procedures, got str"),
+    (lambda: select_argmax_priority(()), BoundsError, "empty set has no members"),
+    (lambda: select_argmax_priority([proc(1, priority=2), proc(2)]), ParameterError,
+     "priority selection needs priorities on every member"),
+    (lambda: free_store(Organize.sort(SortKey.SIZE), 16), ParameterError,
+     "memory cannot be organized by sort"),
+    (lambda: Select.identity(0), ParameterError, "selection index must be >= 1, got 0"),
+], ids=["sort-key-of-a-non-procedure", "argmax-of-nothing", "argmax-without-priority",
+        "memory-sorted", "select-index-0"])
+def test_an_operation_refuses_what_it_cannot_apply_to(operation, error, message):
+    with pytest.raises(error, match=message):
+        operation()
 
 
 class TestSelectFirstFit:

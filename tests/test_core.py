@@ -165,6 +165,14 @@ class TestProcedureInvariants:
         with pytest.raises(ParameterError):
             proc(1, size=-1)
 
+    @pytest.mark.parametrize("field, message", [
+        ("arrival", "arrival must be >= 0, got -1"),
+        ("priority", "priority must be natural, got -1"),
+    ])
+    def test_negative_arrival_or_priority_rejected(self, field, message):
+        with pytest.raises(ParameterError, match=message):
+            proc(1, **{field: -1})
+
     def test_segments_must_sum_to_size(self):
         with pytest.raises(ParameterError):
             proc(1, size=10, segments=(4, 5))

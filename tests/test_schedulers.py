@@ -49,6 +49,10 @@ class TestFcfs:
     def test_empty(self):
         assert len(fcfs([])) == 0
 
+    def test_completion_of_an_unscheduled_procedure_rejected(self):
+        with pytest.raises(ParameterError, match="procedure 2 never scheduled"):
+            fcfs([proc(1)]).completion(2)
+
     def test_idle_gap_jumps_to_next_arrival(self):
         schedule = fcfs([proc(1, time=1, arrival=0), proc(2, time=1, arrival=5)])
         assert [(s.pid, s.start) for s in schedule] == [(1, 0), (2, 5)]

@@ -563,6 +563,10 @@ class TestDeterminismAndInvariants:
             SimConfig(allocator="paging")  # needs page size
         with pytest.raises(ParameterError):
             SimConfig(allocator="buddy", memory_capacity=48)
+        with pytest.raises(ParameterError, match="backing capacity must be >= 0"):
+            SimConfig(backing_capacity=-1)
+        with pytest.raises(ParameterError, match="unknown allocator 'nope'"):
+            SimConfig(allocator="nope")
 
 
 # (id, size, time, arrival, priority, class): procedure 1 is I/O-bound,
