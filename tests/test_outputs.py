@@ -1,10 +1,12 @@
 """`osalg run` writes its output files all or nothing."""
 
+import errno
 import os
 import stat
 
 import pytest
 
+from osalg import cli
 from osalg.cli import EXIT_OK, EXIT_USAGE, main
 
 WORKLOAD = "id=1 size=4 time=3\nid=2 size=4 time=2\n"
@@ -44,6 +46,38 @@ def test_failed_trace_keeps_an_existing_metrics(tmp_path, capsys):
     code = run_to(tmp_path, tmp_path, metrics)
     assert code == EXIT_USAGE
     assert metrics.read_text() == "earlier metrics\n"
+
+
+def test_a_write_that_fails_after_the_run_leaves_both_outputs(
+        tmp_path, capsys, monkeypatch):
+    """The disk fills while the metrics are staged, after the pre-run
+    check has passed and the trace has been staged: the run is a usage
+    error, both files keep what they held, and no staged file is left.
+    (File modes cannot stand in for the fault: root writes through them.)"""
+    trace, metrics = tmp_path / "t.csv", tmp_path / "m.txt"
+    trace.write_text("earlier trace\n")
+    metrics.write_text("earlier metrics\n")
+    ran = []
+    real_run, real_copymode = cli.run, cli.shutil.copymode
+
+    def running(*args):
+        ran.append(True)
+        return real_run(*args)
+
+    def copymode(source, temp):
+        if ran and source == os.path.realpath(metrics):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_copymode(source, temp)
+
+    monkeypatch.setattr(cli, "run", running)
+    monkeypatch.setattr(cli.shutil, "copymode", copymode)
+    assert run_to(tmp_path, trace, metrics) == EXIT_USAGE
+    assert ran
+    assert capsys.readouterr().err == (
+        f"usage error: cannot write {metrics}: {os.strerror(errno.ENOSPC)}\n")
+    assert trace.read_text() == "earlier trace\n"
+    assert metrics.read_text() == "earlier metrics\n"
+    assert sorted(os.listdir(tmp_path)) == ["m.txt", "t.csv", "w.txt"]
 
 
 def test_success_replaces_both(tmp_path, capsys):
