@@ -35,7 +35,6 @@ from .errors import (
     InvariantViolation,
     NotFoundError,
     ParameterError,
-    SwapFailure,
     TranslationFault,
 )
 
@@ -337,16 +336,11 @@ def swap_out(m: MemoryState, backing: MemoryState, victim: Procedure) -> SwapRec
 
     The caller has chosen the victim, one that holds primary memory (see
     :func:`victim_key`). Its contents are first-fit placed in the backing
-    store; a full backing store fails the swap with both memories
-    unchanged.
+    store, whole; a backing store that cannot hold them refuses as any
+    memory does, with AllocationFailure and both memories unchanged.
     """
     held = m.extents_of(victim.id)  # NotFoundError before the grant
-    try:
-        # the backing store takes the victim whole
-        pieces = (victim.size,) if victim.size else ()
-        granted = _grant(backing, victim.id, pieces)
-    except AllocationFailure as exc:
-        raise SwapFailure(f"backing store cannot hold procedure {victim.id}") from exc
+    granted = _grant(backing, victim.id, (victim.size,) if victim.size else ())
     record = SwapRecord(
         pid=victim.id,
         size=victim.size,

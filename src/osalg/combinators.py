@@ -94,12 +94,18 @@ class FreeRuns:
         return tuple(granted), FreeRuns(tuple(runs), self.unit)
 
     def release(self, *extents: Extent) -> "FreeRuns":
-        """Merge released extents with the runs they touch."""
-        runs = list(self.runs)
+        """Merge the extents one grant gave with the runs they touch;
+        NotFoundError, with this store unchanged, unless each is non-empty,
+        whole units under a unit, and overlaps no free run."""
+        runs, unit = list(self.runs), self.unit
         for e in extents:
-            i = bisect_left(runs, e.start, key=_start)
-            lo, hi = i, i
             start, end = e.start, e.end
+            i = bisect_left(runs, start, key=_start)
+            if (start >= end or (unit is not None and (start % unit or end % unit))
+                    or (i < len(runs) and runs[i].start < end)
+                    or (i > 0 and runs[i - 1].end > start)):
+                raise NotFoundError(f"no allocated extent {e}")
+            lo, hi = i, i
             if i > 0 and runs[i - 1].end == start:
                 lo -= 1
                 start = runs[lo].start

@@ -69,17 +69,16 @@ class CompositionError(OsAlgError):
 class AllocationFailure(OsAlgError):
     """No extent, block, frame, or segment placement fits the demand.
 
-    This is a signal, not a fatal condition: callers may swap a victim
-    out and retry, or queue the request.
+    Primary and backing memory refuse the same way: a swap-out whose
+    victim the backing store cannot hold raises this too. This is a
+    signal, not a fatal condition: callers may swap a victim out and
+    retry, or queue the request.
     """
 
 
-class SwapFailure(OsAlgError):
-    """The backing store cannot hold the victim's contents."""
-
-
 class NotFoundError(OsAlgError, KeyError):
-    """Referenced procedure id or block is not present."""
+    """Referenced procedure id, block or extent is not present: a free
+    store raises it for an extent it cannot have granted."""
 
 
 class ClockError(OsAlgError):

@@ -57,7 +57,6 @@ from .errors import (
     IncompleteRunError,
     OsAlgError,
     ParameterError,
-    SwapFailure,
     TraceLimitError,
     UnrunnableProcedureError,
 )
@@ -490,7 +489,7 @@ class _Simulation:
         freed = self.primary.extents_of(victim.id)
         try:
             record = swap_out(self.primary, self.backing, victim)
-        except SwapFailure:
+        except AllocationFailure:
             return False
         chunk = self.allocator.swap_chunk
         if chunk is not None:

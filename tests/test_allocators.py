@@ -23,7 +23,6 @@ from osalg.errors import (
     AllocationFailure,
     NotFoundError,
     ParameterError,
-    SwapFailure,
     TranslationFault,
 )
 
@@ -341,7 +340,7 @@ class TestSwap:
     def test_backing_capacity_zero_fails(self):
         m = self.full_memory()
         backing = first_fit_memory(0)
-        with pytest.raises(SwapFailure):
+        with pytest.raises(AllocationFailure):
             swap_out(m, backing, self.victim())
         assert m.free_total == 0 and m.extents_of(2) == (Extent(4, 8),)  # unchanged
 

@@ -29,7 +29,7 @@ from osalg.allocators import (
     victim_key,
 )
 from osalg.combinators import Chunk
-from osalg.errors import AllocationFailure, ParameterError, SwapFailure
+from osalg.errors import AllocationFailure, ParameterError
 
 from conftest import encloses, proc
 
@@ -287,7 +287,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
             victim = min(resident, key=victim_key)
             try:
                 record = swap_out(m, backing, victim)
-            except SwapFailure:
+            except AllocationFailure:
                 with pytest.raises(AllocationFailure):
                     ref_backing.grant(victim.id, victim.size)
             else:

@@ -9,6 +9,15 @@ raises leaves `allocated`, `store` and `free_total` of both exactly as
 they were. One that succeeds changes only the memories it touches, and
 returns what it granted or freed, which the memory then holds or no
 longer holds, with the free total moved by its size.
+
+Every memory and free store keeps one contract. A refused grant, swap-out
+or swap-in raises ``AllocationFailure``, whichever memory refuses. A free
+store takes back only what it could have granted: a release of an extent
+that is empty, overlaps a free extent, or is not whole units (free runs
+under a unit) or an aligned block (the buddy tree) raises
+``NotFoundError``, and the store stays as it was, so a second release of
+the same extents is refused too. What counts as foreign is decided here,
+from the free extents, without asking the store.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osalg import Organize, Select, compose
+from osalg import Extent, Organize, Select, compose
 from osalg.allocators import (
     MemoryState,
     PageMap,
@@ -33,7 +42,7 @@ from osalg.allocators import (
     victim_key,
 )
 from osalg.combinators import BuddyTree, Chunk
-from osalg.errors import AllocationFailure, OsAlgError, SwapFailure
+from osalg.errors import AllocationFailure, NotFoundError, OsAlgError
 
 from conftest import proc
 
@@ -158,7 +167,7 @@ def test_a_step_changes_memory_only_when_it_succeeds(kind, ops):
 
             def step(m, backing, victim=victim):
                 if victim is None:
-                    raise SwapFailure("no resident holds memory")
+                    raise AllocationFailure("no resident holds memory")
                 return swap_out(m, backing, victim)
         elif op == "swap_in" and records:
             record = records[n % len(records)]
@@ -199,3 +208,93 @@ def test_a_grant_past_the_free_total_fails_before_the_store(monkeypatch):
     with pytest.raises(AllocationFailure):
         allocate(discipline, m, proc(2, size=9))
     assert searched == [(8,)]
+
+
+def foreign(m, e):
+    """Whether no grant of m's store can have given `e`: it is empty, lies
+    across a free extent, or is not whole units, or not a buddy block."""
+    if e.start >= e.end or any(f.start < e.end and e.start < f.end for f in m.free):
+        return True
+    if m.unit_size is not None:
+        return bool(e.start % m.unit_size or e.end % m.unit_size)
+    if m.organizer == Organize.buddy():
+        return bool(e.size & (e.size - 1) or e.start % e.size)
+    return False
+
+
+def assert_refused(store, *extents):
+    """The store refuses to take back `extents`, and stays as it was."""
+    before = store.free_extents()
+    with pytest.raises(NotFoundError):
+        store.release(*extents)
+    assert store.free_extents() == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(ORGANIZATIONS)), ops=OPS,
+       bounds=st.tuples(st.integers(0, 64), st.integers(0, 64)))
+# every refusal: a grant too large, a swap-out the backing store cannot
+# hold, and a swap-in with primary memory full again
+@example(kind="identity", ops=[("grant", 16, False), ("grant", 16, False),
+                               ("grant", 8, False), ("grant", 8, True),
+                               ("swap_out", 0, False), ("grant", 16, False),
+                               ("swap_out", 0, False), ("swap_in", 0, False),
+                               ("grant", 40, False)],
+         bounds=(0, 0))
+@example(kind="paging", ops=[("grant", 16, False), ("grant", 16, False),
+                             ("grant", 16, False), ("grant", 4, False),
+                             ("swap_out", 0, False), ("grant", 16, False),
+                             ("swap_out", 0, False), ("swap_in", 0, False)],
+         bounds=(5, 9))
+@example(kind="buddy-chunked", ops=[("grant", 24, False), ("grant", 24, False),
+                                    ("grant", 16, False), ("grant", 65, False),
+                                    ("swap_out", 0, False), ("grant", 24, False),
+                                    ("swap_out", 0, False), ("swap_in", 0, False),
+                                    ("release", 1, False)],
+         bounds=(4, 12))
+@example(kind="buddy", ops=[("grant", 65, False), ("grant", 9, True),
+                            ("grant", 3, False), ("release", 1, False)],
+         bounds=(4, 12))
+def test_every_memory_keeps_one_contract(kind, ops, bounds):
+    organizer, capacity, chunk = ORGANIZATIONS[kind]
+    memories = (MemoryState.initial(capacity, organizer), MemoryState.initial(BACKING))
+    primary, backing = memories
+    select = Select.buddy_fit() if organizer == Organize.buddy() else Select.first_fit()
+    discipline = compose(select, organizer, chunk)
+    procs, records = {}, []
+    for op, n, flag in ops:
+        # only steps a memory may refuse for want of room
+        if op == "grant":
+            size = n % (UNIT + 2) if kind == "fixed" else n
+            cut = size // 2
+            segments = (cut, size - cut) if kind in SEGMENTED and flag and size > 1 else None
+            p = proc(len(procs) + 1, size=size, segments=segments)
+            procs[p.id] = p
+            step = grant_step(kind, discipline, p)
+        elif op == "release" and primary.allocated:
+            pid = sorted(primary.allocated)[n % len(primary.allocated)]
+            step = lambda m, backing, pid=pid: deallocate(m, pid)
+        elif op == "swap_out" and primary.allocated:
+            victim = min((procs[pid] for pid in primary.allocated), key=victim_key)
+            step = lambda m, backing, v=victim: records.append(swap_out(m, backing, v))
+        elif op == "swap_in" and records:
+            step = lambda m, backing, r=records[0]: (swap_in(m, backing, r),
+                                                     records.remove(r))
+        else:
+            continue
+        before = [fields(m) for m in memories]
+        try:
+            step(*memories)
+        except AllocationFailure:
+            assert [fields(m) for m in memories] == before
+        # each store refuses its holders' extents a second time, and an
+        # extent it cannot have granted, alone or after one it granted
+        e = Extent(min(bounds), max(bounds))
+        for m in memories:
+            for held in m.allocated.values():
+                if held:
+                    assert_refused(m.store.release(*held), *held)
+            if e.end <= m.capacity and foreign(m, e):
+                assert_refused(m.store, e)
+                granted = next((held for held in m.allocated.values() if held), ())
+                assert_refused(m.store, *granted, e)

@@ -132,7 +132,9 @@ def test_a_grant_shifted_by_one_unit_is_caught_at_its_admit(
     monkeypatch, shift, invariant, words
 ):
     """The memory records procedure 2 one unit off the extent its store
-    gave: the full check, run at once, reports it in its own words."""
+    gave: the full check, run at once, reports it in its own words. The
+    strict run stops there, before the release the store would refuse, so
+    the lax run that gives the emission order runs without the fault."""
     real_allocate = sim.allocate_op
 
     def shifted(d, m, p):
@@ -142,10 +144,10 @@ def test_a_grant_shifted_by_one_unit_is_caught_at_its_admit(
             m.allocated[2] = (Extent(e.start + shift, e.end + shift),)
         return granted
 
-    monkeypatch.setattr(sim, "allocate_op", shifted)
     ps = [proc(1, size=4, time=3), proc(2, size=4, time=1)]
     cfg = SimConfig(memory_capacity=16)
     order = lax_emissions(monkeypatch, ps, cfg)
+    monkeypatch.setattr(sim, "allocate_op", shifted)
     found = delta_violation(ps, cfg)
     assert found.invariant == invariant
     assert_found_at(found, order, EventKind.ADMIT, 2)
@@ -176,17 +178,22 @@ def test_extents_rewritten_before_their_release_are_caught_at_its_deallocate(
     monkeypatch,
 ):
     """Procedure 1's extents change in the memory between its grant and
-    its release, so the release frees what was never granted."""
-    real_emit = sim._Simulation.emit
+    its release, and the release writes them among the free runs itself,
+    where the store would refuse them: it frees what was never granted."""
+    real_deallocate = sim.deallocate
 
-    def rewriting(self, instant, kind, pid, detail=()):
-        real_emit(self, instant, kind, pid, detail)
-        if kind is EventKind.COMPLETE and pid == 1:
-            self.primary.allocated[1] = (Extent(1, 5),)
+    def rewriting(m, pid):
+        if pid != 1:
+            return real_deallocate(m, pid)
+        m.allocated[1] = (Extent(1, 5),)
+        freed = m.allocated.pop(1)
+        m.store = with_free(m.store, [*freed, *m.store.free_extents()])
+        m.free_total += 4
+        return freed
 
     cfg = SimConfig(memory_capacity=16)
     order = lax_emissions(monkeypatch, TWO, cfg)
-    monkeypatch.setattr(sim._Simulation, "emit", rewriting)
+    monkeypatch.setattr(sim, "deallocate", rewriting)
     found = delta_violation(TWO, cfg)
     assert_found_at(found, order, EventKind.DEALLOCATE, 1)
     assert found.invariant == "conservation"
@@ -194,7 +201,9 @@ def test_extents_rewritten_before_their_release_are_caught_at_its_deallocate(
 
 
 def test_a_swap_in_to_the_wrong_place_is_caught_at_its_swap_in(monkeypatch):
-    """A swap-in whose grant reports extents the store did not give."""
+    """A swap-in whose grant reports extents the store did not give. The
+    strict run stops at the SwapIn, before the release the store would
+    refuse, so the lax run runs without the fault."""
     real_swap_in = sim.swap_in
 
     def misplaced(m, backing, record):
@@ -203,11 +212,11 @@ def test_a_swap_in_to_the_wrong_place_is_caught_at_its_swap_in(monkeypatch):
         m.allocated[record.pid] = moved
         return moved
 
-    monkeypatch.setattr(sim, "swap_in", misplaced)
     ps = [proc(1, size=8, time=4, priority=5), proc(2, size=8, time=1, priority=1),
           proc(3, size=8, time=1, arrival=1, priority=9)]
     cfg = SimConfig(memory_capacity=16, scheduler="priority")
     order, rendered = lax_run(monkeypatch, ps, cfg)
+    monkeypatch.setattr(sim, "swap_in", misplaced)
     (swapped,) = {pid for _, kind, pid in order if kind is EventKind.SWAP_IN}
     found = delta_violation(ps, cfg)
     assert_found_at(found, order, EventKind.SWAP_IN, swapped)
@@ -302,7 +311,9 @@ def test_a_release_merged_over_a_neighbour_is_caught_at_its_deallocate(
 ):
     """The store merges procedure 1's freed [0..4) over procedure 2's
     [4..8): the freed extent is free, the holders and the carried free
-    total agree, but a free extent overlaps an occupied one."""
+    total agree, but a free extent overlaps an occupied one. A lax run
+    goes on to procedure 2's release, which every store refuses, as its
+    extent lies inside the free [0..8)."""
     real_deallocate = sim.deallocate
 
     def merging(m, pid):
@@ -314,16 +325,11 @@ def test_a_release_merged_over_a_neighbour_is_caught_at_its_deallocate(
 
     monkeypatch.setattr(sim, "deallocate", merging)
     cfg = SimConfig(memory_capacity=16, allocator=allocator, **ALLOCATORS[allocator])
-    if allocator == "buddy":
-        # the buddy store's own release check stops a lax run at
-        # procedure 2's release, whose block lies inside the free [0..8)
-        order = record_emissions(monkeypatch)
-        with pytest.raises(NotFoundError, match=r"no allocated block \[4\.\.8\)"):
-            run(SIDE_BY_SIDE, cfg, strict=False)
-        order = list(order)
-        assert order[-1][1:] == (EventKind.COMPLETE, 2)
-    else:
-        order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
+    order = record_emissions(monkeypatch)
+    with pytest.raises(NotFoundError, match=r"no allocated \w+ \[4\.\.8\)"):
+        run(SIDE_BY_SIDE, cfg, strict=False)
+    order = list(order)
+    assert order[-1][1:] == (EventKind.COMPLETE, 2)
     found = delta_violation(SIDE_BY_SIDE, cfg)
     assert found.invariant == "disjointness"
     assert_found_at(found, order, EventKind.DEALLOCATE, 1)
