@@ -74,6 +74,7 @@ class MemoryState:
         organizer = organizer or Organize.identity()
         store = free_store(organizer, capacity)
         # an empty store is one run from 0, or none; the rest is residue
+        # (the benchmark's BuddyTree.free_extents span is reached only here)
         free_total = sum(e.size for e in store.free_extents())
         residue = Extent(free_total, capacity) if free_total < capacity else None
         return MemoryState(capacity, organizer, store, free_total, residue)
@@ -161,14 +162,15 @@ def allocate(d: Discipline, m: MemoryState, p: Procedure) -> tuple[Extent, ...]:
     or a whole allocation unit, or a buddy block, under the discipline d:
     the memory's own store grants them.
 
-    The discipline must organize the set the same way the memory does.
+    The discipline must select first fit and organize the set the same
+    way the memory does.
     :func:`segment_alloc` is this grant with its pieces mapped to their
     bases; :func:`build_page_table` grants a page table's frames. Under
     fixed partitioning each piece fits in one unit.
     """
     if d.organize != m.organizer:
         raise ParameterError("discipline and memory are organized differently")
-    if d.select.tag not in (SelectTag.FIRST_FIT, SelectTag.BUDDY_FIT):
+    if d.select.tag is not SelectTag.FIRST_FIT:
         raise ParameterError(f"{d.select.tag.value} selection does not allocate memory")
     return _grant(m, p.id, d.chunk.pieces(p, p.size))
 
@@ -318,7 +320,6 @@ class SwapRecord:
     the extents the procedure held there."""
 
     pid: int
-    size: int
     backing_extents: tuple[Extent, ...]
     pieces: tuple[int, ...]
 
@@ -343,7 +344,6 @@ def swap_out(m: MemoryState, backing: MemoryState, victim: Procedure) -> SwapRec
     granted = _grant(backing, victim.id, (victim.size,) if victim.size else ())
     record = SwapRecord(
         pid=victim.id,
-        size=victim.size,
         backing_extents=granted,
         pieces=tuple([e.end - e.start for e in held]),
     )

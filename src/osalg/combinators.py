@@ -7,13 +7,14 @@ buddy organizer views it as a binary tree of power-of-two blocks, a tree
 implicit in the block addresses, so that only the free blocks are kept.
 Organizing a memory, given by its capacity, gives its free store. A
 ``Select`` returns a member of the organized set, or, over a free store,
-the one extent the store's own grant gives for the demand.
+the one extent the store's own grant gives for the demand: first fit,
+the one memory select, so allocators differ only in organize and chunk.
 A ``Chunk`` cuts a demand, of CPU time or of memory, into the pieces it
 is served in. Composing one of each yields a ``Discipline``, the
 executable form of a resource-management algorithm:
 first-come-first-served is identity selection over an identity
 organization, shortest-job-first is identity selection over a sort,
-buddy allocation is tree-fit selection over the buddy organization,
+buddy allocation is first fit over the buddy organization,
 round robin is first-come-first-served in fixed chunks, and paging is
 first fit over fixed partitions in chunks of the partition size.
 
@@ -60,7 +61,9 @@ class SortKey(Enum):
 @dataclass(frozen=True)
 class FreeRuns:
     """The free store of identity and fixed-partition organized memory:
-    address-ordered maximal free runs (Wilson et al. 1995). Under a
+    address-ordered maximal free runs (Wilson et al. 1995) inside
+    ``[0, capacity)``, capacity being the units the runs may cover: the
+    whole memory, or its whole units under a fixed partition. Under a
     `unit`, every grant piece is rounded up to one whole unit and every
     run is unit aligned, so first fit takes the lowest free unit.
 
@@ -69,6 +72,7 @@ class FreeRuns:
     ``free_extents``, ``largest`` and ``check``.
     """
 
+    capacity: int
     runs: tuple[Extent, ...]
     unit: int | None = None
 
@@ -91,17 +95,19 @@ class FreeRuns:
             else:
                 del runs[i]
             granted.append(extent)
-        return tuple(granted), FreeRuns(tuple(runs), self.unit)
+        return tuple(granted), FreeRuns(self.capacity, tuple(runs), self.unit)
 
     def release(self, *extents: Extent) -> "FreeRuns":
         """Merge the extents one grant gave with the runs they touch;
         NotFoundError, with this store unchanged, unless each is non-empty,
-        whole units under a unit, and overlaps no free run."""
+        ends by the capacity, is whole units under a unit, and overlaps no
+        free run."""
         runs, unit = list(self.runs), self.unit
         for e in extents:
             start, end = e.start, e.end
             i = bisect_left(runs, start, key=_start)
-            if (start >= end or (unit is not None and (start % unit or end % unit))
+            if (start >= end or end > self.capacity
+                    or (unit is not None and (start % unit or end % unit))
                     or (i < len(runs) and runs[i].start < end)
                     or (i > 0 and runs[i - 1].end > start)):
                 raise NotFoundError(f"no allocated extent {e}")
@@ -113,15 +119,17 @@ class FreeRuns:
                 hi += 1
                 end = runs[i].end
             runs[lo:hi] = (Extent(start, end),)
-        return FreeRuns(tuple(runs), self.unit)
+        return FreeRuns(self.capacity, tuple(runs), self.unit)
 
     def fits(self, chunk: "Chunk", p: Procedure) -> bool:
-        """Whether this store, while empty, holds p's memory cut by chunk:
-        in whole units under a unit, else in one run."""
-        free, unit, size = sum(e.size for e in self.runs), self.unit, p.size
+        """Whether this store's memory, while empty, holds p's memory cut
+        by chunk: in whole units under a unit, else in one run. It reads
+        the capacity, not the runs, so it is the same for every store of
+        one memory."""
+        capacity, unit, size = self.capacity, self.unit, p.size
         if unit is None:
-            return size <= free
-        return chunk.first(p, size) <= unit and chunk.count(p, size) * unit <= free
+            return size <= capacity
+        return chunk.first(p, size) <= unit and chunk.count(p, size) * unit <= capacity
 
     def free_extents(self) -> tuple[Extent, ...]:
         return self.runs
@@ -154,8 +162,9 @@ class BuddyTree:
     (Knowlton 1965), so the binary tree of blocks is implicit in the
     addresses and only the free blocks are kept. Mutating operations
     return a new store; eager merging keeps the invariant that no two
-    free blocks are buddies. A grant takes the leftmost free block that
-    holds the demand (leftmost fit), not the smallest one.
+    free blocks are buddies. The tree is a free-block organization
+    (Knuth, TAOCP vol. 1, 2.5) that first fit selects from: a grant takes
+    the leftmost free block that holds the demand, not the smallest one.
     """
 
     capacity: int
@@ -168,26 +177,21 @@ class BuddyTree:
         return 1 << (q - 1).bit_length()
 
     def allocate(self, q: int) -> tuple[Extent, "BuddyTree"]:
-        """Take the leftmost free block holding q units, split down to the
-        block size at its left end.
+        """Take the first fit of q units rounded up to a block, split down
+        to the block size at the left end of the free block it lies in.
 
         Raises AllocationFailure when no free block can hold q units.
         """
-        block = self.block_size_for(q)
-        if block > self.capacity:
-            raise AllocationFailure(f"demand {q} exceeds capacity {self.capacity}")
-        for i, leaf in enumerate(self.free_leaves):
-            if leaf.size >= block:
-                break
-        else:
-            raise AllocationFailure(f"no free block of {block} units")
+        extent = select_first_fit(self.free_leaves, self.block_size_for(q))
+        i = bisect_left(self.free_leaves, extent.start, key=_start)
+        leaf = self.free_leaves[i]
         # the right halves split off stay free, in address order
-        start, size, halves = leaf.start, block, []
+        start, size, halves = extent.start, extent.size, []
         while size < leaf.size:
             halves.append(Extent(start + size, start + 2 * size))
             size *= 2
         free = self.free_leaves[:i] + tuple(halves) + self.free_leaves[i + 1:]
-        return Extent(start, start + block), BuddyTree(self.capacity, free)
+        return extent, BuddyTree(self.capacity, free)
 
     def release(self, *extents: Extent) -> "BuddyTree":
         """Free the blocks one grant gave, each merged with its free buddy
@@ -326,15 +330,14 @@ class OrganizeTag(Enum):
 class SelectTag(Enum):
     IDENTITY = "identity"
     FIRST_FIT = "first-fit"
-    BUDDY_FIT = "buddy-fit"
     ARGMAX_PRIORITY = "argmax-priority"
 
 
 # Set shapes each select knows how to consume.
 _COMPATIBLE = {
     SelectTag.IDENTITY: {OrganizeTag.IDENTITY, OrganizeTag.SORT},
-    SelectTag.FIRST_FIT: {OrganizeTag.IDENTITY, OrganizeTag.FIXED_PARTITION},
-    SelectTag.BUDDY_FIT: {OrganizeTag.BUDDY_TREE},
+    SelectTag.FIRST_FIT: {OrganizeTag.IDENTITY, OrganizeTag.FIXED_PARTITION,
+                          OrganizeTag.BUDDY_TREE},
     SelectTag.ARGMAX_PRIORITY: {OrganizeTag.IDENTITY, OrganizeTag.SORT},
 }
 
@@ -383,17 +386,15 @@ def free_store(organize: Organize, capacity: int) -> FreeStore:
     """The free store of an empty memory of `capacity` units shaped by
     `organize`, in O(1): the buddy tree, or one free run of every whole
     unit. Fixed partitioning leaves a trailing remainder smaller than one
-    unit out of the store, as unusable residue, rather than making it an
-    odd-sized unit."""
+    unit out of the store, and out of its capacity, as unusable residue,
+    rather than making it an odd-sized unit."""
     if organize.tag is OrganizeTag.BUDDY_TREE:
         return organize_buddy(capacity)
     if organize.tag is OrganizeTag.FIXED_PARTITION:
-        unit = organize.unit_size
-        usable = capacity - capacity % unit
-        return FreeRuns((Extent(0, usable),) if usable else (), unit)
-    if organize.tag is not OrganizeTag.IDENTITY:
+        capacity -= capacity % organize.unit_size
+    elif organize.tag is not OrganizeTag.IDENTITY:
         raise ParameterError(f"memory cannot be organized by {organize.tag.value}")
-    return FreeRuns((Extent(0, capacity),) if capacity else ())
+    return FreeRuns(capacity, (Extent(0, capacity),) if capacity else (), organize.unit_size)
 
 
 @dataclass(frozen=True)
@@ -412,10 +413,6 @@ class Select:
     @staticmethod
     def first_fit() -> "Select":
         return Select(SelectTag.FIRST_FIT)
-
-    @staticmethod
-    def buddy_fit() -> "Select":
-        return Select(SelectTag.BUDDY_FIT)
 
     @staticmethod
     def argmax_priority() -> "Select":

@@ -238,7 +238,7 @@ ALLOCATORS: dict[str, Callable[[SimConfig], Allocator]] = {
             cfg.unit_size, (cfg.unit_size or 0) >= 1,
             "fixed allocator needs --unit >= 1")), Chunk.whole()), "frames"),
     "buddy": lambda cfg: Allocator(
-        compose(Select.buddy_fit(), _param(
+        compose(FIRST_FIT, _param(
             Organize.buddy(), not cfg.memory_capacity & (cfg.memory_capacity - 1),
             "buddy allocator needs a power-of-two capacity"), Chunk.whole()), "buddy-tree",
         # a grant reports int_frag=0, though its block rounds the size up:
@@ -380,7 +380,6 @@ class _Simulation:
         self.placement = d = allocator.discipline
         self.primary = MemoryState.initial(memory_capacity, d.organize)
         self.backing = MemoryState.initial(backing_capacity, Organize.identity())
-        self.empty = self.primary.store  # a store is a value: the empty one stays
         # the shape of a grant, decided once: a page table, a segment map or
         # a plain grant
         self.paged = allocator.paged
@@ -444,7 +443,7 @@ class _Simulation:
     def arrive(self, p: Procedure) -> None:
         # could p ever be resident in the empty primary memory? Its chunk's
         # count and first piece say
-        if p.size and not self.empty.fits(self.placement.chunk, p):
+        if p.size and not self.primary.store.fits(self.placement.chunk, p):
             raise UnrunnableProcedureError(
                 f"procedure {p.id} (size {p.size}) can never be resident under "
                 f"{self.allocator.symbol} in {self.primary.capacity} units"
@@ -493,7 +492,7 @@ class _Simulation:
             return False
         chunk = self.allocator.swap_chunk
         if chunk is not None:
-            record = SwapRecord(record.pid, record.size, record.backing_extents,
+            record = SwapRecord(record.pid, record.backing_extents,
                                 chunk.pieces(victim, victim.size))
         self.count_listed(len(freed) + len(record.backing_extents))
         self.swapped.append((victim, record))

@@ -29,7 +29,7 @@ from osalg.errors import (
 from conftest import proc
 
 FIRST_FIT = compose(Select.first_fit(), Organize.identity())
-BUDDY_FIT = compose(Select.buddy_fit(), Organize.buddy())
+BUDDY = compose(Select.first_fit(), Organize.buddy())
 
 
 def first_fit_memory(capacity):
@@ -58,7 +58,7 @@ class TestAllocate:
 
     def test_buddy_allocation(self):
         m = MemoryState.initial(16, Organize.buddy())
-        got = allocate(BUDDY_FIT, m, proc(1, size=3))
+        got = allocate(BUDDY, m, proc(1, size=3))
         assert got == (Extent(0, 4),)
 
     def test_failure_when_nothing_fits(self):
@@ -104,8 +104,8 @@ class TestDeallocate:
 
     def test_buddy_sibling_merge(self):
         m = MemoryState.initial(16, Organize.buddy())
-        allocate(BUDDY_FIT, m, proc(1, size=4))
-        allocate(BUDDY_FIT, m, proc(2, size=4))
+        allocate(BUDDY, m, proc(1, size=4))
+        allocate(BUDDY, m, proc(2, size=4))
         deallocate(m, 1)
         deallocate(m, 2)
         assert m.free == (Extent(0, 16),)
@@ -353,7 +353,7 @@ class TestSwap:
     def test_a_multi_block_buddy_grant_swaps_and_releases_whole(self):
         """Buddy in chunks of 2 grants size 5 as three blocks; a swap-out,
         a swap-in and a release each take all three."""
-        chunked = compose(Select.buddy_fit(), Organize.buddy(), Chunk.fixed(2))
+        chunked = compose(Select.first_fit(), Organize.buddy(), Chunk.fixed(2))
         m, backing = MemoryState.initial(16, Organize.buddy()), first_fit_memory(16)
         p, blocks = proc(1, size=5), (Extent(0, 2), Extent(2, 4), Extent(4, 5))
         assert allocate(chunked, m, p) == blocks and m.free_total == 11
@@ -386,7 +386,7 @@ class TestConservationRandomOps:
             elif organizer.tag.value == "fixed-partition":
                 discipline = compose(Select.first_fit(), organizer)
             else:
-                discipline = BUDDY_FIT
+                discipline = BUDDY
             m = MemoryState.initial(capacity, organizer)
             live = []
             pid = 0

@@ -243,9 +243,8 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
     m = MemoryState.initial(capacity, organizer)
     backing = MemoryState.initial(BACKING, Organize.identity())
     ref, ref_backing = ReferenceMemory(kind, capacity), ReferenceMemory("identity", BACKING)
-    select = Select.buddy_fit() if kind == "buddy" else Select.first_fit()
-    discipline = compose(select, organizer)
-    segmented = compose(select, organizer, Chunk.segments())
+    discipline = compose(Select.first_fit(), organizer)
+    segmented = compose(Select.first_fit(), organizer, Chunk.segments())
     resident, swapped = [], []
     pid = 0
     for op, n, flag in ops:
@@ -291,19 +290,19 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
                 with pytest.raises(AllocationFailure):
                     ref_backing.grant(victim.id, victim.size)
             else:
-                assert ref_backing.grant(record.pid, record.size) == record.backing_extents
+                assert ref_backing.grant(record.pid, victim.size) == record.backing_extents
                 ref.release(record.pid)
                 resident = [q for q in resident if q.id != record.pid]
                 swapped.append((record, victim))
         elif op == "swap_in" and swapped:
             record, p = swapped[0]
             if kind == "fixed":
-                shape = {"pages": -(-record.size // UNIT)}
+                shape = {"pages": -(-p.size // UNIT)}
             else:
                 shape = {"segments": p.segments}
             got, expected = expect_same(
                 lambda: swap_in(m, backing, record),
-                lambda: ref.grant(record.pid, record.size, **shape),
+                lambda: ref.grant(record.pid, p.size, **shape),
             )
             if got is not None:
                 assert got == expected
@@ -319,7 +318,7 @@ def test_bookkeeping_matches_whole_state_algorithms(kind, ops):
 
 def buddy_memory_with_a_grant():
     m = MemoryState.initial(16, Organize.buddy())
-    allocate(compose(Select.buddy_fit(), Organize.buddy()), m, proc(1, size=3))
+    allocate(compose(Select.first_fit(), Organize.buddy()), m, proc(1, size=3))
     return m
 
 

@@ -13,11 +13,16 @@ longer holds, with the free total moved by its size.
 Every memory and free store keeps one contract. A refused grant, swap-out
 or swap-in raises ``AllocationFailure``, whichever memory refuses. A free
 store takes back only what it could have granted: a release of an extent
-that is empty, overlaps a free extent, or is not whole units (free runs
-under a unit) or an aligned block (the buddy tree) raises
-``NotFoundError``, and the store stays as it was, so a second release of
-the same extents is refused too. What counts as foreign is decided here,
-from the free extents, without asking the store.
+that is empty, ends past the memory or in a fixed partition's residue,
+overlaps a free extent, or is not whole units (free runs under a unit)
+or an aligned block (the buddy tree) raises ``NotFoundError``, and the
+store stays as it was, so a second release of the same extents is
+refused too. What counts as foreign is decided here, from the memory's
+capacity, residue and free extents, without asking the store.
+
+Whether a procedure can ever be resident is a question about the memory,
+not about what it holds now: every store a memory reaches answers
+``fits`` as its empty store does.
 """
 
 from __future__ import annotations
@@ -141,8 +146,7 @@ def check_result(op, result, pid, before, memories):
 def test_a_step_changes_memory_only_when_it_succeeds(kind, ops):
     organizer, capacity, chunk = ORGANIZATIONS[kind]
     memories = (MemoryState.initial(capacity, organizer), MemoryState.initial(BACKING))
-    select = Select.buddy_fit() if organizer == Organize.buddy() else Select.first_fit()
-    discipline = compose(select, organizer, chunk)
+    discipline = compose(Select.first_fit(), organizer, chunk)
     procs, records = {}, []  # records stay listed after their swap-in
     for op, n, flag in ops:
         if op == "grant":
@@ -202,7 +206,7 @@ def test_a_grant_past_the_free_total_fails_before_the_store(monkeypatch):
         return real_grant(tree, pieces)
 
     monkeypatch.setattr(BuddyTree, "grant", counted_grant)
-    discipline = compose(Select.buddy_fit(), Organize.buddy())
+    discipline = compose(Select.first_fit(), Organize.buddy())
     m = MemoryState.initial(16, Organize.buddy())
     allocate(discipline, m, proc(1, size=8))
     with pytest.raises(AllocationFailure):
@@ -211,9 +215,12 @@ def test_a_grant_past_the_free_total_fails_before_the_store(monkeypatch):
 
 
 def foreign(m, e):
-    """Whether no grant of m's store can have given `e`: it is empty, lies
-    across a free extent, or is not whole units, or not a buddy block."""
-    if e.start >= e.end or any(f.start < e.end and e.start < f.end for f in m.free):
+    """Whether no grant of m's store can have given `e`: it is empty, ends
+    past the memory or in its residue, lies across a free extent, or is
+    not whole units, or not a buddy block."""
+    end = m.capacity if m.residue is None else m.residue.start
+    if e.start >= e.end or e.end > end or any(
+            f.start < e.end and e.start < f.end for f in m.free):
         return True
     if m.unit_size is not None:
         return bool(e.start % m.unit_size or e.end % m.unit_size)
@@ -255,12 +262,15 @@ def assert_refused(store, *extents):
 @example(kind="buddy", ops=[("grant", 65, False), ("grant", 9, True),
                             ("grant", 3, False), ("release", 1, False)],
          bounds=(4, 12))
+# an extent past the end of the memory, beside its last free run, and one
+# that runs into a fixed partition's residue, though it is whole units
+@example(kind="identity", ops=[("grant", 4, False)], bounds=(40, 44))
+@example(kind="fixed", ops=[("grant", 4, False)], bounds=(48, 52))
 def test_every_memory_keeps_one_contract(kind, ops, bounds):
     organizer, capacity, chunk = ORGANIZATIONS[kind]
     memories = (MemoryState.initial(capacity, organizer), MemoryState.initial(BACKING))
     primary, backing = memories
-    select = Select.buddy_fit() if organizer == Organize.buddy() else Select.first_fit()
-    discipline = compose(select, organizer, chunk)
+    discipline = compose(Select.first_fit(), organizer, chunk)
     procs, records = {}, []
     for op, n, flag in ops:
         # only steps a memory may refuse for want of room
@@ -294,7 +304,41 @@ def test_every_memory_keeps_one_contract(kind, ops, bounds):
             for held in m.allocated.values():
                 if held:
                     assert_refused(m.store.release(*held), *held)
-            if e.end <= m.capacity and foreign(m, e):
+            if foreign(m, e):
                 assert_refused(m.store, e)
                 granted = next((held for held in m.allocated.values() if held), ())
                 assert_refused(m.store, *granted, e)
+
+
+# every chunk a memory grant is cut by, segments included
+CHUNKS = (Chunk.whole(), Chunk.fixed(UNIT), Chunk.fixed(3), Chunk.segments())
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(ORGANIZATIONS)), ops=OPS,
+       sizes=st.lists(st.tuples(st.integers(1, 70), st.booleans()), min_size=1,
+                      max_size=4))
+# a store with half its one run granted, asked for more than half
+@example(kind="identity", ops=[("grant", 20, False)], sizes=[(30, False)])
+@example(kind="fixed", ops=[("grant", 4, False)], sizes=[(48, False)])
+def test_fits_depends_only_on_the_memory(kind, ops, sizes):
+    """Under every chunk, a store reached through grants and releases
+    answers `fits` as the empty store of the same memory does."""
+    organizer, capacity, chunk = ORGANIZATIONS[kind]
+    m = MemoryState.initial(capacity, organizer)
+    empty = m.store
+    discipline = compose(Select.first_fit(), organizer, chunk)
+    probes = [proc(100 + i, size=size, segments=(size - size // 2, size // 2)
+                   if split and size > 1 else None)
+              for i, (size, split) in enumerate(sizes)]
+    for pid, (op, n, flag) in enumerate(ops, start=1):
+        if op == "grant":
+            try:
+                grant_step(kind, discipline, proc(pid, size=n))(m, None)
+            except AllocationFailure:
+                pass
+        elif op == "release" and m.allocated:
+            deallocate(m, sorted(m.allocated)[n % len(m.allocated)])
+        for c in CHUNKS:
+            for p in probes:
+                assert m.store.fits(c, p) == empty.fits(c, p), (c, p)
