@@ -29,7 +29,7 @@ from osalg.errors import (
     NotFoundError,
     ParameterError,
 )
-from osalg.sim import class_quantum, dispatch_slices
+from osalg.sim import ALLOCATORS, SimConfig, class_quantum, dispatch_slices
 
 from conftest import encloses, proc, random_batch
 from oracle import NoFreeBlock, ReferenceBuddy
@@ -313,6 +313,12 @@ class TestCompose:
     def test_buddy_discipline_applies(self):
         d = compose(Select.first_fit(), Organize.buddy())
         assert d.apply(16, demand=3) == Extent(0, 4)
+
+    def test_every_allocator_selects_first_fit(self):
+        """The allocators differ only in organize and chunk."""
+        cfg = SimConfig(memory_capacity=64, unit_size=4, page_size=4)
+        for name, entry in ALLOCATORS.items():
+            assert entry(cfg).discipline.select == Select.first_fit(), name
 
     def test_first_fit_discipline_applies(self):
         """A memory select is the extent its store grants: under a fixed

@@ -318,7 +318,8 @@ CHUNKS = (Chunk.whole(), Chunk.fixed(UNIT), Chunk.fixed(3), Chunk.segments())
 @given(kind=st.sampled_from(sorted(ORGANIZATIONS)), ops=OPS,
        sizes=st.lists(st.tuples(st.integers(1, 70), st.booleans()), min_size=1,
                       max_size=4))
-# a store with half its one run granted, asked for more than half
+# a store with half its one run granted, asked for more than half, and a
+# partitioned store with one frame granted, asked for every frame
 @example(kind="identity", ops=[("grant", 20, False)], sizes=[(30, False)])
 @example(kind="fixed", ops=[("grant", 4, False)], sizes=[(48, False)])
 def test_fits_depends_only_on_the_memory(kind, ops, sizes):
@@ -331,10 +332,11 @@ def test_fits_depends_only_on_the_memory(kind, ops, sizes):
     probes = [proc(100 + i, size=size, segments=(size - size // 2, size // 2)
                    if split and size > 1 else None)
               for i, (size, split) in enumerate(sizes)]
-    for pid, (op, n, flag) in enumerate(ops, start=1):
+    for pid, (op, n, _) in enumerate(ops, start=1):
         if op == "grant":
+            size = n % (UNIT + 2) if kind == "fixed" else n
             try:
-                grant_step(kind, discipline, proc(pid, size=n))(m, None)
+                grant_step(kind, discipline, proc(pid, size=size))(m, None)
             except AllocationFailure:
                 pass
         elif op == "release" and m.allocated:
