@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .combinators import (
     Discipline,
@@ -29,7 +28,7 @@ from .combinators import (
     SelectTag,
     free_store,
 )
-from .core import Extent, Procedure
+from .core import Extent, Procedure, address_order
 from .errors import (
     AllocationFailure,
     InvariantViolation,
@@ -47,24 +46,21 @@ class MemoryState:
     partitioning, the free blocks for the buddy organizer. `free` is its
     free extents, so under fixed partitioning it holds runs of whole
     units, not single units. `allocated` maps procedure ids to the
-    extents they hold, `free_total` is the size of `free`, and `residue`
-    is a fixed-partitioned memory's tail too short for one unit. Each
+    extents they hold, and `free_total` is the size of `free`. Each
     grant and release changes `allocated`, the `store` reference and
     `free_total` by what it changes, never by a rescan; the free store
     itself stays a value.
     """
 
-    __slots__ = ("capacity", "organizer", "allocated", "store", "free_total",
-                 "residue")
+    __slots__ = ("capacity", "organizer", "allocated", "store", "free_total")
 
     def __init__(self, capacity: int, organizer: Organize, store: FreeStore,
-                 free_total: int, residue: Extent | None):
+                 free_total: int):
         self.capacity = capacity
         self.organizer = organizer
         self.allocated: dict[int, tuple[Extent, ...]] = {}
         self.store = store
         self.free_total = free_total
-        self.residue = residue
 
     @staticmethod
     def initial(capacity: int, organizer: Organize | None = None) -> "MemoryState":
@@ -73,11 +69,16 @@ class MemoryState:
             raise ParameterError(f"capacity must be natural, got {capacity}")
         organizer = organizer or Organize.identity()
         store = free_store(organizer, capacity)
-        # an empty store is one run from 0, or none; the rest is residue
-        # (the benchmark's BuddyTree.free_extents span is reached only here)
+        # the benchmark's BuddyTree.free_extents span is reached only here
         free_total = sum(e.size for e in store.free_extents())
-        residue = Extent(free_total, capacity) if free_total < capacity else None
-        return MemoryState(capacity, organizer, store, free_total, residue)
+        return MemoryState(capacity, organizer, store, free_total)
+
+    @property
+    def residue(self) -> Extent | None:
+        """A fixed-partitioned memory's tail too short for one unit: what
+        its store does not cover."""
+        end = self.store.capacity
+        return Extent(end, self.capacity) if end < self.capacity else None
 
     @property
     def unit_size(self) -> int | None:
@@ -106,7 +107,7 @@ class MemoryState:
         if self.residue is not None:
             pieces.append(self.residue)
         pieces = [e for e in pieces if e.start < e.end]
-        pieces.sort(key=_start)
+        pieces.sort(key=address_order)
         capacity = self.capacity
         covered = 0
         for e in pieces:
@@ -137,9 +138,6 @@ class MemoryState:
             self.store.check()
         except ParameterError as exc:
             raise InvariantViolation("store-shape", str(exc)) from exc
-
-
-_start = attrgetter("start")
 
 
 def _grant(m: MemoryState, pid: int, pieces: Sequence[int]) -> tuple[Extent, ...]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import IO, Any, Callable, Iterable, Sequence
 
 from .binding import _topological_orders
-from .core import Procedure, ProcedureSet, WorkClass
+from .core import Procedure, ProcedureSet, WorkClass, arrival_order
 from .errors import (
     OsAlgError,
     ParameterError,
@@ -38,12 +38,24 @@ EXIT_USAGE = 1
 EXIT_WORKLOAD = 2
 EXIT_UNRUNNABLE = 3
 
-_REQUIRED_KEYS = ("id", "size", "time")
-_ALL_KEYS = ("id", "size", "time", "arrival", "priority", "owner", "class", "segments")
+# Each workload key: the Procedure field it sets and the reader of its
+# text. The first three are required; a field not given takes
+# Procedure's default.
+_FIELDS: dict[str, tuple[str, Callable[[str], Any]]] = {
+    "id": ("id", int),
+    "size": ("size", int),
+    "time": ("time", int),
+    "arrival": ("arrival", int),
+    "priority": ("priority", int),
+    "owner": ("owner", str),
+    "class": ("io_class", WorkClass),
+    "segments": ("segments", lambda text: tuple(map(int, text.split(",")))),
+}
+_REQUIRED_KEYS = tuple(_FIELDS)[:3]
 
 
 def parse_workload(text: str) -> ProcedureSet:
-    """Parse workload text into an arrival-sorted procedure set."""
+    """Parse workload text into a procedure set in `arrival_order`."""
     procedures: list[Procedure] = []
     seen: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -52,10 +64,10 @@ def parse_workload(text: str) -> ProcedureSet:
             continue
         fields: dict[str, str] = {}
         for token in line.split():
-            if "=" not in token:
+            key, eq, value = token.partition("=")
+            if not eq:
                 raise WorkloadError(f"expected key=value, got {token!r}", lineno)
-            key, value = token.split("=", 1)
-            if key not in _ALL_KEYS:
+            if key not in _FIELDS:
                 raise WorkloadError(f"unknown field {key!r}", lineno)
             if key in fields:
                 raise WorkloadError(f"field {key!r} repeated", lineno)
@@ -64,36 +76,20 @@ def parse_workload(text: str) -> ProcedureSet:
             if key not in fields:
                 raise WorkloadError(f"missing field {key!r}", lineno)
         try:
-            pid = int(fields["id"])
+            values = {}
+            for key, value in fields.items():
+                name, read = _FIELDS[key]
+                values[name] = read(value)
+            pid = values["id"]
             if pid in seen:
                 raise WorkloadError(
                     f"duplicate id {pid} (first on line {seen[pid]})", lineno
                 )
             seen[pid] = lineno
-            io_class = (
-                WorkClass(fields["class"]) if "class" in fields else None
-            )
-            segments = (
-                tuple(int(s) for s in fields["segments"].split(","))
-                if "segments" in fields
-                else None
-            )
-            procedures.append(
-                Procedure(
-                    id=pid,
-                    size=int(fields["size"]),
-                    time=int(fields["time"]),
-                    arrival=int(fields.get("arrival", "0")),
-                    priority=int(fields["priority"]) if "priority" in fields else None,
-                    owner=fields.get("owner"),
-                    io_class=io_class,
-                    segments=segments,
-                )
-            )
+            procedures.append(Procedure(**values))
         except ValueError as exc:  # a ParameterError among them
             raise WorkloadError(str(exc), lineno) from exc
-    ordered = sorted(procedures, key=lambda p: (p.arrival, p.id))
-    return ProcedureSet(tuple(ordered))
+    return ProcedureSet(tuple(sorted(procedures, key=arrival_order)))
 
 
 def _extents_text(extents: Iterable[object]) -> str:

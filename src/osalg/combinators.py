@@ -28,10 +28,9 @@ from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Any, Sequence
 
-from .core import Extent, Procedure, ProcedureSet
+from .core import Extent, Procedure, ProcedureSet, address_order, arrival_order
 from .errors import (
     AllocationFailure,
     BoundsError,
@@ -89,7 +88,7 @@ class FreeRuns:
                     raise AllocationFailure(f"demand {q} exceeds the {unit}-unit partitions")
                 q = unit
             extent = select_first_fit(runs, q)
-            i = bisect_left(runs, extent.start, key=_start)
+            i = bisect_left(runs, extent.start, key=address_order)
             if extent.end < runs[i].end:
                 runs[i] = Extent(extent.end, runs[i].end)
             else:
@@ -105,7 +104,7 @@ class FreeRuns:
         runs, unit = list(self.runs), self.unit
         for e in extents:
             start, end = e.start, e.end
-            i = bisect_left(runs, start, key=_start)
+            i = bisect_left(runs, start, key=address_order)
             if (start >= end or end > self.capacity
                     or (unit is not None and (start % unit or end % unit))
                     or (i < len(runs) and runs[i].start < end)
@@ -183,7 +182,7 @@ class BuddyTree:
         Raises AllocationFailure when no free block can hold q units.
         """
         extent = select_first_fit(self.free_leaves, self.block_size_for(q))
-        i = bisect_left(self.free_leaves, extent.start, key=_start)
+        i = bisect_left(self.free_leaves, extent.start, key=address_order)
         leaf = self.free_leaves[i]
         # the right halves split off stay free, in address order
         start, size, halves = extent.start, extent.size, []
@@ -201,7 +200,7 @@ class BuddyTree:
         free = self.free_leaves
         for extent in extents:
             start, size = extent.start, extent.size
-            i = bisect_left(free, start, key=_start)
+            i = bisect_left(free, start, key=address_order)
             if (size < 1 or size & (size - 1) or start % size
                     or extent.end > self.capacity
                     or (i < len(free) and free[i].start < extent.end)
@@ -259,9 +258,6 @@ class BuddyTree:
             if before == Extent(start ^ size, (start ^ size) + size):
                 raise ParameterError(f"free blocks {before} and {block} are unmerged buddies")
             end, before = block.end, block
-
-
-_start = attrgetter("start")
 
 
 def _members(x: Any) -> tuple:
@@ -554,7 +550,7 @@ def order_key(d: Discipline) -> OrderKey:
     select, organize = d.select, d.organize
     if select.tag is SelectTag.IDENTITY and select.index == 1:
         if organize.tag is OrganizeTag.IDENTITY:
-            return lambda p: (p.arrival, p.id)
+            return arrival_order
         if organize.tag is OrganizeTag.SORT:
             value_of = organize.key.value_of
             return lambda p: (value_of(p), p.id)

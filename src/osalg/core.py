@@ -13,6 +13,9 @@ results. All types here are immutable values. The one exception is
 ``ArrivalStream``, a run's cursor over its procedures: it sorts them
 into arrival order once, checks their ids, and hands them out as the
 clock reaches their arrivals.
+
+Beside the values they order sit the two orders the disciplines select
+by: ``arrival_order`` and ``address_order``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ class Extent:
     def __str__(self) -> str:
         # ".." rather than "," keeps extents comma-free for CSV details
         return f"[{self.start}..{self.end})"
+
+
+# extents by start: first fit takes the least free extent that holds the
+# demand (Wilson et al. 1995)
+address_order = attrgetter("start")
 
 
 class WorkClass(Enum):
@@ -99,6 +107,11 @@ class Procedure:
                 )
 
 
+# procedures by (arrival, id), the order first-come-first-served takes
+# them in; ids are unique in a set, so the order is total
+arrival_order = attrgetter("arrival", "id")
+
+
 @dataclass(frozen=True)
 class ProcedureSet:
     """An ordered set of procedures with unique ids.
@@ -129,13 +142,12 @@ class ProcedureSet:
 
 
 class ArrivalStream:
-    """A run's arrivals: the procedures sorted by (arrival, id) into
+    """A run's arrivals: the procedures sorted by `arrival_order` into
     `members`, which must be a ProcedureSet (ids unique), taken in
     slices as the clock reaches them."""
 
     def __init__(self, procedures: Iterable[Procedure]):
-        self.members = ProcedureSet(
-            tuple(sorted(procedures, key=lambda p: (p.arrival, p.id)))).members
+        self.members = ProcedureSet(tuple(sorted(procedures, key=arrival_order))).members
         self._next = 0
 
     def peek(self) -> Procedure | None:

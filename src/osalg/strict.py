@@ -38,16 +38,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from operator import attrgetter
 from typing import NoReturn
 
 from . import binding
 from .allocators import MemoryState
-from .core import Extent
+from .core import Extent, address_order
 from .errors import InvariantViolation
 from .sim import EventKind, TraceEvent
-
-_start = attrgetter("start")
 
 # a delta as (verb, extents, the event that records it)
 Change = tuple[str, tuple[Extent, ...], TraceEvent]
@@ -166,7 +163,7 @@ class MemoryCheck:
             if (i and ends[i - 1] > s) or (i < len(starts) and starts[i] < t):
                 self.fail(change, "disjointness",
                           f"extent {e} overlaps an occupied one")
-            j = bisect_right(free, s, key=_start)
+            j = bisect_right(free, s, key=address_order)
             if (j and free[j - 1].end > s) or (j < len(free) and free[j].start < t):
                 self.fail(change, "disjointness",
                           f"extent {e} overlaps a free extent of the store")
@@ -181,7 +178,7 @@ class MemoryCheck:
             if s == t:
                 continue
             i = bisect_left(starts, s)
-            j = bisect_right(free, s, key=_start)
+            j = bisect_right(free, s, key=address_order)
             if not (s == 0 or (i and ends[i - 1] == s) or (j and free[j - 1].end == s)):
                 self.uncovered(change, s - 1, e)
             if not (t == limit or (i + 1 < len(starts) and starts[i + 1] == t)
@@ -208,7 +205,7 @@ class MemoryCheck:
             s, t = e.start, e.end
             if s == t:
                 continue
-            j = bisect_right(free, s, key=_start) - 1
+            j = bisect_right(free, s, key=address_order) - 1
             # a free extent past the memory breaks the full check too, so
             # `fail` always reports that in the full check's words
             if j < 0 or free[j].end < t or free[j].end > limit:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osalg import Extent, Procedure, SimConfig, WorkClass, cli, run, sim
 from osalg.cli import (
@@ -44,6 +45,37 @@ FULL_RECORD = (
     "id=5 size=10 time=4 arrival=2 priority=3 owner=ops "
     "class=IoBound segments=4,6\n"
 )
+
+
+@st.composite
+def full_procedure(draw, pid):
+    """A procedure that sets every field, its size the sum of its
+    segments."""
+    segments = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+    return Procedure(
+        id=pid, size=sum(segments), time=draw(st.integers(1, 99)),
+        priority=draw(st.integers(0, 9)),
+        owner=draw(st.text("abcdefghijklmnopqrstuvwxyz0123456789_-=.", min_size=1,
+                           max_size=6)),
+        arrival=draw(st.integers(0, 20)), io_class=draw(st.sampled_from(WorkClass)),
+        segments=segments,
+    )
+
+
+@st.composite
+def workload_lines(draw):
+    """Procedures of unique ids in any order, each written as README's
+    format writes one, its fields in any order."""
+    ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    procedures = [draw(full_procedure(pid)) for pid in ids]
+    lines = []
+    for p in procedures:
+        fields = [f"id={p.id}", f"size={p.size}", f"time={p.time}",
+                  f"arrival={p.arrival}", f"priority={p.priority}", f"owner={p.owner}",
+                  f"class={p.io_class.value}",
+                  "segments=" + ",".join(map(str, p.segments))]
+        lines.append(" ".join(draw(st.permutations(fields))))
+    return procedures, "\n".join(lines) + "\n"
 
 
 class TestParseWorkload:
@@ -82,9 +114,31 @@ class TestParseWorkload:
             parse_workload("id=1 size=4 time=2\nwhat is this\n")
         assert exc.value.line == 2
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(WorkloadError, match="unknown field"):
-            parse_workload("id=1 size=1 time=1 color=red\n")
+    @settings(max_examples=100, deadline=None)
+    @given(workload_lines())
+    def test_every_field_reads_back_in_arrival_order(self, workload):
+        """A workload whose records set every field parses back to the
+        same procedures, sorted by arrival and then id."""
+        procedures, text = workload
+        parsed = list(parse_workload(text))
+        assert parsed == sorted(procedures, key=lambda p: (p.arrival, p.id))
+
+    @pytest.mark.parametrize("record, message", [
+        ("size=2 time=1", "missing field 'id'"),
+        ("id=7 time=1", "missing field 'size'"),
+        ("id=7 size=2", "missing field 'time'"),
+        ("id=7 size=2 time=1 color=red", "unknown field 'color'"),
+        ("id=7 size=2 time=1 io_class=IoBound", "unknown field 'io_class'"),
+        ("id=7 size=2 time=1 Time=1", "unknown field 'Time'"),
+    ], ids=["no-id", "no-size", "no-time", "color", "io_class", "Time"])
+    def test_a_record_outside_the_table_names_the_key_and_its_line(self, record, message):
+        """A record that lacks a required key, or sets one outside the
+        table (such as the field name `io_class` for the key `class`), is
+        refused with a WorkloadError naming the key and the record's line,
+        after a record that sets every field reads cleanly."""
+        with pytest.raises(WorkloadError, match=message) as exc:
+            parse_workload(FULL_RECORD + record + "\n")
+        assert exc.value.line == 2
 
     def test_comments_and_blanks_skipped(self):
         ps = parse_workload("\n# comment\nid=1 size=1 time=1  # trailing\n\n")

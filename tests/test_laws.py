@@ -1,6 +1,7 @@
 """Laws of the composition algebra, each stated as an equality between the
 traces of two runs whose inputs the law relates. The simulator is checked
 against itself: no reference model takes part (metamorphic testing).
+Each law fails on a simulator with the one fault its docstring names.
 
 The workloads are small and the memory tight, so most of them swap."""
 
@@ -26,6 +27,9 @@ WORKLOADS = st.lists(
 )
 
 STRICT = pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+
+# the trace fields that count CPU instants
+TIMES = frozenset({"time", "run", "left"})
 
 
 def procedures(shapes):
@@ -54,6 +58,74 @@ def test_shifting_every_arrival_shifts_every_instant(scheduler, allocator, stric
     shifted, _ = run(later, cfg, strict)
     assert shifted.events == tuple(
         dataclasses.replace(e, instant=e.instant + k) for e in trace.events)
+
+
+@STRICT
+@pytest.mark.parametrize("allocator", ALLOCATORS)
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@settings(max_examples=3, deadline=None)
+@given(WORKLOADS, st.integers(2, 4))
+def test_scaling_every_time_scales_every_instant(scheduler, allocator, strict,
+                                                 shapes, k):
+    """Multiplying every arrival, every CPU demand and every quantum by k
+    multiplies every instant, and every time, run and left the trace
+    lists, by k and changes nothing else: the disciplines compare times
+    and never count them. Fails when a slice runs one instant past its
+    quantum."""
+    cfg = SimConfig(scheduler=scheduler, quantum=2, io_quantum=1, cpu_quantum=3,
+                    allocator=allocator, **MEMORY)
+    slower = dataclasses.replace(cfg, quantum=2 * k, io_quantum=k, cpu_quantum=3 * k)
+    ps = procedures(shapes)
+    scaled = [dataclasses.replace(p, arrival=p.arrival * k, time=p.time * k)
+              for p in ps]
+    trace, _ = run(ps, cfg, strict)
+    stretched, _ = run(scaled, slower, strict)
+    assert stretched.events == tuple(
+        dataclasses.replace(e, instant=e.instant * k, detail=tuple(
+            (f, v * k if f in TIMES else v) for f, v in e.detail))
+        for e in trace.events)
+
+
+@STRICT
+@pytest.mark.parametrize("allocator", ALLOCATORS)
+@settings(max_examples=10, deadline=None)
+@given(WORKLOADS, st.integers(0, 9))
+def test_equal_priorities_are_fcfs_when_ids_follow_arrivals(allocator, strict,
+                                                            shapes, level):
+    """Priority scheduling breaks ties by the lower id, and fcfs orders by
+    arrival and then id; when every priority is the same and ids follow
+    arrival order, the two orders agree and so do the runs, event for
+    event, with the same binding log. Fails when priority breaks ties by
+    the higher id."""
+    fcfs = SimConfig(scheduler="fcfs", allocator=allocator, **MEMORY)
+    prio = dataclasses.replace(fcfs, scheduler="priority")
+    ps = [dataclasses.replace(p, priority=level)
+          for p in procedures(sorted(shapes, key=lambda shape: shape[0]))]
+    assert run(ps, prio, strict)[0] == run(ps, fcfs, strict)[0]
+
+
+@STRICT
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@settings(max_examples=6, deadline=None)
+@given(WORKLOADS)
+def test_segmentation_without_segments_is_first_fit(scheduler, strict, shapes):
+    """A procedure that declares no segments is one segment, its whole
+    size: segmentation then grants what first fit grants, and its run is
+    first fit's, event for event, with the same binding log, but for the
+    `segments` each Allocate line lists. Fails when segmentation cuts an
+    undeclared demand in two."""
+    first_fit = SimConfig(scheduler=scheduler, quantum=2, io_quantum=1,
+                          cpu_quantum=3, allocator="first-fit", **MEMORY)
+    segmentation = dataclasses.replace(first_fit, allocator="segmentation")
+    ps = [dataclasses.replace(p, segments=None) for p in procedures(shapes)]
+    segmented, _ = run(ps, segmentation, strict)
+    plain, _ = run(ps, first_fit, strict)
+    assert plain.binding == segmented.binding
+    assert plain.events == tuple(
+        dataclasses.replace(e, detail=tuple(
+            (f, v) for f, v in e.detail if f != "segments"))
+        if e.kind is EventKind.ALLOCATE else e
+        for e in segmented.events)
 
 
 @STRICT
