@@ -1,7 +1,6 @@
 """Laws of the composition algebra, each stated as an equality between the
 traces of two runs whose inputs the law relates. The simulator is checked
 against itself: no reference model takes part (metamorphic testing).
-Each law fails on a simulator with the one fault its docstring names.
 
 The workloads are small and the memory tight, so most of them swap."""
 
