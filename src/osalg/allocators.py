@@ -47,9 +47,8 @@ class MemoryState:
     free extents, so under fixed partitioning it holds runs of whole
     units, not single units. `allocated` maps procedure ids to the
     extents they hold, and `free_total` is the size of `free`. Each
-    grant and release changes `allocated`, the `store` reference and
-    `free_total` by what it changes, never by a rescan; the free store
-    itself stays a value.
+    grant and release changes `allocated`, the store and `free_total` in
+    place by what it changes, never by a rescan.
     """
 
     __slots__ = ("capacity", "organizer", "allocated", "store", "free_total")
@@ -95,6 +94,10 @@ class MemoryState:
 
     def largest_free(self) -> int:
         return self.store.largest()
+
+    def exceeds(self, units: int) -> bool:
+        """Whether `units` exceed the free total: then no grant of them can succeed."""
+        return units > self.free_total
 
     def check_invariants(self) -> None:
         """Conservation and disjointness, the carried free total and the
@@ -147,11 +150,11 @@ def _grant(m: MemoryState, pid: int, pieces: Sequence[int]) -> tuple[Extent, ...
     if pid in m.allocated:
         raise ParameterError(f"procedure {pid} already holds memory")
     asked = sum(pieces)
-    if asked > m.free_total:
+    if m.exceeds(asked):
         raise AllocationFailure(f"{asked} units asked, {m.free_total} free")
-    granted, m.store = m.store.grant(pieces)
+    granted = m.store.grant(pieces)
     m.allocated[pid] = granted
-    m.free_total -= sum(e.size for e in granted)
+    m.free_total -= sum([e.end - e.start for e in granted])
     return granted
 
 
@@ -179,9 +182,9 @@ def deallocate(m: MemoryState, pid: int) -> tuple[Extent, ...]:
     Gives the extents freed."""
     extents = m.extents_of(pid)
     if extents:
-        m.store = m.store.release(*extents)
+        m.store.release(*extents)
     del m.allocated[pid]
-    m.free_total += sum(e.size for e in extents)
+    m.free_total += sum([e.end - e.start for e in extents])
     return extents
 
 

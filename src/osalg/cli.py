@@ -31,7 +31,7 @@ from .errors import (
     UnrunnableProcedureError,
     WorkloadError,
 )
-from .sim import ALLOCATORS, SCHEDULERS, Metrics, SimConfig, Trace, run
+from .sim import ALLOCATORS, SCHEDULERS, Detail, EventKind, Metrics, SimConfig, Trace, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,11 +75,14 @@ def parse_workload(text: str) -> ProcedureSet:
         for key in _REQUIRED_KEYS:
             if key not in fields:
                 raise WorkloadError(f"missing field {key!r}", lineno)
-        try:
-            values = {}
-            for key, value in fields.items():
-                name, read = _FIELDS[key]
+        values = {}
+        for key, value in fields.items():
+            name, read = _FIELDS[key]
+            try:
                 values[name] = read(value)
+            except ValueError as exc:
+                raise WorkloadError(f"field {key!r}: {exc}", lineno) from exc
+        try:
             pid = values["id"]
             if pid in seen:
                 raise WorkloadError(
@@ -97,19 +100,20 @@ def _extents_text(extents: Iterable[object]) -> str:
 
 
 def _fraction_text(f: Fraction | None) -> str:
-    """str(f), or "-" for None, at any size: str() of an int stops at the
-    interpreter's digit limit (sys.get_int_max_str_digits), Decimal does
-    not."""
+    """str(f), or "-" for None, at any size: past the interpreter's digit
+    limit (sys.get_int_max_str_digits) the digits come from Decimal."""
     if f is None:
         return "-"
-    text = str(Decimal(f.numerator))
-    return text if f.denominator == 1 else f"{text}/{Decimal(f.denominator)}"
+    try:
+        return str(f)
+    except ValueError:
+        text = str(Decimal(f.numerator))
+        return text if f.denominator == 1 else f"{text}/{Decimal(f.denominator)}"
 
 
 # The text of each trace field whose value `str` does not render
 _FIELD_TEXT: dict[str, Callable[[Any], str]] = {
     "extents": _extents_text,
-    "backing": _extents_text,
     "segments": lambda placed: "+".join(f"{length}@{base}" for _, length, base in placed),
     "pages": lambda entries: "+".join(f"{page}:{frame}" for page, frame in entries),
     "ext_frag": _fraction_text,
@@ -117,17 +121,41 @@ _FIELD_TEXT: dict[str, Callable[[Any], str]] = {
 }
 
 
+def _fields_text(detail: Detail) -> str:
+    """Each field of a detail, in the order it carries them."""
+    text = _FIELD_TEXT.get
+    return " ".join([f"{k}={v}" if (render := text(k)) is None else f"{k}={render(v)}"
+                     for k, v in detail])
+
+
+def _freed_text(detail: Detail) -> str:
+    return f"extents={_extents_text(detail[0][1])}"
+
+
+# Each kind's detail text; a kind whose fields are fixed formats them by position
+_DETAIL_TEXT: dict[EventKind, Callable[[Detail], str]] = {
+    EventKind.ARRIVE: _fields_text,
+    EventKind.ADMIT: lambda detail: "",
+    EventKind.ALLOCATE: _fields_text,
+    EventKind.DISPATCH: lambda detail: f"run={detail[0][1]}",
+    EventKind.PREEMPT: lambda detail: f"left={detail[0][1]}",
+    EventKind.COMPLETE: lambda detail: "",
+    EventKind.SWAP_OUT: lambda detail: (f"{_freed_text(detail)} "
+                                        f"backing={_extents_text(detail[1][1])}"),
+    EventKind.SWAP_IN: _freed_text,
+    EventKind.DEALLOCATE: _freed_text,
+}
+_EVENT_TEXT = {kind: (kind.value, _DETAIL_TEXT[kind]) for kind in EventKind}
+
+
 def render_trace(trace: Trace) -> str:
     """One CSV line per event, its fields in the order the event carries
     them."""
     lines = ["instant,event,pid,detail"]
-    text = _FIELD_TEXT.get
-    for e in trace.events:
-        fields = []
-        for k, v in e.detail:
-            render = text(k)
-            fields.append(f"{k}={v}" if render is None else f"{k}={render(v)}")
-        lines.append(f"{e.instant},{e.kind.value},{e.pid},{' '.join(fields)}")
+    table = _EVENT_TEXT
+    for instant, kind, pid, detail in trace.events:
+        name, text = table[kind]
+        lines.append(f"{instant},{name},{pid},{text(detail)}")
     return "\n".join(lines) + "\n"
 
 

@@ -57,7 +57,7 @@ class SortKey(Enum):
         return p.size if self is SortKey.SIZE else p.time
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FreeRuns:
     """The free store of identity and fixed-partition organized memory:
     address-ordered maximal free runs (Wilson et al. 1995) inside
@@ -66,42 +66,45 @@ class FreeRuns:
     `unit`, every grant piece is rounded up to one whole unit and every
     run is unit aligned, so first fit takes the lowest free unit.
 
-    Like ``BuddyTree``, a store is a value with ``grant`` (of the pieces
-    a chunk cut), ``release`` (of the extents one grant gave), ``fits``,
-    ``free_extents``, ``largest`` and ``check``.
+    Like ``BuddyTree``, a store changes in place, with ``grant`` (of the
+    pieces a chunk cut), ``release`` (of the extents one grant gave),
+    ``fits``, ``free_extents``, ``largest`` and ``check``. A grant or
+    release that raises leaves the store as it was.
     """
 
     capacity: int
-    runs: tuple[Extent, ...]
+    runs: list[Extent]
     unit: int | None = None
 
-    def grant(self, pieces: Sequence[int]) -> tuple[tuple[Extent, ...], "FreeRuns"]:
-        """First fit of each piece in turn, under a unit rounded up to one
-        unit; with this store unchanged, ParameterError when a piece is
+    def grant(self, pieces: Sequence[int]) -> tuple[Extent, ...]:
+        """First fit of each piece in turn, under a unit one sweep of whole
+        units from the lowest free one; ParameterError when a piece is
         below 1 and AllocationFailure when one does not fit."""
-        runs, granted, unit = list(self.runs), [], self.unit
-        for q in pieces:
-            if unit is not None:
-                if q < 1:
-                    raise ParameterError(f"demand must be >= 1, got {q}")
-                if q > unit:
-                    raise AllocationFailure(f"demand {q} exceeds the {unit}-unit partitions")
-                q = unit
-            extent = select_first_fit(runs, q)
-            i = bisect_left(runs, extent.start, key=address_order)
-            if extent.end < runs[i].end:
-                runs[i] = Extent(extent.end, runs[i].end)
-            else:
-                del runs[i]
-            granted.append(extent)
-        return tuple(granted), FreeRuns(self.capacity, tuple(runs), self.unit)
+        return _grant_each(self, pieces, self._take)
 
-    def release(self, *extents: Extent) -> "FreeRuns":
+    def _take(self, q: int) -> Extent:
+        """The first fit of q units, or of one whole unit, taken out of the runs."""
+        runs, unit = self.runs, self.unit
+        if unit is not None:
+            if q < 1:
+                raise ParameterError(f"demand must be >= 1, got {q}")
+            if q > unit:
+                raise AllocationFailure(f"demand {q} exceeds the {unit}-unit partitions")
+            q = unit
+        extent = select_first_fit(runs, q)
+        i = bisect_left(runs, extent.start, key=address_order)
+        if extent.end < runs[i].end:
+            runs[i] = Extent(extent.end, runs[i].end)
+        else:
+            del runs[i]
+        return extent
+
+    def release(self, *extents: Extent) -> None:
         """Merge the extents one grant gave with the runs they touch;
-        NotFoundError, with this store unchanged, unless each is non-empty,
-        ends by the capacity, is whole units under a unit, and overlaps no
-        free run."""
-        runs, unit = list(self.runs), self.unit
+        NotFoundError unless each is non-empty, ends by the capacity, is
+        whole units under a unit, and overlaps no free run."""
+        runs, unit = self.runs, self.unit
+        before = runs[:] if len(extents) > 1 else None
         for e in extents:
             start, end = e.start, e.end
             i = bisect_left(runs, start, key=address_order)
@@ -109,6 +112,8 @@ class FreeRuns:
                     or (unit is not None and (start % unit or end % unit))
                     or (i < len(runs) and runs[i].start < end)
                     or (i > 0 and runs[i - 1].end > start)):
+                if before is not None:
+                    runs[:] = before
                 raise NotFoundError(f"no allocated extent {e}")
             lo, hi = i, i
             if i > 0 and runs[i - 1].end == start:
@@ -118,20 +123,19 @@ class FreeRuns:
                 hi += 1
                 end = runs[i].end
             runs[lo:hi] = (Extent(start, end),)
-        return FreeRuns(self.capacity, tuple(runs), self.unit)
 
     def fits(self, chunk: "Chunk", p: Procedure) -> bool:
-        """Whether this store's memory, while empty, holds p's memory cut
-        by chunk: in whole units under a unit, else in one run. It reads
-        the capacity, not the runs, so it is the same for every store of
-        one memory."""
+        """Whether this store's memory, while empty, grants p's memory cut
+        by chunk: whole units, each holding a piece, under a unit, else
+        one run. It reads the capacity, not the runs, so it is the same
+        for every store of one memory."""
         capacity, unit, size = self.capacity, self.unit, p.size
         if unit is None:
             return size <= capacity
-        return chunk.first(p, size) <= unit and chunk.count(p, size) * unit <= capacity
+        return chunk.largest(p, size) <= unit and chunk.count(p, size) * unit <= capacity
 
     def free_extents(self) -> tuple[Extent, ...]:
-        return self.runs
+        return tuple(self.runs)
 
     def largest(self) -> int:
         """The largest single extent a grant piece can take."""
@@ -151,7 +155,7 @@ class FreeRuns:
             end = run.end
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BuddyTree:
     """The free store of buddy-organized memory over ``[0, capacity)``:
     its free blocks, address ordered.
@@ -159,15 +163,16 @@ class BuddyTree:
     A block of size s is a power of two that starts at a multiple of s,
     and its buddy is the block of the same size at ``start ^ s``
     (Knowlton 1965), so the binary tree of blocks is implicit in the
-    addresses and only the free blocks are kept. Mutating operations
-    return a new store; eager merging keeps the invariant that no two
-    free blocks are buddies. The tree is a free-block organization
-    (Knuth, TAOCP vol. 1, 2.5) that first fit selects from: a grant takes
-    the leftmost free block that holds the demand, not the smallest one.
+    addresses and only the free blocks are kept. Grants and releases
+    change the store in place, and one that raises leaves it as it was;
+    eager merging keeps the invariant that no two free blocks are
+    buddies. The tree is a free-block organization (Knuth, TAOCP vol. 1,
+    2.5) that first fit selects from: a grant takes the leftmost free
+    block that holds the demand, not the smallest one.
     """
 
     capacity: int
-    free_leaves: tuple[Extent, ...]
+    free_leaves: list[Extent]
 
     def block_size_for(self, q: int) -> int:
         """Smallest power of two holding a demand of q units."""
@@ -175,29 +180,31 @@ class BuddyTree:
             raise ParameterError(f"demand must be >= 1, got {q}")
         return 1 << (q - 1).bit_length()
 
-    def allocate(self, q: int) -> tuple[Extent, "BuddyTree"]:
+    def allocate(self, q: int) -> Extent:
         """Take the first fit of q units rounded up to a block, split down
         to the block size at the left end of the free block it lies in.
 
         Raises AllocationFailure when no free block can hold q units.
         """
-        extent = select_first_fit(self.free_leaves, self.block_size_for(q))
-        i = bisect_left(self.free_leaves, extent.start, key=address_order)
-        leaf = self.free_leaves[i]
+        free = self.free_leaves
+        extent = select_first_fit(free, self.block_size_for(q))
+        i = bisect_left(free, extent.start, key=address_order)
+        leaf = free[i]
         # the right halves split off stay free, in address order
         start, size, halves = extent.start, extent.size, []
         while size < leaf.size:
             halves.append(Extent(start + size, start + 2 * size))
             size *= 2
-        free = self.free_leaves[:i] + tuple(halves) + self.free_leaves[i + 1:]
-        return extent, BuddyTree(self.capacity, free)
+        free[i:i + 1] = halves
+        return extent
 
-    def release(self, *extents: Extent) -> "BuddyTree":
+    def release(self, *extents: Extent) -> None:
         """Free the blocks one grant gave, each merged with its free buddy
-        all the way up; NotFoundError, with this tree unchanged, unless
-        each is an aligned power-of-two block inside the memory that
-        overlaps no free block."""
+        all the way up; NotFoundError unless each is an aligned
+        power-of-two block inside the memory that overlaps no free
+        block."""
         free = self.free_leaves
+        before = free[:] if len(extents) > 1 else None
         for extent in extents:
             start, size = extent.start, extent.size
             i = bisect_left(free, start, key=address_order)
@@ -205,6 +212,8 @@ class BuddyTree:
                     or extent.end > self.capacity
                     or (i < len(free) and free[i].start < extent.end)
                     or (i > 0 and free[i - 1].end > start)):
+                if before is not None:
+                    free[:] = before
                 raise NotFoundError(f"no allocated block {extent}")
             lo, hi = i, i
             while size < self.capacity:
@@ -218,25 +227,25 @@ class BuddyTree:
                 else:
                     hi += 1
                 size *= 2
-            free = free[:lo] + (Extent(start, start + size),) + free[hi:]
-        return BuddyTree(self.capacity, free)
+            free[lo:hi] = (Extent(start, start + size),)
 
-    def grant(self, pieces: Sequence[int]) -> tuple[tuple[Extent, ...], "BuddyTree"]:
+    def grant(self, pieces: Sequence[int]) -> tuple[Extent, ...]:
         """One block per piece, each rounded up to a power of two."""
-        tree, granted = self, []
-        for q in pieces:
-            extent, tree = tree.allocate(q)
-            granted.append(extent)
-        return tuple(granted), tree
+        return _grant_each(self, pieces, self.allocate)
 
     def fits(self, chunk: "Chunk", p: Procedure) -> bool:
-        """Whether this tree, while empty, holds p's memory cut by chunk,
-        no piece longer than the first."""
-        block = self.block_size_for(chunk.first(p, p.size))
-        return chunk.count(p, p.size) * block <= self.capacity
+        """Whether this tree, while empty, grants p's memory cut by chunk: its
+        pieces' blocks sum to at most the capacity, a power of two, so equal
+        pieces but a shorter last one count exactly as that many largest."""
+        size = p.size
+        if p.segments and chunk.tag is _SEGMENTS:
+            blocks = sum(map(self.block_size_for, p.segments))
+        else:
+            blocks = chunk.count(p, size) * self.block_size_for(chunk.largest(p, size))
+        return blocks <= self.capacity
 
     def free_extents(self) -> tuple[Extent, ...]:
-        return self.free_leaves
+        return tuple(self.free_leaves)
 
     def largest(self) -> int:
         return max((e.size for e in self.free_leaves), default=0)
@@ -258,6 +267,21 @@ class BuddyTree:
             if before == Extent(start ^ size, (start ^ size) + size):
                 raise ParameterError(f"free blocks {before} and {block} are unmerged buddies")
             end, before = block.end, block
+
+
+def _grant_each(store: "FreeStore", pieces: Sequence[int],
+                take: Callable[[int], Extent]) -> tuple[Extent, ...]:
+    """Each piece taken from the store in turn; when one raises, the
+    pieces taken before it go back, so the store is as it was."""
+    granted: list[Extent] = []
+    try:
+        for q in pieces:
+            granted.append(take(q))
+    except (AllocationFailure, ParameterError):
+        if granted:
+            store.release(*granted)
+        raise
+    return tuple(granted)
 
 
 def _members(x: Any) -> tuple:
@@ -284,7 +308,7 @@ def organize_buddy(capacity: int) -> BuddyTree:
     blocks, all free."""
     if capacity < 1 or capacity & (capacity - 1):
         raise ParameterError(f"buddy capacity must be a power of two, got {capacity}")
-    return BuddyTree(capacity, (Extent(0, capacity),))
+    return BuddyTree(capacity, [Extent(0, capacity)])
 
 
 def select_identity(organized: Any, i: int) -> Any:
@@ -300,7 +324,7 @@ def select_first_fit(free_extents: Sequence[Extent], q: int) -> Extent:
     if q < 1:
         raise ParameterError(f"demand must be >= 1, got {q}")
     for free in free_extents:
-        if free.size >= q:
+        if free.end - free.start >= q:
             return Extent(free.start, free.start + q)
     raise AllocationFailure(f"no free extent of {q} units")
 
@@ -390,7 +414,7 @@ def free_store(organize: Organize, capacity: int) -> FreeStore:
         capacity -= capacity % organize.unit_size
     elif organize.tag is not OrganizeTag.IDENTITY:
         raise ParameterError(f"memory cannot be organized by {organize.tag.value}")
-    return FreeRuns(capacity, (Extent(0, capacity),) if capacity else (), organize.unit_size)
+    return FreeRuns(capacity, [Extent(0, capacity)] if capacity else [], organize.unit_size)
 
 
 @dataclass(frozen=True)
@@ -424,7 +448,9 @@ class Select:
             return select_argmax_priority(organized)
         if demand is None:
             raise ParameterError(f"{self.tag.value} selection needs a demand")
-        (extent,), _ = organized.grant((demand,))
+        # first fit from maximal runs or merged buddies is undone exactly
+        (extent,) = organized.grant((demand,))
+        organized.release(extent)
         return extent
 
 
@@ -448,8 +474,8 @@ class Chunk:
     Whole leaves one piece; fixed(q) cuts pieces of q, the last shorter;
     by class cuts pieces of the length a classifier gives the procedure;
     segments cuts its memory demand into its declared segments, if any.
-    The count and the first piece cost O(1); over CPU time the first
-    piece is how long a dispatch runs."""
+    The count, the first piece and, but for segments, the largest cost
+    O(1); over CPU time the first piece is how long a dispatch runs."""
 
     tag: ChunkTag
     size: int | None = None
@@ -505,6 +531,12 @@ class Chunk:
         if p.segments and self.tag is _SEGMENTS:
             return p.segments[0]
         return demand
+
+    def largest(self, p: Procedure, demand: int) -> int:
+        """The longest piece; the demand itself when it is 0."""
+        if p.segments and self.tag is _SEGMENTS:
+            return max(p.segments)
+        return self.first(p, demand)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import TYPE_CHECKING, Iterable, Mapping, TypeVar
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, TypeVar
 
 from . import binding as bindingmod
 from .allocators import (
@@ -70,30 +71,28 @@ T = TypeVar("T")
 
 
 class EventKind(Enum):
+    """Declared in the fixed order of events that share an instant:
+    completions free resources before anything else claims them, and
+    dispatch always renders last."""
+
+    COMPLETE = "Complete"
+    PREEMPT = "Preempt"
+    DEALLOCATE = "Deallocate"
+    SWAP_IN = "SwapIn"
     ARRIVE = "Arrive"
     ADMIT = "Admit"
+    SWAP_OUT = "SwapOut"
     ALLOCATE = "Allocate"
     DISPATCH = "Dispatch"
-    PREEMPT = "Preempt"
-    COMPLETE = "Complete"
-    SWAP_OUT = "SwapOut"
-    SWAP_IN = "SwapIn"
-    DEALLOCATE = "Deallocate"
+
+    # members are singletons: a kind hashes as itself, in C
+    __hash__ = object.__hash__
 
 
-# Fixed order for events sharing an instant; completions free resources
-# before anything else claims them, dispatch always renders last.
-_KIND_ORDER = {
-    EventKind.COMPLETE: 0,
-    EventKind.PREEMPT: 1,
-    EventKind.DEALLOCATE: 2,
-    EventKind.SWAP_IN: 3,
-    EventKind.ARRIVE: 4,
-    EventKind.ADMIT: 5,
-    EventKind.SWAP_OUT: 6,
-    EventKind.ALLOCATE: 7,
-    EventKind.DISPATCH: 8,
-}
+# each kind's rank in that order, so that the trace's sort key is read in C
+for _rank, _kind in enumerate(EventKind):
+    _kind.rank = _rank
+_TRACE_ORDER = attrgetter("instant", "kind.rank")
 
 # An event's fields in render order, as values: int sizes, times and lengths,
 # tuples of Extent, SegmentMap.segments, PageMap.entries, the WorkClass, and
@@ -102,8 +101,9 @@ Detail = tuple[tuple[str, object], ...]
 Graph = bindingmod.BindingGraph
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One event of a run, an immutable tuple record."""
+
     instant: int
     kind: EventKind
     pid: int
@@ -359,6 +359,12 @@ SCHEDULERS: dict[str, Callable[[SimConfig], Discipline]] = {
 }
 
 
+# Where `metrics` reads the fields `_Simulation` emits: an Arrive's time
+# follows its size, and an Allocate ends in its ext_frag, then its int_frag.
+_ARRIVE_TIME = 1
+_ALLOCATE_EXT_FRAG, _ALLOCATE_INT_FRAG = -2, -1
+
+
 class _Simulation:
     """One run of the CPU discipline `cpu` and the memory discipline of
     `allocator` over the procedures, taken in arrival order, in primary
@@ -406,7 +412,8 @@ class _Simulation:
         last = self.events[-1].instant if self.events else instant
         if instant < last:
             raise OsAlgError(f"event at {instant} after instant {last}")
-        event = TraceEvent(instant, kind, pid, detail)
+        # the record built as the tuple it is, without NamedTuple's __new__
+        event = tuple.__new__(TraceEvent, (instant, kind, pid, detail))
         if self.check is not None:
             self.check.see(event)
         self.events.append(event)
@@ -419,19 +426,25 @@ class _Simulation:
 
     # -- memory ------------------------------------------------------
 
-    def allocate(self, p: Procedure) -> Detail:
-        """Grant memory to p; returns the trace detail of the grant."""
+    def allocate(self, p: Procedure) -> Detail | None:
+        """The trace detail of a grant of memory to p, or None when memory
+        refuses it, at once when p's size exceeds the free total."""
         d, m = self.placement, self.primary
         free = m.free_total
-        if self.paged:
-            page_map = build_page_table(paginate(p, d.chunk.size), m)
-            extra = (("pages", page_map.entries),) if page_map.entries else ()
-        elif self.segmented:
-            seg_map = segment_alloc(d, m, p)
-            extra = (("segments", seg_map.segments),) if seg_map.segments else ()
-        else:
-            allocate_op(d, m, p)
-            extra = ()
+        if m.exceeds(p.size):
+            return None
+        try:
+            if self.paged:
+                page_map = build_page_table(paginate(p, d.chunk.size), m)
+                extra = (("pages", page_map.entries),) if page_map.entries else ()
+            elif self.segmented:
+                seg_map = segment_alloc(d, m, p)
+                extra = (("segments", seg_map.segments),) if seg_map.segments else ()
+            else:
+                allocate_op(d, m, p)
+                extra = ()
+        except AllocationFailure:
+            return None
         int_frag = free - m.free_total - p.size if self.allocator.int_frag else 0
         total = m.free_total
         frag = Fraction(m.largest_free(), total) if total else None
@@ -463,15 +476,11 @@ class _Simulation:
             self.backlog.append(p)
 
     def try_admit(self, p: Procedure, at: int) -> bool:
-        try:
+        detail = self.allocate(p)
+        if detail is None and self.swap_attempt(at):
             detail = self.allocate(p)
-        except AllocationFailure:
-            if not self.swap_attempt(at):
-                return False
-            try:
-                detail = self.allocate(p)
-            except AllocationFailure:
-                return False
+        if detail is None:
+            return False
         self.emit(at, EventKind.ADMIT, p.id)
         self.emit(at, EventKind.ALLOCATE, p.id, detail)
         self.make_ready(p)
@@ -483,7 +492,7 @@ class _Simulation:
 
     def swap_attempt(self, at: int) -> bool:
         victim = self.candidates.head()
-        if victim is None:
+        if victim is None or self.backing.exceeds(victim.size):
             return False
         freed = self.primary.extents_of(victim.id)
         try:
@@ -512,6 +521,8 @@ class _Simulation:
         """Re-admit swapped-out procedures, then the backlog, FIFO each."""
         while self.swapped:
             p, record = self.swapped[0]
+            if self.primary.exceeds(sum(record.pieces)):
+                break
             try:
                 granted = swap_in(self.primary, self.backing, record)
             except AllocationFailure:
@@ -578,7 +589,7 @@ class _Simulation:
             break
         # a stable sort: events of one instant keep their emission order
         # within each kind
-        events = sorted(self.events, key=lambda e: (e.instant, _KIND_ORDER[e.kind]))
+        events = sorted(self.events, key=_TRACE_ORDER)
         graph = self.allocator.binding_log(events)
         if self.check is not None:
             self.check.finish(graph)
@@ -659,17 +670,18 @@ def metrics(t: Trace) -> Metrics:
     completions: dict[int, int] = {}
     frag_samples: list[Fraction] = []
     int_frag = 0
-    for e in t.events:
-        if e.kind is EventKind.ARRIVE:
-            arrivals[e.pid] = e.instant
-            times[e.pid] = e.value("time")
-        elif e.kind is EventKind.COMPLETE:
-            completions[e.pid] = e.instant
-        elif e.kind is EventKind.ALLOCATE:
-            sample = e.value("ext_frag")
+    arrive, complete, allocate = EventKind.ARRIVE, EventKind.COMPLETE, EventKind.ALLOCATE
+    for instant, kind, pid, detail in t.events:
+        if kind is arrive:
+            arrivals[pid] = instant
+            times[pid] = detail[_ARRIVE_TIME][1]
+        elif kind is complete:
+            completions[pid] = instant
+        elif kind is allocate:
+            sample = detail[_ALLOCATE_EXT_FRAG][1]
             if sample is not None:
                 frag_samples.append(sample)
-            int_frag += e.value("int_frag")
+            int_frag += detail[_ALLOCATE_INT_FRAG][1]
     unfinished = sorted(set(arrivals) - set(completions))
     if unfinished:
         raise IncompleteRunError(f"procedures never completed: {unfinished}")

@@ -84,13 +84,13 @@ def test_criterion_3_buddy_equivalence():
         for _ in range(200):
             if live and rng.random() < 0.45:
                 victim = rng.choice(sorted(live))
-                tree = tree.release(live.pop(victim))
+                tree.release(live.pop(victim))
                 ref.free(victim)
             else:
                 key += 1
                 q = rng.randint(1, max(1, capacity // 2))
                 try:
-                    extent, tree = tree.allocate(q)
+                    extent = tree.allocate(q)
                 except AllocationFailure:
                     try:
                         ref.alloc(key, q)

@@ -140,6 +140,25 @@ class TestParseWorkload:
             parse_workload(FULL_RECORD + record + "\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("record, key", [
+        ("id=1 size=x time=1", "size"),
+        ("id=x size=1 time=1", "id"),
+        ("id=1 size=1 time=1 class=Idle", "class"),
+        ("id=1 size=3 time=1 segments=1,x", "segments"),
+    ], ids=["size", "id", "class", "segments"])
+    def test_a_value_that_does_not_read_names_its_key(self, tmp_path, capsys, record, key):
+        """The text of a value that does not read is refused with its key
+        and line, and `osalg run` exits 2."""
+        with pytest.raises(WorkloadError, match=f"^line 1: field '{key}': ") as exc:
+            parse_workload(record + "\n")
+        assert exc.value.line == 1
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(record + "\n")
+        code = main(["run", "--workload", str(wpath), "--scheduler", "fcfs",
+                     "--allocator", "first-fit"])
+        assert code == EXIT_WORKLOAD
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
     def test_comments_and_blanks_skipped(self):
         ps = parse_workload("\n# comment\nid=1 size=1 time=1  # trailing\n\n")
         assert len(ps) == 1

@@ -51,8 +51,7 @@ def whole_units(store):
     lowest first, until it has none left."""
     units = []
     while store.largest():
-        (unit,), store = store.grant((store.unit,))
-        units.append(unit)
+        units.extend(store.grant((store.unit,)))
     return tuple(units)
 
 
@@ -126,21 +125,23 @@ class TestFixedPartition:
         store = Organize.fixed_partition(unit)(capacity)
         count = capacity // unit
         eager = tuple(Extent(i * unit, (i + 1) * unit) for i in range(count))
-        assert whole_units(store) == eager
-        assert store == FreeRuns(count * unit, (Extent(0, count * unit),) if count else (),
+        assert store == FreeRuns(count * unit, [Extent(0, count * unit)] if count else [],
                                  unit)
+        assert whole_units(store) == eager
+        assert store == FreeRuns(count * unit, [], unit)
 
     def test_a_huge_memory_partitions_in_constant_space(self):
         capacity = 1 << 30
         tracemalloc.start()
         try:
             store = Organize.fixed_partition(1)(capacity)
-            (first,), rest = store.grant((1,))
+            whole = store.free_extents()
+            (first,) = store.grant((1,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert store.free_extents() == (Extent(0, capacity),)
-        assert first == Extent(0, 1) and rest.free_extents() == (Extent(1, capacity),)
+        assert whole == (Extent(0, capacity),)
+        assert first == Extent(0, 1) and store.free_extents() == (Extent(1, capacity),)
         assert peak < 64 * 1024
 
 
@@ -149,9 +150,9 @@ class TestBuddyOrganize:
         tree = organize_buddy(16)
         assert tree.free_extents() == (Extent(0, 16),)
         # the root block splits into its two halves
-        half, split = tree.allocate(8)
-        assert (half, split.free_extents()) == (Extent(0, 8), (Extent(8, 16),))
-        assert_tiles(split, [half])
+        half = tree.allocate(8)
+        assert (half, tree.free_extents()) == (Extent(0, 8), (Extent(8, 16),))
+        assert_tiles(tree, [half])
 
     def test_single_unit(self):
         tree = organize_buddy(1)
@@ -159,12 +160,12 @@ class TestBuddyOrganize:
 
     def test_split_conserves_size(self):
         tree = organize_buddy(32)
-        unit, split = tree.allocate(1)
+        unit = tree.allocate(1)
         # one right half is left free at each level the root splits down
-        assert split.free_extents() == (
+        assert tree.free_extents() == (
             Extent(1, 2), Extent(2, 4), Extent(4, 8), Extent(8, 16), Extent(16, 32)
         )
-        assert_tiles(split, [unit])
+        assert_tiles(tree, [unit])
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ParameterError):
@@ -220,9 +221,9 @@ class TestSelectFirstFit:
 class TestSelectBuddy:
     def test_first_allocations_match_reference(self):
         tree = organize_buddy(16)
-        first, tree = tree.allocate(3)
+        first = tree.allocate(3)
         assert first == Extent(0, 4)
-        second, tree = tree.allocate(4)
+        second = tree.allocate(4)
         assert second == Extent(4, 8)
 
     def test_demand_beyond_root_fails(self):
@@ -232,9 +233,10 @@ class TestSelectBuddy:
 
     def test_release_merges_to_root(self):
         tree = organize_buddy(16)
-        a, tree = tree.allocate(4)
-        b, tree = tree.allocate(4)
-        tree = tree.release(a).release(b)
+        a = tree.allocate(4)
+        b = tree.allocate(4)
+        tree.release(a)
+        tree.release(b)
         assert tree.free_extents() == (Extent(0, 16),)
 
     def test_no_free_siblings_after_random_ops(self):
@@ -243,10 +245,10 @@ class TestSelectBuddy:
         live = []
         for _ in range(300):
             if live and rng.random() < 0.4:
-                tree = tree.release(live.pop(rng.randrange(len(live))))
+                tree.release(live.pop(rng.randrange(len(live))))
             else:
                 try:
-                    extent, tree = tree.allocate(rng.randint(1, 16))
+                    extent = tree.allocate(rng.randint(1, 16))
                     live.append(extent)
                 except AllocationFailure:
                     pass
@@ -275,19 +277,22 @@ class TestBuddyStoreChecks:
             BuddyTree(16, free).check()
 
     def test_releasing_a_free_block_is_not_found(self):
-        _, tree = organize_buddy(16).allocate(4)
+        tree = organize_buddy(16)
+        tree.allocate(4)
         for free in (Extent(4, 8), Extent(8, 12), Extent(12, 16), Extent(8, 16)):
             with pytest.raises(NotFoundError):
                 tree.release(free)
 
     @pytest.mark.parametrize("extent", [Extent(0, 3), Extent(2, 6), Extent(0, 0)])
     def test_releasing_what_is_not_a_block_is_not_found(self, extent):
-        _, tree = organize_buddy(16).allocate(8)
+        tree = organize_buddy(16)
+        tree.allocate(8)
         with pytest.raises(NotFoundError):
             tree.release(extent)
 
     def test_releasing_past_capacity_is_not_found(self):
-        _, tree = organize_buddy(16).allocate(16)
+        tree = organize_buddy(16)
+        tree.allocate(16)
         assert tree.free_extents() == ()
         for extent in (Extent(16, 32), Extent(0, 32)):
             with pytest.raises(NotFoundError):
@@ -396,7 +401,7 @@ class TestConservation:
         tree = organize_buddy(capacity)
         granted = []
         if capacity >= 4:
-            block, tree = tree.allocate(capacity // 4)
+            block = tree.allocate(capacity // 4)
             granted.append(block)
         assert_tiles(tree, granted)
 
@@ -445,13 +450,13 @@ def test_buddy_matches_reference_on_random_sequences():
         for _ in range(200):
             if live and rng.random() < 0.45:
                 victim = rng.choice(sorted(live))
-                tree = tree.release(live.pop(victim))
+                tree.release(live.pop(victim))
                 ref.free(victim)
             else:
                 key += 1
                 q = rng.randint(1, capacity // 2)
                 try:
-                    extent, tree = tree.allocate(q)
+                    extent = tree.allocate(q)
                 except AllocationFailure:
                     with pytest.raises(NoFreeBlock):
                         ref.alloc(key, q)

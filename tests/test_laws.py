@@ -56,7 +56,7 @@ def test_shifting_every_arrival_shifts_every_instant(scheduler, allocator, stric
     trace, _ = run(ps, cfg, strict)
     shifted, _ = run(later, cfg, strict)
     assert shifted.events == tuple(
-        dataclasses.replace(e, instant=e.instant + k) for e in trace.events)
+        e._replace(instant=e.instant + k) for e in trace.events)
 
 
 @STRICT
@@ -80,7 +80,7 @@ def test_scaling_every_time_scales_every_instant(scheduler, allocator, strict,
     trace, _ = run(ps, cfg, strict)
     stretched, _ = run(scaled, slower, strict)
     assert stretched.events == tuple(
-        dataclasses.replace(e, instant=e.instant * k, detail=tuple(
+        e._replace(instant=e.instant * k, detail=tuple(
             (f, v * k if f in TIMES else v) for f, v in e.detail))
         for e in trace.events)
 
@@ -121,7 +121,7 @@ def test_segmentation_without_segments_is_first_fit(scheduler, strict, shapes):
     plain, _ = run(ps, first_fit, strict)
     assert plain.binding == segmented.binding
     assert plain.events == tuple(
-        dataclasses.replace(e, detail=tuple(
+        e._replace(detail=tuple(
             (f, v) for f, v in e.detail if f != "segments"))
         if e.kind is EventKind.ALLOCATE else e
         for e in segmented.events)

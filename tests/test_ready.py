@@ -261,3 +261,23 @@ def test_victim_heap_head_is_the_default_victim(scheduler, shapes):
 def test_watched_runs_do_swap():
     shapes = [(i % 3, 5 + i % 4, 3, i % 4) for i in range(10)]
     assert watched_run("rr", shapes).swaps > 0
+
+
+@pytest.mark.parametrize("key", [order_key(SJF[SortKey.TIME]), victim_key],
+                         ids=["ready set", "swap candidates"])
+def test_a_rebuild_while_every_member_is_live_keeps_them_all(key):
+    """Each rejoin leaves the key before it stale, so the heap outgrows
+    2·live + 32 keys while every member stays live; the rebuild that the
+    next discard makes keeps each member's key, and the members pop in
+    their key order. Fails when the rebuild drops a live key."""
+    ready = sim.OrderedReady(key)
+    ps = [proc(i, size=i * 7 % 11, time=i * 5 % 9 + 1, priority=i % 4, arrival=i % 3)
+          for i in range(1, 11)]
+    for _ in range(8):
+        for p in ps:
+            ready.add(p)
+    assert len(ready.heap) > 2 * len(ready) + 32
+    ready.discard(0)  # no member has id 0: the discard only rebuilds
+    assert len(ready.heap) == len(ready) == len(ps)
+    assert [ready.pop() for _ in ps] == sorted(ps, key=key)
+    assert not ready

@@ -278,7 +278,7 @@ SIDE_BY_SIDE = [proc(1, size=4, time=2), proc(2, size=4, time=3)]
 def with_free(store, extents):
     """The free store with its free extents replaced, whatever its kind."""
     field = "runs" if hasattr(store, "runs") else "free_leaves"
-    return replace(store, **{field: tuple(extents)})
+    return replace(store, **{field: list(extents)})
 
 
 @pytest.mark.parametrize("allocator", sorted(ALLOCATORS))
@@ -536,7 +536,7 @@ def split_a_free_run(m):
         if e.size >= 2:
             mid = e.start + e.size // 2
             runs[i:i + 1] = [Extent(e.start, mid), Extent(mid, e.end)]
-            m.store = replace(m.store, runs=tuple(runs))
+            m.store = replace(m.store, runs=runs)
             return True
     return False
 
