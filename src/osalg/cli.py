@@ -20,6 +20,7 @@ import sys
 import tempfile
 from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 from typing import IO, Any, Callable, Iterable, Sequence
 
 from .binding import _topological_orders
@@ -31,7 +32,7 @@ from .errors import (
     UnrunnableProcedureError,
     WorkloadError,
 )
-from .sim import ALLOCATORS, SCHEDULERS, Detail, EventKind, Metrics, SimConfig, Trace, run
+from .sim import ALLOCATORS, SCHEDULERS, EventKind, Metrics, SimConfig, Trace, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,51 +112,49 @@ def _fraction_text(f: Fraction | None) -> str:
         return text if f.denominator == 1 else f"{text}/{Decimal(f.denominator)}"
 
 
-# The text of each trace field whose value `str` does not render
-_FIELD_TEXT: dict[str, Callable[[Any], str]] = {
-    "extents": _extents_text,
-    "segments": lambda placed: "+".join(f"{length}@{base}" for _, length, base in placed),
-    "pages": lambda entries: "+".join(f"{page}:{frame}" for page, frame in entries),
-    "ext_frag": _fraction_text,
-    "class": lambda io_class: io_class.value,
-}
+def _optional(label: str, value: Any, text: Callable[[Any], str] = str) -> str:
+    """" label=text", for a field that only some events carry; "" for None."""
+    return "" if value is None else f" {label}={text(value)}"
 
 
-def _fields_text(detail: Detail) -> str:
-    """Each field of a detail, in the order it carries them."""
-    text = _FIELD_TEXT.get
-    return " ".join([f"{k}={v}" if (render := text(k)) is None else f"{k}={render(v)}"
-                     for k, v in detail])
+def _pages_text(entries: Iterable[tuple[int, int]]) -> str:
+    return "+".join(f"{page}:{frame}" for page, frame in entries)
 
 
-def _freed_text(detail: Detail) -> str:
-    return f"extents={_extents_text(detail[0][1])}"
+def _segments_text(placed: Iterable[tuple[int, int, int]]) -> str:
+    return "+".join(f"{length}@{base}" for _, length, base in placed)
 
 
-# Each kind's detail text; a kind whose fields are fixed formats them by position
-_DETAIL_TEXT: dict[EventKind, Callable[[Detail], str]] = {
-    EventKind.ARRIVE: _fields_text,
-    EventKind.ADMIT: lambda detail: "",
-    EventKind.ALLOCATE: _fields_text,
-    EventKind.DISPATCH: lambda detail: f"run={detail[0][1]}",
-    EventKind.PREEMPT: lambda detail: f"left={detail[0][1]}",
-    EventKind.COMPLETE: lambda detail: "",
-    EventKind.SWAP_OUT: lambda detail: (f"{_freed_text(detail)} "
-                                        f"backing={_extents_text(detail[1][1])}"),
-    EventKind.SWAP_IN: _freed_text,
-    EventKind.DEALLOCATE: _freed_text,
+# Each kind's detail text, from its record's fields in render order
+_DETAIL_TEXT: dict[EventKind, Callable[[Any], str]] = {
+    EventKind.ARRIVE: lambda e: (
+        f"size={e.size} time={e.time}{_optional('priority', e.priority)}"
+        f"{_optional('owner', e.owner)}"
+        f"{_optional('class', e.io_class, attrgetter('value'))}"),
+    EventKind.ADMIT: lambda e: "",
+    EventKind.ALLOCATE: lambda e: (
+        f"extents={_extents_text(e.extents)}{_optional('pages', e.pages, _pages_text)}"
+        f"{_optional('segments', e.segments, _segments_text)}"
+        f" ext_frag={_fraction_text(e.ext_frag)} int_frag={e.int_frag}"),
+    EventKind.DISPATCH: lambda e: f"run={e.run}",
+    EventKind.PREEMPT: lambda e: f"left={e.left}",
+    EventKind.COMPLETE: lambda e: "",
+    EventKind.SWAP_OUT: lambda e: (f"extents={_extents_text(e.extents)} "
+                                   f"backing={_extents_text(e.backing)}"),
+    EventKind.SWAP_IN: lambda e: f"extents={_extents_text(e.extents)}",
+    EventKind.DEALLOCATE: lambda e: f"extents={_extents_text(e.extents)}",
 }
 _EVENT_TEXT = {kind: (kind.value, _DETAIL_TEXT[kind]) for kind in EventKind}
 
 
 def render_trace(trace: Trace) -> str:
-    """One CSV line per event, its fields in the order the event carries
+    """One CSV line per event, its fields in the order its record carries
     them."""
     lines = ["instant,event,pid,detail"]
     table = _EVENT_TEXT
-    for instant, kind, pid, detail in trace.events:
-        name, text = table[kind]
-        lines.append(f"{instant},{name},{pid},{text(detail)}")
+    for e in trace.events:
+        name, text = table[e.kind]
+        lines.append(f"{e.instant},{name},{e.pid},{text(e)}")
     return "\n".join(lines) + "\n"
 
 

@@ -10,13 +10,17 @@ Admission requires memory: a procedure whose allocation fails triggers at
 most one swap attempt, then waits in a FIFO backlog that is retried
 whenever memory frees up. Swapped-out procedures are never dispatched;
 they re-enter through swap-in, ahead of the backlog.
+
+A trace is a word of typed events, each an immutable tuple record of its
+kind's class, such as `Dispatch`: its instant, its procedure's id, then
+the fields its class states once, which every reader reads by attribute.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,7 +28,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Iterable, Mapping, TypeVar
 
 from . import binding as bindingmod
 from .allocators import (
@@ -89,31 +93,41 @@ class EventKind(Enum):
     __hash__ = object.__hash__
 
 
+class TraceEvent:
+    """One event of a run, of its kind's record class; the class
+    attributes `kind` and `rank` give its kind and that kind's rank."""
+
+    __slots__ = ()
+
+
 # each kind's rank in that order, so that the trace's sort key is read in C
 for _rank, _kind in enumerate(EventKind):
     _kind.rank = _rank
+
+
+def _record(kind: EventKind, *fields: str) -> type:
+    """The record class of `kind`: a tuple of `instant`, `pid`, then `fields`."""
+    base = namedtuple(kind.value, ("instant", "pid") + fields)
+    return type(kind.value, (base, TraceEvent),
+                {"__slots__": (), "kind": kind, "rank": kind.rank})
+
+
+# Each kind's record, its fields after `instant` and `pid` in render order,
+# as values: int sizes, times and lengths, tuples of Extent, PageMap.entries,
+# SegmentMap.segments, the WorkClass, and a Fraction, or None when no memory
+# is free, for ext_frag. A field that only some events of a kind carry is
+# None on the others. Only the CLI renders them as text.
+Complete = _record(EventKind.COMPLETE)
+Preempt = _record(EventKind.PREEMPT, "left")
+Deallocate = _record(EventKind.DEALLOCATE, "extents")
+SwapIn = _record(EventKind.SWAP_IN, "extents")
+Arrive = _record(EventKind.ARRIVE, "size", "time", "priority", "owner", "io_class")
+Admit = _record(EventKind.ADMIT)
+SwapOut = _record(EventKind.SWAP_OUT, "extents", "backing")
+Allocate = _record(EventKind.ALLOCATE, "extents", "pages", "segments", "ext_frag", "int_frag")
+Dispatch = _record(EventKind.DISPATCH, "run")
 _TRACE_ORDER = attrgetter("instant", "kind.rank")
-
-# An event's fields in render order, as values: int sizes, times and lengths,
-# tuples of Extent, SegmentMap.segments, PageMap.entries, the WorkClass, and
-# a Fraction, or None, for ext_frag. Only the CLI renders them as text.
-Detail = tuple[tuple[str, object], ...]
 Graph = bindingmod.BindingGraph
-
-
-class TraceEvent(NamedTuple):
-    """One event of a run, an immutable tuple record."""
-
-    instant: int
-    kind: EventKind
-    pid: int
-    detail: Detail = ()
-
-    def value(self, key: str) -> object:
-        for k, v in self.detail:
-            if k == key:
-                return v
-        return None
 
 
 @dataclass(frozen=True)
@@ -359,12 +373,6 @@ SCHEDULERS: dict[str, Callable[[SimConfig], Discipline]] = {
 }
 
 
-# Where `metrics` reads the fields `_Simulation` emits: an Arrive's time
-# follows its size, and an Allocate ends in its ext_frag, then its int_frag.
-_ARRIVE_TIME = 1
-_ALLOCATE_EXT_FRAG, _ALLOCATE_INT_FRAG = -2, -1
-
-
 class _Simulation:
     """One run of the CPU discipline `cpu` and the memory discipline of
     `allocator` over the procedures, taken in arrival order, in primary
@@ -408,12 +416,9 @@ class _Simulation:
         self.backlog: deque[Procedure] = deque()
         self.swapped: deque[tuple[Procedure, SwapRecord]] = deque()
 
-    def emit(self, instant: int, kind: EventKind, pid: int, detail: Detail = ()) -> None:
-        last = self.events[-1].instant if self.events else instant
-        if instant < last:
-            raise OsAlgError(f"event at {instant} after instant {last}")
-        # the record built as the tuple it is, without NamedTuple's __new__
-        event = tuple.__new__(TraceEvent, (instant, kind, pid, detail))
+    def emit(self, event: TraceEvent) -> None:
+        if self.events and event.instant < self.events[-1].instant:
+            raise OsAlgError(f"event at {event.instant} after instant {self.events[-1].instant}")
         if self.check is not None:
             self.check.see(event)
         self.events.append(event)
@@ -426,30 +431,27 @@ class _Simulation:
 
     # -- memory ------------------------------------------------------
 
-    def allocate(self, p: Procedure) -> Detail | None:
-        """The trace detail of a grant of memory to p, or None when memory
-        refuses it, at once when p's size exceeds the free total."""
+    def allocate(self, p: Procedure, at: int) -> TraceEvent | None:
+        """The Allocate at `at` of a grant of memory to p, or None when
+        memory refuses it, at once when p's size exceeds the free total."""
         d, m = self.placement, self.primary
         free = m.free_total
         if m.exceeds(p.size):
             return None
+        pages = segments = None
         try:
             if self.paged:
-                page_map = build_page_table(paginate(p, d.chunk.size), m)
-                extra = (("pages", page_map.entries),) if page_map.entries else ()
+                pages = build_page_table(paginate(p, d.chunk.size), m).entries or None
             elif self.segmented:
-                seg_map = segment_alloc(d, m, p)
-                extra = (("segments", seg_map.segments),) if seg_map.segments else ()
+                segments = segment_alloc(d, m, p).segments or None
             else:
                 allocate_op(d, m, p)
-                extra = ()
         except AllocationFailure:
             return None
         int_frag = free - m.free_total - p.size if self.allocator.int_frag else 0
         total = m.free_total
         frag = Fraction(m.largest_free(), total) if total else None
-        return (("extents", m.extents_of(p.id)),) + extra + (
-            ("ext_frag", frag), ("int_frag", int_frag))
+        return Allocate(at, p.id, m.extents_of(p.id), pages, segments, frag, int_frag)
 
     # -- admission ---------------------------------------------------
 
@@ -464,25 +466,18 @@ class _Simulation:
         if self.needs_priority and p.priority is None:
             raise ParameterError(f"procedure {p.id} has no priority")
         self.remaining[p.id] = p.time
-        detail: list[tuple[str, object]] = [("size", p.size), ("time", p.time)]
-        if p.priority is not None:
-            detail.append(("priority", p.priority))
-        if p.owner is not None:
-            detail.append(("owner", p.owner))
-        if p.io_class is not None:
-            detail.append(("class", p.io_class))
-        self.emit(p.arrival, EventKind.ARRIVE, p.id, tuple(detail))
+        self.emit(Arrive(p.arrival, p.id, p.size, p.time, p.priority, p.owner, p.io_class))
         if not self.try_admit(p, p.arrival):
             self.backlog.append(p)
 
     def try_admit(self, p: Procedure, at: int) -> bool:
-        detail = self.allocate(p)
-        if detail is None and self.swap_attempt(at):
-            detail = self.allocate(p)
-        if detail is None:
+        allocated = self.allocate(p, at)
+        if allocated is None and self.swap_attempt(at):
+            allocated = self.allocate(p, at)
+        if allocated is None:
             return False
-        self.emit(at, EventKind.ADMIT, p.id)
-        self.emit(at, EventKind.ALLOCATE, p.id, detail)
+        self.emit(Admit(at, p.id))
+        self.emit(allocated)
         self.make_ready(p)
         return True
 
@@ -507,12 +502,7 @@ class _Simulation:
         self.swapped.append((victim, record))
         self.candidates.discard(record.pid)
         self.ready.discard(record.pid)
-        self.emit(
-            at,
-            EventKind.SWAP_OUT,
-            record.pid,
-            (("extents", freed), ("backing", record.backing_extents)),
-        )
+        self.emit(SwapOut(at, record.pid, freed, record.backing_extents))
         return True
 
     # -- reclamation -------------------------------------------------
@@ -529,7 +519,7 @@ class _Simulation:
                 break
             self.count_listed(len(granted))
             self.swapped.popleft()
-            self.emit(at, EventKind.SWAP_IN, p.id, (("extents", granted),))
+            self.emit(SwapIn(at, p.id, granted))
             self.make_ready(p)
         while self.backlog:
             if not self.try_admit(self.backlog[0], at):
@@ -555,18 +545,18 @@ class _Simulation:
         self.candidates.discard(p.id)
         left = self.remaining[p.id]
         run = self.run_length(p, left)
-        self.emit(self.clock, EventKind.DISPATCH, p.id, (("run", run),))
+        self.emit(Dispatch(self.clock, p.id, run))
         end = self.clock + run
         self.pump_arrivals(end - 1)
         self.clock = end
         self.remaining[p.id] = left = left - run
         if left == 0:
-            self.emit(end, EventKind.COMPLETE, p.id)
+            self.emit(Complete(end, p.id))
             freed = deallocate(self.primary, p.id)
-            self.emit(end, EventKind.DEALLOCATE, p.id, (("extents", freed),))
+            self.emit(Deallocate(end, p.id, freed))
             self.reclaim(end)
         else:
-            self.emit(end, EventKind.PREEMPT, p.id, (("left", left),))
+            self.emit(Preempt(end, p.id, left))
             self.candidates.add(p)
             self.pump_arrivals(end)
             if p in self.candidates:
@@ -653,10 +643,7 @@ def dispatch_slices(
     capacity = max(1, sum(p.size for p in members))
     trace = _Simulation(members, discipline, FIRST_FIT_MEMORY, capacity, capacity,
                         False).run()
-    return [
-        (e.pid, e.instant, e.value("run"))
-        for e in trace.of_kind(EventKind.DISPATCH)
-    ]
+    return [(e.pid, e.instant, e.run) for e in trace.of_kind(EventKind.DISPATCH)]
 
 
 def metrics(t: Trace) -> Metrics:
@@ -671,17 +658,17 @@ def metrics(t: Trace) -> Metrics:
     frag_samples: list[Fraction] = []
     int_frag = 0
     arrive, complete, allocate = EventKind.ARRIVE, EventKind.COMPLETE, EventKind.ALLOCATE
-    for instant, kind, pid, detail in t.events:
+    for e in t.events:
+        kind = e.kind
         if kind is arrive:
-            arrivals[pid] = instant
-            times[pid] = detail[_ARRIVE_TIME][1]
+            arrivals[e.pid] = e.instant
+            times[e.pid] = e.time
         elif kind is complete:
-            completions[pid] = instant
+            completions[e.pid] = e.instant
         elif kind is allocate:
-            sample = detail[_ALLOCATE_EXT_FRAG][1]
-            if sample is not None:
-                frag_samples.append(sample)
-            int_frag += detail[_ALLOCATE_INT_FRAG][1]
+            if e.ext_frag is not None:
+                frag_samples.append(e.ext_frag)
+            int_frag += e.int_frag
     unfinished = sorted(set(arrivals) - set(completions))
     if unfinished:
         raise IncompleteRunError(f"procedures never completed: {unfinished}")

@@ -4,7 +4,8 @@ A strict run hands each event to `RunCheck.see` as it is emitted, before
 it joins the trace. A Dispatch must start once the CPU's last slice is
 over (cpu-time) and run a resident procedure (residency). An Admit,
 Deallocate, SwapOut or SwapIn records a grant or a release of extents,
-which reaches the `MemoryCheck` of its memory as a delta. The check
+which reaches the `MemoryCheck` of its memory as a delta, and an
+Allocate must list what its Admit granted (conservation). The check
 keeps its own record of that memory: the occupied extents in address
 order, and the extents each holder was granted. It shares no code with
 the free stores, so a store or memory that goes wrong shows as a
@@ -87,18 +88,23 @@ class RunCheck:
 
     def see(self, event: TraceEvent) -> None:
         """Check the change `event` records: an Admit grants what the
-        memory holds for its procedure, a SwapIn frees what the backing
-        record holds for it."""
+        memory holds for its procedure, which its Allocate must list, and
+        a SwapIn frees what the backing record holds for it."""
         kind, primary, backing = event.kind, self.primary, self.backing
         if kind is EventKind.ADMIT:
             primary.grant(primary.memory.allocated.get(event.pid, ()), event)
+        elif kind is EventKind.ALLOCATE:
+            held = primary.held.get(event.pid, ())
+            if event.extents != held:
+                primary.fail(("listing", event.extents, event), "conservation",
+                             f"procedure {event.pid} was granted {_text(held)}")
         elif kind is EventKind.DEALLOCATE:
-            primary.release(event.value("extents"), event)
+            primary.release(event.extents, event)
         elif kind is EventKind.SWAP_OUT:
-            primary.release(event.value("extents"), event)
-            backing.grant(event.value("backing"), event)
+            primary.release(event.extents, event)
+            backing.grant(event.backing, event)
         elif kind is EventKind.SWAP_IN:
-            primary.grant(event.value("extents"), event)
+            primary.grant(event.extents, event)
             backing.release(backing.held.get(event.pid, ()), event)
         elif kind is EventKind.DISPATCH:
             index, start, pid = len(self.events), event.instant, event.pid
@@ -108,7 +114,7 @@ class RunCheck:
             if pid not in primary.memory.allocated:
                 raise _violation("residency", f"dispatch of non-resident procedure {pid}",
                                  index, event, f"{len(primary.held)} resident procedures")
-            self.frontier = start + event.value("run")
+            self.frontier = start + event.run
 
     def finish(self, graph: binding.BindingGraph) -> None:
         """Fully check both memories, then validate the binding log."""

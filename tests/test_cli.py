@@ -29,7 +29,7 @@ from osalg.cli import (
 )
 from osalg.combinators import Chunk, free_store
 from osalg.errors import TraceLimitError, WorkloadError
-from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace, TraceEvent
+from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace
 
 from conftest import emit_workload
 
@@ -348,30 +348,42 @@ def test_bench_names_match_the_registries(monkeypatch):
     assert workloads.ALLOCATORS == tuple(ALLOCATORS)
 
 
+# A value for each event field, with its text in the trace; a field not
+# listed here takes 7, which renders as 7
+FIELD_VALUES = {
+    "size": (6, "6"), "time": (3, "3"), "priority": (2, "2"), "owner": ("ops", "ops"),
+    "io_class": (WorkClass.IO_BOUND, "IoBound"),
+    "extents": ((Extent(0, 4), Extent(8, 10)), "[0..4)+[8..10)"),
+    "backing": ((Extent(0, 6),), "[0..6)"),
+    "pages": (((0, 1), (1, 3)), "0:1+1:3"),
+    "segments": (((0, 4, 0), (1, 2, 8)), "4@0+2@8"),
+    "ext_frag": (Fraction(2, 3), "2/3"), "int_frag": (1, "1"),
+    "run": (2, "2"), "left": (1, "1"),
+}
+# the fields only some events carry, and the label of each field not shown
+# by its own name
+OPTIONAL_FIELDS = {"priority", "owner", "io_class", "pages", "segments", "ext_frag"}
+FIELD_LABELS = {"io_class": "class"}
+
+
 def test_render_trace_renders_every_field_kind():
+    """The detail of each record lists its fields in the record's order,
+    under their labels; an optional field that is None is left out, but
+    for ext_frag, which renders as -. Each kind is rendered with every
+    field set, then with each optional field None in turn, so a field a
+    record gains that the renderer does not show fails here."""
     trace = Trace(events=(
-        TraceEvent(0, EventKind.ARRIVE, 1, (
-            ("size", 6), ("time", 3), ("priority", 2), ("owner", "ops"),
-            ("class", WorkClass.IO_BOUND),
-        )),
-        TraceEvent(0, EventKind.ADMIT, 1),
-        TraceEvent(0, EventKind.ALLOCATE, 1, (
-            ("extents", (Extent(0, 4), Extent(8, 10))),
-            ("segments", ((0, 4, 0), (1, 2, 8))),
-            ("ext_frag", Fraction(2, 3)), ("int_frag", 0),
-        )),
-        TraceEvent(0, EventKind.ALLOCATE, 2, (
-            ("extents", (Extent(4, 8),)), ("pages", ((0, 1), (1, 3))),
-            ("ext_frag", None), ("int_frag", 1),
-        )),
-        TraceEvent(0, EventKind.DISPATCH, 1, (("run", 2),)),
-        TraceEvent(2, EventKind.PREEMPT, 1, (("left", 1),)),
-        TraceEvent(2, EventKind.SWAP_OUT, 1, (
-            ("extents", (Extent(0, 4), Extent(8, 10))), ("backing", (Extent(0, 6),)),
-        )),
-        TraceEvent(3, EventKind.SWAP_IN, 1, (("extents", ()),)),
-        TraceEvent(4, EventKind.COMPLETE, 1),
-        TraceEvent(4, EventKind.DEALLOCATE, 1, (("extents", ()),)),
+        sim.Arrive(0, 1, 6, 3, 2, "ops", WorkClass.IO_BOUND),
+        sim.Admit(0, 1),
+        sim.Allocate(0, 1, (Extent(0, 4), Extent(8, 10)), None, ((0, 4, 0), (1, 2, 8)),
+                     Fraction(2, 3), 0),
+        sim.Allocate(0, 2, (Extent(4, 8),), ((0, 1), (1, 3)), None, None, 1),
+        sim.Dispatch(0, 1, 2),
+        sim.Preempt(2, 1, 1),
+        sim.SwapOut(2, 1, (Extent(0, 4), Extent(8, 10)), (Extent(0, 6),)),
+        sim.SwapIn(3, 1, ()),
+        sim.Complete(4, 1),
+        sim.Deallocate(4, 1, ()),
     ))
     assert render_trace(trace) == (
         "instant,event,pid,detail\n"
@@ -386,6 +398,20 @@ def test_render_trace_renders_every_field_kind():
         "4,Complete,1,\n"
         "4,Deallocate,1,extents=-\n"
     )
+    records = sim.TraceEvent.__subclasses__()
+    assert sorted(r.kind.rank for r in records) == list(range(len(EventKind)))
+    for record in records:
+        kind, fields = record.kind, record._fields[2:]
+        assert record._fields[:2] == ("instant", "pid")
+        for gone in (None, *sorted(OPTIONAL_FIELDS.intersection(fields))):
+            values = {f: (None, "-") if f == gone else FIELD_VALUES.get(f, (7, "7"))
+                      for f in fields}
+            event = record(5, 9, **{f: value for f, (value, _) in values.items()})
+            detail = " ".join(f"{FIELD_LABELS.get(f, f)}={text}"
+                              for f, (value, text) in values.items()
+                              if value is not None or f == "ext_frag")
+            assert render_trace(Trace(events=(event,))) == (
+                f"instant,event,pid,detail\n5,{kind.value},9,{detail}\n"), (kind, gone)
 
 
 def test_metrics_past_the_int_to_str_digit_limit(tmp_path):
@@ -580,7 +606,7 @@ def test_the_extents_each_swap_lists_count_toward_the_limit(tmp_path, capsys, mo
     cfg = SimConfig(memory_capacity=200, backing_capacity=200, scheduler="rr",
                     quantum=1, allocator="paging", page_size=1)
     trace, _ = run(ps, cfg)
-    relisted = sum(len(e.value("extents")) + len(e.value("backing") or ())
+    relisted = sum(len(e.extents) + len(getattr(e, "backing", ()))
                    for e in trace if e.kind in (EventKind.SWAP_OUT, EventKind.SWAP_IN))
     assert trace_bound(ps, cfg) == 500 and relisted > 40 * 500
     monkeypatch.setattr(sim, "MAX_TRACE", 500 + relisted)

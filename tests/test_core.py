@@ -24,16 +24,16 @@ def lifecycles(trace):
     """Each procedure's transitions in trace order, with the extents each
     one takes or gives back: its Admit and each SwapIn activate it, each
     SwapOut and its Complete passivate it."""
-    granted = {e.pid: e.value("extents") for e in trace.of_kind(EventKind.ALLOCATE)}
-    freed = {e.pid: e.value("extents") for e in trace.of_kind(EventKind.DEALLOCATE)}
+    granted = {e.pid: e.extents for e in trace.of_kind(EventKind.ALLOCATE)}
+    freed = {e.pid: e.extents for e in trace.of_kind(EventKind.DEALLOCATE)}
     steps = {}
     for e in trace:
         if e.kind is EventKind.ADMIT:
             step = (ACTIVATE, granted[e.pid])
         elif e.kind is EventKind.SWAP_IN:
-            step = (ACTIVATE, e.value("extents"))
+            step = (ACTIVATE, e.extents)
         elif e.kind is EventKind.SWAP_OUT:
-            step = (PASSIVATE, e.value("extents"))
+            step = (PASSIVATE, e.extents)
         elif e.kind is EventKind.COMPLETE:
             step = (PASSIVATE, freed[e.pid])
         else:

@@ -80,8 +80,8 @@ def test_scaling_every_time_scales_every_instant(scheduler, allocator, strict,
     trace, _ = run(ps, cfg, strict)
     stretched, _ = run(scaled, slower, strict)
     assert stretched.events == tuple(
-        e._replace(instant=e.instant * k, detail=tuple(
-            (f, v * k if f in TIMES else v) for f, v in e.detail))
+        e._replace(instant=e.instant * k,
+                   **{f: getattr(e, f) * k for f in TIMES.intersection(e._fields)})
         for e in trace.events)
 
 
@@ -121,9 +121,7 @@ def test_segmentation_without_segments_is_first_fit(scheduler, strict, shapes):
     plain, _ = run(ps, first_fit, strict)
     assert plain.binding == segmented.binding
     assert plain.events == tuple(
-        e._replace(detail=tuple(
-            (f, v) for f, v in e.detail if f != "segments"))
-        if e.kind is EventKind.ALLOCATE else e
+        e._replace(segments=None) if e.kind is EventKind.ALLOCATE else e
         for e in segmented.events)
 
 
@@ -175,7 +173,7 @@ def test_rr_past_every_time_is_not_fcfs_once_joins_leave_arrival_order():
         trace, _ = run(ps, cfg)
         assert [e.pid for e in trace.of_kind(EventKind.ADMIT)] == [1, 3, 2]
         assert not trace.of_kind(EventKind.SWAP_OUT)
-        dispatches[cfg.scheduler] = [(e.instant, e.pid, e.value("run"))
+        dispatches[cfg.scheduler] = [(e.instant, e.pid, e.run)
                                      for e in trace.of_kind(EventKind.DISPATCH)]
     assert dispatches == {"fcfs": [(0, 1, 3), (3, 2, 3), (6, 3, 4)],
                           "rr": [(0, 1, 3), (3, 3, 4), (7, 2, 3)]}

@@ -195,7 +195,7 @@ def test_a_chunked_discipline_rejoins_by_its_declared_key(discipline, strict):
     not by the time it has left."""
     trace = sim._Simulation(CHUNKED_PROCS, discipline, sim.FIRST_FIT_MEMORY, 6, 6,
                             strict).run()
-    slices = [(e.pid, e.instant, e.value("run"))
+    slices = [(e.pid, e.instant, e.run)
               for e in trace.of_kind(sim.EventKind.DISPATCH)]
     assert slices == CHUNKED_SLICES
     assert sim.dispatch_slices(CHUNKED_PROCS, discipline) == CHUNKED_SLICES
@@ -211,8 +211,9 @@ class WatchedSimulation(sim._Simulation):
     swaps = 0
     preempted = None
 
-    def emit(self, instant, kind, pid, detail=()):
-        super().emit(instant, kind, pid, detail)
+    def emit(self, event):
+        super().emit(event)
+        kind, pid = event.kind, event.pid
         self.swaps += kind is sim.EventKind.SWAP_OUT
         candidates = members(self.ready)
         if self.preempted is not None and (

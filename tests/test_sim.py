@@ -18,7 +18,7 @@ from osalg.errors import (
     TraceLimitError,
     UnrunnableProcedureError,
 )
-from osalg.sim import EventKind, TraceEvent, class_quantum, metrics
+from osalg.sim import EventKind, class_quantum, metrics
 
 from conftest import proc, random_batch, random_arrivals, regression_runs
 from oracle import brute_schedule, replay_rr
@@ -26,7 +26,7 @@ from oracle import brute_schedule, replay_rr
 
 def dispatch_slices(trace):
     return [
-        (e.pid, e.instant, e.value("run"))
+        (e.pid, e.instant, e.run)
         for e in trace.of_kind(EventKind.DISPATCH)
     ]
 
@@ -47,7 +47,7 @@ def check_trace_wellformed(trace):
         elif e.kind is EventKind.DISPATCH:
             assert e.pid in resident, f"dispatch of non-resident {e.pid}"
             dispatched.add(e.pid)
-            intervals.append((e.instant, e.instant + e.value("run")))
+            intervals.append((e.instant, e.instant + e.run))
         elif e.kind is EventKind.COMPLETE:
             assert e.pid in dispatched
     intervals.sort()
@@ -90,19 +90,19 @@ def test_events_carry_typed_values():
     ps = [proc(1, size=4, time=3), proc(2, size=4, time=2)]
     trace, _ = run(ps, SimConfig(memory_capacity=8), strict=True)
     for e in trace.of_kind(EventKind.ARRIVE):
-        assert type(e.value("size")) is int and type(e.value("time")) is int
-    runs = [e.value("run") for e in trace.of_kind(EventKind.DISPATCH)]
+        assert type(e.size) is int and type(e.time) is int
+    runs = [e.run for e in trace.of_kind(EventKind.DISPATCH)]
     assert runs == [3, 2] and all(type(r) is int for r in runs)
     for kind in (EventKind.ALLOCATE, EventKind.DEALLOCATE):
         for e in trace.of_kind(kind):
-            extents = e.value("extents")
+            extents = e.extents
             assert type(extents) is tuple
             assert extents and all(isinstance(x, Extent) for x in extents)
     allocations = trace.of_kind(EventKind.ALLOCATE)
     # the first grant leaves [4..8) free, the second leaves nothing free
-    assert [e.value("ext_frag") for e in allocations] == [Fraction(1), None]
-    assert type(allocations[0].value("ext_frag")) is Fraction
-    assert [e.value("int_frag") for e in allocations] == [0, 0]
+    assert [e.ext_frag for e in allocations] == [Fraction(1), None]
+    assert type(allocations[0].ext_frag) is Fraction
+    assert [e.int_frag for e in allocations] == [0, 0]
 
 
 class TestMetricsArithmetic:
@@ -133,8 +133,8 @@ class TestMetricsArithmetic:
 
     def test_incomplete_trace_rejected(self):
         partial = Trace(events=(
-            TraceEvent(0, EventKind.ARRIVE, 1, (("size", 1), ("time", 2))),
-            TraceEvent(0, EventKind.DISPATCH, 1, (("run", 1),)),
+            sim.Arrive(0, 1, 1, 2, None, None, None),
+            sim.Dispatch(0, 1, 1),
         ))
         with pytest.raises(IncompleteRunError):
             metrics(partial)
@@ -146,12 +146,9 @@ class TestMetricsArithmetic:
     def test_mean_fragmentation_is_the_exact_mean(self, samples):
         """The mean taken over one common denominator equals the running
         sum of the samples over their count; None samples are skipped."""
-        events = [TraceEvent(0, EventKind.ARRIVE, 1, (("size", 1), ("time", 1)))]
-        events += [
-            TraceEvent(0, EventKind.ALLOCATE, 1, (("ext_frag", s), ("int_frag", 0)))
-            for s in samples
-        ]
-        events.append(TraceEvent(1, EventKind.COMPLETE, 1))
+        events = [sim.Arrive(0, 1, 1, 1, None, None, None)]
+        events += [sim.Allocate(0, 1, (), None, None, s, 0) for s in samples]
+        events.append(sim.Complete(1, 1))
         m = metrics(Trace(events=tuple(events)))
         taken = [s for s in samples if s is not None]
         assert m.external_fragmentation == tuple(taken)
@@ -314,7 +311,7 @@ class TestSwapping:
 
         def pieces(kind):
             (event,) = [e for e in trace.of_kind(kind) if e.pid == 2]
-            return [e.size for e in event.value("extents")]
+            return [e.size for e in event.extents]
 
         admitted, regranted = pieces(EventKind.ALLOCATE), pieces(EventKind.SWAP_IN)
         if allocator == "first-fit":
@@ -352,7 +349,7 @@ class TestEverySchedulerAllocatorPair:
                 assert validate(trace.binding) == []
                 for p in ps:
                     total = sum(
-                        e.value("run")
+                        e.run
                         for e in trace.of_kind(EventKind.DISPATCH)
                         if e.pid == p.id
                     )
@@ -596,9 +593,9 @@ def test_every_entry_counts_the_bound_before_its_first_event(monkeypatch, entry,
     emitted = []
     real_emit = sim._Simulation.emit
 
-    def recording(self, *event):
+    def recording(self, event):
         emitted.append(event)
-        real_emit(self, *event)
+        real_emit(self, event)
 
     monkeypatch.setattr(sim._Simulation, "emit", recording)
     monkeypatch.setattr(sim, "MAX_TRACE", bound - 1)

@@ -180,21 +180,45 @@ WORKLOADS = st.lists(
 )
 
 
+def cut_in_two(shapes):
+    """A procedure for each (size, time, arrival, cut), of two segments
+    split at cut when it lies inside the size."""
+    return [proc(i, size=size, time=time, arrival=arrival, priority=i % 3,
+                 segments=(cut, size - cut) if 0 < cut < size else None)
+            for i, (size, time, arrival, cut) in enumerate(shapes, start=1)]
+
+
+def of_segments(shapes):
+    """A procedure for each (segments, time, arrival)."""
+    return [proc(i, size=sum(segments), time=time, arrival=arrival, priority=i % 3,
+                 segments=tuple(segments))
+            for i, (segments, time, arrival) in enumerate(shapes, start=1)]
+
+
+# (allocator, memory capacity, procedures): any allocator over the
+# workloads above, or procedures of two or three segments each in tight
+# first-fit or segmentation memory, where a segment grant is often refused
+# after its first segment was placed
+RUNS = st.one_of(
+    st.tuples(st.sampled_from(sorted(ALLOCATORS)), st.just(32), WORKLOADS.map(cut_in_two)),
+    st.tuples(st.sampled_from(["first-fit", "segmentation"]), st.integers(16, 32),
+              st.lists(st.tuples(st.lists(st.integers(1, 6), min_size=2, max_size=3),
+                                 st.integers(1, 6), st.integers(0, 6)),
+                       min_size=2, max_size=12).map(of_segments)),
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(ALLOCATORS)),
-       scheduler=st.sampled_from(["fcfs", "rr", "priority"]), shapes=WORKLOADS)
+@given(case=RUNS, scheduler=st.sampled_from(["fcfs", "rr", "priority"]))
 # segment grants refused after their first segment was placed, which the
 # grant gives back: found by search, a run that differs when it does not
-@example(name="segmentation", scheduler="priority",
-         shapes=[(8, 6, 3, 7), (2, 6, 2, 4), (7, 1, 2, 2), (3, 3, 2, 5), (14, 5, 2, 4),
-                 (1, 5, 0, 6)])
-def test_a_run_on_stores_changed_in_place_is_a_run_on_fresh_stores(
-        name, scheduler, shapes):
-    cfg = SimConfig(memory_capacity=32, backing_capacity=16, scheduler=scheduler,
+@example(case=("segmentation", 32, cut_in_two(
+    [(8, 6, 3, 7), (2, 6, 2, 4), (7, 1, 2, 2), (3, 3, 2, 5), (14, 5, 2, 4), (1, 5, 0, 6)])),
+    scheduler="priority")
+def test_a_run_on_stores_changed_in_place_is_a_run_on_fresh_stores(case, scheduler):
+    name, memory, ps = case
+    cfg = SimConfig(memory_capacity=memory, backing_capacity=16, scheduler=scheduler,
                     allocator=name, unit_size=UNIT, page_size=UNIT, quantum=2)
-    ps = [proc(i, size=size, time=time, arrival=arrival, priority=i % 3,
-               segments=(cut, size - cut) if 0 < cut < size else None)
-          for i, (size, time, arrival, cut) in enumerate(shapes, start=1)]
     try:
         in_place, _ = run(ps, cfg, strict=False)
     except UnrunnableProcedureError:
@@ -259,4 +283,4 @@ def test_segments_over_units_end_unrunnable_when_one_exceeds_a_unit(strict):
     trace = sim._Simulation([proc(1, size=7, segments=(3, 4))], sim.FCFS, allocator,
                             16, 16, strict).run()
     (allocate,) = trace.of_kind(sim.EventKind.ALLOCATE)
-    assert allocate.value("extents") == (Extent(0, 4), Extent(4, 8))
+    assert allocate.extents == (Extent(0, 4), Extent(4, 8))

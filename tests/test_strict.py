@@ -49,9 +49,9 @@ def record_emissions(monkeypatch) -> list[tuple[int, EventKind, int]]:
     order: list[tuple[int, EventKind, int]] = []
     real_emit = sim._Simulation.emit
 
-    def recording(self, instant, kind, pid, detail=()):
-        order.append((instant, kind, pid))
-        real_emit(self, instant, kind, pid, detail)
+    def recording(self, event):
+        order.append((event.instant, event.kind, event.pid))
+        real_emit(self, event)
 
     monkeypatch.setattr(sim._Simulation, "emit", recording)
     return order
@@ -347,10 +347,10 @@ def test_a_second_admit_of_a_held_procedure_is_caught_at_it(monkeypatch):
     asked to grant to a procedure it already holds."""
     real_emit = sim._Simulation.emit
 
-    def doubled(self, instant, kind, pid, detail=()):
-        real_emit(self, instant, kind, pid, detail)
-        if kind is EventKind.ADMIT and pid == 1:
-            real_emit(self, instant, kind, pid, detail)
+    def doubled(self, event):
+        real_emit(self, event)
+        if event.kind is EventKind.ADMIT and event.pid == 1:
+            real_emit(self, event)
 
     cfg = SimConfig(memory_capacity=16)
     order = lax_emissions(monkeypatch, TWO, cfg)
@@ -385,6 +385,28 @@ def test_a_swap_in_that_misreports_its_grant_is_caught_at_its_swap_in(
     assert found.invariant == invariant
     assert_found_at(found, order, EventKind.SWAP_IN, 2)
     assert words in str(found)
+
+
+@pytest.mark.parametrize("allocator", sorted(ALLOCATORS))
+def test_an_allocate_that_drops_an_extent_is_caught_at_it(monkeypatch, allocator):
+    """Procedure 2's Allocate line leaves out the last extent of its
+    grant, so it lists less than its Admit granted. The memory stays
+    consistent, so the delta reports the breach in its own words."""
+    real_emit = sim._Simulation.emit
+
+    def dropping(self, event):
+        if event.kind is EventKind.ALLOCATE and event.pid == 2:
+            event = event._replace(extents=event.extents[:-1])
+        real_emit(self, event)
+
+    ps = [proc(1, size=4, time=2), proc(2, size=4, time=1, segments=(1, 3))]
+    cfg = SimConfig(memory_capacity=16, allocator=allocator, **ALLOCATORS[allocator])
+    monkeypatch.setattr(sim._Simulation, "emit", dropping)
+    order = lax_emissions(monkeypatch, ps, cfg)
+    found = delta_violation(ps, cfg)
+    assert found.invariant == "conservation"
+    assert_found_at(found, order, EventKind.ALLOCATE, 2)
+    assert "procedure 2 was granted [" in str(found)
 
 
 def test_a_grant_recorded_a_unit_short_is_caught_at_its_admit(monkeypatch):
@@ -452,11 +474,10 @@ def test_a_dispatch_that_overstates_its_slice_is_a_cpu_time_breach(monkeypatch):
     already assigned."""
     real_emit = sim._Simulation.emit
 
-    def overstating(self, instant, kind, pid, detail=()):
-        if kind is EventKind.DISPATCH and pid == 1:
-            (key, run), = detail
-            detail = ((key, run + 1),)
-        real_emit(self, instant, kind, pid, detail)
+    def overstating(self, event):
+        if event.kind is EventKind.DISPATCH and event.pid == 1:
+            event = event._replace(run=event.run + 1)
+        real_emit(self, event)
 
     cfg = SimConfig(memory_capacity=16)
     monkeypatch.setattr(sim._Simulation, "emit", overstating)
@@ -605,9 +626,9 @@ def test_a_store_shape_breach_after_the_last_change_is_caught_at_the_end(
     the last change is still found, at the index past the last event."""
     real_emit = sim._Simulation.emit
 
-    def splitting_at_the_end(self, instant, kind, pid, detail=()):
-        real_emit(self, instant, kind, pid, detail)
-        if kind is EventKind.DEALLOCATE and not self.primary.allocated:
+    def splitting_at_the_end(self, event):
+        real_emit(self, event)
+        if event.kind is EventKind.DEALLOCATE and not self.primary.allocated:
             assert split_a_free_run(self.primary)
 
     ps = [proc(1, size=4, time=2)]
