@@ -32,7 +32,10 @@ from .errors import (
     UnrunnableProcedureError,
     WorkloadError,
 )
-from .sim import ALLOCATORS, SCHEDULERS, EventKind, Metrics, SimConfig, Trace, run
+from .sim import (
+    ALLOCATORS, SCHEDULERS, Admit, Allocate, Arrive, Complete, Deallocate, Dispatch,
+    Metrics, Preempt, SimConfig, SwapIn, SwapOut, Trace, TraceEvent, run,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,25 +129,25 @@ def _segments_text(placed: Iterable[tuple[int, int, int]]) -> str:
 
 
 # Each kind's detail text, from its record's fields in render order
-_DETAIL_TEXT: dict[EventKind, Callable[[Any], str]] = {
-    EventKind.ARRIVE: lambda e: (
+_DETAIL_TEXT: dict[type[TraceEvent], Callable[[Any], str]] = {
+    Arrive: lambda e: (
         f"size={e.size} time={e.time}{_optional('priority', e.priority)}"
         f"{_optional('owner', e.owner)}"
         f"{_optional('class', e.io_class, attrgetter('value'))}"),
-    EventKind.ADMIT: lambda e: "",
-    EventKind.ALLOCATE: lambda e: (
+    Admit: lambda e: "",
+    Allocate: lambda e: (
         f"extents={_extents_text(e.extents)}{_optional('pages', e.pages, _pages_text)}"
         f"{_optional('segments', e.segments, _segments_text)}"
         f" ext_frag={_fraction_text(e.ext_frag)} int_frag={e.int_frag}"),
-    EventKind.DISPATCH: lambda e: f"run={e.run}",
-    EventKind.PREEMPT: lambda e: f"left={e.left}",
-    EventKind.COMPLETE: lambda e: "",
-    EventKind.SWAP_OUT: lambda e: (f"extents={_extents_text(e.extents)} "
-                                   f"backing={_extents_text(e.backing)}"),
-    EventKind.SWAP_IN: lambda e: f"extents={_extents_text(e.extents)}",
-    EventKind.DEALLOCATE: lambda e: f"extents={_extents_text(e.extents)}",
+    Dispatch: lambda e: f"run={e.run}",
+    Preempt: lambda e: f"left={e.left}",
+    Complete: lambda e: "",
+    SwapOut: lambda e: (f"extents={_extents_text(e.extents)} "
+                        f"backing={_extents_text(e.backing)}"),
+    SwapIn: lambda e: f"extents={_extents_text(e.extents)}",
+    Deallocate: lambda e: f"extents={_extents_text(e.extents)}",
 }
-_EVENT_TEXT = {kind: (kind.value, _DETAIL_TEXT[kind]) for kind in EventKind}
+_EVENT_TEXT = {kind: (kind.__name__, text) for kind, text in _DETAIL_TEXT.items()}
 
 
 def render_trace(trace: Trace) -> str:
@@ -153,7 +156,7 @@ def render_trace(trace: Trace) -> str:
     lines = ["instant,event,pid,detail"]
     table = _EVENT_TEXT
     for e in trace.events:
-        name, text = table[e.kind]
+        name, text = table[type(e)]
         lines.append(f"{e.instant},{name},{e.pid},{text(e)}")
     return "\n".join(lines) + "\n"
 

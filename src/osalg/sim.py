@@ -11,9 +11,11 @@ most one swap attempt, then waits in a FIFO backlog that is retried
 whenever memory frees up. Swapped-out procedures are never dispatched;
 they re-enter through swap-in, ahead of the backlog.
 
-A trace is a word of typed events, each an immutable tuple record of its
-kind's class, such as `Dispatch`: its instant, its procedure's id, then
-the fields its class states once, which every reader reads by attribute.
+A trace is a word of typed events, each an immutable tuple record whose
+class is its kind, such as `Dispatch`: its instant, its procedure's id,
+then the fields its class states once, which every reader reads by
+attribute. The class's name is the event's rendered name, and its `rank`
+the kind's place in the fixed order; events are equal only within one kind.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import os
 from collections import deque, namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import count
@@ -74,59 +75,52 @@ STRICT_ENV = "OSALG_STRICT"
 T = TypeVar("T")
 
 
-class EventKind(Enum):
-    """Declared in the fixed order of events that share an instant:
-    completions free resources before anything else claims them, and
-    dispatch always renders last."""
-
-    COMPLETE = "Complete"
-    PREEMPT = "Preempt"
-    DEALLOCATE = "Deallocate"
-    SWAP_IN = "SwapIn"
-    ARRIVE = "Arrive"
-    ADMIT = "Admit"
-    SWAP_OUT = "SwapOut"
-    ALLOCATE = "Allocate"
-    DISPATCH = "Dispatch"
-
-    # members are singletons: a kind hashes as itself, in C
-    __hash__ = object.__hash__
-
-
 class TraceEvent:
-    """One event of a run, of its kind's record class; the class
-    attributes `kind` and `rank` give its kind and that kind's rank."""
+    """One event of a run, a tuple record whose class is its kind: the
+    class's name is the event's name, and its `rank` the kind's place
+    among the events of one instant. Events are equal only within one
+    kind."""
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
 
-# each kind's rank in that order, so that the trace's sort key is read in C
-for _rank, _kind in enumerate(EventKind):
-    _kind.rank = _rank
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
-
-def _record(kind: EventKind, *fields: str) -> type:
-    """The record class of `kind`: a tuple of `instant`, `pid`, then `fields`."""
-    base = namedtuple(kind.value, ("instant", "pid") + fields)
-    return type(kind.value, (base, TraceEvent),
-                {"__slots__": (), "kind": kind, "rank": kind.rank})
+    def __hash__(self) -> int:
+        return hash((type(self), tuple.__hash__(self)))
 
 
-# Each kind's record, its fields after `instant` and `pid` in render order,
-# as values: int sizes, times and lengths, tuples of Extent, PageMap.entries,
-# SegmentMap.segments, the WorkClass, and a Fraction, or None when no memory
-# is free, for ext_frag. A field that only some events of a kind carry is
-# None on the others. Only the CLI renders them as text.
-Complete = _record(EventKind.COMPLETE)
-Preempt = _record(EventKind.PREEMPT, "left")
-Deallocate = _record(EventKind.DEALLOCATE, "extents")
-SwapIn = _record(EventKind.SWAP_IN, "extents")
-Arrive = _record(EventKind.ARRIVE, "size", "time", "priority", "owner", "io_class")
-Admit = _record(EventKind.ADMIT)
-SwapOut = _record(EventKind.SWAP_OUT, "extents", "backing")
-Allocate = _record(EventKind.ALLOCATE, "extents", "pages", "segments", "ext_frag", "int_frag")
-Dispatch = _record(EventKind.DISPATCH, "run")
-_TRACE_ORDER = attrgetter("instant", "kind.rank")
+_ranks = count()
+
+
+def _record(name: str, *fields: str) -> type:
+    """The record class of the kind `name`, ranked after the kinds declared
+    before it: a tuple of `instant`, `pid`, then `fields`."""
+    base = namedtuple(name, ("instant", "pid") + fields)
+    return type(name, (TraceEvent, base), {"__slots__": (), "rank": next(_ranks)})
+
+
+# Each kind's record, declared in the fixed order of events that share an
+# instant: completions free resources before anything else claims them,
+# and Dispatch always renders last. Its fields after `instant` and `pid`,
+# in render order, are values: int sizes, times and lengths, tuples of
+# Extent, PageMap.entries, SegmentMap.segments, the WorkClass, and a
+# Fraction, or None when no memory is free, for ext_frag. A field that
+# only some events of a kind carry is None on the others. Only the CLI
+# renders them as text.
+Complete = _record("Complete")
+Preempt = _record("Preempt", "left")
+Deallocate = _record("Deallocate", "extents")
+SwapIn = _record("SwapIn", "extents")
+Arrive = _record("Arrive", "size", "time", "priority", "owner", "io_class")
+Admit = _record("Admit")
+SwapOut = _record("SwapOut", "extents", "backing")
+Allocate = _record("Allocate", "extents", "pages", "segments", "ext_frag", "int_frag")
+Dispatch = _record("Dispatch", "run")
+_TRACE_ORDER = attrgetter("instant", "rank")
 Graph = bindingmod.BindingGraph
 
 
@@ -143,8 +137,8 @@ class Trace:
     def __len__(self) -> int:
         return len(self.events)
 
-    def of_kind(self, kind: EventKind) -> tuple[TraceEvent, ...]:
-        return tuple(e for e in self.events if e.kind is kind)
+    def of_kind(self, kind: type[TraceEvent]) -> tuple[TraceEvent, ...]:
+        return tuple(e for e in self.events if type(e) is kind)
 
 
 @dataclass(frozen=True)
@@ -219,12 +213,13 @@ class Allocator:
         bind, use = bindingmod.EventKind.BIND, bindingmod.EventKind.USE
         dependencies: set[tuple[str, str]] = set()
         for e in events:
-            if e.kind is EventKind.ALLOCATE or e.kind is EventKind.SWAP_IN:
+            kind = type(e)
+            if kind is Allocate or kind is SwapIn:
                 pages, table = f"pages:{e.pid}", f"page-table:{e.pid}"
                 graph = bindingmod.record(graph, pages, bind, e.instant)
                 graph = bindingmod.record(graph, table, bind, e.instant)
                 dependencies.update(((self.symbol, table), (pages, table)))
-            elif e.kind is EventKind.DISPATCH:
+            elif kind is Dispatch:
                 graph = bindingmod.record(graph, f"page-table:{e.pid}", use, e.instant)
         return Graph(graph.events, graph.dependencies | dependencies)
 
@@ -643,7 +638,7 @@ def dispatch_slices(
     capacity = max(1, sum(p.size for p in members))
     trace = _Simulation(members, discipline, FIRST_FIT_MEMORY, capacity, capacity,
                         False).run()
-    return [(e.pid, e.instant, e.run) for e in trace.of_kind(EventKind.DISPATCH)]
+    return [(e.pid, e.instant, e.run) for e in trace.of_kind(Dispatch)]
 
 
 def metrics(t: Trace) -> Metrics:
@@ -657,15 +652,14 @@ def metrics(t: Trace) -> Metrics:
     completions: dict[int, int] = {}
     frag_samples: list[Fraction] = []
     int_frag = 0
-    arrive, complete, allocate = EventKind.ARRIVE, EventKind.COMPLETE, EventKind.ALLOCATE
     for e in t.events:
-        kind = e.kind
-        if kind is arrive:
+        kind = type(e)
+        if kind is Arrive:
             arrivals[e.pid] = e.instant
             times[e.pid] = e.time
-        elif kind is complete:
+        elif kind is Complete:
             completions[e.pid] = e.instant
-        elif kind is allocate:
+        elif kind is Allocate:
             if e.ext_frag is not None:
                 frag_samples.append(e.ext_frag)
             int_frag += e.int_frag

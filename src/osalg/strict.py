@@ -45,7 +45,7 @@ from . import binding
 from .allocators import MemoryState
 from .core import Extent, address_order
 from .errors import InvariantViolation
-from .sim import EventKind, TraceEvent
+from .sim import Admit, Allocate, Deallocate, Dispatch, SwapIn, SwapOut, TraceEvent
 
 # a delta as (verb, extents, the event that records it)
 Change = tuple[str, tuple[Extent, ...], TraceEvent]
@@ -58,7 +58,7 @@ def _text(extents: Sequence[Extent]) -> str:
 def _where(index: int, event: TraceEvent | None) -> str:
     if event is None:
         return f"the end of the run (event {index})"
-    instant, kind, pid = event.instant, event.kind.value, event.pid
+    instant, kind, pid = event.instant, type(event).__name__, event.pid
     return f"event {index} ({kind} of procedure {pid} at instant {instant})"
 
 
@@ -67,7 +67,7 @@ def _violation(
     excerpt: str, how: str = "", last_clean: int | None = None,
 ) -> InvariantViolation:
     """A breach found at `event`, the `index`th emitted (None at the end)."""
-    at = None if event is None else (event.instant, event.kind.value, event.pid)
+    at = None if event is None else (event.instant, type(event).__name__, event.pid)
     return InvariantViolation(
         invariant, f"{invariant} broken at {_where(index, event)}{how}: {found} ({excerpt})",
         index, at, excerpt, last_clean,
@@ -90,23 +90,23 @@ class RunCheck:
         """Check the change `event` records: an Admit grants what the
         memory holds for its procedure, which its Allocate must list, and
         a SwapIn frees what the backing record holds for it."""
-        kind, primary, backing = event.kind, self.primary, self.backing
-        if kind is EventKind.ADMIT:
+        kind, primary, backing = type(event), self.primary, self.backing
+        if kind is Admit:
             primary.grant(primary.memory.allocated.get(event.pid, ()), event)
-        elif kind is EventKind.ALLOCATE:
+        elif kind is Allocate:
             held = primary.held.get(event.pid, ())
             if event.extents != held:
                 primary.fail(("listing", event.extents, event), "conservation",
                              f"procedure {event.pid} was granted {_text(held)}")
-        elif kind is EventKind.DEALLOCATE:
+        elif kind is Deallocate:
             primary.release(event.extents, event)
-        elif kind is EventKind.SWAP_OUT:
+        elif kind is SwapOut:
             primary.release(event.extents, event)
             backing.grant(event.backing, event)
-        elif kind is EventKind.SWAP_IN:
+        elif kind is SwapIn:
             primary.grant(event.extents, event)
             backing.release(backing.held.get(event.pid, ()), event)
-        elif kind is EventKind.DISPATCH:
+        elif kind is Dispatch:
             index, start, pid = len(self.events), event.instant, event.pid
             if start < self.frontier:
                 raise _violation("cpu-time", f"CPU instant {start} would be assigned twice",

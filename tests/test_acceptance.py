@@ -26,7 +26,7 @@ from osalg import (
 )
 from osalg.cli import render_trace
 from osalg.errors import AllocationFailure, TranslationFault
-from osalg.sim import EventKind
+from osalg.sim import Complete
 
 from conftest import proc, random_batch, regression_runs
 from oracle import NoFreeBlock, ReferenceBuddy, brute_schedule
@@ -231,6 +231,6 @@ def test_criterion_9_hand_checked_end_to_end():
         m.makespan == 5
         and m.waiting[1] == 0
         and m.waiting[2] == 3
-        and len(trace.of_kind(EventKind.COMPLETE)) == 2
+        and len(trace.of_kind(Complete)) == 2
     )
     report(9, "hand-checked-end-to-end", ok)

@@ -29,7 +29,7 @@ from osalg.cli import (
 )
 from osalg.combinators import Chunk, free_store
 from osalg.errors import TraceLimitError, WorkloadError
-from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind, Trace
+from osalg.sim import ALLOCATORS, SCHEDULERS, SwapIn, SwapOut, Trace
 
 from conftest import emit_workload
 
@@ -371,7 +371,10 @@ def test_render_trace_renders_every_field_kind():
     under their labels; an optional field that is None is left out, but
     for ext_frag, which renders as -. Each kind is rendered with every
     field set, then with each optional field None in turn, so a field a
-    record gains that the renderer does not show fails here."""
+    record gains that the renderer does not show fails here. The records
+    are the kinds, ranked in the order they are declared, each named in
+    the trace by its class's name, and the renderer has an entry for each
+    of them and no other."""
     trace = Trace(events=(
         sim.Arrive(0, 1, 6, 3, 2, "ops", WorkClass.IO_BOUND),
         sim.Admit(0, 1),
@@ -399,9 +402,13 @@ def test_render_trace_renders_every_field_kind():
         "4,Deallocate,1,extents=-\n"
     )
     records = sim.TraceEvent.__subclasses__()
-    assert sorted(r.kind.rank for r in records) == list(range(len(EventKind)))
+    assert [r.__name__ for r in records] == [
+        "Complete", "Preempt", "Deallocate", "SwapIn", "Arrive", "Admit", "SwapOut",
+        "Allocate", "Dispatch"]
+    assert [r.rank for r in records] == list(range(len(records)))
+    assert set(cli._EVENT_TEXT) == set(records)
     for record in records:
-        kind, fields = record.kind, record._fields[2:]
+        fields = record._fields[2:]
         assert record._fields[:2] == ("instant", "pid")
         for gone in (None, *sorted(OPTIONAL_FIELDS.intersection(fields))):
             values = {f: (None, "-") if f == gone else FIELD_VALUES.get(f, (7, "7"))
@@ -411,7 +418,7 @@ def test_render_trace_renders_every_field_kind():
                               for f, (value, text) in values.items()
                               if value is not None or f == "ext_frag")
             assert render_trace(Trace(events=(event,))) == (
-                f"instant,event,pid,detail\n5,{kind.value},9,{detail}\n"), (kind, gone)
+                f"instant,event,pid,detail\n5,{record.__name__},9,{detail}\n"), (record, gone)
 
 
 def test_metrics_past_the_int_to_str_digit_limit(tmp_path):
@@ -607,7 +614,7 @@ def test_the_extents_each_swap_lists_count_toward_the_limit(tmp_path, capsys, mo
                     quantum=1, allocator="paging", page_size=1)
     trace, _ = run(ps, cfg)
     relisted = sum(len(e.extents) + len(getattr(e, "backing", ()))
-                   for e in trace if e.kind in (EventKind.SWAP_OUT, EventKind.SWAP_IN))
+                   for e in trace if type(e) in (SwapOut, SwapIn))
     assert trace_bound(ps, cfg) == 500 and relisted > 40 * 500
     monkeypatch.setattr(sim, "MAX_TRACE", 500 + relisted)
     assert run(ps, cfg)[0] == trace

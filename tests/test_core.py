@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from osalg import Extent, ProcedureSet, SimConfig, run
 from osalg.allocators import MemoryState
 from osalg.errors import MalformedExtentError, ParameterError
-from osalg.sim import EventKind
+from osalg.sim import Admit, Allocate, Complete, Deallocate, SwapIn, SwapOut
 
 from conftest import proc, regression_runs
 
@@ -24,17 +24,17 @@ def lifecycles(trace):
     """Each procedure's transitions in trace order, with the extents each
     one takes or gives back: its Admit and each SwapIn activate it, each
     SwapOut and its Complete passivate it."""
-    granted = {e.pid: e.extents for e in trace.of_kind(EventKind.ALLOCATE)}
-    freed = {e.pid: e.extents for e in trace.of_kind(EventKind.DEALLOCATE)}
+    granted = {e.pid: e.extents for e in trace.of_kind(Allocate)}
+    freed = {e.pid: e.extents for e in trace.of_kind(Deallocate)}
     steps = {}
     for e in trace:
-        if e.kind is EventKind.ADMIT:
+        if type(e) is Admit:
             step = (ACTIVATE, granted[e.pid])
-        elif e.kind is EventKind.SWAP_IN:
+        elif type(e) is SwapIn:
             step = (ACTIVATE, e.extents)
-        elif e.kind is EventKind.SWAP_OUT:
+        elif type(e) is SwapOut:
             step = (PASSIVATE, e.extents)
-        elif e.kind is EventKind.COMPLETE:
+        elif type(e) is Complete:
             step = (PASSIVATE, freed[e.pid])
         else:
             continue

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osalg import SimConfig, WorkClass, run
-from osalg.sim import ALLOCATORS, SCHEDULERS, EventKind
+from osalg.sim import ALLOCATORS, SCHEDULERS, Admit, Allocate, Dispatch, SwapOut
 
 from conftest import proc
 
@@ -121,7 +121,7 @@ def test_segmentation_without_segments_is_first_fit(scheduler, strict, shapes):
     plain, _ = run(ps, first_fit, strict)
     assert plain.binding == segmented.binding
     assert plain.events == tuple(
-        e._replace(segments=None) if e.kind is EventKind.ALLOCATE else e
+        e._replace(segments=None) if type(e) is Allocate else e
         for e in segmented.events)
 
 
@@ -171,9 +171,9 @@ def test_rr_past_every_time_is_not_fcfs_once_joins_leave_arrival_order():
     dispatches = {}
     for cfg in (fcfs, rr):
         trace, _ = run(ps, cfg)
-        assert [e.pid for e in trace.of_kind(EventKind.ADMIT)] == [1, 3, 2]
-        assert not trace.of_kind(EventKind.SWAP_OUT)
+        assert [e.pid for e in trace.of_kind(Admit)] == [1, 3, 2]
+        assert not trace.of_kind(SwapOut)
         dispatches[cfg.scheduler] = [(e.instant, e.pid, e.run)
-                                     for e in trace.of_kind(EventKind.DISPATCH)]
+                                     for e in trace.of_kind(Dispatch)]
     assert dispatches == {"fcfs": [(0, 1, 3), (3, 2, 3), (6, 3, 4)],
                           "rr": [(0, 1, 3), (3, 3, 4), (7, 2, 3)]}

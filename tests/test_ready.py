@@ -196,7 +196,7 @@ def test_a_chunked_discipline_rejoins_by_its_declared_key(discipline, strict):
     trace = sim._Simulation(CHUNKED_PROCS, discipline, sim.FIRST_FIT_MEMORY, 6, 6,
                             strict).run()
     slices = [(e.pid, e.instant, e.run)
-              for e in trace.of_kind(sim.EventKind.DISPATCH)]
+              for e in trace.of_kind(sim.Dispatch)]
     assert slices == CHUNKED_SLICES
     assert sim.dispatch_slices(CHUNKED_PROCS, discipline) == CHUNKED_SLICES
 
@@ -213,19 +213,19 @@ class WatchedSimulation(sim._Simulation):
 
     def emit(self, event):
         super().emit(event)
-        kind, pid = event.kind, event.pid
-        self.swaps += kind is sim.EventKind.SWAP_OUT
+        kind, pid = type(event), event.pid
+        self.swaps += kind is sim.SwapOut
         candidates = members(self.ready)
         if self.preempted is not None and (
             self.preempted in candidates or (
                 pid == self.preempted.id
-                and kind in (sim.EventKind.DISPATCH, sim.EventKind.SWAP_OUT))):
+                and kind in (sim.Dispatch, sim.SwapOut))):
             self.preempted = None
         if self.preempted is not None:
             candidates.append(self.preempted)
         expected = min(candidates, key=victim_key) if candidates else None
         assert self.candidates.head() is expected
-        if kind is sim.EventKind.PREEMPT:
+        if kind is sim.Preempt:
             self.preempted = self.procedures[pid]
 
 

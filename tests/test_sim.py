@@ -18,7 +18,10 @@ from osalg.errors import (
     TraceLimitError,
     UnrunnableProcedureError,
 )
-from osalg.sim import EventKind, class_quantum, metrics
+from osalg.sim import (
+    Admit, Allocate, Arrive, Complete, Deallocate, Dispatch, Preempt, SwapIn, SwapOut,
+    class_quantum, metrics,
+)
 
 from conftest import proc, random_batch, random_arrivals, regression_runs
 from oracle import brute_schedule, replay_rr
@@ -27,7 +30,7 @@ from oracle import brute_schedule, replay_rr
 def dispatch_slices(trace):
     return [
         (e.pid, e.instant, e.run)
-        for e in trace.of_kind(EventKind.DISPATCH)
+        for e in trace.of_kind(Dispatch)
     ]
 
 
@@ -40,15 +43,15 @@ def check_trace_wellformed(trace):
     dispatched = set()
     intervals = []
     for e in trace.events:
-        if e.kind in (EventKind.ALLOCATE, EventKind.SWAP_IN):
+        if type(e) in (Allocate, SwapIn):
             resident.add(e.pid)
-        elif e.kind in (EventKind.DEALLOCATE, EventKind.SWAP_OUT):
+        elif type(e) in (Deallocate, SwapOut):
             resident.discard(e.pid)
-        elif e.kind is EventKind.DISPATCH:
+        elif type(e) is Dispatch:
             assert e.pid in resident, f"dispatch of non-resident {e.pid}"
             dispatched.add(e.pid)
             intervals.append((e.instant, e.instant + e.run))
-        elif e.kind is EventKind.COMPLETE:
+        elif type(e) is Complete:
             assert e.pid in dispatched
     intervals.sort()
     for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
@@ -89,20 +92,34 @@ def test_events_carry_typed_values():
     """Fields are values, not text: the CLI alone renders them."""
     ps = [proc(1, size=4, time=3), proc(2, size=4, time=2)]
     trace, _ = run(ps, SimConfig(memory_capacity=8), strict=True)
-    for e in trace.of_kind(EventKind.ARRIVE):
+    for e in trace.of_kind(Arrive):
         assert type(e.size) is int and type(e.time) is int
-    runs = [e.run for e in trace.of_kind(EventKind.DISPATCH)]
+    runs = [e.run for e in trace.of_kind(Dispatch)]
     assert runs == [3, 2] and all(type(r) is int for r in runs)
-    for kind in (EventKind.ALLOCATE, EventKind.DEALLOCATE):
+    for kind in (Allocate, Deallocate):
         for e in trace.of_kind(kind):
             extents = e.extents
             assert type(extents) is tuple
             assert extents and all(isinstance(x, Extent) for x in extents)
-    allocations = trace.of_kind(EventKind.ALLOCATE)
+    allocations = trace.of_kind(Allocate)
     # the first grant leaves [4..8) free, the second leaves nothing free
     assert [e.ext_frag for e in allocations] == [Fraction(1), None]
     assert type(allocations[0].ext_frag) is Fraction
     assert [e.int_frag for e in allocations] == [0, 0]
+
+
+def test_events_are_equal_only_within_one_kind():
+    """The kind is part of an event's value: a Preempt and a Dispatch of
+    the same instant, pid and length differ and hash apart, so a set of
+    events or a search of a trace tells them apart."""
+    trace, _ = run([proc(1, size=4, time=3)], SimConfig(scheduler="rr", quantum=2))
+    assert len(trace) == 8 and len(set(trace.events)) == 8
+    assert trace.events.index(Dispatch(2, 1, 1)) == 5
+    assert Preempt(2, 1, 1) != Dispatch(2, 1, 1) and Complete(3, 1) != Admit(3, 1)
+    assert not Preempt(2, 1, 1) == Dispatch(2, 1, 1)
+    assert Dispatch(2, 1, 1) == Dispatch(2, 1, 1) and not Dispatch(2, 1, 1) != Dispatch(2, 1, 1)
+    assert hash(Dispatch(2, 1, 1)) == hash(Dispatch(2, 1, 1))
+    assert len({Preempt(2, 1, 1), Dispatch(2, 1, 1), Dispatch(2, 1, 1)}) == 2
 
 
 class TestMetricsArithmetic:
@@ -203,7 +220,7 @@ class TestSchedulerIntegration:
         trace, m = run(
             [proc(1, size=1, time=1, arrival=7)], SimConfig(memory_capacity=8)
         )
-        dispatches = trace.of_kind(EventKind.DISPATCH)
+        dispatches = trace.of_kind(Dispatch)
         assert dispatches[0].instant == 7
         assert m.makespan == 8
 
@@ -221,12 +238,12 @@ class TestSwapping:
 
     def test_lowest_priority_victim_swapped_for_incoming(self):
         trace, m = run(self.swap_workload(5, 1), self.CFG, strict=True)
-        swap_outs = trace.of_kind(EventKind.SWAP_OUT)
+        swap_outs = trace.of_kind(SwapOut)
         assert [(e.pid, e.instant) for e in swap_outs] == [(2, 1)]
-        swap_ins = trace.of_kind(EventKind.SWAP_IN)
+        swap_ins = trace.of_kind(SwapIn)
         assert [(e.pid, e.instant) for e in swap_ins] == [(2, 6)]
         # p3 got the freed memory at its arrival instant
-        allocs = {e.pid: e.instant for e in trace.of_kind(EventKind.ALLOCATE)}
+        allocs = {e.pid: e.instant for e in trace.of_kind(Allocate)}
         assert allocs[3] == 1
         assert dict(m.waiting) == {1: 0, 2: 6, 3: 11}
         check_trace_wellformed(trace)
@@ -234,14 +251,14 @@ class TestSwapping:
     def test_running_procedure_never_evicted(self):
         # p1 runs with the lowest priority; the victim must still be p2
         trace, _ = run(self.swap_workload(0, 5), self.CFG, strict=True)
-        assert [e.pid for e in trace.of_kind(EventKind.SWAP_OUT)] == [2]
+        assert [e.pid for e in trace.of_kind(SwapOut)] == [2]
 
     def test_swapped_out_never_dispatched_while_out(self):
         trace, _ = run(self.swap_workload(5, 1), self.CFG, strict=True)
-        out_at = {e.instant for e in trace.of_kind(EventKind.SWAP_OUT)}
-        in_at = {e.instant for e in trace.of_kind(EventKind.SWAP_IN)}
+        out_at = {e.instant for e in trace.of_kind(SwapOut)}
+        in_at = {e.instant for e in trace.of_kind(SwapIn)}
         lo, hi = min(out_at), min(in_at)
-        for e in trace.of_kind(EventKind.DISPATCH):
+        for e in trace.of_kind(Dispatch):
             if e.pid == 2:
                 assert not (lo <= e.instant < hi)
 
@@ -254,8 +271,8 @@ class TestSwapping:
             proc(2, size=8, time=2, arrival=1),
         )
         trace, m = run(ps, cfg, strict=True)
-        assert [e.pid for e in trace.of_kind(EventKind.SWAP_OUT)] == []
-        allocs = {e.pid: e.instant for e in trace.of_kind(EventKind.ALLOCATE)}
+        assert [e.pid for e in trace.of_kind(SwapOut)] == []
+        allocs = {e.pid: e.instant for e in trace.of_kind(Allocate)}
         assert allocs[2] == 3  # admitted only after p1 deallocates
         assert m.makespan == 5
 
@@ -268,8 +285,8 @@ class TestSwapping:
         )
         trace, m = run(ps, cfg, strict=True)
         check_trace_wellformed(trace)
-        assert [(e.pid, e.instant) for e in trace.of_kind(EventKind.SWAP_OUT)] == [(1, 2)]
-        assert [(e.pid, e.instant) for e in trace.of_kind(EventKind.SWAP_IN)] == [(1, 4)]
+        assert [(e.pid, e.instant) for e in trace.of_kind(SwapOut)] == [(1, 2)]
+        assert [(e.pid, e.instant) for e in trace.of_kind(SwapIn)] == [(1, 4)]
         assert dict(m.waiting) == {1: 2, 2: 0}
 
     def test_paged_procedures_swap_and_return(self):
@@ -313,7 +330,7 @@ class TestSwapping:
             (event,) = [e for e in trace.of_kind(kind) if e.pid == 2]
             return [e.size for e in event.extents]
 
-        admitted, regranted = pieces(EventKind.ALLOCATE), pieces(EventKind.SWAP_IN)
+        admitted, regranted = pieces(Allocate), pieces(SwapIn)
         if allocator == "first-fit":
             assert (admitted, regranted) == ([6], [2, 4])
         else:
@@ -350,7 +367,7 @@ class TestEverySchedulerAllocatorPair:
                 for p in ps:
                     total = sum(
                         e.run
-                        for e in trace.of_kind(EventKind.DISPATCH)
+                        for e in trace.of_kind(Dispatch)
                         if e.pid == p.id
                     )
                     assert total == p.time, (scheduler, allocator, p.id)
@@ -417,16 +434,16 @@ class TestDeterminismAndInvariants:
                             scheduler=scheduler, quantum=2, allocator="paging",
                             page_size=4)
             trace, _ = run(ps, cfg, strict=False)
-            swapped += len(trace.of_kind(EventKind.SWAP_IN))
+            swapped += len(trace.of_kind(SwapIn))
             g = binding.record(binding.BindingGraph(), "frames", bind, 0)
             for e in trace:
                 table = f"page-table:{e.pid}"
-                if e.kind in (EventKind.ALLOCATE, EventKind.SWAP_IN):
+                if type(e) in (Allocate, SwapIn):
                     g = binding.record(g, f"pages:{e.pid}", bind, e.instant)
                     g = binding.record(g, table, bind, e.instant)
                     g = g.with_dependency("frames", table)
                     g = g.with_dependency(f"pages:{e.pid}", table)
-                elif e.kind is EventKind.DISPATCH:
+                elif type(e) is Dispatch:
                     g = binding.record(g, table, use, e.instant)
             assert trace.binding == g, seed
         assert swapped > 0
@@ -455,7 +472,7 @@ class TestDeterminismAndInvariants:
         swapped = 0
         for workload, cfg in paging:
             trace, _ = run(workload, cfg)
-            swapped += len(trace.of_kind(EventKind.SWAP_IN))
+            swapped += len(trace.of_kind(SwapIn))
             assert direct.binding_log(trace.events) == trace.binding
             assert sim.ALLOCATORS["paging"](cfg).binding_log(trace.events) == trace.binding
         assert len(paging) >= 2 and swapped > 0
@@ -503,7 +520,7 @@ class TestDeterminismAndInvariants:
         run(ps, cfg, strict=False)
         assert checked == []
         trace, _ = run(ps, cfg, strict=True)
-        assert len(trace.of_kind(EventKind.SWAP_IN)) > 0
+        assert len(trace.of_kind(SwapIn)) > 0
         assert checked == [trace.binding]
 
     def test_strict_mode_reports_a_corrupted_release(self, monkeypatch):
@@ -520,7 +537,7 @@ class TestDeterminismAndInvariants:
         ps = [proc(1, size=4, time=2), proc(2, size=4, time=1, arrival=5)]
         cfg = SimConfig(memory_capacity=16)
         trace, _ = run(ps, cfg, strict=False)
-        assert len(trace.of_kind(EventKind.COMPLETE)) == 2
+        assert len(trace.of_kind(Complete)) == 2
         with pytest.raises(ParameterError, match="overlaps"):
             run(ps, cfg, strict=True)
 
@@ -538,7 +555,7 @@ class TestDeterminismAndInvariants:
         ps = [proc(1, size=4, time=2), proc(2, size=4, time=1, arrival=5)]
         cfg = SimConfig(memory_capacity=16)
         trace, _ = run(ps, cfg, strict=False)
-        assert len(trace.of_kind(EventKind.COMPLETE)) == 2
+        assert len(trace.of_kind(Complete)) == 2
         with pytest.raises(ParameterError, match="overlaps"):
             run(ps, cfg, strict=True)
 
@@ -644,7 +661,7 @@ def test_a_run_leaves_no_cyclic_garbage():
                         allocator=allocator, memory_capacity=16, backing_capacity=32,
                         unit_size=8, page_size=4)
                     trace, _ = run(SWAPPING, cfg, strict)
-                    assert trace.of_kind(EventKind.SWAP_OUT)
+                    assert trace.of_kind(SwapOut)
                     del trace
                     assert gc.collect(0) == 0, (scheduler, allocator, strict)
     finally:

@@ -282,5 +282,5 @@ def test_segments_over_units_end_unrunnable_when_one_exceeds_a_unit(strict):
                         16, 16, strict).run()
     trace = sim._Simulation([proc(1, size=7, segments=(3, 4))], sim.FCFS, allocator,
                             16, 16, strict).run()
-    (allocate,) = trace.of_kind(sim.EventKind.ALLOCATE)
+    (allocate,) = trace.of_kind(sim.Allocate)
     assert allocate.extents == (Extent(0, 4), Extent(4, 8))

@@ -24,7 +24,9 @@ from osalg import Extent, SimConfig, allocators, run, sim, strict
 from osalg.allocators import MemoryState
 from osalg.cli import EXIT_WORKLOAD, main, render_trace
 from osalg.errors import InvariantViolation, NotFoundError, ParameterError
-from osalg.sim import EventKind
+from osalg.sim import (
+    Admit, Allocate, Complete, Deallocate, Dispatch, SwapIn, SwapOut, TraceEvent,
+)
 
 from conftest import proc
 
@@ -43,14 +45,14 @@ ALLOCATORS = {
 TWO = [proc(1, size=4, time=2), proc(2, size=4, time=1, arrival=5)]
 
 
-def record_emissions(monkeypatch) -> list[tuple[int, EventKind, int]]:
+def record_emissions(monkeypatch) -> list[tuple[int, type[TraceEvent], int]]:
     """(instant, kind, pid) of every event the simulator emits, in emission
     order, from now on."""
-    order: list[tuple[int, EventKind, int]] = []
+    order: list[tuple[int, type[TraceEvent], int]] = []
     real_emit = sim._Simulation.emit
 
     def recording(self, event):
-        order.append((event.instant, event.kind, event.pid))
+        order.append((event.instant, type(event), event.pid))
         real_emit(self, event)
 
     monkeypatch.setattr(sim._Simulation, "emit", recording)
@@ -68,8 +70,8 @@ def assert_found_at(found, order, kind, pid):
     i = index_of(order, kind, pid)
     instant = order[i][0]
     assert found.event == i
-    assert found.at == (instant, kind.value, pid)
-    assert (f"at event {i} ({kind.value} of procedure {pid} at instant {instant}):"
+    assert found.at == (instant, kind.__name__, pid)
+    assert (f"at event {i} ({kind.__name__} of procedure {pid} at instant {instant}):"
             in str(found))
 
 
@@ -97,7 +99,7 @@ def lax_run(monkeypatch, workload, cfg):
     workload, which completes."""
     order = record_emissions(monkeypatch)
     trace, _ = run(workload, cfg, strict=False)
-    assert len(trace.of_kind(EventKind.COMPLETE)) == len(workload)
+    assert len(trace.of_kind(Complete)) == len(workload)
     emitted = list(order)
     order.clear()
     return emitted, render_trace(trace)
@@ -120,7 +122,7 @@ def test_a_skipped_release_is_caught_at_its_deallocate(monkeypatch, allocator):
     order = lax_emissions(monkeypatch, TWO, cfg)
     found = delta_violation(TWO, cfg)
     assert found.invariant == "conservation"
-    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
+    assert_found_at(found, order, Deallocate, 1)
     assert "not free in the store" in str(found)
 
 
@@ -150,7 +152,7 @@ def test_a_grant_shifted_by_one_unit_is_caught_at_its_admit(
     monkeypatch.setattr(sim, "allocate_op", shifted)
     found = delta_violation(ps, cfg)
     assert found.invariant == invariant
-    assert_found_at(found, order, EventKind.ADMIT, 2)
+    assert_found_at(found, order, Admit, 2)
     assert words in str(found)
 
 
@@ -170,7 +172,7 @@ def test_a_free_counted_twice_is_caught_at_its_deallocate(monkeypatch, allocator
     order = lax_emissions(monkeypatch, TWO, cfg)
     found = delta_violation(TWO, cfg)
     assert found.invariant == "free-total"
-    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
+    assert_found_at(found, order, Deallocate, 1)
     assert "carried free total 20, free list holds 16" in str(found)
 
 
@@ -195,7 +197,7 @@ def test_extents_rewritten_before_their_release_are_caught_at_its_deallocate(
     order = lax_emissions(monkeypatch, TWO, cfg)
     monkeypatch.setattr(sim, "deallocate", rewriting)
     found = delta_violation(TWO, cfg)
-    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
+    assert_found_at(found, order, Deallocate, 1)
     assert found.invariant == "conservation"
     assert "gap before [1..5)" in str(found)
 
@@ -217,15 +219,15 @@ def test_a_swap_in_to_the_wrong_place_is_caught_at_its_swap_in(monkeypatch):
     cfg = SimConfig(memory_capacity=16, scheduler="priority")
     order, rendered = lax_run(monkeypatch, ps, cfg)
     monkeypatch.setattr(sim, "swap_in", misplaced)
-    (swapped,) = {pid for _, kind, pid in order if kind is EventKind.SWAP_IN}
+    (swapped,) = {pid for _, kind, pid in order if kind is SwapIn}
     found = delta_violation(ps, cfg)
-    assert_found_at(found, order, EventKind.SWAP_IN, swapped)
+    assert_found_at(found, order, SwapIn, swapped)
     assert found.invariant == "conservation"
     assert "gap before [1..9)" in str(found)
     # the rendered trace orders this run's events otherwise than the
     # simulator emits them, but `at` still names the line
     rendered_order = [tuple(line.split(",")[:3]) for line in rendered.splitlines()[1:]]
-    emitted_order = [(str(t), k.value, str(p)) for t, k, p in order]
+    emitted_order = [(str(t), k.__name__, str(p)) for t, k, p in order]
     assert rendered_order != emitted_order
     assert tuple(map(str, found.at)) in rendered_order
 
@@ -247,7 +249,7 @@ def test_a_corrupted_release_is_a_disjointness_breach_at_its_deallocate(
     order = lax_emissions(monkeypatch, TWO, cfg)
     found = delta_violation(TWO, cfg)
     assert found.invariant == "disjointness"
-    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
+    assert_found_at(found, order, Deallocate, 1)
     assert "overlaps a previous one" in str(found)
     assert "primary memory, release of [0..4) for procedure 1" in str(found)
 
@@ -267,7 +269,7 @@ def test_a_corrupted_grant_is_a_disjointness_breach_at_its_admit(monkeypatch):
     order = lax_emissions(monkeypatch, TWO, cfg)
     found = delta_violation(TWO, cfg)
     assert found.invariant == "disjointness"
-    assert_found_at(found, order, EventKind.ADMIT, 1)
+    assert_found_at(found, order, Admit, 1)
     assert "overlaps a previous one" in str(found)
 
 
@@ -301,7 +303,7 @@ def test_a_grant_that_leaks_a_unit_is_caught_at_its_admit(monkeypatch, allocator
     order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
     found = delta_violation(SIDE_BY_SIDE, cfg)
     assert found.invariant == "conservation"
-    assert_found_at(found, order, EventKind.ADMIT, 2)
+    assert_found_at(found, order, Admit, 2)
     assert "gap before [9..16)" in str(found)
 
 
@@ -329,10 +331,10 @@ def test_a_release_merged_over_a_neighbour_is_caught_at_its_deallocate(
     with pytest.raises(NotFoundError, match=r"no allocated \w+ \[4\.\.8\)"):
         run(SIDE_BY_SIDE, cfg, strict=False)
     order = list(order)
-    assert order[-1][1:] == (EventKind.COMPLETE, 2)
+    assert order[-1][1:] == (Complete, 2)
     found = delta_violation(SIDE_BY_SIDE, cfg)
     assert found.invariant == "disjointness"
-    assert_found_at(found, order, EventKind.DEALLOCATE, 1)
+    assert_found_at(found, order, Deallocate, 1)
     assert "[4..8) overlaps a previous one" in str(found)
 
 
@@ -349,7 +351,7 @@ def test_a_second_admit_of_a_held_procedure_is_caught_at_it(monkeypatch):
 
     def doubled(self, event):
         real_emit(self, event)
-        if event.kind is EventKind.ADMIT and event.pid == 1:
+        if type(event) is Admit and event.pid == 1:
             real_emit(self, event)
 
     cfg = SimConfig(memory_capacity=16)
@@ -357,7 +359,7 @@ def test_a_second_admit_of_a_held_procedure_is_caught_at_it(monkeypatch):
     monkeypatch.setattr(sim._Simulation, "emit", doubled)
     found = delta_violation(TWO, cfg)
     assert found.invariant == "conservation"
-    assert found.event == index_of(order, EventKind.ADMIT, 1) + 1
+    assert found.event == index_of(order, Admit, 1) + 1
     assert found.at == (0, "Admit", 1)
     assert "procedure 1 already holds [0..4)" in str(found)
 
@@ -383,7 +385,7 @@ def test_a_swap_in_that_misreports_its_grant_is_caught_at_its_swap_in(
     order = lax_emissions(monkeypatch, SWAP, cfg)
     found = delta_violation(SWAP, cfg)
     assert found.invariant == invariant
-    assert_found_at(found, order, EventKind.SWAP_IN, 2)
+    assert_found_at(found, order, SwapIn, 2)
     assert words in str(found)
 
 
@@ -395,7 +397,7 @@ def test_an_allocate_that_drops_an_extent_is_caught_at_it(monkeypatch, allocator
     real_emit = sim._Simulation.emit
 
     def dropping(self, event):
-        if event.kind is EventKind.ALLOCATE and event.pid == 2:
+        if type(event) is Allocate and event.pid == 2:
             event = event._replace(extents=event.extents[:-1])
         real_emit(self, event)
 
@@ -405,7 +407,7 @@ def test_an_allocate_that_drops_an_extent_is_caught_at_it(monkeypatch, allocator
     order = lax_emissions(monkeypatch, ps, cfg)
     found = delta_violation(ps, cfg)
     assert found.invariant == "conservation"
-    assert_found_at(found, order, EventKind.ALLOCATE, 2)
+    assert_found_at(found, order, Allocate, 2)
     assert "procedure 2 was granted [" in str(found)
 
 
@@ -428,7 +430,7 @@ def test_a_grant_recorded_a_unit_short_is_caught_at_its_admit(monkeypatch):
     order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
     found = delta_violation(SIDE_BY_SIDE, cfg)
     assert found.invariant == "conservation"
-    assert_found_at(found, order, EventKind.ADMIT, 2)
+    assert_found_at(found, order, Admit, 2)
     assert "gap before [5..8)" in str(found)
 
 
@@ -461,7 +463,7 @@ def test_a_last_release_that_misshapes_the_store_is_caught_at_its_deallocate(
     order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
     found = delta_violation(SIDE_BY_SIDE, cfg)
     assert found.invariant == "conservation"
-    assert_found_at(found, order, EventKind.DEALLOCATE, 2)
+    assert_found_at(found, order, Deallocate, 2)
     assert words in str(found)
 
 
@@ -475,7 +477,7 @@ def test_a_dispatch_that_overstates_its_slice_is_a_cpu_time_breach(monkeypatch):
     real_emit = sim._Simulation.emit
 
     def overstating(self, event):
-        if event.kind is EventKind.DISPATCH and event.pid == 1:
+        if type(event) is Dispatch and event.pid == 1:
             event = event._replace(run=event.run + 1)
         real_emit(self, event)
 
@@ -484,7 +486,7 @@ def test_a_dispatch_that_overstates_its_slice_is_a_cpu_time_breach(monkeypatch):
     order = lax_emissions(monkeypatch, SIDE_BY_SIDE, cfg)
     found = violation(SIDE_BY_SIDE, cfg)
     assert found.invariant == "cpu-time"
-    assert_found_at(found, order, EventKind.DISPATCH, 2)
+    assert_found_at(found, order, Dispatch, 2)
     assert "CPU instant 2 would be assigned twice" in str(found)
 
 
@@ -505,12 +507,12 @@ def test_a_swapped_out_procedure_left_ready_is_a_residency_breach(monkeypatch):
     # a lax run dispatches 2 between its SwapOut and its SwapIn; the
     # SwapIn's rejoin replaces the entry left behind, so the run completes
     order = lax_emissions(monkeypatch, ps, cfg)
-    dispatched = index_of(order, EventKind.DISPATCH, 2)
-    assert (index_of(order, EventKind.SWAP_OUT, 2) < dispatched
-            < index_of(order, EventKind.SWAP_IN, 2))
+    dispatched = index_of(order, Dispatch, 2)
+    assert (index_of(order, SwapOut, 2) < dispatched
+            < index_of(order, SwapIn, 2))
     found = violation(ps, cfg)
     assert found.invariant == "residency"
-    assert_found_at(found, order, EventKind.DISPATCH, 2)
+    assert_found_at(found, order, Dispatch, 2)
     assert "dispatch of non-resident procedure 2" in str(found)
 
 
@@ -578,17 +580,17 @@ def test_a_store_shape_breach_waits_for_the_next_full_check(monkeypatch):
 
     monkeypatch.setattr(sim, "deallocate", splitting)
     order = lax_emissions(monkeypatch, ps, cfg)
-    broken_at = index_of(order, EventKind.DEALLOCATE, 2)
+    broken_at = index_of(order, Deallocate, 2)
     found = violation(ps, cfg)
     assert found.invariant == "store-shape"
     assert "not maximal" in str(found) and "found by a full check" in str(found)
     assert broken_at <= found.event < len(order)  # before the run's end
     instant, kind, pid = order[found.event]
-    assert found.at == (instant, kind.value, pid)
+    assert found.at == (instant, kind.__name__, pid)
     assert found.last_clean is not None and found.last_clean < broken_at
     instant, kind, pid = order[found.last_clean]
     assert (f"last found clean at event {found.last_clean} "
-            f"({kind.value} of procedure {pid} at instant {instant}):") in str(found)
+            f"({kind.__name__} of procedure {pid} at instant {instant}):") in str(found)
 
 
 def test_a_store_shape_breach_made_while_memory_fills_waits_no_longer_than_the_fill(
@@ -610,10 +612,10 @@ def test_a_store_shape_breach_made_while_memory_fills_waits_no_longer_than_the_f
 
     monkeypatch.setattr(sim, "allocate_op", splitting)
     order = lax_emissions(monkeypatch, ps, cfg)
-    assert index_of(order, EventKind.ADMIT, 40) < index_of(order, EventKind.DEALLOCATE, 1)
+    assert index_of(order, Admit, 40) < index_of(order, Deallocate, 1)
     found = violation(ps, cfg)
     assert found.invariant == "store-shape" and "not maximal" in str(found)
-    eighth, fourth = index_of(order, EventKind.ADMIT, 8), index_of(order, EventKind.ADMIT, 4)
+    eighth, fourth = index_of(order, Admit, 8), index_of(order, Admit, 4)
     assert (found.event, found.at, found.last_clean) == (eighth, (0, "Admit", 8), fourth)
     assert (f"broken at event {eighth} (Admit of procedure 8 at instant 0), "
             f"found by a full check, last found clean at event {fourth} ") in str(found)
@@ -628,7 +630,7 @@ def test_a_store_shape_breach_after_the_last_change_is_caught_at_the_end(
 
     def splitting_at_the_end(self, event):
         real_emit(self, event)
-        if event.kind is EventKind.DEALLOCATE and not self.primary.allocated:
+        if type(event) is Deallocate and not self.primary.allocated:
             assert split_a_free_run(self.primary)
 
     ps = [proc(1, size=4, time=2)]
@@ -640,7 +642,7 @@ def test_a_store_shape_breach_after_the_last_change_is_caught_at_the_end(
     assert found.event == len(order) and found.at is None
     assert f"broken at the end of the run (event {len(order)})" in str(found)
     # the release emptied the memory, so its full check ran at once
-    assert found.last_clean == index_of(order, EventKind.DEALLOCATE, 1)
+    assert found.last_clean == index_of(order, Deallocate, 1)
     assert "last found clean at event 5 (Deallocate of procedure 1 at instant 2)" in str(found)
 
 

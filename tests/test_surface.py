@@ -1,6 +1,6 @@
 """The package's public surface: the names the benchmark wraps, the names
-`osalg` exports, the modules it ships, and the README's library example
-that imports them."""
+`osalg` exports, the modules it ships, the README's library example that
+imports them, and the README's table of the trace's records."""
 
 import ast
 import contextlib
@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 import osalg
+from osalg import sim
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -104,3 +105,22 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue() == "5 {1: 0, 2: 3}\n"
+
+
+def test_readme_trace_table_lists_each_records_fields():
+    """Each row of README's trace table names record classes and lists,
+    in order, the fields each carries after `instant` and `pid`; every
+    record is named in exactly one row."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    head = "| Kind | Fields after `instant` and `pid` |\n| --- | --- |\n"
+    rows = readme.split(head, 1)[1].split("\n\n", 1)[0].splitlines()
+    named = []
+    for row in rows:
+        kinds, fields = row.strip("|").split("|")
+        listed = tuple(re.findall(r"`(\w+)`", fields))
+        for name in kinds.strip().split(", "):
+            record = getattr(sim, name)
+            assert issubclass(record, sim.TraceEvent), name
+            assert record._fields[2:] == listed, name
+            named.append(name)
+    assert sorted(named) == sorted(r.__name__ for r in sim.TraceEvent.__subclasses__())
