@@ -9,6 +9,8 @@ allocated extents, the free extents, and any partition residue tile
 outright; temporal coordination of shared writes is out of scope. Every
 grant, plain, segmented or paged, is the memory's own store granting the
 pieces a chunk cuts, and every release gives it back what one grant gave.
+The memories are the only record of who holds what: a swap moves a
+holder between them, and its caller says what a swap-in regrants.
 
 Address virtualization is a chain of injective partial maps: an address
 space bound to an intermediate one that is in turn bound to physical
@@ -91,9 +93,6 @@ class MemoryState:
         if pid not in self.allocated:
             raise NotFoundError(f"procedure {pid} holds no memory")
         return self.allocated[pid]
-
-    def largest_free(self) -> int:
-        return self.store.largest()
 
     def exceeds(self, units: int) -> bool:
         """Whether `units` exceed the free total: then no grant of them can succeed."""
@@ -261,24 +260,16 @@ def build_page_table(pages: Pagination, m: MemoryState) -> PageMap:
     return PageMap(page_size=pages.page_size, entries=entries)
 
 
-@dataclass(frozen=True)
-class SegmentMap:
-    """Placement of a procedure's variable-sized chunks."""
-
-    pid: int
-    segments: tuple[tuple[int, int, int], ...]  # (segment id, length, base)
-
-
-def segment_alloc(d: Discipline, m: MemoryState, p: Procedure) -> SegmentMap:
-    """Grant p as :func:`allocate` does, all or nothing, and map each piece
-    d's chunk cuts, a declared segment under a segment chunk, to the base
-    of the extent granted for it."""
+def segment_alloc(d: Discipline, m: MemoryState,
+                  p: Procedure) -> tuple[tuple[int, int, int], ...]:
+    """Grant p as :func:`allocate` does, all or nothing, and give each piece
+    d's chunk cuts, a declared segment under a segment chunk, as
+    `(segment id, length, base)`, its base that of the extent granted for it."""
     granted = allocate(d, m, p)
-    segments = tuple(
+    return tuple(
         (i, length, extent.start)
         for i, (length, extent) in enumerate(zip(d.chunk.pieces(p, p.size), granted))
     )
-    return SegmentMap(pid=p.id, segments=segments)
 
 
 @dataclass(frozen=True)
@@ -314,17 +305,6 @@ def translate(address: int, chain: Sequence[BindingLayer]) -> int:
     return current
 
 
-@dataclass(frozen=True)
-class SwapRecord:
-    """Where a swapped-out procedure's contents live in the backing store,
-    and the `pieces` a swap-in regrants in primary memory: the lengths of
-    the extents the procedure held there."""
-
-    pid: int
-    backing_extents: tuple[Extent, ...]
-    pieces: tuple[int, ...]
-
-
 def victim_key(p: Procedure) -> tuple[int, int, int, int]:
     """The swap-victim order, least first: lowest priority (none counts
     lowest), then largest size, then highest id. Ids are unique, so it is
@@ -333,34 +313,31 @@ def victim_key(p: Procedure) -> tuple[int, int, int, int]:
     return (p.priority if p.priority is not None else -1, -p.size, -p.id, p.id)
 
 
-def swap_out(m: MemoryState, backing: MemoryState, victim: Procedure) -> SwapRecord:
-    """Evict the victim's extents to the backing store.
+def swap_out(m: MemoryState, backing: MemoryState, victim: Procedure) -> tuple[Extent, ...]:
+    """Evict the victim's extents to the backing store, and give the
+    backing extents granted.
 
     The caller has chosen the victim, one that holds primary memory (see
     :func:`victim_key`). Its contents are first-fit placed in the backing
     store, whole; a backing store that cannot hold them refuses as any
     memory does, with AllocationFailure and both memories unchanged.
     """
-    held = m.extents_of(victim.id)  # NotFoundError before the grant
+    m.extents_of(victim.id)  # NotFoundError before the grant
     granted = _grant(backing, victim.id, (victim.size,) if victim.size else ())
-    record = SwapRecord(
-        pid=victim.id,
-        backing_extents=granted,
-        pieces=tuple([e.end - e.start for e in held]),
-    )
     deallocate(m, victim.id)
-    return record
+    return granted
 
 
-def swap_in(m: MemoryState, backing: MemoryState, record: SwapRecord) -> tuple[Extent, ...]:
-    """Restore a swapped-out procedure to primary memory.
+def swap_in(m: MemoryState, backing: MemoryState, pid: int,
+            pieces: Sequence[int]) -> tuple[Extent, ...]:
+    """Restore swapped-out pid to primary memory, granting it `pieces`,
+    then release it from the backing store.
 
-    Residency may land at different addresses; the grant takes the
-    record's `pieces`. Insufficient primary space raises
-    AllocationFailure, which is retriable once memory frees up. A
-    swap-in that fails changes neither memory.
+    Residency may land at different addresses. Insufficient primary
+    space raises AllocationFailure, which is retriable once memory frees
+    up. A swap-in that fails changes neither memory.
     """
-    backing.extents_of(record.pid)  # NotFoundError before the grant
-    granted = _grant(m, record.pid, record.pieces)
-    deallocate(backing, record.pid)
+    backing.extents_of(pid)  # NotFoundError before the grant
+    granted = _grant(m, pid, pieces)
+    deallocate(backing, pid)
     return granted

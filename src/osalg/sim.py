@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, TypeVar
 from . import binding as bindingmod
 from .allocators import (
     MemoryState,
-    SwapRecord,
     allocate as allocate_op,
     build_page_table,
     deallocate,
@@ -79,7 +78,7 @@ class TraceEvent:
     """One event of a run, a tuple record whose class is its kind: the
     class's name is the event's name, and its `rank` the kind's place
     among the events of one instant. Events are equal only within one
-    kind."""
+    kind, and have no order of their own: the trace's is `_TRACE_ORDER`."""
 
     __slots__ = ()
 
@@ -91,6 +90,11 @@ class TraceEvent:
 
     def __hash__(self) -> int:
         return hash((type(self), tuple.__hash__(self)))
+
+    def _unordered(self, other: object) -> bool:
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 _ranks = count()
@@ -107,7 +111,7 @@ def _record(name: str, *fields: str) -> type:
 # instant: completions free resources before anything else claims them,
 # and Dispatch always renders last. Its fields after `instant` and `pid`,
 # in render order, are values: int sizes, times and lengths, tuples of
-# Extent, PageMap.entries, SegmentMap.segments, the WorkClass, and a
+# Extent, PageMap.entries, segment_alloc's segments, the WorkClass, and a
 # Fraction, or None when no memory is free, for ext_frag. A field that
 # only some events of a kind carry is None on the others. Only the CLI
 # renders them as text.
@@ -186,9 +190,10 @@ class SimConfig:
 @dataclass(frozen=True)
 class Allocator:
     """A memory discipline as the simulator runs it, and the binding-log
-    symbol of its free store. `swap_chunk`, when set, cuts what a swap-in
-    regrants, in place of the pieces held; `int_frag` says whether a
-    grant reports the units its store's rounding adds."""
+    symbol of its free store. A swap-in regrants the lengths of the
+    extents its procedure held, or, when `swap_chunk` is set, the pieces
+    that chunk cuts; `int_frag` says whether a grant reports the units
+    its store's rounding adds."""
 
     discipline: Discipline
     symbol: str
@@ -389,8 +394,8 @@ class _Simulation:
         self.placement = d = allocator.discipline
         self.primary = MemoryState.initial(memory_capacity, d.organize)
         self.backing = MemoryState.initial(backing_capacity, Organize.identity())
-        # the shape of a grant, decided once: a page table, a segment map or
-        # a plain grant
+        # the shape of a grant, decided once: a page table, segments or a
+        # plain grant
         self.paged = allocator.paged
         self.segmented = d.chunk.tag is ChunkTag.SEGMENTS
         # strict mode's observer of the events; only a strict run loads it
@@ -409,7 +414,8 @@ class _Simulation:
         # arrivals of that instant come in ahead of its rejoining
         self.candidates = OrderedReady(victim_key)
         self.backlog: deque[Procedure] = deque()
-        self.swapped: deque[tuple[Procedure, SwapRecord]] = deque()
+        # each swapped-out procedure, with the pieces its swap-in regrants
+        self.swapped: deque[tuple[Procedure, tuple[int, ...]]] = deque()
 
     def emit(self, event: TraceEvent) -> None:
         if self.events and event.instant < self.events[-1].instant:
@@ -438,14 +444,14 @@ class _Simulation:
             if self.paged:
                 pages = build_page_table(paginate(p, d.chunk.size), m).entries or None
             elif self.segmented:
-                segments = segment_alloc(d, m, p).segments or None
+                segments = segment_alloc(d, m, p) or None
             else:
                 allocate_op(d, m, p)
         except AllocationFailure:
             return None
         int_frag = free - m.free_total - p.size if self.allocator.int_frag else 0
         total = m.free_total
-        frag = Fraction(m.largest_free(), total) if total else None
+        frag = Fraction(m.store.largest(), total) if total else None
         return Allocate(at, p.id, m.extents_of(p.id), pages, segments, frag, int_frag)
 
     # -- admission ---------------------------------------------------
@@ -486,18 +492,17 @@ class _Simulation:
             return False
         freed = self.primary.extents_of(victim.id)
         try:
-            record = swap_out(self.primary, self.backing, victim)
+            backing = swap_out(self.primary, self.backing, victim)
         except AllocationFailure:
             return False
         chunk = self.allocator.swap_chunk
-        if chunk is not None:
-            record = SwapRecord(record.pid, record.backing_extents,
-                                chunk.pieces(victim, victim.size))
-        self.count_listed(len(freed) + len(record.backing_extents))
-        self.swapped.append((victim, record))
-        self.candidates.discard(record.pid)
-        self.ready.discard(record.pid)
-        self.emit(SwapOut(at, record.pid, freed, record.backing_extents))
+        pieces = (tuple([e.end - e.start for e in freed]) if chunk is None
+                  else chunk.pieces(victim, victim.size))
+        self.count_listed(len(freed) + len(backing))
+        self.swapped.append((victim, pieces))
+        self.candidates.discard(victim.id)
+        self.ready.discard(victim.id)
+        self.emit(SwapOut(at, victim.id, freed, backing))
         return True
 
     # -- reclamation -------------------------------------------------
@@ -505,11 +510,11 @@ class _Simulation:
     def reclaim(self, at: int) -> None:
         """Re-admit swapped-out procedures, then the backlog, FIFO each."""
         while self.swapped:
-            p, record = self.swapped[0]
-            if self.primary.exceeds(sum(record.pieces)):
+            p, pieces = self.swapped[0]
+            if self.primary.exceeds(sum(pieces)):
                 break
             try:
-                granted = swap_in(self.primary, self.backing, record)
+                granted = swap_in(self.primary, self.backing, p.id, pieces)
             except AllocationFailure:
                 break
             self.count_listed(len(granted))

@@ -216,8 +216,8 @@ SEGMENTED = compose(Select.first_fit(), Organize.identity(), Chunk.segments())
 class TestSegmentation:
     def test_sequential_first_fit_bases(self):
         m = first_fit_memory(16)
-        seg_map = segment_alloc(SEGMENTED, m, proc(1, size=10, segments=(4, 6)))
-        assert seg_map.segments == ((0, 4, 0), (1, 6, 4))
+        segments = segment_alloc(SEGMENTED, m, proc(1, size=10, segments=(4, 6)))
+        assert segments == ((0, 4, 0), (1, 6, 4))
 
     def test_segments_over_fixed_partitions(self):
         """A segment grant is the store's grant, mapped: each segment
@@ -225,8 +225,8 @@ class TestSegmentation:
         fixed = Organize.fixed_partition(4)
         m = MemoryState.initial(16, fixed)
         d = compose(Select.first_fit(), fixed, Chunk.segments())
-        seg_map = segment_alloc(d, m, proc(1, size=6, segments=(2, 4)))
-        assert seg_map.segments == ((0, 2, 0), (1, 4, 4))
+        segments = segment_alloc(d, m, proc(1, size=6, segments=(2, 4)))
+        assert segments == ((0, 2, 0), (1, 4, 4))
         assert m.extents_of(1) == (Extent(0, 4), Extent(4, 8)) and m.free_total == 8
 
     def test_rollback_on_partial_failure(self):
@@ -310,8 +310,9 @@ class TestSwap:
     def test_lowest_priority_swapped_first(self):
         m = self.full_memory()
         backing = first_fit_memory(8)
-        record = swap_out(m, backing, self.victim())
-        assert record.pid == 2
+        victim = self.victim()
+        assert victim.id == 2
+        assert swap_out(m, backing, victim) == (Extent(0, 4),)
         assert m.free == (Extent(4, 8),)
         assert backing.extents_of(2) == (Extent(0, 4),)
         # incoming demand now fits
@@ -330,9 +331,10 @@ class TestSwap:
     def test_swap_in_round_trip(self):
         m = self.full_memory()
         backing = first_fit_memory(8)
-        record = swap_out(m, backing, self.victim())
+        pieces = tuple(e.size for e in m.extents_of(2))
+        swap_out(m, backing, self.victim())
         deallocate(m, 1)
-        granted = swap_in(m, backing, record)
+        granted = swap_in(m, backing, 2, pieces)
         assert 2 in m.allocated
         assert sum(e.size for e in granted) == 4
         assert backing.free_total == 8
@@ -357,20 +359,21 @@ class TestSwap:
         m, backing = MemoryState.initial(16, Organize.buddy()), first_fit_memory(16)
         p, blocks = proc(1, size=5), (Extent(0, 2), Extent(2, 4), Extent(4, 5))
         assert allocate(chunked, m, p) == blocks and m.free_total == 11
-        record = swap_out(m, backing, p)
-        assert record.pieces == (2, 2, 1) and backing.extents_of(1) == (Extent(0, 5),)
+        pieces = tuple(e.size for e in m.extents_of(1))
+        assert swap_out(m, backing, p) == (Extent(0, 5),) == backing.extents_of(1)
+        assert pieces == (2, 2, 1)
         assert m.free == (Extent(0, 16),) and 1 not in m.allocated
-        assert swap_in(m, backing, record) == blocks and backing.free_total == 16
+        assert swap_in(m, backing, 1, pieces) == blocks and backing.free_total == 16
         assert deallocate(m, 1) == blocks
         assert m.free == (Extent(0, 16),) and m.free_total == 16
 
     def test_swap_in_retriable_when_tight(self):
         m = self.full_memory()
         backing = first_fit_memory(8)
-        record = swap_out(m, backing, self.victim())
+        swap_out(m, backing, self.victim())
         allocate(FIRST_FIT, m, proc(3, size=4))
         with pytest.raises(AllocationFailure):
-            swap_in(m, backing, record)
+            swap_in(m, backing, 2, (4,))
 
 
 class TestConservationRandomOps:

@@ -37,7 +37,6 @@ from osalg import Extent, Organize, Select, compose
 from osalg.allocators import (
     MemoryState,
     PageMap,
-    SegmentMap,
     allocate,
     build_page_table,
     deallocate,
@@ -104,6 +103,10 @@ def units(extents):
     return sum(e.size for e in extents)
 
 
+def lengths(extents):
+    return tuple(e.size for e in extents)
+
+
 def check_result(op, result, pid, before, memories):
     """What a successful step returned against what it changed."""
     (held, _, free), (backing_held, _, backing_free) = before
@@ -112,8 +115,8 @@ def check_result(op, result, pid, before, memories):
         granted = m.allocated[pid]
         if isinstance(result, PageMap):
             assert [f for _, f in result.entries] == [e.start // UNIT for e in granted]
-        elif isinstance(result, SegmentMap):
-            assert [base for _, _, base in result.segments] == [e.start for e in granted]
+        elif result and isinstance(result[0], tuple):  # segment_alloc's segments
+            assert [base for _, _, base in result] == [e.start for e in granted]
         else:
             assert result == granted
         assert m.free_total == free - units(granted)
@@ -121,10 +124,9 @@ def check_result(op, result, pid, before, memories):
         assert result == held[pid] and pid not in m.allocated
         assert m.free_total == free + units(result)
     elif op == "swap_out":
-        assert result.backing_extents == backing.allocated[pid]
-        assert result.pieces == tuple(e.size for e in held[pid])
+        assert result == backing.allocated[pid]
         assert pid not in m.allocated and m.free_total == free + units(held[pid])
-        assert backing.free_total == backing_free - units(result.backing_extents)
+        assert backing.free_total == backing_free - units(result)
     else:
         assert result == m.allocated[pid] and pid not in backing.allocated
         assert m.free_total == free - units(result)
@@ -149,7 +151,8 @@ def test_a_step_changes_memory_only_when_it_succeeds(kind, ops):
     memories = (MemoryState.initial(capacity, organizer), MemoryState.initial(BACKING))
     stores = [m.store for m in memories]  # each changed in place, never replaced
     discipline = compose(Select.first_fit(), organizer, chunk)
-    procs, records = {}, []  # records stay listed after their swap-in
+    # (pid, the lengths it held) a swap-out, listed still after its swap-in
+    procs, records = {}, []
     for op, n, flag in ops:
         if op == "grant":
             size = n % (UNIT + 2) if kind == "fixed" else n
@@ -176,11 +179,10 @@ def test_a_step_changes_memory_only_when_it_succeeds(kind, ops):
                     raise AllocationFailure("no resident holds memory")
                 return swap_out(m, backing, victim)
         elif op == "swap_in" and records:
-            record = records[n % len(records)]
-            pid = record.pid
+            pid, pieces = records[n % len(records)]
 
-            def step(m, backing, record=record):
-                return swap_in(m, backing, record)
+            def step(m, backing, pid=pid, pieces=pieces):
+                return swap_in(m, backing, pid, pieces)
         else:
             continue
         before = [fields(m) for m in memories]
@@ -194,7 +196,9 @@ def test_a_step_changes_memory_only_when_it_succeeds(kind, ops):
                 assert (fields(m) != b) == touched
             check_result(op, result, pid, before, memories)
             if op == "swap_out":
-                records.append(result)
+                records.append((pid, lengths(before[0][0][pid])))
+            elif op == "swap_in":  # the lengths held, whatever the store rounds
+                assert lengths(result) == pieces
         memories[0].check_invariants()
         memories[1].check_invariants()
 
@@ -288,9 +292,11 @@ def test_every_memory_keeps_one_contract(kind, ops, bounds):
             step = lambda m, backing, pid=pid: deallocate(m, pid)
         elif op == "swap_out" and primary.allocated:
             victim = min((procs[pid] for pid in primary.allocated), key=victim_key)
-            step = lambda m, backing, v=victim: records.append(swap_out(m, backing, v))
+            record = (victim.id, lengths(primary.allocated[victim.id]))
+            step = lambda m, backing, v=victim, r=record: (swap_out(m, backing, v),
+                                                           records.append(r))
         elif op == "swap_in" and records:
-            step = lambda m, backing, r=records[0]: (swap_in(m, backing, r),
+            step = lambda m, backing, r=records[0]: (swap_in(m, backing, *r),
                                                      records.remove(r))
         else:
             continue

@@ -122,6 +122,19 @@ def test_events_are_equal_only_within_one_kind():
     assert len({Preempt(2, 1, 1), Dispatch(2, 1, 1), Dispatch(2, 1, 1)}) == 2
 
 
+@pytest.mark.parametrize("compare", [
+    lambda: Preempt(2, 1, 1) <= Dispatch(2, 1, 1),
+    lambda: Preempt(2, 1, 1) >= Dispatch(2, 1, 1),
+    lambda: Dispatch(2, 1, 1) < Dispatch(3, 1, 1),
+    lambda: sorted([Complete(0, 1), Dispatch(0, 1, 1)]),
+], ids=["le", "ge", "lt-one-kind", "sorted"])
+def test_events_have_no_order_of_their_own(compare):
+    """Ordering two events raises, so no reader can sort a trace other
+    than by its own order, the instant and then the kind's rank."""
+    with pytest.raises(TypeError):
+        compare()
+
+
 class TestMetricsArithmetic:
     def test_fcfs_batch(self):
         ps = [proc(1, time=3), proc(2, time=2), proc(3, time=1)]

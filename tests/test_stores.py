@@ -94,6 +94,17 @@ def segmented(pid, size, cut):
 # more units than a partitioned store has, which it refuses whole
 @example(name="paging", ops=[("grant", 40, 0), ("probe", 17, 0)])
 @example(name="fixed", ops=[("probe", 17, 3)])
+# a swap-out, primary memory refilled, then a swap-in the free total refuses
+@example(name="first-fit", ops=[("grant", 24, 0), ("grant", 24, 0), ("swap_out", 1, 0),
+                                ("grant", 40, 0), ("swap_in", 1, 0)])
+@example(name="segmentation", ops=[("grant", 24, 0), ("grant", 24, 10), ("swap_out", 1, 0),
+                                   ("grant", 40, 0), ("swap_in", 1, 0)])
+@example(name="buddy", ops=[("grant", 24, 0), ("grant", 24, 0), ("swap_out", 1, 0),
+                            ("grant", 24, 0), ("swap_in", 1, 0)])
+@example(name="paging", ops=[("grant", 24, 0), ("grant", 24, 0), ("grant", 16, 0),
+                             ("swap_out", 1, 0), ("grant", 24, 0), ("swap_in", 1, 0)])
+@example(name="fixed", ops=[("grant", 4, 0)] * 16 + [("swap_out", 1, 0), ("grant", 4, 0),
+                                                     ("swap_in", 1, 0)])
 def test_a_refusal_leaves_every_store_as_it_was(name, ops):
     """The shortcut is sound: when the free total refuses a grant, a
     swap-out or a swap-in, the store refuses it too. A refused grant or
@@ -121,17 +132,20 @@ def test_a_refusal_leaves_every_store_as_it_was(name, ops):
             if backing.exceeds(victim.size):
                 assert_store_refuses(backing.store, (victim.size,))
             else:
+                pieces = tuple(e.size for e in m.extents_of(victim.id))
                 try:
-                    records.append(swap_out(m, backing, victim))
+                    swap_out(m, backing, victim)
+                    records.append((victim.id, pieces))
                 except AllocationFailure:
                     pass
         elif op == "swap_in" and records:
             record = records[n % len(records)]
-            if m.exceeds(sum(record.pieces)):
-                assert_store_refuses(m.store, record.pieces)
+            pid, pieces = record
+            if m.exceeds(sum(pieces)):
+                assert_store_refuses(m.store, pieces)
             else:
                 try:
-                    swap_in(m, backing, record)
+                    swap_in(m, backing, pid, pieces)
                     records.remove(record)
                 except AllocationFailure:
                     pass

@@ -208,10 +208,10 @@ def test_a_swap_in_to_the_wrong_place_is_caught_at_its_swap_in(monkeypatch):
     refuse, so the lax run runs without the fault."""
     real_swap_in = sim.swap_in
 
-    def misplaced(m, backing, record):
-        granted = real_swap_in(m, backing, record)
+    def misplaced(m, backing, pid, pieces):
+        granted = real_swap_in(m, backing, pid, pieces)
         moved = tuple(Extent(e.start + 1, e.end + 1) for e in granted)
-        m.allocated[record.pid] = moved
+        m.allocated[pid] = moved
         return moved
 
     ps = [proc(1, size=8, time=4, priority=5), proc(2, size=8, time=1, priority=1),
@@ -378,8 +378,8 @@ def test_a_swap_in_that_misreports_its_grant_is_caught_at_its_swap_in(
     paged memory. The memory itself stays consistent, so the delta
     reports the breach in its own words."""
     real_swap_in = sim.swap_in
-    monkeypatch.setattr(sim, "swap_in", lambda m, backing, record: tuple(
-        map(moved, real_swap_in(m, backing, record))))
+    monkeypatch.setattr(sim, "swap_in", lambda m, backing, pid, pieces: tuple(
+        map(moved, real_swap_in(m, backing, pid, pieces))))
     cfg = SimConfig(memory_capacity=16, scheduler="priority", allocator=allocator,
                     **ALLOCATORS[allocator])
     order = lax_emissions(monkeypatch, SWAP, cfg)
