@@ -17,37 +17,22 @@ from __future__ import annotations
 import bisect
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from enum import Enum
 
-from .errors import ClockError, CycleError
+from .core import Record, record_class
+from .errors import ClockError, CycleError, ParameterError
 
-
-class EventKind(Enum):
-    BIND = "Bind"
-    USE = "Use"
-
-
-@dataclass(frozen=True)
-class BindingEvent:
-    symbol: str
-    kind: EventKind
-    instant: int
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One breach of the binding rules, located at an event or a pair of
-    symbols."""
-
-    kind: str  # "use-before-bind" | "dependency-order"
-    symbol: str
-    instant: int | None = None
-    required: str | None = None  # the symbol that had to be bound first
-
-    def __str__(self) -> str:
-        if self.kind == "use-before-bind":
-            return f"{self.symbol} used at {self.instant} with no prior binding"
-        return f"{self.required} must be bound before {self.symbol}"
+# The log's events, records of `core`'s form, and the breaches `validate`
+# finds, each a record whose text is the breach.
+Bind = record_class(Record, "Bind", "symbol", "instant")
+Use = record_class(Record, "Use", "symbol", "instant")
+UseBeforeBind = record_class(
+    Record, "UseBeforeBind", "symbol", "instant",
+    __str__=lambda v: f"{v.symbol} used at {v.instant} with no prior binding")
+DependencyOrder = record_class(
+    Record, "DependencyOrder", "symbol", "required",  # `required` is bound first
+    __str__=lambda v: f"{v.required} must be bound before {v.symbol}")
+# `record`'s kinds, by class or by name
+_KINDS = {key: kind for kind in (Bind, Use) for key in (kind, kind.__name__)}
 
 
 @dataclass(frozen=True)
@@ -64,7 +49,7 @@ class BindingGraph:
     re-validation of the events already checked.
     """
 
-    events: tuple[BindingEvent, ...] = ()
+    events: tuple[Bind | Use, ...] = ()
     dependencies: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self) -> None:
@@ -77,7 +62,7 @@ class BindingGraph:
     @classmethod
     def _extend(
         cls,
-        events: tuple[BindingEvent, ...],
+        events: tuple[Bind | Use, ...],
         dependencies: frozenset[tuple[str, str]],
     ) -> "BindingGraph":
         """A graph whose parts the caller has already checked."""
@@ -93,21 +78,19 @@ class BindingGraph:
         return BindingGraph(self.events, self.dependencies | {(first, then)})
 
 
-def record(
-    g: BindingGraph, symbol: str, kind: EventKind | str, instant: int
-) -> BindingGraph:
-    """Append one event; instants may never decrease."""
-    kind = EventKind(kind) if not isinstance(kind, EventKind) else kind
+def record(g: BindingGraph, symbol: str, kind: type | str, instant: int) -> BindingGraph:
+    """Append one event of `kind`, Bind or Use or its name; instants never decrease."""
+    event = _KINDS.get(kind)
+    if event is None:
+        raise ParameterError(f"unknown binding event kind {kind!r}")
     if g.events and instant < g.events[-1].instant:
         raise ClockError(
             f"instant {instant} precedes last recorded {g.events[-1].instant}"
         )
-    return BindingGraph._extend(
-        g.events + (BindingEvent(symbol, kind, instant),), g.dependencies
-    )
+    return BindingGraph._extend(g.events + (event(symbol, instant),), g.dependencies)
 
 
-def validate(g: BindingGraph) -> list[Violation]:
+def validate(g: BindingGraph) -> list[UseBeforeBind | DependencyOrder]:
     """Every breach of bind-before-use and of the dependency order.
 
     A use at instant t is legal when some binding of the same symbol
@@ -115,23 +98,21 @@ def validate(g: BindingGraph) -> list[Violation]:
     is allowed. A dependency (a, b) is violated when b's first binding
     strictly precedes a's, or when b is bound and a never is.
     """
-    violations: list[Violation] = []
+    violations: list[UseBeforeBind | DependencyOrder] = []
     first_bind: dict[str, int] = {}
     for e in g.events:
-        if e.kind is EventKind.BIND:
+        if type(e) is Bind:
             first_bind.setdefault(e.symbol, e.instant)
     for e in g.events:
-        if e.kind is EventKind.USE:
+        if type(e) is Use:
             bound = e.symbol in first_bind and first_bind[e.symbol] <= e.instant
             if not bound:
-                violations.append(
-                    Violation("use-before-bind", e.symbol, instant=e.instant)
-                )
+                violations.append(UseBeforeBind(e.symbol, e.instant))
     for first, then in sorted(g.dependencies):
         if then not in first_bind:
             continue
         if first not in first_bind or first_bind[then] < first_bind[first]:
-            violations.append(Violation("dependency-order", then, required=first))
+            violations.append(DependencyOrder(then, first))
     return violations
 
 

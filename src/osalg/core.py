@@ -15,13 +15,15 @@ into arrival order once, checks their ids, and hands them out as the
 clock reaches their arrivals.
 
 Beside the values they order sit the two orders the disciplines select
-by: ``arrival_order`` and ``address_order``.
+by: ``arrival_order`` and ``address_order``. Typed events, the trace's
+and the binding log's, share one form, ``Record``.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -159,3 +161,34 @@ class ArrivalStream:
         start = self._next
         self._next = bisect_right(self.members, now, start, key=attrgetter("arrival"))
         return self.members[start:self._next]
+
+
+class Record:
+    """A typed event: a tuple record whose class is its kind. Records are
+    equal, and hash alike, only within one kind, and have no order of
+    their own, not even against a plain tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple.__hash__(self)))
+
+    def _unordered(self, other: object) -> bool:
+        # raise, not return NotImplemented, or Python tries a tuple's order
+        raise TypeError(f"{type(self).__name__} records have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
+def record_class(base: type, name: str, *fields: str, **attrs: object) -> type:
+    """The kind `name` under `base`, a Record: a tuple of `fields`, with class
+    attributes `attrs`, in the caller's module, where pickle looks it up."""
+    module = sys._getframe(1).f_globals["__name__"]
+    fielded = namedtuple(name, fields, module=module)
+    return type(name, (base, fielded), {"__slots__": (), "__module__": module, **attrs})

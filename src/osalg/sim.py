@@ -11,8 +11,8 @@ most one swap attempt, then waits in a FIFO backlog that is retried
 whenever memory frees up. Swapped-out procedures are never dispatched;
 they re-enter through swap-in, ahead of the backlog.
 
-A trace is a word of typed events, each an immutable tuple record whose
-class is its kind, such as `Dispatch`: its instant, its procedure's id,
+A trace is a word of typed events, each an immutable tuple record of
+`core.Record`'s form, whose class is its kind, such as `Dispatch`: its instant, its procedure's id,
 then the fields its class states once, which every reader reads by
 attribute. The class's name is the event's rendered name, and its `rank`
 the kind's place in the fixed order; events are equal only within one kind.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque, namedtuple
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,7 +56,7 @@ from .combinators import (
     compose,
     order_key,
 )
-from .core import ArrivalStream, Procedure, ProcedureSet, WorkClass
+from .core import ArrivalStream, Procedure, ProcedureSet, Record, WorkClass, record_class
 from .errors import (
     AllocationFailure,
     IncompleteRunError,
@@ -74,27 +74,12 @@ STRICT_ENV = "OSALG_STRICT"
 T = TypeVar("T")
 
 
-class TraceEvent:
-    """One event of a run, a tuple record whose class is its kind: the
-    class's name is the event's name, and its `rank` the kind's place
-    among the events of one instant. Events are equal only within one
-    kind, and have no order of their own: the trace's is `_TRACE_ORDER`."""
+class TraceEvent(Record):
+    """One event of a run, a record of `core`'s form: the class's name is
+    the event's name, and its `rank` the kind's place among the events of
+    one instant. The trace's order is `_TRACE_ORDER`."""
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash((type(self), tuple.__hash__(self)))
-
-    def _unordered(self, other: object) -> bool:
-        return NotImplemented
-
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 _ranks = count()
@@ -103,8 +88,7 @@ _ranks = count()
 def _record(name: str, *fields: str) -> type:
     """The record class of the kind `name`, ranked after the kinds declared
     before it: a tuple of `instant`, `pid`, then `fields`."""
-    base = namedtuple(name, ("instant", "pid") + fields)
-    return type(name, (TraceEvent, base), {"__slots__": (), "rank": next(_ranks)})
+    return record_class(TraceEvent, name, "instant", "pid", *fields, rank=next(_ranks))
 
 
 # Each kind's record, declared in the fixed order of events that share an
@@ -212,10 +196,10 @@ class Allocator:
         p binds p's pages, then p's page table, which depends on the
         frames and on those pages; each Dispatch of p uses p's page
         table. The graph is built, and checked, once."""
-        graph = bindingmod.record(Graph(), self.symbol, bindingmod.EventKind.BIND, 0)
+        bind, use = bindingmod.Bind, bindingmod.Use
+        graph = bindingmod.record(Graph(), self.symbol, bind, 0)
         if not self.paged:
             return graph
-        bind, use = bindingmod.EventKind.BIND, bindingmod.EventKind.USE
         dependencies: set[tuple[str, str]] = set()
         for e in events:
             kind = type(e)

@@ -61,7 +61,7 @@ def export_edges(g: BindingGraph) -> str:
     lines = ["# dependencies"]
     lines.extend(f"{first} -> {then}" for first, then in sorted(g.dependencies))
     lines.append("# events")
-    lines.extend(f"{e.instant} {e.kind.value} {e.symbol}" for e in g.events)
+    lines.extend(f"{e.instant} {type(e).__name__} {e.symbol}" for e in g.events)
     return "\n".join(lines) + "\n"
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from osalg import BindingGraph, legal_orderings, record, validate
-from osalg.binding import BindingEvent, EventKind
-from osalg.errors import ClockError, CycleError
+from osalg.binding import Bind, Use, UseBeforeBind
+from osalg.errors import ClockError, CycleError, ParameterError
 
 from make_golden import export_edges
 
@@ -25,12 +25,21 @@ class TestRecord:
     def test_appends_events(self):
         g = build([("frames", "Bind", 1), ("pages", "Bind", 2)])
         assert len(g.events) == 2
-        assert g.events[0].kind is EventKind.BIND
+        assert type(g.events[0]) is Bind
 
     def test_clock_never_decreases(self):
         g = build([("a", "Bind", 3)])
         with pytest.raises(ClockError):
             record(g, "b", "Bind", 1)
+
+    def test_kind_is_the_class_or_its_name(self):
+        by_class = build([("frames", Bind, 1), ("frames", Use, 2)])
+        assert by_class == build([("frames", "Bind", 1), ("frames", "Use", 2)])
+        assert [type(e) for e in by_class.events] == [Bind, Use]
+
+    def test_unknown_kind_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="'Bound'"):
+            record(BindingGraph(), "x", "Bound", 1)
 
     def test_use_on_empty_graph_records_fine(self):
         g = build([("a", "Use", 1)])
@@ -61,7 +70,7 @@ class TestValidate:
         )
         violations = validate(g)
         assert len(violations) == 1
-        assert violations[0].kind == "use-before-bind"
+        assert type(violations[0]) is UseBeforeBind
         assert violations[0].symbol == "page-table"
 
     def test_bind_at_same_instant_as_use_is_legal(self):
@@ -225,8 +234,8 @@ class TestIncrementalAppend:
             if step[0] == "record":
                 _, symbol, is_bind, delta = step
                 instant = (events[-1].instant if events else 0) + delta
-                kind = EventKind.BIND if is_bind else EventKind.USE
-                events += (BindingEvent(symbol, kind, instant),)
+                kind = Bind if is_bind else Use
+                events += (kind(symbol, instant),)
                 append = partial(record, g, symbol, kind, instant)
             else:
                 _, first, then = step

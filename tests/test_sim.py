@@ -1,6 +1,7 @@
 """End-to-end simulator behavior: traces, metrics, swapping, determinism."""
 
 import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -122,15 +123,32 @@ def test_events_are_equal_only_within_one_kind():
     assert len({Preempt(2, 1, 1), Dispatch(2, 1, 1), Dispatch(2, 1, 1)}) == 2
 
 
+@pytest.mark.parametrize("event", [
+    Arrive(0, 1, 4, 3, None, "alice", WorkClass.IO_BOUND),
+    binding.Bind("frames", 0),
+], ids=["trace", "binding"])
+def test_records_survive_pickling(event):
+    """A record class is found where it is declared, so pickle brings each
+    record back equal and of its own kind."""
+    copy = pickle.loads(pickle.dumps(event))
+    assert copy == event and type(copy) is type(event)
+
+
 @pytest.mark.parametrize("compare", [
     lambda: Preempt(2, 1, 1) <= Dispatch(2, 1, 1),
     lambda: Preempt(2, 1, 1) >= Dispatch(2, 1, 1),
     lambda: Dispatch(2, 1, 1) < Dispatch(3, 1, 1),
     lambda: sorted([Complete(0, 1), Dispatch(0, 1, 1)]),
-], ids=["le", "ge", "lt-one-kind", "sorted"])
+    lambda: Complete(0, 1) < (0, 1),
+    lambda: (0, 1) > Complete(0, 1),
+    lambda: sorted([Complete(0, 1), (0, 0)]),
+    lambda: binding.Bind("a", 1) < binding.Use("a", 2),
+], ids=["le", "ge", "lt-one-kind", "sorted", "lt-tuple", "tuple-gt",
+        "sorted-with-tuple", "binding"])
 def test_events_have_no_order_of_their_own(compare):
-    """Ordering two events raises, so no reader can sort a trace other
-    than by its own order, the instant and then the kind's rank."""
+    """Ordering two events, or an event and a plain tuple, raises, so no
+    reader can sort a trace other than by its own order, the instant and
+    then the kind's rank."""
     with pytest.raises(TypeError):
         compare()
 
@@ -438,7 +456,7 @@ class TestDeterminismAndInvariants:
         """The binding log that gathers the dependencies and builds the
         graph once equals the one grown event by event, each Allocate or
         SwapIn recording its binds and then declaring its dependencies."""
-        bind, use = binding.EventKind.BIND, binding.EventKind.USE
+        bind, use = binding.Bind, binding.Use
         swapped = 0
         for seed in range(6):
             ps = random_arrivals(random.Random(seed), 14, max_size=12,
@@ -472,7 +490,7 @@ class TestDeterminismAndInvariants:
         cfg = SimConfig(memory_capacity=32, allocator=allocator, **extra)
         trace, _ = run([proc(1, size=3, time=1)], cfg)
         first = trace.binding.events[0]
-        assert (first.symbol, first.kind.value, first.instant) == (symbol, "Bind", 0)
+        assert (first.symbol, type(first).__name__, first.instant) == (symbol, "Bind", 0)
 
     def test_the_binding_log_follows_the_composition(self):
         """An allocator built directly from the paging composition logs the
@@ -499,7 +517,7 @@ class TestDeterminismAndInvariants:
             g = real_log(allocator, events)
             kept = tuple(
                 e for e in g.events
-                if e.kind is not binding.EventKind.BIND
+                if type(e) is not binding.Bind
                 or not e.symbol.startswith("page-table:")
             )
             return binding.BindingGraph(kept, g.dependencies)
@@ -509,7 +527,7 @@ class TestDeterminismAndInvariants:
         ps = [proc(1, size=10, time=2)]
         trace, _ = run(ps, cfg, strict=False)
         violations = validate(trace.binding)
-        assert [v.kind for v in violations] == ["use-before-bind"]
+        assert [type(v) for v in violations] == [binding.UseBeforeBind]
         with pytest.raises(OsAlgError) as exc:
             run(ps, cfg, strict=True)
         assert str(exc.value) == (
