@@ -11,11 +11,11 @@ most one swap attempt, then waits in a FIFO backlog that is retried
 whenever memory frees up. Swapped-out procedures are never dispatched;
 they re-enter through swap-in, ahead of the backlog.
 
-A trace is a word of typed events, each an immutable tuple record of
-`core.Record`'s form, whose class is its kind, such as `Dispatch`: its instant, its procedure's id,
-then the fields its class states once, which every reader reads by
-attribute. The class's name is the event's rendered name, and its `rank`
-the kind's place in the fixed order; events are equal only within one kind.
+A trace is a word of typed events, each a tuple record of `core.Record`'s
+form whose class is its kind, such as `Dispatch`: its instant, its
+procedure's id, then the fields its class states once, which every reader
+reads by attribute. The class's name is the event's rendered name, and
+its `rank` the kind's place in the fixed order of one instant's events.
 """
 
 from __future__ import annotations

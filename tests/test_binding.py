@@ -32,11 +32,6 @@ class TestRecord:
         with pytest.raises(ClockError):
             record(g, "b", "Bind", 1)
 
-    def test_kind_is_the_class_or_its_name(self):
-        by_class = build([("frames", Bind, 1), ("frames", Use, 2)])
-        assert by_class == build([("frames", "Bind", 1), ("frames", "Use", 2)])
-        assert [type(e) for e in by_class.events] == [Bind, Use]
-
     def test_unknown_kind_is_a_parameter_error(self):
         with pytest.raises(ParameterError, match="'Bound'"):
             record(BindingGraph(), "x", "Bound", 1)
