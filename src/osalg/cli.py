@@ -227,81 +227,56 @@ def _cmd_run(args: argparse.Namespace, out: IO[str], err: IO[str]) -> int:
     except ParameterError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE
+    # Each output file is staged before the run, as a new file beside the
+    # file its path names through any symlink, and replaces that file only
+    # once every text is written: a failed run leaves every output as it
+    # was. A device or pipe is written in place. Entries: (path, target,
+    # staged file or None).
+    files: list[tuple[str, str, str | None]] = []
     try:
-        for path in filter(None, (args.trace, args.metrics)):
-            _check_writable(path)
-    except OSError as exc:
-        print(f"usage error: cannot write {path}: {exc.strerror}", file=err)
-        return EXIT_USAGE
-    if args.trace and args.metrics:
-        target = os.path.realpath(args.trace)
-        if target == os.path.realpath(args.metrics) and not _is_special(target):
+        try:
+            for path in filter(None, (args.trace, args.metrics)):
+                target = os.path.realpath(path)
+                files.append((path, target, None if _is_special(target) else _stage(target)))
+        except OSError as exc:
+            print(f"usage error: cannot write {path}: {exc.strerror}", file=err)
+            return EXIT_USAGE
+        if len(files) == 2 and files[0][1] == files[1][1] and files[0][2]:
             print(f"usage error: --trace and --metrics both name {target}", file=err)
             return EXIT_USAGE
-    try:
-        trace, measured = run(workload, cfg)
-    except UnrunnableProcedureError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_UNRUNNABLE
-    except TraceLimitError as exc:
-        print(f"usage error: {exc}", file=err)
-        return EXIT_USAGE
-    outputs = (
-        (args.trace, render_trace(trace)), (args.metrics, render_metrics(measured))
-    )
-    try:
-        _write_files([(path, text) for path, text in outputs if path])
-    except OSError as exc:
-        print(f"usage error: cannot write {exc.filename}: {exc.strerror}", file=err)
-        return EXIT_USAGE
+        try:
+            trace, measured = run(workload, cfg)
+        except UnrunnableProcedureError as exc:
+            print(f"error: {exc}", file=err)
+            return EXIT_UNRUNNABLE
+        except TraceLimitError as exc:
+            print(f"usage error: {exc}", file=err)
+            return EXIT_USAGE
+        outputs = (
+            (args.trace, render_trace(trace)), (args.metrics, render_metrics(measured))
+        )
+        written = zip(files, (text for path, text in outputs if path))
+        try:
+            # staged files first, since a write in place cannot be undone
+            for (path, _, temp), text in sorted(written, key=lambda f: f[0][2] is None):
+                with open(temp or path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            for path, target, temp in files:
+                if temp:
+                    os.replace(temp, target)
+        except OSError as exc:
+            print(f"usage error: cannot write {path}: {exc.strerror}", file=err)
+            return EXIT_USAGE
+        files.clear()
+    finally:
+        for _, _, temp in files:
+            if temp:
+                with contextlib.suppress(OSError):
+                    os.unlink(temp)
     for path, text in outputs:
         if not path:
             out.write(text)
     return EXIT_OK
-
-
-def _check_writable(path: str) -> None:
-    """Raise OSError when `_write_files` could not write path for a reason
-    known before there is anything to write, such as a directory at path
-    or a missing or unwritable directory around it: stage an empty text
-    for it as `_write_files` would, then remove it."""
-    target = os.path.realpath(path)
-    if not _is_special(target):
-        os.unlink(_stage(target, ""))
-
-
-def _write_files(files: Sequence[tuple[str, str]]) -> None:
-    """Write each text to its path, in order, all or nothing: each text
-    goes to a new file beside the file its path names, through any
-    symlink, and those files replace their targets only once every write
-    has succeeded. A replaced file keeps its mode; a new one gets the
-    mode that opening it for writing would give. A path that exists and
-    is neither a regular file nor a directory, such as a device or a
-    pipe, cannot be replaced and is written in place. Raises OSError
-    naming the first path that failed, with every path left as it was.
-    """
-    staged: list[tuple[str, str, str]] = []  # (new file, target, path)
-    current = ""
-    try:
-        in_place = []
-        for current, text in files:
-            target = os.path.realpath(current)
-            if _is_special(target):
-                in_place.append((current, text))
-            else:
-                staged.append((_stage(target, text), target, current))
-        for current, text in in_place:
-            with open(current, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        for temp, target, current in staged:
-            os.replace(temp, target)
-        staged.clear()
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, current) from exc
-    finally:
-        for temp, _, _ in staged:
-            with contextlib.suppress(OSError):
-                os.unlink(temp)
 
 
 def _is_special(path: str) -> bool:
@@ -316,14 +291,13 @@ def _is_special(path: str) -> bool:
     return not stat.S_ISREG(mode)
 
 
-def _stage(target: str, text: str) -> str:
-    """Write text to a new hidden file beside target, with target's mode
-    if it exists; returns the new file's name."""
+def _stage(target: str) -> str:
+    """Make a new empty hidden file beside target, with target's mode if
+    it exists, else the mode a plain open gives; returns its name."""
     head, tail = os.path.split(target)
     handle, temp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")
+    os.close(handle)
     try:
-        with open(handle, "w", encoding="utf-8") as staged:
-            staged.write(text)
         if os.path.exists(target):
             shutil.copymode(target, temp)
         else:

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the combinator machinery
 and of the simulator: schedules come from exhaustive permutation
 enumeration or a round robin stepped one instant at a time, buddy
-placements from a textbook free-list allocator. Nothing is imported from
+placements from a textbook free-list allocator, dependency cycles from a
+recursive depth-first search. Nothing is imported from
 `osalg`: procedures are read by their `id`, `arrival` and `time`
 attributes, failures are built-in exceptions or `NoFreeBlock`, and
 results are plain tuples, so nothing leaks back from the code paths they
@@ -173,3 +174,37 @@ def replay_rr(
             left[turn[0].id] -= 1
         now += 1
     return tuple(slices)
+
+
+def reference_find_cycle(
+    nodes: Iterable[str], dependencies: Iterable[tuple[str, str]],
+) -> tuple[str, ...] | None:
+    """The cycle named by a recursive depth-first search over the nodes in
+    the order given and over sorted edges, from the node it re-enters to
+    the last node on the current path; None when there is no cycle."""
+    successors: dict[str, list[str]] = {n: [] for n in nodes}
+    for first, then in sorted(dependencies):
+        successors[first].append(then)
+    state: dict[str, int] = {}  # 1 = on stack, 2 = done
+    stack: list[str] = []
+
+    def visit(node: str) -> tuple[str, ...] | None:
+        state[node] = 1
+        stack.append(node)
+        for nxt in successors[node]:
+            if state.get(nxt) == 1:
+                return tuple(stack[stack.index(nxt):])
+            if nxt not in state:
+                found = visit(nxt)
+                if found:
+                    return found
+        stack.pop()
+        state[node] = 2
+        return None
+
+    for n in successors:
+        if n not in state:
+            found = visit(n)
+            if found:
+                return found
+    return None

@@ -10,6 +10,7 @@ from osalg.binding import Bind, Use, UseBeforeBind
 from osalg.errors import ClockError, CycleError, ParameterError
 
 from make_golden import export_edges
+from oracle import reference_find_cycle
 
 PAGE_DEPS = {("frames", "page-table"), ("pages", "page-table")}
 
@@ -141,37 +142,6 @@ class TestLegalOrderings:
     def test_chain_dependencies(self):
         orders = legal_orderings(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert orders == [("a", "b", "c")]
-
-
-def reference_find_cycle(nodes, dependencies):
-    """The recursive search the iterative one replaced: the cycle named by
-    a depth-first search over sorted nodes and sorted edges, or None."""
-    successors = {n: [] for n in nodes}
-    for first, then in sorted(dependencies):
-        successors[first].append(then)
-    state = {}  # 1 = on stack, 2 = done
-    stack = []
-
-    def visit(node):
-        state[node] = 1
-        stack.append(node)
-        for nxt in successors[node]:
-            if state.get(nxt) == 1:
-                return tuple(stack[stack.index(nxt):])
-            if nxt not in state:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        state[node] = 2
-        return None
-
-    for n in nodes:
-        if n not in state:
-            found = visit(n)
-            if found:
-                return found
-    return None
 
 
 def chain(length):

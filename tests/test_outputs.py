@@ -3,11 +3,12 @@
 import errno
 import os
 import stat
+import tempfile
 
 import pytest
 
-from osalg import cli
-from osalg.cli import EXIT_OK, EXIT_USAGE, main
+from osalg import cli, sim
+from osalg.cli import EXIT_OK, EXIT_UNRUNNABLE, EXIT_USAGE, EXIT_WORKLOAD, main
 
 WORKLOAD = "id=1 size=4 time=3\nid=2 size=4 time=2\n"
 
@@ -50,27 +51,28 @@ def test_failed_trace_keeps_an_existing_metrics(tmp_path, capsys):
 
 def test_a_write_that_fails_after_the_run_leaves_both_outputs(
         tmp_path, capsys, monkeypatch):
-    """The disk fills while the metrics are staged, after the pre-run
-    check has passed and the trace has been staged: the run is a usage
-    error, both files keep what they held, and no staged file is left.
-    (File modes cannot stand in for the fault: root writes through them.)"""
+    """The disk fills while the metrics text is written into its staged
+    file, after the run, with the trace already written into its own: the
+    run is a usage error, both files keep what they held, and no staged
+    file is left. (File modes cannot stand in for the fault: root writes
+    through them.)"""
     trace, metrics = tmp_path / "t.csv", tmp_path / "m.txt"
     trace.write_text("earlier trace\n")
     metrics.write_text("earlier metrics\n")
     ran = []
-    real_run, real_copymode = cli.run, cli.shutil.copymode
+    real_run = cli.run
 
     def running(*args):
         ran.append(True)
         return real_run(*args)
 
-    def copymode(source, temp):
-        if ran and source == os.path.realpath(metrics):
+    def opening(file, *args, **kwargs):
+        if ran and os.path.basename(file).startswith(".m.txt."):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        real_copymode(source, temp)
+        return open(file, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run", running)
-    monkeypatch.setattr(cli.shutil, "copymode", copymode)
+    monkeypatch.setattr(cli, "open", opening, raising=False)
     assert run_to(tmp_path, trace, metrics) == EXIT_USAGE
     assert ran
     assert capsys.readouterr().err == (
@@ -78,6 +80,60 @@ def test_a_write_that_fails_after_the_run_leaves_both_outputs(
     assert trace.read_text() == "earlier trace\n"
     assert metrics.read_text() == "earlier metrics\n"
     assert sorted(os.listdir(tmp_path)) == ["m.txt", "t.csv", "w.txt"]
+
+
+def test_each_output_is_staged_once_before_the_run(tmp_path, capsys, monkeypatch):
+    ran, staged = [], []
+    real_run, real_mkstemp = cli.run, tempfile.mkstemp
+
+    def running(*args):
+        ran.append(True)
+        return real_run(*args)
+
+    def mkstemp(*args, **kwargs):
+        staged.append(bool(ran))
+        return real_mkstemp(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", running)
+    monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+    assert run_to(tmp_path, tmp_path / "t.csv", tmp_path / "m.txt") == EXIT_OK
+    assert ran
+    assert staged == [False, False]
+
+
+@pytest.mark.parametrize("text, flags, code", [
+    pytest.param("id=1 size=999 time=1\n", ["--scheduler", "fcfs", "--memory", "16"],
+                 EXIT_UNRUNNABLE, id="unrunnable"),
+    pytest.param("id=1 size=4 time=5\n", ["--scheduler", "rr", "--quantum", "1"],
+                 EXIT_USAGE, id="trace-limit"),
+    pytest.param("id=1 size=4 time=5\n", ["--scheduler", "priority"],
+                 EXIT_WORKLOAD, id="no-priority"),
+])
+def test_a_run_that_fails_after_staging_leaves_the_directory(
+        tmp_path, capsys, monkeypatch, text, flags, code):
+    """The outputs are staged and the simulation fails: the existing
+    output keeps its text, the new one is not made, and nothing staged
+    is left."""
+    monkeypatch.setattr(sim, "MAX_TRACE", 4)
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(text)
+    trace = tmp_path / "t.csv"
+    trace.write_text("earlier trace\n")
+    ran = []
+    real_run = cli.run
+
+    def running(*args):
+        ran.append(True)
+        return real_run(*args)
+
+    monkeypatch.setattr(cli, "run", running)
+    assert main([
+        "run", "--workload", str(wpath), "--allocator", "first-fit", *flags,
+        "--trace", str(trace), "--metrics", str(tmp_path / "m.txt"),
+    ]) == code
+    assert ran
+    assert trace.read_text() == "earlier trace\n"
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "w.txt"]
 
 
 def test_success_replaces_both(tmp_path, capsys):
